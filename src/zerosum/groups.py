@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from math import gcd, lcm, prod
+from math import gcd, isqrt, lcm, prod
 
 from .errors import (
     EmptyFactors,
@@ -62,6 +62,10 @@ def mask_to_indices(mask: int) -> list[int]:
     return list(iter_mask(mask))
 
 
+def _is_prime(n: int) -> bool:
+    return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
+
+
 @dataclass(frozen=True)
 class Group:
     """Finite abelian group C_n1 + ... + C_nr with n1 | n2 | ... | nr.
@@ -69,6 +73,11 @@ class Group:
     The empty factor tuple is the trivial group; it arises from quotients and
     degenerate subgroups and is valid everywhere internally, but make_group
     rejects it at the public construction boundary.
+
+    Derived tables (the rotation and digit masks behind the bitmask
+    operations, and prime_order_subgroups) are built on first use and cached
+    on the group object, so every set, sequence and instance that shares the
+    object shares them.
     """
 
     invariant_factors: tuple[int, ...]
@@ -228,6 +237,16 @@ class Group:
     def neg_mask(self, mask: int) -> int:
         return self.dilate_mask(mask, -1)
 
+    def sum_masks(self, a: int, b: int) -> int:
+        """Index set {x + y : x in a, y in b}: the larger set translated by
+        each element of the smaller."""
+        if a.bit_count() < b.bit_count():
+            a, b = b, a
+        out = 0
+        for idx in iter_mask(b):
+            out |= self.translate_mask(a, idx)
+        return out
+
     def cyclic_mask(self, gidx: int) -> int:
         """Bitmask of the cyclic subgroup generated by one index."""
         mask = 1
@@ -236,6 +255,28 @@ class Group:
             mask |= 1 << x
             x = self.index_add(x, gidx)
         return mask
+
+    @cached_property
+    def prime_order_subgroups(self) -> tuple["Subgroup", ...]:
+        """Every subgroup of prime order, sorted by (order, least generator index).
+
+        Such a subgroup is cyclic and each of its nonzero elements generates
+        it; its generator here is the one with the least index.  Every
+        nontrivial subgroup contains one of these, so scanning them in this
+        order finds the smallest nontrivial subgroup inside a set, ties going
+        to the least generator index.
+        """
+        found = []
+        covered = 1
+        for idx in range(1, self.order):
+            if (covered >> idx) & 1:
+                continue
+            o = self.index_order(idx)
+            if _is_prime(o):
+                covered |= self.cyclic_mask(idx)
+                found.append((o, idx))
+        return tuple(subgroup_generated(self, [self.element_from_index(idx)])
+                     for _, idx in sorted(found))
 
 
 @dataclass(frozen=True)

@@ -114,12 +114,7 @@ def sumset(a: GSet, b: GSet) -> GSet:
     _check_same_group(a, b)
     if a.is_empty() or b.is_empty():
         raise EmptySet("sumset needs nonempty operands")
-    big, small = (a.bits, b.bits) if a.size >= b.size else (b.bits, a.bits)
-    group = a.group
-    out = 0
-    for idx in iter_mask(small):
-        out |= group.translate_mask(big, idx)
-    return GSet(group, out)
+    return GSet(a.group, a.group.sum_masks(a.bits, b.bits))
 
 
 def iterated_sumset(sets) -> GSet:
@@ -282,12 +277,7 @@ def kneser_audit(sets) -> KneserReport:
     _, proj = quotient(group, sub)
     images = [proj.map_mask(s.bits) for s in sets]
     q = proj.quotient
-    acc = images[0]
-    for img in images[1:]:
-        nxt = 0
-        for idx in iter_mask(img):
-            nxt |= q.translate_mask(acc, idx)
-        acc = nxt
+    acc = reduce(q.sum_masks, images)
     lhs = acc.bit_count()
     rhs = sum(img.bit_count() for img in images) - len(sets) + 1
     if lhs < rhs:

@@ -21,14 +21,11 @@ class Verdict:
     """Outcome of checking one statement on one instance.
 
     witness carries re-checkable data: for a failure, what broke; for a hold,
-    what was found (subgroup, partition, disjunct flags).  elapsed_ms is
-    wall-clock and excluded from serialized reports so output stays
-    byte-deterministic.
+    what was found (subgroup, partition, disjunct flags).
     """
 
     status: Status
     witness: dict[str, Any] = field(default_factory=dict)
-    elapsed_ms: int = 0
 
     def ok(self) -> bool:
         return self.status is Status.HOLDS

@@ -46,10 +46,11 @@ from .sequences import (
     has_setpartition,
     seq_from_indices,
 )
-from .setsum import GSet, gset, sumset, detect_ap, stabilizer, weighted_dilate
+from .setsum import GSet, gset, sumset, stabilizer
 from .verdict import Status, Verdict
 from .weighted import (
     WeightSeq,
+    _positional_wsum_bits,
     format_weights,
     sigma_all,
     sigma_n,
@@ -170,21 +171,15 @@ def contained_subgroup(a: GSet) -> Subgroup | None:
     """Smallest nontrivial subgroup wholly inside A, or None.
 
     Any nontrivial subgroup contains one of prime order, so scanning the
-    prime-order cyclic subgroups is exact.
+    group's table of prime-order subgroups (Group.prime_order_subgroups,
+    built once per group) is exact.  Ties go to the smallest order, then to
+    the least generator index, i.e. the least index of a nonzero element.
+    The returned subgroup is the table's shared entry.
     """
-    group = a.group
-    best: tuple[int, int] | None = None
-    for idx in range(1, group.order):
-        o = group.index_order(idx)
-        if o < 2 or any(o % p == 0 for p in range(2, o) if p * p <= o):
-            continue
-        if group.cyclic_mask(idx) & ~a.bits:
-            continue
-        if best is None or (o, idx) < best:
-            best = (o, idx)
-    if best is None:
-        return None
-    return subgroup_generated(group, [group.element_from_index(best[1])])
+    for sub in a.group.prime_order_subgroups:
+        if not sub.mask & ~a.bits:
+            return sub
+    return None
 
 
 def coset_condition(seq: GSequence, cap: int = 4096) -> tuple[int, Subgroup] | None:
@@ -208,10 +203,6 @@ def coset_condition(seq: GSequence, cap: int = 4096) -> tuple[int, Subgroup] | N
     return None
 
 
-def _coset_mask(group: Group, submask: int, rep: int) -> int:
-    return group.translate_mask(submask, rep)
-
-
 def _coset_reps(group: Group, submask: int) -> list[int]:
     """Minimum-index representative of each coset of the subgroup mask."""
     reps = []
@@ -226,13 +217,12 @@ def _coset_reps(group: Group, submask: int) -> list[int]:
 
 
 def _positional_wsum(pairs: Iterable[tuple[int, GSet]]) -> GSet:
-    acc: GSet | None = None
-    for w, block in pairs:
-        term = weighted_dilate(w, block)
-        acc = term if acc is None else sumset(acc, term)
-    if acc is None:
+    """_positional_wsum_bits over (weight, GSet block) pairs of one group."""
+    pairs = list(pairs)
+    if not pairs:
         raise MissingField("positional weighted sum needs at least one block")
-    return acc
+    group = pairs[0][1].group
+    return GSet(group, _positional_wsum_bits(group, [(w, b.bits) for w, b in pairs]))
 
 
 def _distinct_perms(items: tuple[int, ...], cap: int, length: int | None = None):
@@ -543,9 +533,9 @@ def _subgroup_in_full_sum(inst: Instance) -> tuple[Subgroup | None, GSet | None]
     n = w.length
     if has_setpartition(s, n):
         part = balanced_setpartition(s, n)
-        res = sorted(w.residues)
-        quick = _positional_wsum(zip(res, part.blocks))
-        sub = contained_subgroup(quick)
+        quick = _positional_wsum_bits(
+            group, [(x, b.bits) for x, b in zip(sorted(w.residues), part.blocks)])
+        sub = contained_subgroup(GSet(group, quick))
         if sub is not None:
             return sub, None
     full = sigma_n(w, s, n)
@@ -903,7 +893,7 @@ def make_setpartition_witness(sub: Subgroup, partition: Setpartition) -> Setpart
     for block in partition.blocks:
         spread = 0
         for i in block.indices():
-            spread |= _coset_mask(group, sub.mask, i)
+            spread |= group.translate_mask(sub.mask, i)
         common &= spread
     n_common = common.bit_count() // sub.order
     excess = sum(block.size - (block.bits & common).bit_count()
@@ -968,7 +958,7 @@ def _check_aligned_conclusion(inst: Instance, sub: Subgroup, caps: SearchCaps,
                 break
             blocks = part.blocks
             for rep in reps:
-                coset = _coset_mask(group, sub.mask, rep)
+                coset = group.translate_mask(sub.mask, rep)
                 if any(m and not (coset >> i) & 1 for i, m in enumerate(removed)):
                     continue
                 if not _blocks_meet_coset(blocks, coset):
@@ -1095,7 +1085,7 @@ def _certificate_holds(group: Group, w_res: tuple[int, ...], s: GSequence,
     d = sub.dstar()
     if len(blocks) != d or len(w_res) < d:
         return False
-    coset = _coset_mask(group, sub.mask, rep)
+    coset = group.translate_mask(sub.mask, rep)
     merged = [0] * group.order
     for b in blocks:
         for i in b.indices():
@@ -1133,7 +1123,7 @@ def _larger_certificate_exists(inst: Instance, sub: Subgroup, caps: SearchCaps,
             continue
         need_left = n - d + x
         for rep in _coset_reps(group, cand.mask):
-            coset = _coset_mask(group, cand.mask, rep)
+            coset = group.translate_mask(cand.mask, rep)
             in_coset = tuple(m if (coset >> i) & 1 else 0 for i, m in enumerate(s.mult))
             total_in = sum(in_coset)
             if total_in < d + need_left:
@@ -1905,12 +1895,6 @@ def sweep(sid: StatementId, dom: SweepDomain, threads: int = 1,
 # serialization
 
 
-def _format_iso(factors: tuple[int, ...]) -> str:
-    if not factors:
-        return "c1"
-    return "x".join(f"c{n}" for n in factors)
-
-
 def to_jsonable(obj: Any) -> Any:
     if obj is None or isinstance(obj, (bool, int, float, str)):
         return obj
@@ -1924,7 +1908,7 @@ def to_jsonable(obj: Any) -> Any:
         return format_element(obj)
     if isinstance(obj, Subgroup):
         return {
-            "iso": _format_iso(obj.iso_type),
+            "iso": format_group(Group(obj.iso_type)),
             "elements": obj.indices(),
         }
     if isinstance(obj, GSet):

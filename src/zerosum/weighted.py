@@ -16,7 +16,7 @@ from math import gcd
 
 from .errors import BadN, EmptySet, GroupMismatch, LengthMismatch, ParseError
 from .sequences import GSequence, Setpartition
-from .setsum import GSet, sumset, weighted_dilate
+from .setsum import GSet
 from .groups import Group
 
 __all__ = [
@@ -268,6 +268,21 @@ def sums_by_count(s: GSequence) -> tuple[int, ...]:
     return tuple(table)
 
 
+def _positional_wsum_bits(group: Group, pairs) -> int:
+    """Bitmask of w_1*A_1 + ... + w_k*A_k over (weight, block bitmask) pairs.
+
+    The one positional weighted sum: partition_wsum and the checkers in
+    verify wrap it.  Needs k >= 1 nonempty blocks.
+    """
+    acc = 0
+    for w, bits in pairs:
+        if not bits:
+            raise EmptySet("positional weighted sum needs nonempty blocks")
+        term = group.dilate_mask(bits, w)
+        acc = group.sum_masks(acc, term) if acc else term
+    return acc
+
+
 def partition_wsum(w: WeightSeq, partition: Setpartition) -> GSet:
     """w_1*A_1 + ... + w_n*A_n for a setpartition's blocks, positionally."""
     blocks = partition.blocks
@@ -275,8 +290,6 @@ def partition_wsum(w: WeightSeq, partition: Setpartition) -> GSet:
         raise LengthMismatch(f"{w.length} weights vs {len(blocks)} blocks")
     if not blocks:
         raise EmptySet("partition has no blocks")
-    acc: GSet | None = None
-    for wi, block in zip(w.raw, blocks):
-        term = weighted_dilate(wi, block)
-        acc = term if acc is None else sumset(acc, term)
-    return acc
+    group = blocks[0].group
+    return GSet(group, _positional_wsum_bits(
+        group, [(wi, block.bits) for wi, block in zip(w.raw, blocks)]))

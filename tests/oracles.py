@@ -87,3 +87,36 @@ def brute_davenport(factors, cap=200_000):
 
 def brute_sumset(factors, a, b):
     return {coord_add(factors, x, y) for x in a for y in b}
+
+
+def all_elements(factors):
+    """Every element as a coordinate tuple, listed in index order: mixed radix,
+    first coordinate fastest."""
+    from itertools import product
+
+    return [tuple(reversed(t)) for t in product(*[range(n) for n in reversed(factors)])]
+
+
+def brute_subgroups(factors):
+    """Every subgroup as a frozenset of coordinate tuples, found by testing each
+    subset that holds zero for closure under addition."""
+    elements = all_elements(factors)
+    zero, rest = elements[0], elements[1:]
+    out = []
+    for r in range(len(rest) + 1):
+        for combo in combinations(rest, r):
+            s = {zero, *combo}
+            if all(coord_add(factors, a, b) in s for a in s for b in s):
+                out.append(frozenset(s))
+    return out
+
+
+def brute_contained_subgroup(factors, subgroups, members):
+    """Smallest nontrivial subgroup inside the element set `members`, ties broken
+    by the least index of a nonzero element; None when no nontrivial one fits.
+    `subgroups` is brute_subgroups(factors)."""
+    index = {e: i for i, e in enumerate(all_elements(factors))}
+    fits = [h for h in subgroups if len(h) > 1 and h <= members]
+    if not fits:
+        return None
+    return min(fits, key=lambda h: (len(h), min(index[e] for e in h if index[e])))

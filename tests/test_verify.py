@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from zerosum import (
     DEFAULT_CAPS,
     DomainTooLarge,
+    EmptySet,
     GSequence,
     GSet,
     Instance,
@@ -46,8 +47,10 @@ from zerosum import (
     weight_seq,
     witness_search_setpartition,
 )
-from zerosum.verify import _ap_difference_indices
+from zerosum.verify import _ap_difference_indices, _positional_wsum
 from zerosum.setsum import detect_ap
+
+from oracles import all_elements, brute_contained_subgroup, brute_subgroups
 
 
 # ---------------------------------------------------------------------------
@@ -62,6 +65,34 @@ def test_contained_subgroup_finds_smallest():
     # the missing-pair set from the prime example contains no subgroup
     c7 = make_group((7,))
     assert contained_subgroup(gset(c7, [0, 1, 2, 5, 6])) is None
+
+
+@pytest.mark.parametrize("text", ["c6", "c2xc4", "c2xc2xc2", "c3xc3", "c2xc6"])
+def test_contained_subgroup_matches_brute_force_on_every_subset(text):
+    g = parse_group(text)
+    factors = g.invariant_factors
+    elements = all_elements(factors)
+    assert [g.element_from_index(i).coords for i in range(g.order)] == elements
+    subgroups = brute_subgroups(factors)
+    for bits in range(1 << g.order):
+        members = {e for i, e in enumerate(elements) if (bits >> i) & 1}
+        want = brute_contained_subgroup(factors, subgroups, members)
+        got = contained_subgroup(GSet(g, bits))
+        if want is None:
+            assert got is None, bits
+        else:
+            assert got is not None, bits
+            assert {elements[i] for i in got.indices()} == want, bits
+
+
+def test_positional_wsum_value_and_errors():
+    g = make_group((6,))
+    # 2*{1,2} + 1*{0,3} = {2,4} + {0,3}
+    assert _positional_wsum([(2, gset(g, [1, 2])), (1, gset(g, [0, 3]))]).indices() == [1, 2, 4, 5]
+    with pytest.raises(MissingField):
+        _positional_wsum([])
+    with pytest.raises(EmptySet):
+        _positional_wsum([(1, gset(g, [1])), (1, gset(g, []))])
 
 
 def test_coset_condition_detection():
