@@ -6,11 +6,14 @@ import argparse
 import json
 import os
 import sys
+from functools import reduce
+from operator import or_
 from pathlib import Path
 
 from .errors import (
     CapExceeded,
     DomainTooLarge,
+    EmptySet,
     GroupTooLarge,
     ParseError,
     ZerosumError,
@@ -44,7 +47,7 @@ from .verify import (
     to_jsonable,
     verdict_to_dict,
 )
-from .weighted import parse_weights, sigma_all, sigma_n
+from .weighted import parse_weights, sigma_all, sigma_n, sigma_table
 
 EXIT_OK = 0
 EXIT_FAILS = 1
@@ -210,22 +213,25 @@ def _cmd_sigma(args: argparse.Namespace) -> int:
     w = parse_weights(group, args.weights)
     s = parse_sequence(group, args.seq)
     if args.all:
-        top = min(w.length, s.length)
-        table = {n: sigma_n(w, s, n) for n in range(1, top + 1)}
+        masks = sigma_table(w, s)
+        if len(masks) == 1:
+            raise EmptySet("sigma_all needs nonempty weights and sequence")
+        table = {n: GSet(group, masks[n]) for n in range(1, len(masks))}
+        union = GSet(group, reduce(or_, masks[1:]))
         doc = {
             "group": format_group(group),
             "weights": w,
             "weights_canonical": list(w.residues),
             "seq": s,
             "sums_by_n": {str(n): a for n, a in table.items()},
-            "union": sigma_all(w, s),
+            "union": union,
         }
         if args.json is not None:
             _emit(_dump(doc), args.json)
             return EXIT_OK
         for n, a in table.items():
             print(f"n={n}: {_format_set(a)}")
-        print(f"union: {_format_set(sigma_all(w, s))}")
+        print(f"union: {_format_set(union)}")
         return EXIT_OK
     if args.n is not None:
         out = sigma_n(w, s, args.n)

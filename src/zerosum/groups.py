@@ -75,7 +75,8 @@ class Group:
     rejects it at the public construction boundary.
 
     Derived tables (the rotation and digit masks behind the bitmask
-    operations, and prime_order_subgroups) are built on first use and cached
+    operations, the per-element rotation lists translate_mask walks, and
+    prime_order_subgroups) are built on first use and cached
     on the group object, so every set, sequence and instance that shares the
     object shares them.
     """
@@ -174,7 +175,7 @@ class Group:
 
     @cached_property
     def _rot_masks(self) -> tuple:
-        # _rot_masks[i][c] = (low_rep, high_rep, shift) for rotating coord i by c
+        # _rot_masks[i][c] = (low_rep, high_rep, shift, back) for rotating coord i by c
         per_coord = []
         order = self.order
         for n, s in zip(self.invariant_factors, self.strides):
@@ -205,15 +206,17 @@ class Group:
             per_coord.append(tuple((unit << (d * s)) * comb for d in range(n)))
         return tuple(per_coord)
 
+    @cached_property
+    def _translations(self) -> tuple:
+        # _translations[g] = the _rot_masks entries of g's nonzero coordinates
+        return tuple(
+            tuple(rots[c] for c, rots in zip(self.index_to_coords(g), self._rot_masks) if c)
+            for g in range(self.order))
+
     def translate_mask(self, mask: int, gidx: int) -> int:
         """Image of the index set ``mask`` under x -> x + g."""
-        if gidx == 0 or mask == 0:
-            return mask
-        for n, s, rots in zip(self.invariant_factors, self.strides, self._rot_masks):
-            c = (gidx // s) % n
-            if c:
-                low_rep, high_rep, k, back = rots[c]
-                mask = ((mask & low_rep) << k) | ((mask & high_rep) >> back)
+        for low_rep, high_rep, k, back in self._translations[gidx]:
+            mask = ((mask & low_rep) << k) | ((mask & high_rep) >> back)
         return mask
 
     def dilate_mask(self, mask: int, w: int) -> int:

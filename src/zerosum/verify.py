@@ -15,8 +15,10 @@ import random
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import combinations, combinations_with_replacement
 from math import comb, gcd
+from operator import or_
 from typing import Any, Callable, Iterable, Mapping
 
 from .errors import (
@@ -52,8 +54,8 @@ from .weighted import (
     WeightSeq,
     _positional_wsum_bits,
     format_weights,
-    sigma_all,
     sigma_n,
+    sigma_table,
     sums_by_count,
     weight_seq,
 )
@@ -674,11 +676,12 @@ def _check_david(inst: Instance, caps: SearchCaps) -> Verdict:
     h = max(s.mult)
     if s.mult[0] != h or h < d - 1:
         return _hyp_fail("needs multiplicity of 0 equal to h(S) and at least D(G) - 1")
-    every = sigma_all(w, s)
-    top = sigma_n(w, s, min(w.length, s.length))
-    if every.bits == top.bits:
+    table = sigma_table(w, s)
+    every = reduce(or_, table[1:])
+    if every == table[-1]:
         return Verdict(Status.HOLDS, {})
-    return Verdict(Status.FAILS, {"all_lengths": every, "full_length": top})
+    return Verdict(Status.FAILS, {"all_lengths": GSet(group, every),
+                                  "full_length": GSet(group, table[-1])})
 
 
 def _check_dstar_subadd(inst: Instance, caps: SearchCaps) -> Verdict:

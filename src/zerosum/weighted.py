@@ -3,18 +3,32 @@
 sigma_n(W, S, n) is the set of all sums of n terms of S, each multiplied by a
 distinct slot of the integer weight sequence W.  Weights act through their
 residues mod the group exponent, so they are canonicalized up front (raw
-values retained).  The core evaluator is a memoized recursion over distinct
-weight residues whose state is the residual multiplicity vector of supp(S).
+values retained).
+
+The exact evaluator is one 0/1 knapsack over bitmasks, capped at a top
+count n.  In the weight-side orientation a state counts the slots used in
+each weight-residue class (at most min(m_j, n) each, at most n in all); the
+DP walks the terms of S, each support element capped at n copies, and for
+each term x and each state c reached so far sets
+table[c + e_j] |= (table[c] translated by r_j * x), reading table[c] as it
+stood before x.  The sequence-side orientation swaps the roles: it walks the
+weight slots and a state counts the copies used of each support element of
+S.  The orientation with fewer states of at most n items runs (a choice
+made from the input's shape alone); above STATE_CAP states CapExceeded is
+raised before any is built.  States that can no longer reach the target
+are dropped.  sigma_n joins table[c] over the states with |c| = n;
+sigma_table keeps every count, and sums_by_count is its unit-weight case.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
-from math import gcd
+from functools import cached_property, lru_cache, reduce
+from math import gcd, prod
+from operator import or_
 
-from .errors import BadN, EmptySet, GroupMismatch, LengthMismatch, ParseError
+from .errors import BadN, CapExceeded, EmptySet, GroupMismatch, LengthMismatch, ParseError
 from .sequences import GSequence, Setpartition
 from .setsum import GSet
 from .groups import Group
@@ -26,6 +40,7 @@ __all__ = [
     "parse_weights",
     "format_weights",
     "sigma_n",
+    "sigma_table",
     "sigma_upto",
     "sigma_from",
     "sigma_all",
@@ -115,123 +130,117 @@ def format_weights(w: WeightSeq) -> str:
     return ",".join(parts)
 
 
+STATE_CAP = 1 << 18  # the most states the sigma DP builds before CapExceeded
+
+
 def _check_pair(w: WeightSeq, s: GSequence) -> None:
     if w.group != s.group:
         raise GroupMismatch("weights and sequence over different groups")
 
 
-def sigma_n(w: WeightSeq, s: GSequence, n: int) -> GSet:
-    """All n-term weighted subsequence sums, exact.
+@lru_cache(maxsize=4096)
+def _state_count(caps: tuple[int, ...], top: int) -> int:
+    """#{0 <= c <= caps : sum(c) <= top}, summed from prod_j (1 + ... + x^caps[j])."""
+    poly = [1] + [0] * top
+    for cap in caps:
+        acc, prev, poly = 0, poly, []
+        for i in range(top + 1):
+            acc += prev[i] - (prev[i - cap - 1] if i > cap else 0)
+            poly.append(acc)
+    return sum(poly)
 
-    Distinct weight residues are consumed one class at a time; the memo state
-    is (class position, residual multiplicities of supp(S)).  The zero residue
-    class is processed last so its term choice degenerates to a feasibility
-    count.
+
+def _sums_by_n(group: Group, classes, supp, top: int, need: int = 0,
+               side: str | None = None) -> list[int]:
+    """Per-count sum masks of weight classes against sequence support.
+
+    classes and supp are (residue, slots) and (element index, copies) pairs.
+    Entry k of the result is the mask of k-term weighted sums, k <= top;
+    states that can no longer reach need items are dropped, so only entries
+    from need on are exact.  side forces an orientation ("weights" or
+    "sequence"); by default the one with fewer states runs.
     """
+    wcaps = [m if m < top else top for _, m in classes]
+    scaps = [m if m < top else top for _, m in supp]
+    counts = {"weights": _state_count(tuple(sorted(wcaps)), top),
+              "sequence": _state_count(tuple(sorted(scaps)), top)}
+    if side is None:
+        side = "weights" if counts["weights"] <= counts["sequence"] else "sequence"
+    if counts[side] > STATE_CAP:
+        raise CapExceeded(f"sigma DP needs {counts[side]} states, above {STATE_CAP}")
+    scalar = group.index_scalar
+    if side == "weights":
+        caps = wcaps
+        walk = [(c, [scalar(r, g) for r, _ in classes]) for (g, _), c in zip(supp, scaps)]
+    else:
+        caps = scaps
+        walk = [(c, [scalar(r, g) for g, _ in supp]) for (r, _), c in zip(classes, wcaps)]
+    # a state is a mixed-radix code of per-class counts; only reached states
+    # are kept, with meta[code] = (items used, classes with room left)
+    strides = [prod(c + 1 for c in caps[:j]) for j in range(len(caps))]
+    table = {0: 1}
+    meta = {0: (0, tuple(j for j, cap in enumerate(caps) if cap))}
+    translate = group.translate_mask
+    left = sum(c for c, _ in walk)
+    for copies, shifts in walk:
+        for _ in range(copies):
+            floor = need - left  # fewer items used than this can no longer reach need
+            # 0/1 knapsack: extend a snapshot, so each item is used once
+            for c, mask in list(table.items()):
+                u, room = meta[c]
+                if u < floor:
+                    del table[c]
+                    continue
+                for j in room:
+                    t = c + strides[j]
+                    if t not in meta:
+                        full = (t // strides[j]) % (caps[j] + 1) == caps[j]
+                        meta[t] = (u + 1, () if u + 1 == top else
+                                   tuple(i for i in room if i != j) if full else room)
+                    table[t] = table.get(t, 0) | translate(mask, shifts[j])
+            left -= 1
+    out = [0] * (top + 1)
+    for c, mask in table.items():
+        out[meta[c][0]] |= mask
+    return out
+
+
+def _support(s: GSequence) -> list[tuple[int, int]]:
+    return [(g, m) for g, m in enumerate(s.mult) if m]
+
+
+def sigma_table(w: WeightSeq, s: GSequence) -> tuple[int, ...]:
+    """Bitmasks of sigma_n for n = 0..min(|W|, |S|) from one DP pass; entry 0 is {0}."""
+    _check_pair(w, s)
+    return tuple(_sums_by_n(s.group, w.residue_counts(), _support(s), min(w.length, s.length)))
+
+
+def _sums_in_range(w: WeightSeq, s: GSequence, n: int, top: int, need: int) -> list[int]:
+    """_sums_by_n for a pair, once the groups match and 1 <= n <= min(|W|, |S|)."""
     _check_pair(w, s)
     if not 1 <= n <= min(w.length, s.length):
         raise BadN(f"n={n} outside 1..min({w.length}, {s.length})")
-    group = s.group
+    return _sums_by_n(s.group, w.residue_counts(), _support(s), top, need)
 
-    classes = w.residue_counts()
-    zero = [c for c in classes if c[0] == 0]
-    classes = [c for c in classes if c[0] != 0] + zero
-    k = len(classes)
 
-    supp = s.support_indices()
-    start = tuple(s.mult[i] for i in supp)
-    nsupp = len(supp)
+def sigma_n(w: WeightSeq, s: GSequence, n: int) -> GSet:
+    """All n-term weighted subsequence sums, exact.
 
-    # suffix_cap[j] = total weight slots available in classes j..k-1
-    suffix_cap = [0] * (k + 1)
-    for j in range(k - 1, -1, -1):
-        suffix_cap[j] = suffix_cap[j + 1] + classes[j][1]
-
-    index_add = group.index_add
-    index_scalar = group.index_scalar
-    translate = group.translate_mask
-
-    memo: dict[tuple, int] = {}
-
-    def rec(j: int, residual: tuple[int, ...], need: int) -> int:
-        if need == 0:
-            return 1  # the singleton {0}
-        if j == k:
-            return 0
-        key = (j, need, residual)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        res, m = classes[j]
-        avail = sum(residual)
-        lo = max(0, need - suffix_cap[j + 1])
-        hi = min(m, need, avail)
-        out = 0
-        if res == 0:
-            # zero class sits last; which terms it eats never matters
-            if lo <= need <= hi:
-                out = 1
-        else:
-            # enumerate submultisets of the residual of each admissible size
-            def pick(pos: int, left: int, acc_idx: int, partial: list[int]):
-                nonlocal out
-                if left == 0:
-                    child = rec(j + 1, tuple(partial) + residual[pos:], need - a)
-                    if child:
-                        out |= translate(child, index_scalar(res, acc_idx))
-                    return
-                if pos == nsupp:
-                    return
-                tail = sum(residual[pos:])
-                if tail < left:
-                    return
-                g = supp[pos]
-                top = min(residual[pos], left)
-                for t in range(top + 1):
-                    partial.append(residual[pos] - t)
-                    pick(
-                        pos + 1,
-                        left - t,
-                        index_add(acc_idx, index_scalar(t, g)) if t else acc_idx,
-                        partial,
-                    )
-                    partial.pop()
-
-            for a in range(lo, hi + 1):
-                if a == 0:
-                    child = rec(j + 1, residual, need)
-                    if child:
-                        out |= child
-                    continue
-                pick(0, a, 0, [])
-        memo[key] = out
-        return out
-
-    bits = rec(0, start, n)
-    return GSet(group, bits)
+    One knapsack pass (module docstring) over states of at most n items,
+    pruned of those that can no longer reach n.
+    """
+    return GSet(s.group, _sums_in_range(w, s, n, n, n)[n])
 
 
 def sigma_upto(w: WeightSeq, s: GSequence, n: int) -> GSet:
     """Union of sigma_i for 1 <= i <= n."""
-    _check_pair(w, s)
-    if not 1 <= n <= min(w.length, s.length):
-        raise BadN(f"n={n} outside 1..min({w.length}, {s.length})")
-    bits = 0
-    for i in range(1, n + 1):
-        bits |= sigma_n(w, s, i).bits
-    return GSet(s.group, bits)
+    return GSet(s.group, reduce(or_, _sums_in_range(w, s, n, n, 0)[1:]))
 
 
 def sigma_from(w: WeightSeq, s: GSequence, n: int) -> GSet:
     """Union of sigma_i for n <= i <= min(|W|, |S|)."""
-    _check_pair(w, s)
     top = min(w.length, s.length)
-    if not 1 <= n <= top:
-        raise BadN(f"n={n} outside 1..{top}")
-    bits = 0
-    for i in range(n, top + 1):
-        bits |= sigma_n(w, s, i).bits
-    return GSet(s.group, bits)
+    return GSet(s.group, reduce(or_, _sums_in_range(w, s, n, top, n)[n:]))
 
 
 def sigma_all(w: WeightSeq, s: GSequence) -> GSet:
@@ -239,7 +248,7 @@ def sigma_all(w: WeightSeq, s: GSequence) -> GSet:
     _check_pair(w, s)
     if w.length == 0 or s.length == 0:
         raise EmptySet("sigma_all needs nonempty weights and sequence")
-    return sigma_upto(w, s, min(w.length, s.length))
+    return GSet(s.group, reduce(or_, sigma_table(w, s)[1:]))
 
 
 def w_dot(w: WeightSeq, s: GSequence) -> GSet:
@@ -253,19 +262,10 @@ def w_dot(w: WeightSeq, s: GSequence) -> GSet:
 def sums_by_count(s: GSequence) -> tuple[int, ...]:
     """Unweighted n-term subsequence sums for every n at once.
 
-    Returns a tuple of bitmasks indexed by n in [0, |S|]; entry n is the set
-    of sums of n distinct slots of S.  Entry 0 is {0}.
+    Entry n of the returned bitmasks, n in [0, |S|], is the set of sums of
+    n distinct slots of S (entry 0 is {0}): sigma_table with |S| unit weights.
     """
-    group = s.group
-    table = [0] * (s.length + 1)
-    table[0] = 1
-    filled = 0
-    for idx in s.terms():
-        for k in range(filled, -1, -1):
-            if table[k]:
-                table[k + 1] |= group.translate_mask(table[k], idx)
-        filled += 1
-    return tuple(table)
+    return tuple(_sums_by_n(s.group, [(1, s.length)], _support(s), s.length))
 
 
 def _positional_wsum_bits(group: Group, pairs) -> int:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from itertools import product
 
 import pytest
@@ -28,6 +29,7 @@ from zerosum import (
     subgroup_generated,
     trivial_group,
 )
+from oracles import coord_add
 
 SMALL_FACTOR_LISTS = [(2,), (3,), (4,), (5,), (6,), (12,), (2, 2), (2, 4), (3, 3), (2, 2, 2), (2, 6)]
 
@@ -188,6 +190,21 @@ def test_abelian_group_types_census():
         assert 2 <= g.order <= 36
         facs = g.invariant_factors
         assert all(facs[i + 1] % facs[i] == 0 for i in range(len(facs) - 1))
+
+
+def test_translate_mask_matches_coordinate_addition():
+    rng = random.Random(9)
+    for g in abelian_group_types(16):
+        masks = [0, 1, g.full_mask] + [rng.getrandbits(g.order) for _ in range(4)]
+        for gidx in range(g.order):
+            shift = g.index_to_coords(gidx)
+            for mask in masks:
+                want = 0
+                for x in range(g.order):
+                    if mask >> x & 1:
+                        want |= 1 << g.coords_to_index(
+                            coord_add(g.invariant_factors, g.index_to_coords(x), shift))
+                assert g.translate_mask(mask, gidx) == want
 
 
 def test_translate_and_dilate_masks():

@@ -9,8 +9,10 @@ from hypothesis import given, settings, strategies as st
 
 from zerosum import (
     BadN,
+    CapExceeded,
     GSequence,
     LengthMismatch,
+    abelian_group_types,
     gset,
     make_group,
     parse_group,
@@ -21,11 +23,13 @@ from zerosum import (
     sigma_all,
     sigma_from,
     sigma_n,
+    sigma_table,
     sigma_upto,
     sums_by_count,
     w_dot,
     weight_seq,
 )
+from zerosum.weighted import _sums_by_n, _support
 from oracles import naive_sigma_n, naive_sigma_range
 
 GROUPS = ["c2", "c3", "c4", "c5", "c6", "c2xc2", "c2xc4"]
@@ -132,13 +136,15 @@ def test_sigma_windows_explicitly():
 
 
 def test_sums_by_count_matches_unit_weight_sigma():
-    g = make_group((5,))
-    s = parse_sequence(g, "0^2,1^2,3^1")
-    table = sums_by_count(s)
-    for n in range(1, s.length + 1):
+    for factors, mult in [((5,), (2, 2, 0, 1, 0)), ((2, 4), (2, 0, 1, 3, 0, 1, 0, 2))]:
+        g = make_group(factors)
+        s = GSequence(g, mult)
         w = weight_seq(g, [1] * s.length)
-        assert table[n] == sigma_n(w, s, n).bits
-    assert table[0] == 1  # the empty sum is {0}
+        table = sums_by_count(s)
+        assert table == sigma_table(w, s)
+        for n in range(1, s.length + 1):
+            assert table[n] == sigma_n(w, s, n).bits
+        assert table[0] == 1  # the empty sum is {0}
 
 
 def test_containment_in_longer_sequences():
@@ -229,3 +235,104 @@ def seq_total_index(g, s):
     for i, m in enumerate(s.mult):
         acc = g.index_add(acc, g.index_scalar(m, i))
     return acc
+
+
+def both_orientations(w, s, n=None):
+    """The knapsack forced to the weight side and to the sequence side:
+    the whole per-n table, or with a target n only its entry n exact."""
+    top = min(w.length, s.length) if n is None else n
+    return [_sums_by_n(s.group, w.residue_counts(), _support(s), top, n or 0, side=side)
+            for side in ("weights", "sequence")]
+
+
+def random_pair(rng, g, wmax=4, smax=7):
+    wlen = rng.randint(1, wmax)
+    w = weight_seq(g, [rng.randrange(-g.exponent, g.exponent) for _ in range(wlen)])
+    mult = [0] * g.order
+    for _ in range(rng.randint(1, smax)):
+        mult[rng.randrange(g.order)] += 1
+    return w, GSequence(g, tuple(mult))
+
+
+def test_orientations_agree_with_each_other_and_the_oracle():
+    rng = random.Random(2024)
+    groups = abelian_group_types(16)
+    assert len(groups) == 24  # every abelian group of order 2..16
+    for g in groups:
+        for _ in range(12):
+            w, s = random_pair(rng, g)
+            top = min(w.length, s.length)
+            by_weights, by_sequence = both_orientations(w, s)
+            assert by_weights == by_sequence
+            for n in range(1, top + 1):
+                targeted = both_orientations(w, s, n)
+                assert targeted[0][n] == targeted[1][n] == by_weights[n]
+                if s.length <= 6:
+                    got = {g.element_from_index(i).coords
+                           for i in range(g.order) if by_weights[n] >> i & 1}
+                    want = naive_sigma_n(g.invariant_factors, list(w.raw), seq_coords(g, s), n)
+                    assert got == want, (g, w, s, n)
+
+
+def test_sigma_table_entries_are_sigma_n():
+    rng = random.Random(77)
+    for g in abelian_group_types(12):
+        for _ in range(6):
+            w, s = random_pair(rng, g, wmax=6, smax=10)
+            table = sigma_table(w, s)
+            assert len(table) == min(w.length, s.length) + 1
+            assert table[0] == 1
+            for n in range(1, len(table)):
+                assert table[n] == sigma_n(w, s, n).bits
+
+
+# Shapes that the former memoized recursion took long on (about 8 s for c12
+# and 66 s for c16 on a 2-vCPU x86 host, Python 3.11), and one (c13) that is
+# slow in the weight-side orientation and fast in the sequence-side one.
+BLOWUP_CASES = {
+    "c12": ((12,), [1] * 6 + [11] * 6, (3, 3, 3, 3, 3, 2, 2, 2, 2, 0, 0, 0)),
+    "c16": ((16,), [1] * 8 + [15] * 8, (4,) * 7 + (3,) + (0,) * 8),
+    "c13": ((13,), list(range(1, 13)), (12, 12) + (0,) * 11),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BLOWUP_CASES))
+def test_blowup_shapes_agree_in_both_orientations(name):
+    factors, wraw, mult = BLOWUP_CASES[name]
+    g = make_group(factors)
+    w, s = weight_seq(g, wraw), GSequence(g, mult)
+    n = w.length
+    by_weights, by_sequence = both_orientations(w, s, n)
+    assert by_weights[n] == by_sequence[n] == sigma_n(w, s, n).bits
+    assert by_weights[n] == g.full_mask
+
+
+def test_small_n_builds_only_states_of_at_most_n_items():
+    # 20 distinct weight residues against 20 distinct terms: each orientation
+    # has 2^20 states in all, but only 1 + 20 + 190 use at most 2 items
+    g = make_group((64,))
+    w = weight_seq(g, range(1, 21))
+    s = GSequence(g, (1,) * 20 + (0,) * 44)
+    by_n = {}
+    for n in (1, 2):
+        by_weights, by_sequence = both_orientations(w, s, n)
+        assert by_weights[n] == by_sequence[n] == sigma_n(w, s, n).bits
+        by_n[n] = {g.element_from_index(i).coords for i in range(g.order) if by_weights[n] >> i & 1}
+        assert by_n[n] == naive_sigma_n(g.invariant_factors, list(w.raw), seq_coords(g, s), n)
+    upto = sigma_upto(w, s, 2)
+    assert {e.coords for e in upto.elements()} == by_n[1] | by_n[2]
+    # a count with too many states left is refused before any is built
+    with pytest.raises(CapExceeded):
+        sigma_n(w, s, 12)
+
+
+def test_the_orientation_with_fewer_states_runs():
+    # 30 distinct weights against two support elements at n = 15: the weight
+    # side has about 2^29 states and is refused, the sequence side has 136
+    g = make_group((64,))
+    w = weight_seq(g, range(1, 31))
+    s = GSequence(g, (15, 15) + (0,) * 62)
+    with pytest.raises(CapExceeded):
+        _sums_by_n(g, w.residue_counts(), _support(s), 15, 15, side="weights")
+    # sums of a distinct weights in 1..30 for every a <= 15 cover c64
+    assert sigma_n(w, s, 15).bits == g.full_mask
