@@ -447,10 +447,7 @@ def test_witness_search_tiny_group():
 
 
 def test_witness_search_coset_aligned_route():
-    g = make_group((2, 2))
-    w = weight_seq(g, [1, 1])
-    s = GSequence(g, (2, 2, 0, 0))  # all terms in the subgroup {(0,0),(1,0)}
-    v = witness_search_setpartition(Instance(g, seq=s, weights=w, n=2, extra={}))
+    v = witness_search_setpartition(_coset_aligned_instance())
     assert v.status is Status.HOLDS
     assert v.witness["disjunct"] == "ii"
     assert set(v.witness["subgroup"].indices()) == {0, 1}
@@ -473,37 +470,89 @@ def test_setpartition_witness_recompute():
     assert spw.bound == ((spw.n_common - 1) * len(part.blocks) + spw.excess + 1) * sub.order
 
 
-def test_max_subgroup_dichotomy_full_branch():
+def _maxk_full_instance() -> Instance:
     g = make_group((4,))
     w = weight_seq(g, [1, 1, 1])
     s = parse_sequence(g, "0^2,1^2,2^1,3^1")
     full = subgroup_generated(g, [1])
     blocks = (gset(g, [0, 1]), gset(g, [0, 1]), gset(g, [2, 3]))
-    inst = Instance(g, seq=s, weights=w, n=3, extra={
+    return Instance(g, seq=s, weights=w, n=3, extra={
         "subgroup": full,
         "coset_rep": 0,
         "cert_seq": parse_sequence(g, "0^2,1^2,2^1,3^1"),
         "cert_blocks": blocks,
     })
-    v = check_max_subgroup_dichotomy(inst)
-    assert v.status is Status.HOLDS
-    assert v.witness["branch"] == "full"
 
 
-def test_max_subgroup_dichotomy_proper_branch():
+def _maxk_proper_instance() -> Instance:
     g = make_group((4,))
     w = weight_seq(g, [1, 1, 1])
     s = parse_sequence(g, "1^3,3^2")
     k = subgroup_generated(g, [2])
-    inst = Instance(g, seq=s, weights=w, n=3, extra={
+    return Instance(g, seq=s, weights=w, n=3, extra={
         "subgroup": k,
         "coset_rep": 1,
         "cert_seq": parse_sequence(g, "1^1,3^1"),
         "cert_blocks": (gset(g, [1, 3]),),
     })
-    v = check_max_subgroup_dichotomy(inst)
+
+
+def _coset_aligned_instance() -> Instance:
+    g = make_group((2, 2))
+    w = weight_seq(g, [1, 1])
+    s = GSequence(g, (2, 2, 0, 0))  # all terms in the subgroup {(0,0),(1,0)}
+    return Instance(g, seq=s, weights=w, n=2, extra={})
+
+
+def test_max_subgroup_dichotomy_full_branch():
+    v = check_max_subgroup_dichotomy(_maxk_full_instance())
+    assert v.status is Status.HOLDS
+    assert v.witness["branch"] == "full"
+
+
+def test_max_subgroup_dichotomy_proper_branch():
+    v = check_max_subgroup_dichotomy(_maxk_proper_instance())
     assert v.status is Status.HOLDS
     assert v.witness["branch"] == "proper"
+
+
+@pytest.mark.parametrize("check,build,cap,value,reason", [
+    (check_max_subgroup_dichotomy, _maxk_full_instance, "subsequences", 0,
+     "subsequence budget exhausted"),
+    (check_max_subgroup_dichotomy, _maxk_full_instance, "partitions", 0,
+     "partition budget exhausted"),
+    (check_max_subgroup_dichotomy, _maxk_full_instance, "assignments", 0,
+     "assignment budget exhausted"),
+    (check_max_subgroup_dichotomy, _maxk_full_instance, "subgroups", 1,
+     "maximality search budget exhausted"),
+    (check_max_subgroup_dichotomy, _maxk_proper_instance, "subsequences", 1,
+     "maximality search budget exhausted"),
+    (check_max_subgroup_dichotomy, _maxk_proper_instance, "partitions", 0,
+     "maximality search budget exhausted"),
+    (check_max_subgroup_dichotomy, _maxk_proper_instance, "assignments", 0,
+     "maximality search budget exhausted"),
+    (witness_search_setpartition, _coset_aligned_instance, "subsequences", 0,
+     "search budget exhausted before a witness was found"),
+    (witness_search_setpartition, _coset_aligned_instance, "partitions", 0,
+     "search budget exhausted before a witness was found"),
+    (witness_search_setpartition, _coset_aligned_instance, "assignments", 0,
+     "search budget exhausted before a witness was found"),
+    (witness_search_setpartition, _coset_aligned_instance, "subgroups", 1,
+     "subgroup lattice above cap"),
+])
+def test_setpartition_budgets_name_the_cap(check, build, cap, value, reason):
+    v = check(build(), SearchCaps(**{cap: value}))
+    assert v.status is Status.UNDECIDED_CAPPED
+    assert v.witness == {"reason": reason}
+
+
+@pytest.mark.parametrize("check,build", [
+    (check_max_subgroup_dichotomy, _maxk_full_instance),
+    (witness_search_setpartition, _coset_aligned_instance),
+])
+@pytest.mark.parametrize("cap", ["subsequences", "partitions", "assignments"])
+def test_setpartition_budget_of_one_still_decides(check, build, cap):
+    assert check(build(), SearchCaps(**{cap: 1})).status is Status.HOLDS
 
 
 def test_max_subgroup_dichotomy_rejects_bad_certificates():
