@@ -2,9 +2,19 @@
 
 Every registered statement is a pair of executable predicates: a hypothesis
 and a conclusion over a concrete instance (group, sequence, weights, extras).
-check_instance evaluates one instance exactly; sweep enumerates a finite
-instance domain, shards it, and tallies verdicts with deterministic output.
-Resource caps produce an undecided verdict, never a wrong one.
+STATEMENTS holds one Statement record per StatementId: its checker, the
+anchor text its reports carry, its sweep planner (None when it takes explicit
+instances only), the predicate that flags verdicts for the report, and
+whether its domain is sampled.  check_instance evaluates one instance
+exactly; sweep enumerates a finite instance domain, shards it, and tallies
+verdicts with deterministic output.
+
+The setpartition searches share one walk over subsequences, setpartitions
+and weight assignments, bounded by a Budget built from SearchCaps.  Every
+cap that runs out ends as an undecided_capped verdict, never a wrong one:
+the budgeted searches name the cap in their reason, and check_instance turns
+a CapExceeded raised anywhere below it (a subgroup lattice or the exact
+sigma_n kernel above its cap) into that verdict too.
 """
 
 from __future__ import annotations
@@ -15,8 +25,8 @@ import random
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import reduce
-from itertools import combinations, combinations_with_replacement
+from functools import partial, reduce
+from itertools import chain, combinations, combinations_with_replacement
 from math import comb, gcd
 from operator import or_
 from typing import Any, Callable, Iterable, Mapping
@@ -31,10 +41,10 @@ from .groups import (
     Element,
     Group,
     Subgroup,
+    _is_prime,
     all_subgroups,
     format_element,
     format_group,
-    mask_to_indices,
     quotient_iso_type,
     subgroup_generated,
 )
@@ -46,7 +56,6 @@ from .sequences import (
     enum_setpartitions,
     format_sequence,
     has_setpartition,
-    seq_from_indices,
 )
 from .setsum import GSet, gset, sumset, stabilizer
 from .verdict import Status, Verdict
@@ -62,6 +71,8 @@ from .weighted import (
 
 __all__ = [
     "StatementId",
+    "Statement",
+    "STATEMENTS",
     "Instance",
     "SearchCaps",
     "SetpartitionWitness",
@@ -131,7 +142,11 @@ class Instance:
 class SearchCaps:
     """Budgets for the search-bounded checkers.
 
-    Hitting any of these yields an undecided verdict, never holds/fails.
+    davenport caps the group order the Davenport search accepts; subgroups
+    caps the subgroup lattice; subsequences, partitions and assignments cap
+    the setpartition walk (see Budget).  Every cap that runs out yields an
+    undecided_capped verdict, never holds/fails, whether the checker meets
+    it in a budgeted search or as a CapExceeded that check_instance catches.
     """
 
     davenport: int = 64
@@ -195,10 +210,8 @@ def coset_condition(seq: GSequence, cap: int = 4096) -> tuple[int, Subgroup] | N
         allowed = group.order // sub.order - 2
         if allowed < 0:
             continue
-        for rep in range(group.order):
+        for rep in _coset_reps(group, sub.mask):
             coset = group.translate_mask(sub.mask, rep)
-            if rep != (coset & -coset).bit_length() - 1:
-                continue
             outside = sum(m for i, m in enumerate(seq.mult) if not (coset >> i) & 1)
             if outside <= allowed:
                 return rep, sub
@@ -227,19 +240,17 @@ def _positional_wsum(pairs: Iterable[tuple[int, GSet]]) -> GSet:
     return GSet(group, _positional_wsum_bits(group, [(w, b.bits) for w, b in pairs]))
 
 
-def _distinct_perms(items: tuple[int, ...], cap: int, length: int | None = None):
-    """Distinct arrangements of a multiset, lexicographic, capped.
-
-    length selects arrangements of that many items (default: all of them).
-    The caller detects truncation by passing cap+1 and counting yields.
+def _distinct_perms(items: tuple[int, ...], cap: int, length: int):
+    """Distinct arrangements of `length` items of a multiset, lexicographic,
+    capped.  The caller detects truncation by passing cap+1 and counting
+    yields.
     """
     counter = Counter(items)
     keys = sorted(counter)
-    n = len(items) if length is None else length
     acc: list[int] = []
 
     def rec():
-        if len(acc) == n:
+        if len(acc) == length:
             yield tuple(acc)
             return
         for k in keys:
@@ -258,50 +269,32 @@ def _distinct_perms(items: tuple[int, ...], cap: int, length: int | None = None)
             return
 
 
-def _sub_multisets(mult: tuple[int, ...], size: int):
-    """Multiplicity vectors m' <= mult with sum(m') == size, lex ascending."""
-    nparts = len(mult)
-    suffix = [0] * (nparts + 1)
-    for i in range(nparts - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + mult[i]
-    acc = [0] * nparts
+def _sub_multisets(mult: tuple[int, ...], size: int, hmax: int):
+    """Multiplicity vectors m' <= mult with sum(m') == size and every entry
+    at most hmax, lex ascending."""
+    caps = [min(m, hmax) for m in mult]
+    if not caps:
+        if size == 0:
+            yield ()
+        return
+    room = [0] * (len(caps) + 1)  # room[i]: the most entries i.. can hold
+    for i in range(len(caps) - 1, -1, -1):
+        room[i] = room[i + 1] + caps[i]
+    acc = [0] * len(caps)
+    last = len(caps) - 1
 
     def rec(i: int, left: int):
-        if i == nparts:
-            if left == 0:
-                yield tuple(acc)
+        # left <= room[i] holds throughout, so the last entry takes the rest
+        if i == last:
+            acc[i] = left
+            yield tuple(acc)
             return
-        if left > suffix[i]:
-            return
-        hi = min(mult[i], left)
-        for c in range(hi + 1):
+        for c in range(max(0, left - room[i + 1]), min(caps[i], left) + 1):
             acc[i] = c
             yield from rec(i + 1, left - c)
-        acc[i] = 0
 
-    yield from rec(0, size)
-
-
-def _mult_vectors(nparts: int, total: int, cap: int):
-    """All multiplicity vectors of given length/total with parts <= cap."""
-    acc = [0] * nparts
-
-    def rec(i: int, left: int):
-        if i == nparts - 1:
-            if left <= cap:
-                acc[i] = left
-                yield tuple(acc)
-                acc[i] = 0
-            return
-        remaining_cap = cap * (nparts - i - 1)
-        lo = max(0, left - remaining_cap)
-        for c in range(lo, min(cap, left) + 1):
-            acc[i] = c
-            yield from rec(i + 1, left - c)
-        acc[i] = 0
-
-    if total <= cap * nparts:
-        yield from rec(0, total)
+    if 0 <= size <= room[0]:
+        yield from rec(0, size)
 
 
 _SHIFT_TABLES: dict[Group, list[list[int]]] = {}
@@ -355,7 +348,7 @@ def _prime_valuations(n: int) -> dict[int, int]:
 
 def example1_instance(p: int) -> Instance:
     """Prime-modulus instance: n=(p-1)/2 twin weights against 0^n 1^n 2^n."""
-    if p < 3 or any(p % q == 0 for q in range(2, p) if q * q <= p):
+    if p < 3 or not _is_prime(p):
         raise ValueError(f"{p} is not prime")
     if p % 4 != 3:
         raise ValueError(f"{p} is not congruent to 3 mod 4")
@@ -390,25 +383,29 @@ def example2_instance(r: int) -> Instance:
 # statement checkers
 
 
+def _misses_exactly(inst: Instance, missing: list[int]) -> Verdict:
+    """Conclusion of the examples: the |W|-term weighted sums are G minus the
+    listed indices, and no nontrivial subgroup fits inside them."""
+    full = sigma_n(inst.weights, inst.seq, inst.weights.length)
+    if full.bits != inst.group.full_mask & ~sum(1 << i for i in missing):
+        return Verdict(Status.FAILS, {"sum_set": full, "expected_missing": missing})
+    if contained_subgroup(full) is not None:
+        return Verdict(Status.FAILS, {"sum_set": full, "reason": "a nontrivial subgroup fits"})
+    return Verdict(Status.HOLDS, {"sum_set": full, "missing": missing})
+
+
 def _check_ex1(inst: Instance, caps: SearchCaps) -> Verdict:
     _need(inst, seq=True, weights=True)
     group, s, w = inst.group, inst.seq, inst.weights
     p = group.order
-    if group.rank != 1 or any(p % q == 0 for q in range(2, p) if q * q <= p):
+    if group.rank != 1 or not _is_prime(p):
         return _hyp_fail("group is not of prime order")
     if p % 4 != 3 or p < 7:
         return _hyp_fail("order must be a prime congruent to 3 mod 4, at least 7")
     ref = example1_instance(p)
     if s.mult != ref.seq.mult or sorted(x % p for x in w.raw) != sorted(x % p for x in ref.weights.raw):
         return _hyp_fail("not the twin-weight triple-support shape for this prime")
-    full = sigma_n(w, s, w.length)
-    missing = {(p - 1) // 2, (p + 1) // 2}
-    expected = group.full_mask & ~sum(1 << i for i in missing)
-    if full.bits != expected:
-        return Verdict(Status.FAILS, {"sum_set": full, "expected_missing": sorted(missing)})
-    if contained_subgroup(full) is not None:
-        return Verdict(Status.FAILS, {"sum_set": full, "reason": "a nontrivial subgroup fits"})
-    return Verdict(Status.HOLDS, {"sum_set": full, "missing": sorted(missing)})
+    return _misses_exactly(inst, [(p - 1) // 2, (p + 1) // 2])
 
 
 def _check_ex2(inst: Instance, caps: SearchCaps) -> Verdict:
@@ -421,38 +418,37 @@ def _check_ex2(inst: Instance, caps: SearchCaps) -> Verdict:
     ref = example2_instance(r)
     if s.mult != ref.seq.mult or sorted(x % m for x in w.raw) != sorted(x % m for x in ref.weights.raw):
         return _hyp_fail("not the twin-weight double-support shape for this order")
-    full = sigma_n(w, s, w.length)
-    expected = group.full_mask & ~(1 << (m // 2))
-    if full.bits != expected:
-        return Verdict(Status.FAILS, {"sum_set": full, "expected_missing": [m // 2]})
-    if contained_subgroup(full) is not None:
-        return Verdict(Status.FAILS, {"sum_set": full, "reason": "a nontrivial subgroup fits"})
-    return Verdict(Status.HOLDS, {"sum_set": full, "missing": [m // 2]})
+    return _misses_exactly(inst, [m // 2])
 
 
-def _davenport_or_none(group: Group, caps: SearchCaps) -> int | None:
+def _davenport_capped(group: Group, caps: SearchCaps) -> int:
+    """D(G), or CapExceeded (an undecided verdict) above caps.davenport."""
     try:
         return davenport(group, cap=caps.davenport)
     except GroupTooLarge:
-        return None
+        raise CapExceeded("Davenport constant above cap") from None
 
 
-def _check_gao_coset(inst: Instance, caps: SearchCaps) -> Verdict:
-    _need(inst, seq=True)
-    group, s = inst.group, inst.seq
-    d = _davenport_or_none(group, caps)
-    if d is None:
-        return _capped("Davenport constant above cap")
-    if s.length < group.order + d - 1:
-        return _hyp_fail("sequence shorter than |G| + D(G) - 1")
-    table = sums_by_count(s)
-    if table[group.order] == group.full_mask:
+def _cover_or_coset(s: GSequence, sums: int, caps: SearchCaps) -> Verdict:
+    """Gao-type conclusion for the sum-set mask: it is all of G (disjunct i),
+    or some coset g+H holds all but at most |G/H| - 2 terms of S (ii)."""
+    group = s.group
+    if sums == group.full_mask:
         return Verdict(Status.HOLDS, {"disjunct": "i"})
     hit = coset_condition(s, cap=caps.subgroups)
     if hit is not None:
         rep, sub = hit
         return Verdict(Status.HOLDS, {"disjunct": "ii", "coset_rep": rep, "subgroup": sub})
-    return Verdict(Status.FAILS, {"sum_set": GSet(group, table[group.order])})
+    return Verdict(Status.FAILS, {"sum_set": GSet(group, sums)})
+
+
+def _check_gao_coset(inst: Instance, caps: SearchCaps) -> Verdict:
+    _need(inst, seq=True)
+    group, s = inst.group, inst.seq
+    d = _davenport_capped(group, caps)
+    if s.length < group.order + d - 1:
+        return _hyp_fail("sequence shorter than |G| + D(G) - 1")
+    return _cover_or_coset(s, sums_by_count(s)[group.order], caps)
 
 
 def _check_gao_dstar(inst: Instance, caps: SearchCaps) -> Verdict:
@@ -460,14 +456,7 @@ def _check_gao_dstar(inst: Instance, caps: SearchCaps) -> Verdict:
     group, s = inst.group, inst.seq
     if s.length < group.order + dstar(group):
         return _hyp_fail("sequence shorter than |G| + d*(G)")
-    table = sums_by_count(s)
-    if table[group.order] == group.full_mask:
-        return Verdict(Status.HOLDS, {"disjunct": "i"})
-    hit = coset_condition(s, cap=caps.subgroups)
-    if hit is not None:
-        rep, sub = hit
-        return Verdict(Status.HOLDS, {"disjunct": "ii", "coset_rep": rep, "subgroup": sub})
-    return Verdict(Status.FAILS, {"sum_set": GSet(group, table[group.order])})
+    return _cover_or_coset(s, sums_by_count(s)[group.order], caps)
 
 
 def _check_wegz(inst: Instance, caps: SearchCaps) -> Verdict:
@@ -595,9 +584,7 @@ def _check_ordaz_quiroz(inst: Instance, caps: SearchCaps) -> Verdict:
     _need(inst, seq=True, weights=True)
     group, s, w = inst.group, inst.seq, inst.weights
     m = group.order
-    d = _davenport_or_none(group, caps)
-    if d is None:
-        return _capped("Davenport constant above cap")
+    d = _davenport_capped(group, caps)
     if w.length != m:
         return _hyp_fail("needs |W| = |G|")
     if _nonunit_count(w.raw, m):
@@ -606,23 +593,14 @@ def _check_ordaz_quiroz(inst: Instance, caps: SearchCaps) -> Verdict:
         return _hyp_fail("weight total not divisible by the group order")
     if s.length != m + d - 1:
         return _hyp_fail("needs |S| = |G| + D(G) - 1")
-    full = sigma_n(w, s, m)
-    if full.bits == group.full_mask:
-        return Verdict(Status.HOLDS, {"disjunct": "i"})
-    hit = coset_condition(s, cap=caps.subgroups)
-    if hit is not None:
-        rep, sub = hit
-        return Verdict(Status.HOLDS, {"disjunct": "ii", "coset_rep": rep, "subgroup": sub})
-    return Verdict(Status.FAILS, {"sum_set": full})
+    return _cover_or_coset(s, sigma_n(w, s, m).bits, caps)
 
 
 def _check_specialcase(inst: Instance, caps: SearchCaps) -> Verdict:
     _need(inst, seq=True, weights=True)
     group, s, w = inst.group, inst.seq, inst.weights
     m = group.order
-    d = _davenport_or_none(group, caps)
-    if d is None:
-        return _capped("Davenport constant above cap")
+    d = _davenport_capped(group, caps)
     if w.length != m:
         return _hyp_fail("needs |W| = |G|")
     if _nonunit_count(w.raw, m):
@@ -632,14 +610,7 @@ def _check_specialcase(inst: Instance, caps: SearchCaps) -> Verdict:
     h = max(s.mult)
     if not d - 1 <= h <= m:
         return _hyp_fail("needs D(G) - 1 <= h(S) <= |G|")
-    full = sigma_n(w, s, m)
-    if full.bits == group.full_mask:
-        return Verdict(Status.HOLDS, {"disjunct": "i"})
-    hit = coset_condition(s, cap=caps.subgroups)
-    if hit is not None:
-        rep, sub = hit
-        return Verdict(Status.HOLDS, {"disjunct": "ii", "coset_rep": rep, "subgroup": sub})
-    return Verdict(Status.FAILS, {"sum_set": full})
+    return _cover_or_coset(s, sigma_n(w, s, m).bits, caps)
 
 
 def _check_spud(inst: Instance, caps: SearchCaps) -> Verdict:
@@ -653,9 +624,7 @@ def _check_spud(inst: Instance, caps: SearchCaps) -> Verdict:
         return _hyp_fail("n above |S| - |G| + 1")
     if w.length < h:
         return _hyp_fail("fewer weights than n")
-    hit = coset_condition(s, cap=caps.subgroups)
-    if hit is not None:
-        rep, sub = hit
+    if coset_condition(s, cap=caps.subgroups) is not None:
         return _hyp_fail("a coset holds all but at most |G/H| - 2 terms")
     full = sigma_n(w, s, h)
     if full.bits == group.full_mask:
@@ -666,9 +635,7 @@ def _check_spud(inst: Instance, caps: SearchCaps) -> Verdict:
 def _check_david(inst: Instance, caps: SearchCaps) -> Verdict:
     _need(inst, seq=True, weights=True)
     group, s, w = inst.group, inst.seq, inst.weights
-    d = _davenport_or_none(group, caps)
-    if d is None:
-        return _capped("Davenport constant above cap")
+    d = _davenport_capped(group, caps)
     if w.length < 1 or s.length < 1:
         return _hyp_fail("weights and sequence must be nonempty")
     if s.length < w.length + d - 1:
@@ -890,20 +857,73 @@ class SetpartitionWitness:
     bound: int
 
 
-def make_setpartition_witness(sub: Subgroup, partition: Setpartition) -> SetpartitionWitness:
-    group = sub.group
+def _witness_numbers(group: Group, submask: int, order: int,
+                     blocks: tuple[GSet, ...]) -> tuple[int, int, int]:
+    """(N, e, bound) of SetpartitionWitness for the subgroup mask of that order."""
     common = group.full_mask
-    for block in partition.blocks:
+    for block in blocks:
         spread = 0
         for i in block.indices():
-            spread |= group.translate_mask(sub.mask, i)
+            spread |= group.translate_mask(submask, i)
         common &= spread
-    n_common = common.bit_count() // sub.order
-    excess = sum(block.size - (block.bits & common).bit_count()
-                 for block in partition.blocks)
-    n = len(partition.blocks)
-    bound = ((n_common - 1) * n + excess + 1) * sub.order
-    return SetpartitionWitness(sub, partition, n_common, excess, bound)
+    n_common = common.bit_count() // order
+    excess = sum(block.size - (block.bits & common).bit_count() for block in blocks)
+    bound = ((n_common - 1) * len(blocks) + excess + 1) * order
+    return n_common, excess, bound
+
+
+def make_setpartition_witness(sub: Subgroup, partition: Setpartition) -> SetpartitionWitness:
+    numbers = _witness_numbers(sub.group, sub.mask, sub.order, partition.blocks)
+    return SetpartitionWitness(sub, partition, *numbers)
+
+
+@dataclass
+class Budget:
+    """SearchCaps for one search, plus the caps it ran out of, in order.
+
+    A cap that runs out never raises: the search records its SearchCaps
+    field name here and moves on, and the caller turns a nonempty record
+    into an undecided_capped verdict with its own reason.
+    """
+
+    caps: SearchCaps
+    ran_out: list[str] = field(default_factory=list)
+
+    def exhaust(self, cap: str) -> None:
+        if cap not in self.ran_out:
+            self.ran_out.append(cap)
+
+
+def _budgeted_walk(budget: Budget, group: Group, subseqs: Iterable[tuple[int, ...]],
+                   blocks: int, weights: tuple[int, ...], contexts=None):
+    """Yield (subsequence, setpartition, context, assignment) under the budget.
+
+    subseqs lists multiplicity vectors; each gets its setpartitions into
+    `blocks` blocks, and each of those every distinct arrangement of `blocks`
+    of the weights.  contexts(mult, part), when given, lists the contexts a
+    partition is tried under (None otherwise); assignments are counted
+    afresh for each.  Past caps.subsequences subsequences the walk ends; past
+    caps.partitions partitions of one subsequence, or caps.assignments
+    assignments of one partition and context, it goes on with the next one.
+    Either way the cap is recorded in the budget.
+    """
+    caps = budget.caps
+    for seen_sub, mult in enumerate(subseqs, 1):
+        if seen_sub > caps.subsequences:
+            budget.exhaust("subsequences")
+            return
+        parts = enum_setpartitions(GSequence(group, mult), blocks, cap=caps.partitions + 1)
+        for seen_part, part in enumerate(parts, 1):
+            if seen_part > caps.partitions:
+                budget.exhaust("partitions")
+                break
+            for ctx in (contexts(mult, part) if contexts else (None,)):
+                perms = _distinct_perms(weights, caps.assignments + 1, blocks)
+                for seen_asg, perm in enumerate(perms, 1):
+                    if seen_asg > caps.assignments:
+                        budget.exhaust("assignments")
+                        break
+                    yield mult, part, ctx, perm
 
 
 def _hyp_setpart(inst: Instance) -> str | None:
@@ -922,20 +942,20 @@ def _hyp_setpart(inst: Instance) -> str | None:
     return None
 
 
-def _iter_assignments(w: WeightSeq, cap: int):
-    return _distinct_perms(tuple(sorted(w.residues)), cap)
+def _same_length_walk(inst: Instance, budget: Budget, contexts=None):
+    """The walk over subsequences of S as long as S' with h <= n, their
+    n-setpartitions and the arrangements of all n weights."""
+    s, n = inst.seq, inst.n
+    sprime: GSequence = inst.extra.get("sub_seq") or s
+    return _budgeted_walk(budget, inst.group, _sub_multisets(s.mult, sprime.length, n),
+                          n, tuple(sorted(inst.weights.residues)), contexts)
 
 
-def _blocks_meet_coset(blocks, coset: int) -> bool:
-    return all(block.bits & coset for block in blocks)
-
-
-def _check_aligned_conclusion(inst: Instance, sub: Subgroup, caps: SearchCaps,
-                              work: dict) -> Verdict | None:
+def _check_aligned_conclusion(inst: Instance, sub: Subgroup,
+                              budget: Budget) -> Verdict | None:
     """Search S''/partition/assignment/coset satisfying clauses (a)-(d) for
     one fixed proper nontrivial subgroup.  None means nothing found."""
-    group, s, w, n = inst.group, inst.seq, inst.weights, inst.n
-    sprime: GSequence = inst.extra.get("sub_seq") or s
+    group, s, n = inst.group, inst.seq, inst.n
     d_h = sub.dstar()
     d_q = dstar_of_factors(quotient_iso_type(group, sub))
     tail_need = max(0, n - d_h - d_q)
@@ -943,70 +963,55 @@ def _check_aligned_conclusion(inst: Instance, sub: Subgroup, caps: SearchCaps,
     if allowed_out < 0:
         return None
     reps = _coset_reps(group, sub.mask)
-    subseq_seen = 0
-    for mult2 in _sub_multisets(s.mult, sprime.length):
-        if max(mult2) > n:
+
+    def cosets(mult2: tuple[int, ...], part: Setpartition):
+        """(rep, terms outside, blocks inside) for each coset g+H that
+        holds every dropped term, meets every block, leaves at most
+        |G/H| - 2 terms of S outside and wholly holds enough blocks."""
+        for rep in reps:
+            coset = group.translate_mask(sub.mask, rep)
+            if any(a > b and not (coset >> i) & 1
+                   for i, (a, b) in enumerate(zip(s.mult, mult2))):
+                continue
+            if not all(block.bits & coset for block in part.blocks):
+                continue
+            e_out = sum(m for i, m in enumerate(s.mult) if not (coset >> i) & 1)
+            if e_out > allowed_out:
+                continue
+            inside = [i for i, b in enumerate(part.blocks) if not (b.bits & ~coset)]
+            if len(inside) < d_h or len(inside) - d_h < tail_need:
+                continue
+            yield rep, e_out, inside
+
+    for _, part, (rep, e_out, inside), perm in _same_length_walk(inst, budget, cosets):
+        blocks = part.blocks
+        total = _positional_wsum(zip(perm, blocks))
+        if total.size < (e_out + 1) * sub.order:
             continue
-        subseq_seen += 1
-        if subseq_seen > caps.subsequences:
-            work["capped"] = True
-            return None
-        s2 = GSequence(group, mult2)
-        removed = tuple(a - b for a, b in zip(s.mult, mult2))
-        part_seen = 0
-        for part in enum_setpartitions(s2, n, cap=caps.partitions + 1):
-            part_seen += 1
-            if part_seen > caps.partitions:
-                work["capped"] = True
+        # prefix: d*(H) blocks inside the coset whose weighted sum
+        # is exactly (sum of their weights)g + H
+        found_prefix = None
+        for combo in combinations(inside, d_h):
+            psum = _positional_wsum((perm[i], blocks[i]) for i in combo)
+            shift = group.index_scalar(sum(perm[i] for i in combo) % group.exponent, rep)
+            if psum.bits == group.translate_mask(sub.mask, shift):
+                found_prefix = combo
                 break
-            blocks = part.blocks
-            for rep in reps:
-                coset = group.translate_mask(sub.mask, rep)
-                if any(m and not (coset >> i) & 1 for i, m in enumerate(removed)):
-                    continue
-                if not _blocks_meet_coset(blocks, coset):
-                    continue
-                e_out = sum(m for i, m in enumerate(s.mult) if not (coset >> i) & 1)
-                if e_out > allowed_out:
-                    continue
-                inside = [i for i, b in enumerate(blocks) if not (b.bits & ~coset)]
-                if len(inside) < d_h or len(inside) - d_h < tail_need:
-                    continue
-                target_units = (e_out + 1) * sub.order
-                asg_seen = 0
-                for perm in _iter_assignments(w, caps.assignments + 1):
-                    asg_seen += 1
-                    if asg_seen > caps.assignments:
-                        work["capped"] = True
-                        break
-                    total = _positional_wsum(zip(perm, blocks))
-                    if total.size < target_units:
-                        continue
-                    # prefix: d*(H) blocks inside the coset whose weighted sum
-                    # is exactly (sum of their weights)g + H
-                    found_prefix = None
-                    for combo in combinations(inside, d_h):
-                        psum = _positional_wsum((perm[i], blocks[i]) for i in combo)
-                        shift = group.index_scalar(
-                            sum(perm[i] for i in combo) % group.exponent, rep)
-                        if psum.bits == group.translate_mask(sub.mask, shift):
-                            found_prefix = combo
-                            break
-                    if found_prefix is None:
-                        continue
-                    spw = make_setpartition_witness(sub, part)
-                    return Verdict(Status.HOLDS, {
-                        "disjunct": "ii",
-                        "subgroup": sub,
-                        "coset_rep": rep,
-                        "partition": part,
-                        "assignment": list(perm),
-                        "prefix_blocks": list(found_prefix),
-                        "outside_terms": e_out,
-                        "common_blocks": spw.n_common,
-                        "excess": spw.excess,
-                        "size_bound": spw.bound,
-                    })
+        if found_prefix is None:
+            continue
+        spw = make_setpartition_witness(sub, part)
+        return Verdict(Status.HOLDS, {
+            "disjunct": "ii",
+            "subgroup": sub,
+            "coset_rep": rep,
+            "partition": part,
+            "assignment": list(perm),
+            "prefix_blocks": list(found_prefix),
+            "outside_terms": e_out,
+            "common_blocks": spw.n_common,
+            "excess": spw.excess,
+            "size_bound": spw.bound,
+        })
     return None
 
 
@@ -1019,46 +1024,28 @@ def witness_search_setpartition(inst: Instance, caps: SearchCaps = DEFAULT_CAPS)
     reason = _hyp_setpart(inst)
     if reason:
         return _hyp_fail(reason)
-    group, s, w, n = inst.group, inst.seq, inst.weights, inst.n
+    group, s, n = inst.group, inst.seq, inst.n
     sprime: GSequence = inst.extra.get("sub_seq") or s
     floor = min(group.order, sprime.length - n + 1)
-    work: dict = {"capped": False}
-    subseq_seen = 0
-    for mult2 in _sub_multisets(s.mult, sprime.length):
-        if max(mult2) > n:
-            continue
-        subseq_seen += 1
-        if subseq_seen > caps.subsequences:
-            work["capped"] = True
-            break
-        s2 = GSequence(group, mult2)
-        part_seen = 0
-        for part in enum_setpartitions(s2, n, cap=caps.partitions + 1):
-            part_seen += 1
-            if part_seen > caps.partitions:
-                work["capped"] = True
-                break
-            asg_seen = 0
-            for perm in _iter_assignments(w, caps.assignments + 1):
-                asg_seen += 1
-                if asg_seen > caps.assignments:
-                    work["capped"] = True
-                    break
-                total = _positional_wsum(zip(perm, part.blocks))
-                if total.size >= floor:
-                    spw_sub = _trivial_or_full_subgroup(
-                        group, full=total.bits == group.full_mask)
-                    spw = make_setpartition_witness(spw_sub, part)
-                    return Verdict(Status.HOLDS, {
-                        "disjunct": "i",
-                        "partition": part,
-                        "assignment": list(perm),
-                        "achieved": total.size,
-                        "floor": floor,
-                        "common_blocks": spw.n_common,
-                        "excess": spw.excess,
-                        "size_bound": spw.bound,
-                    })
+    budget = Budget(caps)
+    for _, part, _, perm in _same_length_walk(inst, budget):
+        total = _positional_wsum(zip(perm, part.blocks))
+        if total.size >= floor:
+            # the numbers for H = G when the sum covers G, else for H = {0}
+            full = total.bits == group.full_mask
+            n_common, excess, bound = _witness_numbers(
+                group, group.full_mask if full else 1, group.order if full else 1,
+                part.blocks)
+            return Verdict(Status.HOLDS, {
+                "disjunct": "i",
+                "partition": part,
+                "assignment": list(perm),
+                "achieved": total.size,
+                "floor": floor,
+                "common_blocks": n_common,
+                "excess": excess,
+                "size_bound": bound,
+            })
     try:
         lattice = all_subgroups(group, cap=caps.subgroups)
     except CapExceeded:
@@ -1066,19 +1053,12 @@ def witness_search_setpartition(inst: Instance, caps: SearchCaps = DEFAULT_CAPS)
     for sub in lattice:
         if sub.is_trivial() or not sub.is_proper():
             continue
-        verdict = _check_aligned_conclusion(inst, sub, caps, work)
+        verdict = _check_aligned_conclusion(inst, sub, budget)
         if verdict is not None:
             return verdict
-    if work["capped"]:
+    if budget.ran_out:
         return _capped("search budget exhausted before a witness was found")
     return Verdict(Status.FAILS, {"floor": floor})
-
-
-def _trivial_or_full_subgroup(group: Group, full: bool) -> Subgroup:
-    if full:
-        gens = [group.element_from_index(i) for i in range(1, group.order)]
-        return subgroup_generated(group, gens)
-    return subgroup_generated(group, [])
 
 
 def _certificate_holds(group: Group, w_res: tuple[int, ...], s: GSequence,
@@ -1107,17 +1087,21 @@ def _certificate_holds(group: Group, w_res: tuple[int, ...], s: GSequence,
     return left_in >= need_left
 
 
-def _larger_certificate_exists(inst: Instance, sub: Subgroup, caps: SearchCaps,
-                               work: dict) -> bool:
-    """Search any strictly larger subgroup admitting a certificate."""
+def _larger_certificate_exists(inst: Instance, sub: Subgroup, budget: Budget) -> bool:
+    """Search any strictly larger subgroup admitting a certificate.
+
+    Each (subgroup, coset) walks its own subsequence budget; running out of
+    it ends the whole search.
+    """
     group, s, w, n = inst.group, inst.seq, inst.weights, inst.n
     sprime: GSequence = inst.extra.get("sub_seq") or s
     x = s.length - sprime.length
     try:
-        lattice = all_subgroups(group, cap=caps.subgroups)
+        lattice = all_subgroups(group, cap=budget.caps.subgroups)
     except CapExceeded:
-        work["capped"] = True
+        budget.exhaust("subgroups")
         return False
+    weights = tuple(sorted(w.residues))
     for cand in lattice:
         if cand.mask == sub.mask or (cand.mask & sub.mask) != sub.mask:
             continue
@@ -1131,33 +1115,14 @@ def _larger_certificate_exists(inst: Instance, sub: Subgroup, caps: SearchCaps,
             total_in = sum(in_coset)
             if total_in < d + need_left:
                 continue
-            tmax = total_in - need_left
-            sub_seen = 0
-            for tsize in range(d, tmax + 1):
-                for t_mult in _sub_multisets(in_coset, tsize):
-                    if max(t_mult) > d:
-                        continue
-                    sub_seen += 1
-                    if sub_seen > caps.subsequences:
-                        work["capped"] = True
-                        return False
-                    t_seq = GSequence(group, t_mult)
-                    part_seen = 0
-                    for part in enum_setpartitions(t_seq, d, cap=caps.partitions + 1):
-                        part_seen += 1
-                        if part_seen > caps.partitions:
-                            work["capped"] = True
-                            break
-                        asg_seen = 0
-                        for perm in _distinct_perms(tuple(sorted(w.residues)),
-                                                    caps.assignments + 1, length=d):
-                            asg_seen += 1
-                            if asg_seen > caps.assignments:
-                                work["capped"] = True
-                                break
-                            if _certificate_holds(group, perm, s, cand, rep,
-                                                  t_mult, part.blocks, need_left):
-                                return True
+            subseqs = chain.from_iterable(_sub_multisets(in_coset, tsize, d)
+                                          for tsize in range(d, total_in - need_left + 1))
+            for t_mult, part, _, perm in _budgeted_walk(budget, group, subseqs, d, weights):
+                if _certificate_holds(group, perm, s, cand, rep,
+                                      t_mult, part.blocks, need_left):
+                    return True
+            if "subsequences" in budget.ran_out:
+                return False
     return False
 
 
@@ -1188,154 +1153,39 @@ def check_max_subgroup_dichotomy(inst: Instance, caps: SearchCaps = DEFAULT_CAPS
     if not _certificate_holds(group, tuple(w.residues), s, sub, rep,
                               cert_seq.mult, blocks, need_left):
         return _hyp_fail("certificate does not validate")
-    work: dict = {"capped": False}
-    if _larger_certificate_exists(inst, sub, caps, work):
+    budget = Budget(caps)
+    if _larger_certificate_exists(inst, sub, budget):
         return _hyp_fail("a strictly larger subgroup also admits a certificate")
-    if work["capped"]:
+    if budget.ran_out:
         return _capped("maximality search budget exhausted")
     if not sub.is_proper():
         # full group: some equal-length subsequence has an n-setpartition
-        # whose weighted block sum covers G
-        subseq_seen = 0
-        for mult2 in _sub_multisets(s.mult, sprime.length):
-            if max(mult2) > n:
-                continue
-            subseq_seen += 1
-            if subseq_seen > caps.subsequences:
-                return _capped("subsequence budget exhausted")
-            s2 = GSequence(group, mult2)
-            part_seen = 0
-            for part in enum_setpartitions(s2, n, cap=caps.partitions + 1):
-                part_seen += 1
-                if part_seen > caps.partitions:
-                    return _capped("partition budget exhausted")
-                asg_seen = 0
-                for perm in _distinct_perms(tuple(sorted(w.residues)), caps.assignments + 1):
-                    asg_seen += 1
-                    if asg_seen > caps.assignments:
-                        return _capped("assignment budget exhausted")
-                    total = _positional_wsum(zip(perm, part.blocks))
-                    if total.bits == group.full_mask:
-                        return Verdict(Status.HOLDS, {
-                            "branch": "full",
-                            "partition": part,
-                            "assignment": list(perm),
-                        })
+        # whose weighted block sum covers G; the first cap to run out ends it
+        for _, part, _, perm in _same_length_walk(inst, budget):
+            if budget.ran_out:
+                break
+            if _positional_wsum(zip(perm, part.blocks)).bits == group.full_mask:
+                return Verdict(Status.HOLDS, {
+                    "branch": "full",
+                    "partition": part,
+                    "assignment": list(perm),
+                })
+        if budget.ran_out:
+            return _capped({"subsequences": "subsequence budget exhausted",
+                            "partitions": "partition budget exhausted",
+                            "assignments": "assignment budget exhausted"}[budget.ran_out[0]])
         return Verdict(Status.FAILS, {"branch": "full"})
-    verdict = _check_aligned_conclusion(inst, sub, caps, work)
+    verdict = _check_aligned_conclusion(inst, sub, budget)
     if verdict is not None:
         verdict.witness["branch"] = "proper"
         return verdict
-    if work["capped"]:
+    if budget.ran_out:
         return _capped("aligned-conclusion search budget exhausted")
     return Verdict(Status.FAILS, {"branch": "proper", "subgroup": sub})
 
 
-def _check_setpart_witness(inst: Instance, caps: SearchCaps) -> Verdict:
-    return witness_search_setpartition(inst, caps)
-
-
-def _check_setpart_maxk(inst: Instance, caps: SearchCaps) -> Verdict:
-    return check_max_subgroup_dichotomy(inst, caps)
-
-
-_CHECKERS: dict[StatementId, Callable[[Instance, SearchCaps], Verdict]] = {
-    StatementId.EX1: _check_ex1,
-    StatementId.EX2: _check_ex2,
-    StatementId.THM_GAO_COSET: _check_gao_coset,
-    StatementId.THM_WEGZ: _check_wegz,
-    StatementId.CONJ_HAMIDOUNE: _check_conj_hamidoune,
-    StatementId.CONJ_ORDAZ_QUIROZ: _check_ordaz_quiroz,
-    StatementId.THM_HAM_CHAR: _check_ham_char,
-    StatementId.LEM_DSTAR_SUBADD: _check_dstar_subadd,
-    StatementId.LEM_SPLIT: _check_split,
-    StatementId.PROP_DUAL: _check_dual,
-    StatementId.PROP_ALIGN: _check_align,
-    StatementId.THM_SETPART_WITNESS: _check_setpart_witness,
-    StatementId.THM_SETPART_MAXK: _check_setpart_maxk,
-    StatementId.PROP_PIGEONHOLE: _check_pigeonhole,
-    StatementId.COR_GAO_DSTAR: _check_gao_dstar,
-    StatementId.COR_SPUD: _check_spud,
-    StatementId.LEM_DAVID: _check_david,
-    StatementId.COR_SPECIALCASE: _check_specialcase,
-    StatementId.COR_HAM_VAR: _check_ham_var,
-    StatementId.AP_STRUCT: _check_ap_struct,
-}
-
-_ANCHORS: dict[StatementId, str] = {
-    StatementId.EX1: (
-        "over Z/p with p = 3 mod 4 prime, weights 1 and -1 each (n-1)/2 times plus one 0 "
-        "against 0^n 1^n 2^n, n = (p-1)/2: the n-term weighted sums are Z/p minus "
-        "{(p-1)/2, (p+1)/2}, so no nontrivial subgroup fits"),
-    StatementId.EX2: (
-        "over Z/2^r, weights 1 and -1 each (n-1)/2 times plus one 0 against 0^n 1^n, "
-        "n = 2^r - 1: the n-term weighted sums miss exactly 2^(r-1), the unique "
-        "involution, so no nontrivial subgroup fits"),
-    StatementId.THM_GAO_COSET: (
-        "|S| >= |G| + D(G) - 1 forces: the |G|-term subsums cover G, or some coset g+H "
-        "holds all but at most |G/H| - 2 terms of S"),
-    StatementId.THM_WEGZ: (
-        "weight total divisible by exp(G) and |S| >= |W| + |G| - 1 force 0 into the "
-        "|W|-term weighted sums"),
-    StatementId.CONJ_HAMIDOUNE: (
-        "|S| >= |W| + |G| - 1 >= |G| + 1, weight total divisible by |G|, h(S) <= |W|, "
-        "all weights but at most one coprime to |G|: claimed to force a nontrivial "
-        "subgroup inside the |W|-term weighted sums (false in general)"),
-    StatementId.CONJ_ORDAZ_QUIROZ: (
-        "all weights coprime to |G|, |W| = |G|, weight total divisible by |G|, "
-        "|S| = |G| + D(G) - 1: claimed to force full coverage or the coset condition"),
-    StatementId.THM_HAM_CHAR: (
-        "under the subgroup-conjecture hypotheses with 2|W| >= |G|: a nontrivial "
-        "subgroup lies in the |W|-term weighted sums, or |supp(S)| = 2, |W| = |G| - 1, "
-        "G = Z/2^r, and the weights are x and -x in equal numbers plus one 0 mod |G|"),
-    StatementId.LEM_DSTAR_SUBADD: (
-        "d*(H) + d*(G/H) <= d*(G) for every subgroup H of G"),
-    StatementId.LEM_SPLIT: (
-        "for |A| >= 2, H generated by A - a0, and d*(H) weights coprime to exp(H): "
-        "the positional weighted sum of A with itself is exactly (weight total)a0 + H"),
-    StatementId.PROP_DUAL: (
-        "every subgroup H admits a partner K with K of the type of G/H and G/K of the "
-        "type of H"),
-    StatementId.PROP_ALIGN: (
-        "a subgroup's invariant factors, left-padded with 1s, divide the ambient "
-        "factors position by position, and per prime the aligned valuations never "
-        "exceed the ambient ones"),
-    StatementId.THM_SETPART_WITNESS: (
-        "unit weights, n >= d*(G), h(S') <= n <= |S'|: some equal-length subsequence "
-        "has an n-setpartition whose weighted block sum reaches min(|G|, |S'| - n + 1) "
-        "elements, or one aligned to a coset g+H with the four alignment clauses"),
-    StatementId.THM_SETPART_MAXK: (
-        "given a maximal certified subgroup K: K = G yields an n-setpartition whose "
-        "weighted block sum is all of G; K < G yields the aligned conclusion with H = K"),
-    StatementId.PROP_PIGEONHOLE: (
-        "|A| + |B| >= |G| + 1 forces A + B = G"),
-    StatementId.COR_GAO_DSTAR: (
-        "|S| >= |G| + d*(G) forces: the |G|-term subsums cover G, or the coset "
-        "condition"),
-    StatementId.COR_SPUD: (
-        "max(h(S), d*(G)) <= n <= |S| - |G| + 1, all weights coprime to exp(G), "
-        "|W| >= n, and no coset holding all but at most |G/H| - 2 terms: the n-term "
-        "weighted sums cover G"),
-    StatementId.LEM_DAVID: (
-        "multiplicity of 0 equal to h(S) and at least D(G) - 1, with "
-        "|S| >= |W| + D(G) - 1: weighted sums of every length equal the |W|-term "
-        "weighted sums"),
-    StatementId.COR_SPECIALCASE: (
-        "all weights coprime to |G|, |W| = |G|, |S| >= |G| + D(G) - 1, "
-        "D(G) - 1 <= h(S) <= |G|: full coverage or the coset condition"),
-    StatementId.COR_HAM_VAR: (
-        "weight total divisible by exp(G), h(S) <= |W|, |S| >= |W| + |G| - 1, and at "
-        "least d*(G) weights coprime to exp(G): a nontrivial subgroup lies in the "
-        "|W|-term weighted sums"),
-    StatementId.AP_STRUCT: (
-        "three or more spanning, non-quasi-periodic sets containing 0 whose sum is "
-        "aperiodic and meets the size equality are progressions with one common "
-        "difference; likewise two sets when one has exactly 2 elements"),
-}
-
-
 def statement_anchor(sid: StatementId) -> str:
-    return _ANCHORS[sid]
+    return STATEMENTS[sid].anchor
 
 
 def check_instance(sid: StatementId, inst: Instance,
@@ -1343,10 +1193,13 @@ def check_instance(sid: StatementId, inst: Instance,
     """Evaluate one statement on one instance.
 
     Unmet hypotheses and exhausted budgets are verdict statuses, not errors;
-    only genuinely malformed instances raise.
+    a CapExceeded from below the checker becomes undecided_capped with the
+    exception's message as its reason.  Only malformed instances raise.
     """
-    checker = _CHECKERS[sid]
-    return checker(inst, caps)
+    try:
+        return STATEMENTS[sid].checker(inst, caps)
+    except CapExceeded as exc:
+        return _capped(str(exc))
 
 
 # ---------------------------------------------------------------------------
@@ -1412,10 +1265,10 @@ def _seq_pool(group: Group, size: int, hcap: int, reduced: bool) -> tuple[tuple[
     if got is None:
         if reduced:
             _shift_tables(group)
-            got = tuple(v for v in _mult_vectors(group.order, size, hcap)
+            got = tuple(v for v in _sub_multisets((hcap,) * group.order, size, hcap)
                         if _is_canonical_translate(group, v))
         else:
-            got = tuple(_mult_vectors(group.order, size, hcap))
+            got = tuple(_sub_multisets((hcap,) * group.order, size, hcap))
         _SEQ_POOL_CACHE[key] = got
     return got
 
@@ -1458,203 +1311,130 @@ def _domain_dict(dom: SweepDomain, sampled: bool) -> dict[str, Any]:
     }
 
 
-def _seq_shards(dom: SweepDomain, weight_fn, slen_fn, hcap_fn, reduce_ok_fn) -> SweepPlan:
-    """Shared planner for weights-cross-sequences statements.
-
-    weight_fn(group, wlen) lists weight tuples; slen_fn(group, wlen) the base
-    sequence length; hcap_fn(group, wlen) the multiplicity cap (None = no
-    cap); reduce_ok_fn(group, wtuple) whether translation reduction is sound
-    for that weight tuple.
-    """
-    shards: list[tuple[str, Callable[[], list[Instance]]]] = []
+def _per_group(dom: SweepDomain, size: Callable[[Group], int | None],
+               build: Callable[[Group], list[Instance]]) -> SweepPlan:
+    """One shard per group, keyed by the group: size(G) counts its instances
+    at planning time (None leaves G out) and build(G) lists them."""
+    shards = []
     estimate = 0
-    jobs = []
     for group in dom.groups:
-        for wlen in dom.wlens:
-            base = slen_fn(group, wlen)
-            if base is None:
-                continue
-            sizes = [base + extra for extra in range(dom.slen_extra + 1)]
-            hcap = hcap_fn(group, wlen)
-            for wtuple in weight_fn(group, wlen):
-                reduced = dom.reduce_translation and reduce_ok_fn(group, wtuple)
-                estimate += sum(_pool_estimate(group, size, reduced) for size in sizes)
-                jobs.append((group, wtuple, sizes, hcap, reduced))
-    for group, wtuple, sizes, hcap, reduced in jobs:
-        for size in sizes:
-            _seq_pool(group, size, hcap if hcap is not None else size, reduced)
-
-    def make_factory(group: Group, wtuple: tuple[int, ...], sizes: list[int],
-                     hcap: int | None, reduced: bool):
-        def factory() -> list[Instance]:
-            w = weight_seq(group, wtuple)
-            out = []
-            for size in sizes:
-                pool = _seq_pool(group, size, hcap if hcap is not None else size, reduced)
-                for mult in pool:
-                    out.append(Instance(group, seq=GSequence(group, mult), weights=w))
-            return out
-        return factory
-
-    for group, wtuple, sizes, hcap, reduced in jobs:
-        key = f"{format_group(group)}|w={','.join(map(str, wtuple))}"
-        shards.append((key, make_factory(group, wtuple, sizes, hcap, reduced)))
+        count = size(group)
+        if count is not None:
+            estimate += count
+            shards.append((format_group(group), partial(build, group)))
     return SweepPlan(shards, estimate)
 
 
-def _plan_conj_hamidoune(dom: SweepDomain) -> SweepPlan:
-    return _seq_shards(
-        dom,
-        weight_fn=lambda g, k: _weight_lists(g.order, k, zero_sum=g.order, max_nonunit=1),
-        slen_fn=lambda g, k: k + g.order - 1 if k >= 2 else None,
-        hcap_fn=lambda g, k: k,
-        reduce_ok_fn=lambda g, wt: True,
-    )
+@dataclass(frozen=True)
+class _SeqPlanner:
+    """Planner row for a weights-cross-sequences statement: one shard per
+    (group, weight tuple).
 
+    weights(G, k) lists the weight tuples of length k; slen(G, k) is the base
+    sequence length (None skips k), stretched by dom.slen_extra.  With cap_h,
+    multiplicities are at most k.  Translation reduction applies when
+    translate is set and the weight total is 0 mod exp(G), so that
+    translating S leaves every |W|-term weighted sum in place.  with_n puts
+    n = |W| on each instance.
+    """
 
-def _plan_ham_char(dom: SweepDomain) -> SweepPlan:
-    return _seq_shards(
-        dom,
-        weight_fn=lambda g, k: _weight_lists(g.order, k, zero_sum=g.order, max_nonunit=1),
-        slen_fn=lambda g, k: k + g.order - 1 if k >= 2 and 2 * k >= g.order else None,
-        hcap_fn=lambda g, k: k,
-        reduce_ok_fn=lambda g, wt: True,
-    )
+    weights: Callable[[Group, int], list[tuple[int, ...]]]
+    slen: Callable[[Group, int], int | None] = lambda g, k: k + g.order - 1
+    cap_h: bool = True
+    translate: bool = True
+    with_n: bool = False
 
+    def __call__(self, dom: SweepDomain) -> SweepPlan:
+        shards: list[tuple[str, Callable[[], list[Instance]]]] = []
+        estimate = 0
+        for group in dom.groups:
+            for wlen in dom.wlens:
+                base = self.slen(group, wlen)
+                if base is None:
+                    continue
+                sizes = range(base, base + dom.slen_extra + 1)
+                for wtuple in self.weights(group, wlen):
+                    reduced = (dom.reduce_translation and self.translate
+                               and sum(wtuple) % group.exponent == 0)
+                    estimate += sum(_pool_estimate(group, size, reduced) for size in sizes)
+                    pools = [_seq_pool(group, size, wlen if self.cap_h else size, reduced)
+                             for size in sizes]
+                    key = f"{format_group(group)}|w={','.join(map(str, wtuple))}"
+                    shards.append((key, partial(self._build, group, wtuple, pools)))
+        return SweepPlan(shards, estimate)
 
-def _plan_ham_var(dom: SweepDomain) -> SweepPlan:
-    return _seq_shards(
-        dom,
-        weight_fn=lambda g, k: _weight_lists(
-            g.exponent, k, zero_sum=g.exponent, min_units=dstar(g)),
-        slen_fn=lambda g, k: k + g.order - 1,
-        hcap_fn=lambda g, k: k,
-        reduce_ok_fn=lambda g, wt: True,
-    )
-
-
-def _plan_wegz(dom: SweepDomain) -> SweepPlan:
-    return _seq_shards(
-        dom,
-        weight_fn=lambda g, k: _weight_lists(g.exponent, k, zero_sum=g.exponent),
-        slen_fn=lambda g, k: k + g.order - 1,
-        hcap_fn=lambda g, k: None,
-        reduce_ok_fn=lambda g, wt: True,
-    )
-
-
-def _plan_ordaz_quiroz(dom: SweepDomain) -> SweepPlan:
-    return _seq_shards(
-        dom,
-        weight_fn=lambda g, k: _weight_lists(g.order, g.order, zero_sum=g.order,
-                                             units_only=True) if k == g.order else [],
-        slen_fn=lambda g, k: g.order + davenport(g) - 1,
-        hcap_fn=lambda g, k: None,
-        reduce_ok_fn=lambda g, wt: True,
-    )
-
-
-def _plan_specialcase(dom: SweepDomain) -> SweepPlan:
-    return _seq_shards(
-        dom,
-        weight_fn=lambda g, k: _weight_lists(g.order, g.order,
-                                             units_only=True) if k == g.order else [],
-        slen_fn=lambda g, k: g.order + davenport(g) - 1,
-        hcap_fn=lambda g, k: g.order,
-        reduce_ok_fn=lambda g, wt: sum(wt) % g.exponent == 0,
-    )
-
-
-def _plan_spud(dom: SweepDomain) -> SweepPlan:
-    return _seq_shards(
-        dom,
-        weight_fn=lambda g, k: _weight_lists(g.exponent, k, units_only=True)
-        if k >= dstar(g) else [],
-        slen_fn=lambda g, k: k + g.order - 1,
-        hcap_fn=lambda g, k: k,
-        reduce_ok_fn=lambda g, wt: sum(wt) % g.exponent == 0,
-    )
+    def _build(self, group: Group, wtuple: tuple[int, ...],
+               pools: list[tuple[tuple[int, ...], ...]]) -> list[Instance]:
+        w = weight_seq(group, wtuple)
+        n = w.length if self.with_n else None
+        return [Instance(group, seq=GSequence(group, mult), weights=w, n=n)
+                for pool in pools for mult in pool]
 
 
 def _plan_david(dom: SweepDomain) -> SweepPlan:
+    def build(group: Group, d: int, sizes: range, wtuple: tuple[int, ...]) -> list[Instance]:
+        # every sequence whose height h >= D(G) - 1 is the multiplicity of 0
+        w = weight_seq(group, wtuple)
+        out = []
+        for size in sizes:
+            for h in range(d - 1, size + 1):
+                for rest in _sub_multisets((h,) * (group.order - 1), size - h, h):
+                    out.append(Instance(group, seq=GSequence(group, (h,) + rest), weights=w))
+        return out
+
     shards: list[tuple[str, Callable[[], list[Instance]]]] = []
     estimate = 0
-    jobs = []
     for group in dom.groups:
         d = davenport(group)
         for wlen in dom.wlens:
-            sizes = [wlen + d - 1 + extra for extra in range(dom.slen_extra + 1)]
+            sizes = range(wlen + d - 1, wlen + d + dom.slen_extra)
             wlists = _weight_lists(group.exponent, wlen)
             estimate += len(wlists) * sum(
                 _pool_estimate(group, size, False) for size in sizes)
-            jobs.append((group, d, wlen, sizes, wlists))
-
-    def david_pool(group: Group, size: int, dmin: int) -> list[tuple[int, ...]]:
-        out = []
-        for h in range(dmin, size + 1):
-            for rest in _mult_vectors(group.order - 1, size - h, h):
-                out.append((h,) + rest)
-        return out
-
-    def make_factory(group: Group, d: int, sizes: list[int], wtuple: tuple[int, ...]):
-        def factory() -> list[Instance]:
-            w = weight_seq(group, wtuple)
-            out = []
-            for size in sizes:
-                for mult in david_pool(group, size, d - 1):
-                    out.append(Instance(group, seq=GSequence(group, mult), weights=w))
-            return out
-        return factory
-
-    for group, d, wlen, sizes, wlists in jobs:
-        for wtuple in wlists:
-            key = f"{format_group(group)}|w={','.join(map(str, wtuple))}"
-            shards.append((key, make_factory(group, d, sizes, wtuple)))
+            for wtuple in wlists:
+                key = f"{format_group(group)}|w={','.join(map(str, wtuple))}"
+                shards.append((key, partial(build, group, d, sizes, wtuple)))
     return SweepPlan(shards, estimate)
 
 
 def _plan_unweighted_sampled(slen_fn):
     def plan(dom: SweepDomain) -> SweepPlan:
-        shards = []
-        estimate = 0
-        for group in dom.groups:
-            size = slen_fn(group) + dom.slen_extra
-            estimate += dom.samples
+        sizes = {group: slen_fn(group) + dom.slen_extra for group in dom.groups}
 
-            def make_factory(group: Group = group, size: int = size):
-                def factory() -> list[Instance]:
-                    rng = random.Random(f"{dom.seed}:{format_group(group)}:unweighted")
-                    out = []
-                    for _ in range(dom.samples):
-                        mult = [0] * group.order
-                        for idx in rng.choices(range(group.order), k=size):
-                            mult[idx] += 1
-                        out.append(Instance(group, seq=GSequence(group, tuple(mult))))
-                    return out
-                return factory
+        def build(group: Group) -> list[Instance]:
+            rng = random.Random(f"{dom.seed}:{format_group(group)}:unweighted")
+            out = []
+            for _ in range(dom.samples):
+                mult = [0] * group.order
+                for idx in rng.choices(range(group.order), k=sizes[group]):
+                    mult[idx] += 1
+                out.append(Instance(group, seq=GSequence(group, tuple(mult))))
+            return out
 
-            shards.append((format_group(group), make_factory()))
-        return SweepPlan(shards, estimate)
+        return _per_group(dom, lambda g: dom.samples, build)
     return plan
 
 
 def _plan_subgroup_instances(dom: SweepDomain) -> SweepPlan:
-    shards = []
-    estimate = 0
-    for group in dom.groups:
-        lattice = _subgroup_lattice(group, dom.subgroup_cap)
-        estimate += len(lattice)
-
-        def make_factory(group: Group = group, lattice=lattice):
-            def factory() -> list[Instance]:
-                return [Instance(group, extra={"subgroup": sub}) for sub in lattice]
-            return factory
-
-        shards.append((format_group(group), make_factory()))
-    return SweepPlan(shards, estimate)
+    return _per_group(
+        dom, lambda g: len(_subgroup_lattice(g, dom.subgroup_cap)),
+        lambda g: [Instance(g, extra={"subgroup": sub})
+                   for sub in _subgroup_lattice(g, dom.subgroup_cap)])
 
 
 def _plan_split(dom: SweepDomain) -> SweepPlan:
+    def build(group: Group, indices: tuple[int, ...], units: list[int], d: int,
+              exhaustive: bool) -> list[Instance]:
+        a = gset(group, [group.element_from_index(i) for i in indices])
+        extra = {"set": a, "base_index": 0}
+        if exhaustive:
+            wtuples = combinations_with_replacement(units, d)
+        else:
+            tag = ",".join(map(str, indices))
+            rng = random.Random(f"{dom.seed}:{format_group(group)}:{tag}:split")
+            wtuples = (tuple(sorted(rng.choices(units, k=d))) for _ in range(dom.samples))
+        return [Instance(group, weights=weight_seq(group, wt), extra=extra) for wt in wtuples]
+
     shards = []
     estimate = 0
     for group in dom.groups:
@@ -1671,176 +1451,192 @@ def _plan_split(dom: SweepDomain) -> SweepPlan:
                 exhaustive = len(units) ** d <= 10_000
                 count = (comb(len(units) + d - 1, d) if exhaustive else dom.samples)
                 estimate += count
-
-                def make_factory(group: Group = group, indices=indices,
-                                 units=tuple(units), d: int = d,
-                                 exhaustive: bool = exhaustive):
-                    def factory() -> list[Instance]:
-                        a = gset(group, [group.element_from_index(i) for i in indices])
-                        extra = {"set": a, "base_index": 0}
-                        out = []
-                        if exhaustive:
-                            for wt in combinations_with_replacement(units, d):
-                                out.append(Instance(
-                                    group, weights=weight_seq(group, wt), extra=extra))
-                        else:
-                            tag = ",".join(map(str, indices))
-                            rng = random.Random(
-                                f"{dom.seed}:{format_group(group)}:{tag}:split")
-                            for _ in range(dom.samples):
-                                wt = tuple(sorted(rng.choices(units, k=d)))
-                                out.append(Instance(
-                                    group, weights=weight_seq(group, wt), extra=extra))
-                        return out
-                    return factory
-
                 key = f"{format_group(group)}|A={','.join(map(str, indices))}"
-                shards.append((key, make_factory()))
+                shards.append((key, partial(build, group, indices, units, d, exhaustive)))
     return SweepPlan(shards, estimate)
 
 
 def _plan_pigeonhole(dom: SweepDomain) -> SweepPlan:
-    shards = []
-    estimate = 0
-    for group in dom.groups:
-        total = (1 << group.order) - 1
-        estimate += (total * (total + 1)) // 2
+    def build(group: Group) -> list[Instance]:
+        m = group.order
+        out = []
+        for abits in range(1, 1 << m):
+            asize = abits.bit_count()
+            for bbits in range(abits, 1 << m):
+                if asize + bbits.bit_count() < m + 1:
+                    continue
+                out.append(Instance(group, extra={
+                    "set_a": GSet(group, abits),
+                    "set_b": GSet(group, bbits)}))
+        return out
 
-        def make_factory(group: Group = group):
-            def factory() -> list[Instance]:
-                m = group.order
-                out = []
-                for abits in range(1, 1 << m):
-                    asize = abits.bit_count()
-                    for bbits in range(abits, 1 << m):
-                        if asize + bbits.bit_count() < m + 1:
-                            continue
-                        out.append(Instance(group, extra={
-                            "set_a": GSet(group, abits),
-                            "set_b": GSet(group, bbits)}))
-                return out
-            return factory
-
-        shards.append((format_group(group), make_factory()))
-    return SweepPlan(shards, estimate)
+    return _per_group(dom, lambda g: ((1 << g.order) - 1) * (1 << g.order) // 2, build)
 
 
 def _plan_ap_struct(dom: SweepDomain) -> SweepPlan:
-    shards = []
-    estimate = 0
-    for group in dom.groups:
+    def build(group: Group) -> list[Instance]:
         masks = [b for b in range(1, 1 << group.order) if b & 1 and b.bit_count() >= 2]
-        estimate += len(masks) * (len(masks) + 1) // 2
+        out = []
+        for i, abits in enumerate(masks):
+            for bbits in masks[i:]:
+                out.append(Instance(group, extra={
+                    "sets": (GSet(group, abits), GSet(group, bbits))}))
+        return out
 
-        def make_factory(group: Group = group, masks=tuple(masks)):
-            def factory() -> list[Instance]:
-                out = []
-                for i, abits in enumerate(masks):
-                    for bbits in masks[i:]:
-                        out.append(Instance(group, extra={
-                            "sets": (GSet(group, abits), GSet(group, bbits))}))
-                return out
-            return factory
-
-        shards.append((format_group(group), make_factory()))
-    return SweepPlan(shards, estimate)
+    # 2^(|G|-1) - 1 sets hold 0 and another element; shards list unordered pairs
+    return _per_group(dom, lambda g: (1 << (g.order - 1)) * ((1 << (g.order - 1)) - 1) // 2,
+                      build)
 
 
 def _plan_ex1(dom: SweepDomain) -> SweepPlan:
-    shards = []
-    for group in dom.groups:
+    def size(group: Group) -> int | None:
         p = group.order
-        if group.rank != 1 or p % 4 != 3 or p < 7:
-            continue
-        if any(p % q == 0 for q in range(2, p) if q * q <= p):
-            continue
+        return 1 if group.rank == 1 and p % 4 == 3 and p >= 7 and _is_prime(p) else None
 
-        def make_factory(p: int = p):
-            def factory() -> list[Instance]:
-                return [example1_instance(p)]
-            return factory
-
-        shards.append((format_group(group), make_factory()))
-    return SweepPlan(shards, len(shards))
+    return _per_group(dom, size, lambda g: [example1_instance(g.order)])
 
 
 def _plan_ex2(dom: SweepDomain) -> SweepPlan:
-    shards = []
-    for group in dom.groups:
+    def size(group: Group) -> int | None:
         m = group.order
-        if group.rank != 1 or m < 4 or m & (m - 1):
-            continue
+        return 1 if group.rank == 1 and m >= 4 and not m & (m - 1) else None
 
-        def make_factory(r: int = m.bit_length() - 1):
-            def factory() -> list[Instance]:
-                return [example2_instance(r)]
-            return factory
-
-        shards.append((format_group(group), make_factory()))
-    return SweepPlan(shards, len(shards))
+    return _per_group(dom, size, lambda g: [example2_instance(g.order.bit_length() - 1)])
 
 
-def _plan_setpart_witness(dom: SweepDomain) -> SweepPlan:
-    return _seq_shards(
-        dom,
-        weight_fn=lambda g, k: _weight_lists(g.exponent, k, units_only=True)
-        if k >= dstar(g) else [],
-        slen_fn=lambda g, k: k,
-        hcap_fn=lambda g, k: k,
-        reduce_ok_fn=lambda g, wt: False,
-    )
+@dataclass(frozen=True)
+class Statement:
+    """Registry record of one statement.
+
+    checker evaluates one instance; planner enumerates a sweep domain (None:
+    the statement takes explicit instances only); anchor is the statement as
+    reports quote it; flag picks the verdicts a report lists besides the
+    failures (None: reports carry no flagged key); sampled says the planner
+    draws dom.samples random instances, so the report's domain shows that
+    count.
+    """
+
+    checker: Callable[[Instance, SearchCaps], Verdict]
+    planner: Callable[[SweepDomain], SweepPlan] | None
+    anchor: str
+    flag: Callable[[Instance, Verdict], bool] | None = None
+    sampled: bool = False
 
 
-def _with_n_equal_wlen(plan_fn):
-    """Wrap a planner so each produced instance carries n = |W|."""
-    def plan(dom: SweepDomain) -> SweepPlan:
-        base = plan_fn(dom)
-        shards = []
-        for key, factory in base.shards:
-            def make(factory=factory):
-                def wrapped() -> list[Instance]:
-                    return [
-                        Instance(i.group, seq=i.seq, weights=i.weights,
-                                 n=i.weights.length, extra=i.extra)
-                        for i in factory()]
-                return wrapped
-            shards.append((key, make()))
-        return SweepPlan(shards, base.estimate)
-    return plan
-
-
-_PLANNERS: dict[StatementId, Callable[[SweepDomain], SweepPlan]] = {
-    StatementId.EX1: _plan_ex1,
-    StatementId.EX2: _plan_ex2,
-    StatementId.THM_GAO_COSET: _plan_unweighted_sampled(
-        lambda g: g.order + davenport(g) - 1),
-    StatementId.THM_WEGZ: _plan_wegz,
-    StatementId.CONJ_HAMIDOUNE: _plan_conj_hamidoune,
-    StatementId.CONJ_ORDAZ_QUIROZ: _plan_ordaz_quiroz,
-    StatementId.THM_HAM_CHAR: _plan_ham_char,
-    StatementId.LEM_DSTAR_SUBADD: _plan_subgroup_instances,
-    StatementId.LEM_SPLIT: _plan_split,
-    StatementId.PROP_DUAL: _plan_subgroup_instances,
-    StatementId.PROP_ALIGN: _plan_subgroup_instances,
-    StatementId.THM_SETPART_WITNESS: _with_n_equal_wlen(_plan_setpart_witness),
-    StatementId.PROP_PIGEONHOLE: _plan_pigeonhole,
-    StatementId.COR_GAO_DSTAR: _plan_unweighted_sampled(
-        lambda g: g.order + dstar(g)),
-    StatementId.COR_SPUD: _with_n_equal_wlen(_plan_spud),
-    StatementId.LEM_DAVID: _plan_david,
-    StatementId.COR_SPECIALCASE: _plan_specialcase,
-    StatementId.COR_HAM_VAR: _plan_ham_var,
-    StatementId.AP_STRUCT: _plan_ap_struct,
-}
-
-_FLAGS: dict[StatementId, Callable[[Instance, Verdict], bool]] = {
-    StatementId.THM_HAM_CHAR:
-        lambda inst, v: v.status is Status.HOLDS and v.witness.get("disjunct") == "ii",
+STATEMENTS: dict[StatementId, Statement] = {
+    StatementId.EX1: Statement(
+        _check_ex1, _plan_ex1,
+        "over Z/p with p = 3 mod 4 prime, weights 1 and -1 each (n-1)/2 times plus one 0 "
+        "against 0^n 1^n 2^n, n = (p-1)/2: the n-term weighted sums are Z/p minus "
+        "{(p-1)/2, (p+1)/2}, so no nontrivial subgroup fits"),
+    StatementId.EX2: Statement(
+        _check_ex2, _plan_ex2,
+        "over Z/2^r, weights 1 and -1 each (n-1)/2 times plus one 0 against 0^n 1^n, "
+        "n = 2^r - 1: the n-term weighted sums miss exactly 2^(r-1), the unique "
+        "involution, so no nontrivial subgroup fits"),
+    StatementId.THM_GAO_COSET: Statement(
+        _check_gao_coset, _plan_unweighted_sampled(lambda g: g.order + davenport(g) - 1),
+        "|S| >= |G| + D(G) - 1 forces: the |G|-term subsums cover G, or some coset g+H "
+        "holds all but at most |G/H| - 2 terms of S",
+        sampled=True),
+    StatementId.THM_WEGZ: Statement(
+        _check_wegz, _SeqPlanner(
+            lambda g, k: _weight_lists(g.exponent, k, zero_sum=g.exponent), cap_h=False),
+        "weight total divisible by exp(G) and |S| >= |W| + |G| - 1 force 0 into the "
+        "|W|-term weighted sums"),
+    StatementId.CONJ_HAMIDOUNE: Statement(
+        _check_conj_hamidoune, _SeqPlanner(
+            lambda g, k: _weight_lists(g.order, k, zero_sum=g.order, max_nonunit=1),
+            slen=lambda g, k: k + g.order - 1 if k >= 2 else None),
+        "|S| >= |W| + |G| - 1 >= |G| + 1, weight total divisible by |G|, h(S) <= |W|, "
+        "all weights but at most one coprime to |G|: claimed to force a nontrivial "
+        "subgroup inside the |W|-term weighted sums (false in general)"),
+    StatementId.CONJ_ORDAZ_QUIROZ: Statement(
+        _check_ordaz_quiroz, _SeqPlanner(
+            lambda g, k: _weight_lists(g.order, k, zero_sum=g.order, units_only=True)
+            if k == g.order else [],
+            slen=lambda g, k: g.order + davenport(g) - 1, cap_h=False),
+        "all weights coprime to |G|, |W| = |G|, weight total divisible by |G|, "
+        "|S| = |G| + D(G) - 1: claimed to force full coverage or the coset condition"),
+    StatementId.THM_HAM_CHAR: Statement(
+        _check_ham_char, _SeqPlanner(
+            lambda g, k: _weight_lists(g.order, k, zero_sum=g.order, max_nonunit=1),
+            slen=lambda g, k: k + g.order - 1 if k >= 2 and 2 * k >= g.order else None),
+        "under the subgroup-conjecture hypotheses with 2|W| >= |G|: a nontrivial "
+        "subgroup lies in the |W|-term weighted sums, or |supp(S)| = 2, |W| = |G| - 1, "
+        "G = Z/2^r, and the weights are x and -x in equal numbers plus one 0 mod |G|",
+        flag=lambda inst, v: v.status is Status.HOLDS and v.witness.get("disjunct") == "ii"),
+    StatementId.LEM_DSTAR_SUBADD: Statement(
+        _check_dstar_subadd, _plan_subgroup_instances,
+        "d*(H) + d*(G/H) <= d*(G) for every subgroup H of G"),
+    StatementId.LEM_SPLIT: Statement(
+        _check_split, _plan_split,
+        "for |A| >= 2, H generated by A - a0, and d*(H) weights coprime to exp(H): "
+        "the positional weighted sum of A with itself is exactly (weight total)a0 + H",
+        sampled=True),
+    StatementId.PROP_DUAL: Statement(
+        _check_dual, _plan_subgroup_instances,
+        "every subgroup H admits a partner K with K of the type of G/H and G/K of the "
+        "type of H"),
+    StatementId.PROP_ALIGN: Statement(
+        _check_align, _plan_subgroup_instances,
+        "a subgroup's invariant factors, left-padded with 1s, divide the ambient "
+        "factors position by position, and per prime the aligned valuations never "
+        "exceed the ambient ones"),
+    StatementId.THM_SETPART_WITNESS: Statement(
+        witness_search_setpartition, _SeqPlanner(
+            lambda g, k: _weight_lists(g.exponent, k, units_only=True) if k >= dstar(g) else [],
+            slen=lambda g, k: k, translate=False, with_n=True),
+        "unit weights, n >= d*(G), h(S') <= n <= |S'|: some equal-length subsequence "
+        "has an n-setpartition whose weighted block sum reaches min(|G|, |S'| - n + 1) "
+        "elements, or one aligned to a coset g+H with the four alignment clauses"),
+    StatementId.THM_SETPART_MAXK: Statement(
+        check_max_subgroup_dichotomy, None,
+        "given a maximal certified subgroup K: K = G yields an n-setpartition whose "
+        "weighted block sum is all of G; K < G yields the aligned conclusion with H = K"),
+    StatementId.PROP_PIGEONHOLE: Statement(
+        _check_pigeonhole, _plan_pigeonhole,
+        "|A| + |B| >= |G| + 1 forces A + B = G"),
+    StatementId.COR_GAO_DSTAR: Statement(
+        _check_gao_dstar, _plan_unweighted_sampled(lambda g: g.order + dstar(g)),
+        "|S| >= |G| + d*(G) forces: the |G|-term subsums cover G, or the coset "
+        "condition",
+        sampled=True),
+    StatementId.COR_SPUD: Statement(
+        _check_spud, _SeqPlanner(
+            lambda g, k: _weight_lists(g.exponent, k, units_only=True) if k >= dstar(g) else [],
+            with_n=True),
+        "max(h(S), d*(G)) <= n <= |S| - |G| + 1, all weights coprime to exp(G), "
+        "|W| >= n, and no coset holding all but at most |G/H| - 2 terms: the n-term "
+        "weighted sums cover G"),
+    StatementId.LEM_DAVID: Statement(
+        _check_david, _plan_david,
+        "multiplicity of 0 equal to h(S) and at least D(G) - 1, with "
+        "|S| >= |W| + D(G) - 1: weighted sums of every length equal the |W|-term "
+        "weighted sums"),
+    StatementId.COR_SPECIALCASE: Statement(
+        _check_specialcase, _SeqPlanner(
+            lambda g, k: _weight_lists(g.order, k, units_only=True) if k == g.order else [],
+            slen=lambda g, k: g.order + davenport(g) - 1),
+        "all weights coprime to |G|, |W| = |G|, |S| >= |G| + D(G) - 1, "
+        "D(G) - 1 <= h(S) <= |G|: full coverage or the coset condition"),
+    StatementId.COR_HAM_VAR: Statement(
+        _check_ham_var, _SeqPlanner(
+            lambda g, k: _weight_lists(g.exponent, k, zero_sum=g.exponent, min_units=dstar(g))),
+        "weight total divisible by exp(G), h(S) <= |W|, |S| >= |W| + |G| - 1, and at "
+        "least d*(G) weights coprime to exp(G): a nontrivial subgroup lies in the "
+        "|W|-term weighted sums"),
+    StatementId.AP_STRUCT: Statement(
+        _check_ap_struct, _plan_ap_struct,
+        "three or more spanning, non-quasi-periodic sets containing 0 whose sum is "
+        "aperiodic and meets the size equality are progressions with one common "
+        "difference; likewise two sets when one has exactly 2 elements"),
 }
 
 
 def sweepable_statements() -> list[StatementId]:
-    return sorted(_PLANNERS, key=lambda sid: sid.value)
+    return sorted((sid for sid, st in STATEMENTS.items() if st.planner is not None),
+                  key=lambda sid: sid.value)
 
 
 def sweep(sid: StatementId, dom: SweepDomain, threads: int = 1,
@@ -1851,14 +1647,14 @@ def sweep(sid: StatementId, dom: SweepDomain, threads: int = 1,
     for any thread count.  Raises DomainTooLarge when the estimated instance
     count exceeds dom.max_instances.
     """
-    planner = _PLANNERS.get(sid)
-    if planner is None:
+    statement = STATEMENTS[sid]
+    if statement.planner is None:
         raise MissingField(f"{sid.value} takes explicit instances, not sweep domains")
-    plan = planner(dom)
+    plan = statement.planner(dom)
     if plan.estimate > dom.max_instances:
         raise DomainTooLarge(
             f"estimated {plan.estimate} instances exceed the cap {dom.max_instances}")
-    flag = _FLAGS.get(sid)
+    flag = statement.flag
 
     def run_shard(item: tuple[str, Callable[[], list[Instance]]]):
         _, factory = item
@@ -1881,15 +1677,13 @@ def sweep(sid: StatementId, dom: SweepDomain, threads: int = 1,
                 failures.append((inst, verdict))
             if flag is not None and flag(inst, verdict):
                 flagged.append((inst, verdict))
-    sampled = sid in (StatementId.THM_GAO_COSET, StatementId.COR_GAO_DSTAR,
-                      StatementId.LEM_SPLIT)
     return SweepReport(
         statement=sid,
-        domain=_domain_dict(dom, sampled),
+        domain=_domain_dict(dom, statement.sampled),
         counts=counts,
         failures=failures,
         flagged=flagged,
-        anchor=_ANCHORS[sid],
+        anchor=statement.anchor,
         examined=examined,
     )
 
@@ -1958,6 +1752,11 @@ def verdict_to_dict(verdict: Verdict) -> dict[str, Any]:
     return {"status": verdict.status.value, "witness": to_jsonable(verdict.witness)}
 
 
+def _pairs_to_dicts(pairs: list[tuple[Instance, Verdict]]) -> list[dict[str, Any]]:
+    return [{"instance": instance_to_dict(inst), "verdict": verdict_to_dict(v)}
+            for inst, v in pairs]
+
+
 def report_to_json(report: SweepReport) -> str:
     payload: dict[str, Any] = {
         "statement": report.statement.value,
@@ -1968,17 +1767,11 @@ def report_to_json(report: SweepReport) -> str:
             "hyp_not_met": report.counts.get(Status.HYPOTHESIS_NOT_MET.value, 0),
             "undecided": report.counts.get(Status.UNDECIDED_CAPPED.value, 0),
         },
-        "failures": [
-            {"instance": instance_to_dict(inst), "verdict": verdict_to_dict(v)}
-            for inst, v in report.failures
-        ],
+        "failures": _pairs_to_dicts(report.failures),
         "registry_anchor": report.anchor,
     }
-    if report.statement in _FLAGS:
-        payload["flagged"] = [
-            {"instance": instance_to_dict(inst), "verdict": verdict_to_dict(v)}
-            for inst, v in report.flagged
-        ]
+    if STATEMENTS[report.statement].flag is not None:
+        payload["flagged"] = _pairs_to_dicts(report.flagged)
     return json.dumps(payload, sort_keys=True, indent=2)
 
 

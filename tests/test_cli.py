@@ -99,6 +99,14 @@ def test_cap_exceeded_exits_three(capsys):
     assert "capped" in err
 
 
+def test_capped_checker_still_reports_and_exits_three(capsys):
+    code, out, _ = run(capsys, "sweep", "--statement", "COR_GAO_DSTAR", "--group", "c2xc2xc2",
+                       "--samples", "400", "--cap-subgroups", "2")
+    assert code == 3
+    assert "examined: 400" in out
+    assert int(out.split("undecided: ")[1].split()[0]) > 0
+
+
 def test_usage_errors_exit_two(capsys):
     code, _, err = run(capsys, "verify", "--statement", "NOPE", "--group", "c4")
     assert code == 2

@@ -22,6 +22,7 @@ import hashlib
 import json
 import sys
 from collections import Counter
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -43,7 +44,7 @@ from zerosum import (
     weight_seq,
     witness_search_setpartition,
 )
-from zerosum.verify import _PLANNERS, _mult_vectors
+from zerosum.verify import STATEMENTS
 
 WITNESSES = Path(__file__).with_name("golden") / "witnesses.json"
 REPORTS = Path(__file__).with_name("golden") / "reports.json"
@@ -110,7 +111,7 @@ def domain_summary(sid: StatementId, groups: tuple[str, ...],
                    wlens: tuple[int, ...]) -> dict:
     dom = SweepDomain(groups=tuple(parse_group(g) for g in groups), wlens=wlens)
     return summarize((inst, check_instance(sid, inst))
-                     for _, factory in _PLANNERS[sid](dom).shards
+                     for _, factory in STATEMENTS[sid].planner(dom).shards
                      for inst in factory())
 
 
@@ -128,7 +129,9 @@ def grid_instances():
             for n in (d, d + 1):
                 w = weight_seq(group, [1] * n)
                 for length in range(n, n + 3):
-                    for v in _mult_vectors(len(idx), length, n):
+                    for v in product(range(n + 1), repeat=len(idx)):
+                        if sum(v) != length:
+                            continue
                         mult = [0] * group.order
                         for i, m in zip(idx, v):
                             mult[i] = m

@@ -47,6 +47,7 @@ from zerosum import (
     weight_seq,
     witness_search_setpartition,
 )
+from zerosum.groups import Group
 from zerosum.verify import _ap_difference_indices, _positional_wsum
 from zerosum.setsum import detect_ap
 
@@ -144,6 +145,38 @@ def test_example_builders_reject_bad_parameters():
         example1_instance(9)  # not prime
     with pytest.raises(ValueError):
         example2_instance(0)
+
+
+@pytest.mark.parametrize("p,message", [
+    (1, "1 is not prime"), (2, "2 is not prime"), (9, "9 is not prime"),
+    (5, "5 is not congruent to 3 mod 4"),
+])
+def test_prime_example_builder_messages(p, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        example1_instance(p)
+
+
+@pytest.mark.parametrize("factors,reason", [
+    ((), "group is not of prime order"),  # order 1
+    ((9,), "group is not of prime order"),
+    ((2, 2), "group is not of prime order"),
+    ((2,), "order must be a prime congruent to 3 mod 4, at least 7"),
+    ((3,), "order must be a prime congruent to 3 mod 4, at least 7"),
+    ((5,), "order must be a prime congruent to 3 mod 4, at least 7"),
+    ((11,), "not the twin-weight triple-support shape for this prime"),
+])
+def test_prime_example_hypothesis_reasons(factors, reason):
+    g = Group(factors)
+    inst = Instance(g, seq=GSequence(g, (1,) * g.order), weights=weight_seq(g, [1]))
+    assert check_instance(StatementId.EX1, inst).witness == {"reason": reason}
+
+
+def test_prime_example_planner_keeps_primes_three_mod_four():
+    groups = tuple(Group(f) for f in ((), (2,), (3,), (7,), (9,), (11,), (15,),
+                                      (19,), (2, 2), (23,)))
+    report = sweep(StatementId.EX1, SweepDomain(groups=groups))
+    assert report.examined == 4
+    assert report.counts[Status.HOLDS.value] == 4
 
 
 def test_example_checkers_guard_hypotheses():
@@ -310,6 +343,12 @@ def test_david_lemma_sweep_and_instance():
     s = parse_sequence(g, "0^2,1^2")  # v0 = h = 2 = D - 1, |S| = |W| + D - 1
     v = check_instance(StatementId.LEM_DAVID, Instance(g, seq=s, weights=w, extra={}))
     assert v.status is Status.HOLDS
+
+
+def test_david_lemma_sweep_on_the_trivial_group():
+    # one sequence per length: all terms 0, with no other element to spread over
+    report = sweep(StatementId.LEM_DAVID, SweepDomain(groups=(Group(()),), wlens=(1, 2)))
+    assert report.counts[Status.HOLDS.value] == report.examined == 2
 
 
 def test_specialcase_sweep_is_clean():
@@ -574,6 +613,29 @@ def test_max_subgroup_dichotomy_rejects_bad_certificates():
         "cert_blocks": (gset(g, [1]),),
     })
     assert check_max_subgroup_dichotomy(trivial).status is Status.HYPOTHESIS_NOT_MET
+
+
+def test_cap_exceeded_below_a_checker_is_an_undecided_verdict():
+    # the coset condition's subgroup lattice
+    groups = tuple(parse_group(t) for t in ("c2xc2", "c2xc2xc2", "c2xc4"))
+    report = sweep(StatementId.COR_GAO_DSTAR, SweepDomain(groups=groups, samples=50),
+                   caps=SearchCaps(subgroups=2))
+    assert report.counts[Status.UNDECIDED_CAPPED.value] > 0
+    assert report.counts[Status.FAILS.value] == 0
+    g = parse_group("c2xc2xc2")
+    near_zero = Instance(g, seq=GSequence(g, (10, 1, 0, 0, 0, 0, 0, 0)))
+    v = check_instance(StatementId.COR_GAO_DSTAR, near_zero, SearchCaps(subgroups=2))
+    assert v.witness == {"reason": "more than 2 subgroups"}
+    # the Davenport order cap keeps its reason
+    v = check_instance(StatementId.THM_GAO_COSET, near_zero, SearchCaps(davenport=4))
+    assert v.witness == {"reason": "Davenport constant above cap"}
+    # the exact sigma_n kernel's state budget
+    c64 = parse_group("c64")
+    w = weight_seq(c64, list(range(1, 20)) + [2])
+    s = GSequence(c64, tuple(2 if i < 19 else 1 for i in range(64)))
+    v = check_instance(StatementId.THM_WEGZ, Instance(c64, seq=s, weights=w))
+    assert v.status is Status.UNDECIDED_CAPPED
+    assert v.witness["reason"].startswith("sigma DP needs")
 
 
 def test_maxk_takes_no_sweep_domain():
