@@ -120,3 +120,19 @@ def brute_contained_subgroup(factors, subgroups, members):
     if not fits:
         return None
     return min(fits, key=lambda h: (len(h), min(index[e] for e in h if index[e])))
+
+
+def least_translate(factors, mult):
+    """Lexicographically least translate of a multiplicity vector, indexed as
+    all_elements lists the elements: the vector x -> mult[x - g] taken over
+    every g, by coordinate addition."""
+    elements = all_elements(factors)
+    index = {e: i for i, e in enumerate(elements)}
+    best = None
+    for g in elements:
+        out = [0] * len(elements)
+        for e, m in zip(elements, mult):
+            out[index[coord_add(factors, e, g)]] = m
+        if best is None or tuple(out) < best:
+            best = tuple(out)
+    return best

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 from collections import Counter
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -48,10 +50,10 @@ from zerosum import (
     witness_search_setpartition,
 )
 from zerosum.groups import Group
-from zerosum.verify import _ap_difference_indices, _positional_wsum
+from zerosum.verify import _ap_difference_indices, _is_canonical_translate, _positional_wsum
 from zerosum.setsum import detect_ap
 
-from oracles import all_elements, brute_contained_subgroup, brute_subgroups
+from oracles import all_elements, brute_contained_subgroup, brute_subgroups, least_translate
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +225,33 @@ def test_subgroup_conjecture_sweep_rediscovers_the_prime_counterexample():
     # 0^3 1^3 2^3 reduced to its lexicographically least translate
     assert (0, 0, 0, 0, 3, 3, 3) in canonical
     assert len(canonical) == 3
+
+
+def test_failures_across_shards_keep_enumeration_order():
+    # the 9 counterexamples sit in three shards (w = 0,1,6 / 0,2,5 / 0,3,4);
+    # the digest is of the report the library wrote before shards were
+    # tallied one by one
+    dom = SweepDomain(groups=(parse_group("c7"),), wlens=(3,))
+    r1 = sweep(StatementId.CONJ_HAMIDOUNE, dom, threads=1)
+    r4 = sweep(StatementId.CONJ_HAMIDOUNE, dom, threads=4)
+    shards = [tuple(sorted(inst.weights.residues)) for inst, _ in r1.failures]
+    assert shards == [(0, 1, 6)] * 3 + [(0, 2, 5)] * 3 + [(0, 3, 4)] * 3
+    text = report_to_json(r1)
+    assert report_to_json(r4) == text
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "6600da5fc872b51949c5c0cec63edbf2ea015ce3cc218532f7b0c4ca060cc83e")
+
+
+@pytest.mark.parametrize("text", ["c4", "c2xc2", "c6", "c2xc4", "c3xc3"])
+def test_canonical_translate_matches_least_translate_oracle(text):
+    g = parse_group(text)
+    assert [g.element_from_index(i).coords for i in range(g.order)] == all_elements(
+        g.invariant_factors)
+    for size in range(6):
+        for combo in combinations_with_replacement(range(g.order), size):
+            mult = tuple(combo.count(i) for i in range(g.order))
+            want = least_translate(g.invariant_factors, mult) == mult
+            assert _is_canonical_translate(g, mult) is want, mult
 
 
 def test_sweep_translation_symmetry_spot_check():
