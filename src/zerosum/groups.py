@@ -13,6 +13,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, isqrt, lcm, prod
+from operator import itemgetter
 
 from .errors import (
     EmptyFactors,
@@ -75,10 +76,11 @@ class Group:
     rejects it at the public construction boundary.
 
     Derived tables (the rotation and digit masks behind the bitmask
-    operations, the per-element rotation lists translate_mask walks, and
-    prime_order_subgroups) are built on first use and cached
-    on the group object, so every set, sequence and instance that shares the
-    object shares them.
+    operations, the per-element rotation lists translate_mask walks, the
+    index_shifts permutations, the multiples table and
+    prime_order_subgroups) are built on first use and cached on the group
+    object, so every set, sequence and instance that shares the object
+    shares them.
     """
 
     invariant_factors: tuple[int, ...]
@@ -148,6 +150,12 @@ class Group:
             out += ((w * (a // s)) % n) * s
         return out
 
+    @cached_property
+    def multiples(self) -> tuple:
+        """multiples[a][r] = index_scalar(r, a), the index of r*a, for r < exp(G)."""
+        return tuple(tuple(self.index_scalar(r, a) for r in range(self.exponent))
+                     for a in range(self.order))
+
     def index_order(self, a: int) -> int:
         o = 1
         for n, s in zip(self.invariant_factors, self.strides):
@@ -211,6 +219,14 @@ class Group:
         # _translations[g] = the _rot_masks entries of g's nonzero coordinates
         return tuple(
             tuple(rots[c] for c, rots in zip(self.index_to_coords(g), self._rot_masks) if c)
+            for g in range(self.order))
+
+    @cached_property
+    def index_shifts(self) -> tuple:
+        """index_shifts[g] maps a tuple indexed by element (order >= 2) to its
+        translate by g: entry x of the result is entry x - g."""
+        return tuple(
+            itemgetter(*(self.index_add(x, self.index_neg(g)) for x in range(self.order)))
             for g in range(self.order))
 
     def translate_mask(self, mask: int, gidx: int) -> int:

@@ -7,7 +7,8 @@ anchor text its reports carry, its sweep planner (None when it takes explicit
 instances only), the predicate that flags verdicts for the report, and
 whether its domain is sampled.  check_instance evaluates one instance
 exactly; sweep enumerates a finite instance domain, shards it, and tallies
-verdicts with deterministic output.
+each shard's verdicts as soon as the shard is checked, keeping only
+failures and flagged pairs, with deterministic output.
 
 The setpartition searches share one walk over subsequences, setpartitions
 and weight assignments, bounded by a Budget built from SearchCaps.  Every
@@ -48,7 +49,7 @@ from .groups import (
     quotient_iso_type,
     subgroup_generated,
 )
-from .invariants import davenport, dstar, dstar_of_factors
+from .invariants import davenport, dstar, dstar_of_factors, ell
 from .sequences import (
     GSequence,
     Setpartition,
@@ -297,30 +298,10 @@ def _sub_multisets(mult: tuple[int, ...], size: int, hmax: int):
         yield from rec(0, size)
 
 
-_SHIFT_TABLES: dict[Group, list[list[int]]] = {}
-
-
-def _shift_tables(group: Group) -> list[list[int]]:
-    tabs = _SHIFT_TABLES.get(group)
-    if tabs is None:
-        tabs = [[group.index_add(j, g) for j in range(group.order)]
-                for g in range(group.order)]
-        _SHIFT_TABLES[group] = tabs
-    return tabs
-
-
-def _translated_mult(group: Group, mult: tuple[int, ...], g: int) -> tuple[int, ...]:
-    tab = _shift_tables(group)[g]
-    out = [0] * group.order
-    for j, m in enumerate(mult):
-        if m:
-            out[tab[j]] = m
-    return tuple(out)
-
-
 def _is_canonical_translate(group: Group, mult: tuple[int, ...]) -> bool:
-    for g in range(1, group.order):
-        if _translated_mult(group, mult, g) < mult:
+    """mult is the lexicographically least of its translates x -> mult[x - g]."""
+    for shift in group.index_shifts[1:]:
+        if shift(mult) < mult:
             return False
     return True
 
@@ -1231,12 +1212,23 @@ class SweepDomain:
 
 @dataclass
 class SweepPlan:
+    """A planned sweep: shards in enumeration order, each a (key, factory)
+    pair whose factory lists the shard's instances when called, and the
+    planned instance count.  sweep calls a factory only when it checks that
+    shard and tallies the shard as soon as it is checked, so at most one
+    shard's instances per worker are alive at a time."""
+
     shards: list[tuple[str, Callable[[], list[Instance]]]]
     estimate: int
 
 
 @dataclass
 class SweepReport:
+    """Outcome of a sweep: status counts over every instance examined, and
+    the failures and flagged (instance, verdict) pairs in enumeration order.
+    Only these pairs are kept from the shard tallies; the other instances
+    are dropped as each shard finishes."""
+
     statement: StatementId
     domain: dict[str, Any]
     counts: dict[str, int]
@@ -1264,7 +1256,6 @@ def _seq_pool(group: Group, size: int, hcap: int, reduced: bool) -> tuple[tuple[
     got = _SEQ_POOL_CACHE.get(key)
     if got is None:
         if reduced:
-            _shift_tables(group)
             got = tuple(v for v in _sub_multisets((hcap,) * group.order, size, hcap)
                         if _is_canonical_translate(group, v))
         else:
@@ -1330,8 +1321,9 @@ class _SeqPlanner:
     """Planner row for a weights-cross-sequences statement: one shard per
     (group, weight tuple).
 
-    weights(G, k) lists the weight tuples of length k; slen(G, k) is the base
-    sequence length (None skips k), stretched by dom.slen_extra.  With cap_h,
+    weights(G, k) lists the weight tuples of length k; slen(G, k, caps) is
+    the base sequence length (None skips k), stretched by dom.slen_extra;
+    a length that needs D(G) takes it under caps.davenport.  With cap_h,
     multiplicities are at most k.  Translation reduction applies when
     translate is set and the weight total is 0 mod exp(G), so that
     translating S leaves every |W|-term weighted sum in place.  with_n puts
@@ -1339,17 +1331,17 @@ class _SeqPlanner:
     """
 
     weights: Callable[[Group, int], list[tuple[int, ...]]]
-    slen: Callable[[Group, int], int | None] = lambda g, k: k + g.order - 1
+    slen: Callable[[Group, int, SearchCaps], int | None] = lambda g, k, caps: k + g.order - 1
     cap_h: bool = True
     translate: bool = True
     with_n: bool = False
 
-    def __call__(self, dom: SweepDomain) -> SweepPlan:
+    def __call__(self, dom: SweepDomain, caps: SearchCaps = DEFAULT_CAPS) -> SweepPlan:
         shards: list[tuple[str, Callable[[], list[Instance]]]] = []
         estimate = 0
         for group in dom.groups:
             for wlen in dom.wlens:
-                base = self.slen(group, wlen)
+                base = self.slen(group, wlen, caps)
                 if base is None:
                     continue
                 sizes = range(base, base + dom.slen_extra + 1)
@@ -1371,7 +1363,7 @@ class _SeqPlanner:
                 for pool in pools for mult in pool]
 
 
-def _plan_david(dom: SweepDomain) -> SweepPlan:
+def _plan_david(dom: SweepDomain, caps: SearchCaps = DEFAULT_CAPS) -> SweepPlan:
     def build(group: Group, d: int, sizes: range, wtuple: tuple[int, ...]) -> list[Instance]:
         # every sequence whose height h >= D(G) - 1 is the multiplicity of 0
         w = weight_seq(group, wtuple)
@@ -1385,7 +1377,7 @@ def _plan_david(dom: SweepDomain) -> SweepPlan:
     shards: list[tuple[str, Callable[[], list[Instance]]]] = []
     estimate = 0
     for group in dom.groups:
-        d = davenport(group)
+        d = davenport(group, cap=caps.davenport)
         for wlen in dom.wlens:
             sizes = range(wlen + d - 1, wlen + d + dom.slen_extra)
             wlists = _weight_lists(group.exponent, wlen)
@@ -1398,8 +1390,8 @@ def _plan_david(dom: SweepDomain) -> SweepPlan:
 
 
 def _plan_unweighted_sampled(slen_fn):
-    def plan(dom: SweepDomain) -> SweepPlan:
-        sizes = {group: slen_fn(group) + dom.slen_extra for group in dom.groups}
+    def plan(dom: SweepDomain, caps: SearchCaps = DEFAULT_CAPS) -> SweepPlan:
+        sizes = {group: slen_fn(group, caps) + dom.slen_extra for group in dom.groups}
 
         def build(group: Group) -> list[Instance]:
             rng = random.Random(f"{dom.seed}:{format_group(group)}:unweighted")
@@ -1415,14 +1407,14 @@ def _plan_unweighted_sampled(slen_fn):
     return plan
 
 
-def _plan_subgroup_instances(dom: SweepDomain) -> SweepPlan:
+def _plan_subgroup_instances(dom: SweepDomain, caps: SearchCaps = DEFAULT_CAPS) -> SweepPlan:
     return _per_group(
         dom, lambda g: len(_subgroup_lattice(g, dom.subgroup_cap)),
         lambda g: [Instance(g, extra={"subgroup": sub})
                    for sub in _subgroup_lattice(g, dom.subgroup_cap)])
 
 
-def _plan_split(dom: SweepDomain) -> SweepPlan:
+def _plan_split(dom: SweepDomain, caps: SearchCaps = DEFAULT_CAPS) -> SweepPlan:
     def build(group: Group, indices: tuple[int, ...], units: list[int], d: int,
               exhaustive: bool) -> list[Instance]:
         a = gset(group, [group.element_from_index(i) for i in indices])
@@ -1456,7 +1448,7 @@ def _plan_split(dom: SweepDomain) -> SweepPlan:
     return SweepPlan(shards, estimate)
 
 
-def _plan_pigeonhole(dom: SweepDomain) -> SweepPlan:
+def _plan_pigeonhole(dom: SweepDomain, caps: SearchCaps = DEFAULT_CAPS) -> SweepPlan:
     def build(group: Group) -> list[Instance]:
         m = group.order
         out = []
@@ -1473,7 +1465,7 @@ def _plan_pigeonhole(dom: SweepDomain) -> SweepPlan:
     return _per_group(dom, lambda g: ((1 << g.order) - 1) * (1 << g.order) // 2, build)
 
 
-def _plan_ap_struct(dom: SweepDomain) -> SweepPlan:
+def _plan_ap_struct(dom: SweepDomain, caps: SearchCaps = DEFAULT_CAPS) -> SweepPlan:
     def build(group: Group) -> list[Instance]:
         masks = [b for b in range(1, 1 << group.order) if b & 1 and b.bit_count() >= 2]
         out = []
@@ -1488,7 +1480,7 @@ def _plan_ap_struct(dom: SweepDomain) -> SweepPlan:
                       build)
 
 
-def _plan_ex1(dom: SweepDomain) -> SweepPlan:
+def _plan_ex1(dom: SweepDomain, caps: SearchCaps = DEFAULT_CAPS) -> SweepPlan:
     def size(group: Group) -> int | None:
         p = group.order
         return 1 if group.rank == 1 and p % 4 == 3 and p >= 7 and _is_prime(p) else None
@@ -1496,7 +1488,7 @@ def _plan_ex1(dom: SweepDomain) -> SweepPlan:
     return _per_group(dom, size, lambda g: [example1_instance(g.order)])
 
 
-def _plan_ex2(dom: SweepDomain) -> SweepPlan:
+def _plan_ex2(dom: SweepDomain, caps: SearchCaps = DEFAULT_CAPS) -> SweepPlan:
     def size(group: Group) -> int | None:
         m = group.order
         return 1 if group.rank == 1 and m >= 4 and not m & (m - 1) else None
@@ -1508,16 +1500,17 @@ def _plan_ex2(dom: SweepDomain) -> SweepPlan:
 class Statement:
     """Registry record of one statement.
 
-    checker evaluates one instance; planner enumerates a sweep domain (None:
-    the statement takes explicit instances only); anchor is the statement as
-    reports quote it; flag picks the verdicts a report lists besides the
-    failures (None: reports carry no flagged key); sampled says the planner
-    draws dom.samples random instances, so the report's domain shows that
-    count.
+    checker evaluates one instance; planner(dom, caps) enumerates a sweep
+    domain into shards, taking D(G) under the sweep's caps.davenport as the
+    checkers do (None: the statement takes explicit instances only); anchor
+    is the statement as reports quote it; flag picks the verdicts a report
+    lists besides the failures (None: reports carry no flagged key); sampled
+    says the planner draws dom.samples random instances, so the report's
+    domain shows that count.
     """
 
     checker: Callable[[Instance, SearchCaps], Verdict]
-    planner: Callable[[SweepDomain], SweepPlan] | None
+    planner: Callable[[SweepDomain, SearchCaps], SweepPlan] | None
     anchor: str
     flag: Callable[[Instance, Verdict], bool] | None = None
     sampled: bool = False
@@ -1535,7 +1528,7 @@ STATEMENTS: dict[StatementId, Statement] = {
         "n = 2^r - 1: the n-term weighted sums miss exactly 2^(r-1), the unique "
         "involution, so no nontrivial subgroup fits"),
     StatementId.THM_GAO_COSET: Statement(
-        _check_gao_coset, _plan_unweighted_sampled(lambda g: g.order + davenport(g) - 1),
+        _check_gao_coset, _plan_unweighted_sampled(lambda g, caps: ell(g, caps.davenport)),
         "|S| >= |G| + D(G) - 1 forces: the |G|-term subsums cover G, or some coset g+H "
         "holds all but at most |G/H| - 2 terms of S",
         sampled=True),
@@ -1547,7 +1540,7 @@ STATEMENTS: dict[StatementId, Statement] = {
     StatementId.CONJ_HAMIDOUNE: Statement(
         _check_conj_hamidoune, _SeqPlanner(
             lambda g, k: _weight_lists(g.order, k, zero_sum=g.order, max_nonunit=1),
-            slen=lambda g, k: k + g.order - 1 if k >= 2 else None),
+            slen=lambda g, k, caps: k + g.order - 1 if k >= 2 else None),
         "|S| >= |W| + |G| - 1 >= |G| + 1, weight total divisible by |G|, h(S) <= |W|, "
         "all weights but at most one coprime to |G|: claimed to force a nontrivial "
         "subgroup inside the |W|-term weighted sums (false in general)"),
@@ -1555,13 +1548,13 @@ STATEMENTS: dict[StatementId, Statement] = {
         _check_ordaz_quiroz, _SeqPlanner(
             lambda g, k: _weight_lists(g.order, k, zero_sum=g.order, units_only=True)
             if k == g.order else [],
-            slen=lambda g, k: g.order + davenport(g) - 1, cap_h=False),
+            slen=lambda g, k, caps: ell(g, caps.davenport), cap_h=False),
         "all weights coprime to |G|, |W| = |G|, weight total divisible by |G|, "
         "|S| = |G| + D(G) - 1: claimed to force full coverage or the coset condition"),
     StatementId.THM_HAM_CHAR: Statement(
         _check_ham_char, _SeqPlanner(
             lambda g, k: _weight_lists(g.order, k, zero_sum=g.order, max_nonunit=1),
-            slen=lambda g, k: k + g.order - 1 if k >= 2 and 2 * k >= g.order else None),
+            slen=lambda g, k, caps: k + g.order - 1 if k >= 2 and 2 * k >= g.order else None),
         "under the subgroup-conjecture hypotheses with 2|W| >= |G|: a nontrivial "
         "subgroup lies in the |W|-term weighted sums, or |supp(S)| = 2, |W| = |G| - 1, "
         "G = Z/2^r, and the weights are x and -x in equal numbers plus one 0 mod |G|",
@@ -1586,7 +1579,7 @@ STATEMENTS: dict[StatementId, Statement] = {
     StatementId.THM_SETPART_WITNESS: Statement(
         witness_search_setpartition, _SeqPlanner(
             lambda g, k: _weight_lists(g.exponent, k, units_only=True) if k >= dstar(g) else [],
-            slen=lambda g, k: k, translate=False, with_n=True),
+            slen=lambda g, k, caps: k, translate=False, with_n=True),
         "unit weights, n >= d*(G), h(S') <= n <= |S'|: some equal-length subsequence "
         "has an n-setpartition whose weighted block sum reaches min(|G|, |S'| - n + 1) "
         "elements, or one aligned to a coset g+H with the four alignment clauses"),
@@ -1598,7 +1591,7 @@ STATEMENTS: dict[StatementId, Statement] = {
         _check_pigeonhole, _plan_pigeonhole,
         "|A| + |B| >= |G| + 1 forces A + B = G"),
     StatementId.COR_GAO_DSTAR: Statement(
-        _check_gao_dstar, _plan_unweighted_sampled(lambda g: g.order + dstar(g)),
+        _check_gao_dstar, _plan_unweighted_sampled(lambda g, caps: g.order + dstar(g)),
         "|S| >= |G| + d*(G) forces: the |G|-term subsums cover G, or the coset "
         "condition",
         sampled=True),
@@ -1617,7 +1610,7 @@ STATEMENTS: dict[StatementId, Statement] = {
     StatementId.COR_SPECIALCASE: Statement(
         _check_specialcase, _SeqPlanner(
             lambda g, k: _weight_lists(g.order, k, units_only=True) if k == g.order else [],
-            slen=lambda g, k: g.order + davenport(g) - 1),
+            slen=lambda g, k, caps: ell(g, caps.davenport)),
         "all weights coprime to |G|, |W| = |G|, |S| >= |G| + D(G) - 1, "
         "D(G) - 1 <= h(S) <= |G|: full coverage or the coset condition"),
     StatementId.COR_HAM_VAR: Statement(
@@ -1643,14 +1636,17 @@ def sweep(sid: StatementId, dom: SweepDomain, threads: int = 1,
           caps: SearchCaps = DEFAULT_CAPS) -> SweepReport:
     """Run one statement over a whole domain.
 
-    Shards are merged in enumeration order, so the report is byte-identical
-    for any thread count.  Raises DomainTooLarge when the estimated instance
-    count exceeds dom.max_instances.
+    Each shard is tallied as soon as it is checked: its status counts, its
+    failures and its flagged pairs are kept and its instances dropped, so
+    memory holds the failures, the flagged pairs and at most one shard's
+    instances per worker.  Tallies are added up in enumeration order, so the
+    report is byte-identical for any thread count.  Raises DomainTooLarge
+    when the estimated instance count exceeds dom.max_instances.
     """
     statement = STATEMENTS[sid]
     if statement.planner is None:
         raise MissingField(f"{sid.value} takes explicit instances, not sweep domains")
-    plan = statement.planner(dom)
+    plan = statement.planner(dom, caps)
     if plan.estimate > dom.max_instances:
         raise DomainTooLarge(
             f"estimated {plan.estimate} instances exceed the cap {dom.max_instances}")
@@ -1658,25 +1654,31 @@ def sweep(sid: StatementId, dom: SweepDomain, threads: int = 1,
 
     def run_shard(item: tuple[str, Callable[[], list[Instance]]]):
         _, factory = item
-        return [(inst, check_instance(sid, inst, caps)) for inst in factory()]
-
-    if threads <= 1:
-        chunks = [run_shard(item) for item in plan.shards]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(run_shard, plan.shards))
-    counts = {status.value: 0 for status in Status}
-    failures: list[tuple[Instance, Verdict]] = []
-    flagged: list[tuple[Instance, Verdict]] = []
-    examined = 0
-    for chunk in chunks:
-        for inst, verdict in chunk:
-            examined += 1
+        counts = Counter()
+        failures = []
+        flagged = []
+        for inst in factory():
+            verdict = check_instance(sid, inst, caps)
             counts[verdict.status.value] += 1
             if verdict.status is Status.FAILS:
                 failures.append((inst, verdict))
             if flag is not None and flag(inst, verdict):
                 flagged.append((inst, verdict))
+        return counts, failures, flagged
+
+    if threads <= 1:
+        tallies = map(run_shard, plan.shards)
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            tallies = list(pool.map(run_shard, plan.shards))
+    counts = {status.value: 0 for status in Status}
+    failures: list[tuple[Instance, Verdict]] = []
+    flagged: list[tuple[Instance, Verdict]] = []
+    for shard_counts, shard_failures, shard_flagged in tallies:
+        for status, count in shard_counts.items():
+            counts[status] += count
+        failures += shard_failures
+        flagged += shard_flagged
     return SweepReport(
         statement=sid,
         domain=_domain_dict(dom, statement.sampled),
@@ -1684,7 +1686,7 @@ def sweep(sid: StatementId, dom: SweepDomain, threads: int = 1,
         failures=failures,
         flagged=flagged,
         anchor=statement.anchor,
-        examined=examined,
+        examined=sum(counts.values()),
     )
 
 

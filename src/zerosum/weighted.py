@@ -154,11 +154,11 @@ def _sums_by_n(group: Group, classes, supp, top: int, need: int = 0,
                side: str | None = None) -> list[int]:
     """Per-count sum masks of weight classes against sequence support.
 
-    classes and supp are (residue, slots) and (element index, copies) pairs.
-    Entry k of the result is the mask of k-term weighted sums, k <= top;
-    states that can no longer reach need items are dropped, so only entries
-    from need on are exact.  side forces an orientation ("weights" or
-    "sequence"); by default the one with fewer states runs.
+    classes and supp are (residue mod exp(G), slots) and (element index,
+    copies) pairs.  Entry k of the result is the mask of k-term weighted
+    sums, k <= top; states that can no longer reach need items are dropped,
+    so only entries from need on are exact.  side forces an orientation
+    ("weights" or "sequence"); by default the one with fewer states runs.
     """
     wcaps = [m if m < top else top for _, m in classes]
     scaps = [m if m < top else top for _, m in supp]
@@ -168,13 +168,13 @@ def _sums_by_n(group: Group, classes, supp, top: int, need: int = 0,
         side = "weights" if counts["weights"] <= counts["sequence"] else "sequence"
     if counts[side] > STATE_CAP:
         raise CapExceeded(f"sigma DP needs {counts[side]} states, above {STATE_CAP}")
-    scalar = group.index_scalar
+    multiples = group.multiples
     if side == "weights":
         caps = wcaps
-        walk = [(c, [scalar(r, g) for r, _ in classes]) for (g, _), c in zip(supp, scaps)]
+        walk = [(c, [multiples[g][r] for r, _ in classes]) for (g, _), c in zip(supp, scaps)]
     else:
         caps = scaps
-        walk = [(c, [scalar(r, g) for g, _ in supp]) for (r, _), c in zip(classes, wcaps)]
+        walk = [(c, [multiples[g][r] for g, _ in supp]) for (r, _), c in zip(classes, wcaps)]
     # a state is a mixed-radix code of per-class counts; only reached states
     # are kept, with meta[code] = (items used, classes with room left)
     strides = [prod(c + 1 for c in caps[:j]) for j in range(len(caps))]
@@ -265,7 +265,8 @@ def sums_by_count(s: GSequence) -> tuple[int, ...]:
     Entry n of the returned bitmasks, n in [0, |S|], is the set of sums of
     n distinct slots of S (entry 0 is {0}): sigma_table with |S| unit weights.
     """
-    return tuple(_sums_by_n(s.group, [(1, s.length)], _support(s), s.length))
+    unit = 1 % s.group.exponent  # a residue, as for any weight class
+    return tuple(_sums_by_n(s.group, [(unit, s.length)], _support(s), s.length))
 
 
 def _positional_wsum_bits(group: Group, pairs) -> int:

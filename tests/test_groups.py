@@ -29,7 +29,7 @@ from zerosum import (
     subgroup_generated,
     trivial_group,
 )
-from oracles import coord_add
+from oracles import coord_add, coord_scalar
 
 SMALL_FACTOR_LISTS = [(2,), (3,), (4,), (5,), (6,), (12,), (2, 2), (2, 4), (3, 3), (2, 2, 2), (2, 6)]
 
@@ -205,6 +205,21 @@ def test_translate_mask_matches_coordinate_addition():
                         want |= 1 << g.coords_to_index(
                             coord_add(g.invariant_factors, g.index_to_coords(x), shift))
                 assert g.translate_mask(mask, gidx) == want
+
+
+def test_group_tables_match_coordinate_arithmetic():
+    for g in abelian_group_types(16):
+        factors = g.invariant_factors
+        coords = [g.index_to_coords(x) for x in range(g.order)]
+        assert len(g.multiples) == g.order
+        for a, ca in enumerate(coords):
+            assert [coords[m] for m in g.multiples[a]] == [
+                coord_scalar(factors, r, ca) for r in range(g.exponent)]
+        ramp = tuple(range(g.order))
+        for gidx, cg in enumerate(coords):
+            # entry x of the translate is entry x - g, so x - g + g = x
+            moved = g.index_shifts[gidx](ramp)
+            assert [coord_add(factors, coords[y], cg) for y in moved] == coords
 
 
 def test_translate_and_dilate_masks():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import tracemalloc
 from collections import Counter
 from itertools import combinations_with_replacement
 
@@ -14,6 +15,7 @@ from zerosum import (
     DEFAULT_CAPS,
     DomainTooLarge,
     EmptySet,
+    GroupTooLarge,
     GSequence,
     GSet,
     Instance,
@@ -50,7 +52,7 @@ from zerosum import (
     witness_search_setpartition,
 )
 from zerosum.groups import Group
-from zerosum.verify import _ap_difference_indices, _is_canonical_translate, _positional_wsum
+from zerosum.verify import STATEMENTS, _ap_difference_indices, _is_canonical_translate, _positional_wsum
 from zerosum.setsum import detect_ap
 
 from oracles import all_elements, brute_contained_subgroup, brute_subgroups, least_translate
@@ -702,6 +704,43 @@ def test_sweep_thread_counts_agree():
     r4 = sweep(StatementId.CONJ_HAMIDOUNE, dom, threads=4)
     assert report_to_json(r1) == report_to_json(r4)
     assert r1.counts == r4.counts
+
+
+def test_sweep_memory_grows_with_failures_not_instances():
+    dom = SweepDomain(groups=(parse_group("c7"),), wlens=(4,))
+    tracemalloc.start()
+    try:
+        report = sweep(StatementId.THM_HAM_CHAR, dom)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.examined == 17_810
+    assert not report.failures
+    # keeping every (instance, verdict) pair until one final merge peaked at
+    # 11.5 MiB on this sweep; tallying each shard as it finishes, at 0.5 MiB
+    assert peak < 3 * 2**20
+
+
+def test_planners_take_the_sweeps_davenport_cap():
+    c36 = parse_group("c36")
+    sampled = SweepDomain(groups=(c36,), samples=2)
+    # D(c36) = 36 is above the Davenport search's own default cap of 32
+    report = sweep(StatementId.THM_GAO_COSET, sampled)
+    assert report.counts[Status.HOLDS.value] == 2
+    for _, factory in STATEMENTS[StatementId.THM_GAO_COSET].planner(sampled, DEFAULT_CAPS).shards:
+        for inst in factory():
+            assert check_instance(StatementId.THM_GAO_COSET, inst).status is Status.HOLDS
+    weighted = SweepDomain(groups=(c36,), wlens=(1,))
+    for sid in (StatementId.CONJ_ORDAZ_QUIROZ, StatementId.COR_SPECIALCASE):
+        assert sweep(sid, weighted).examined == 0  # |W| = |G| only; planning needs D(G)
+    assert STATEMENTS[StatementId.LEM_DAVID].planner(weighted, DEFAULT_CAPS).estimate > 0
+    small = SearchCaps(davenport=16)
+    for sid, dom in ((StatementId.THM_GAO_COSET, sampled),
+                     (StatementId.CONJ_ORDAZ_QUIROZ, weighted),
+                     (StatementId.COR_SPECIALCASE, weighted),
+                     (StatementId.LEM_DAVID, weighted)):
+        with pytest.raises(GroupTooLarge, match="order 36 above Davenport cap 16"):
+            sweep(sid, dom, caps=small)
 
 
 def test_report_json_schema_and_determinism():
