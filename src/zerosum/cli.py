@@ -340,7 +340,6 @@ def _domain_from(args: argparse.Namespace, groups) -> SweepDomain:
         set_size_max=args.set_size_max,
         reduce_translation=not args.no_reduce,
         max_instances=args.max_instances,
-        subgroup_cap=args.subgroup_cap,
         **kwargs,
     )
 
@@ -475,7 +474,6 @@ def _add_domain_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--no-reduce", action="store_true",
                    help="disable reduction to canonical translates")
     p.add_argument("--max-instances", type=int, default=2_000_000, metavar="N")
-    p.add_argument("--subgroup-cap", type=int, default=4096, metavar="N")
     p.add_argument("--threads", type=int, default=None, metavar="N",
                    help="worker threads (default: ZEROSUM_THREADS or 1)")
 

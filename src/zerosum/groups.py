@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from math import gcd, isqrt, lcm, prod
 from operator import itemgetter
 
 from .errors import (
+    CapExceeded,
     EmptyFactors,
     FactorBelowTwo,
     GroupMismatch,
@@ -26,13 +27,16 @@ from .errors import (
 )
 
 ORDER_CAP = 256
+SUBGROUP_CAP = 4096  # default cap on the size of a subgroup lattice
 
 __all__ = [
     "ORDER_CAP",
+    "SUBGROUP_CAP",
     "Group",
     "Element",
     "Subgroup",
     "make_group",
+    "interned_group",
     "trivial_group",
     "parse_group",
     "format_group",
@@ -75,12 +79,15 @@ class Group:
     degenerate subgroups and is valid everywhere internally, but make_group
     rejects it at the public construction boundary.
 
-    Derived tables (the rotation and digit masks behind the bitmask
-    operations, the per-element rotation lists translate_mask walks, the
-    index_shifts permutations, the multiples table and
-    prime_order_subgroups) are built on first use and cached on the group
-    object, so every set, sequence and instance that shares the object
-    shares them.
+    Groups are interned: make_group, parse_group, trivial_group, quotient and
+    abelian_group_types return one object per factor tuple.  Derived tables
+    (the rotation and digit masks behind the bitmask operations, the
+    per-element rotation lists translate_mask walks, the index_shifts
+    permutations, the multiples table and prime_order_subgroups) are built
+    on first use and cached on that object, so every set, sequence and
+    instance of the group shares them.  The tables a caller's cap bounds,
+    the subgroup lattice (all_subgroups) and D(G) with its witness
+    (invariants.davenport_report), are kept on it too, through stored().
     """
 
     invariant_factors: tuple[int, ...]
@@ -116,6 +123,19 @@ class Group:
 
     def __repr__(self) -> str:
         return format_group(self)
+
+    def stored(self, name: str, build):
+        """The table `name`, built by build() on first use and kept on the group.
+
+        For tables whose build a caller caps: a build that raises keeps
+        nothing, so a later call under a larger cap can still succeed, and
+        each caller checks its own cap against what is kept.
+        """
+        tables = self.__dict__.setdefault("_stored", {})
+        if name not in tables:
+            # setdefault keeps the first build when sweep threads race
+            tables.setdefault(name, build())
+        return tables[name]
 
     # -- index arithmetic ---------------------------------------------------
 
@@ -342,11 +362,17 @@ def make_group(factors) -> Group:
             raise NonDivisibleChain(f"{a} does not divide {b}")
     if prod(factors) > ORDER_CAP:
         raise GroupTooLarge(f"order {prod(factors)} exceeds cap {ORDER_CAP}")
+    return interned_group(factors)
+
+
+@cache
+def interned_group(factors: tuple[int, ...]) -> Group:
+    """The one Group object for an invariant-factor tuple (unchecked)."""
     return Group(factors)
 
 
 def trivial_group() -> Group:
-    return Group(())
+    return interned_group(())
 
 
 _GROUP_RE = re.compile(r"^c(\d+)(?:xc(\d+))*$")
@@ -611,14 +637,7 @@ def subgroup_from_elements(group: Group, elements) -> Subgroup:
     return _subgroup(group, mask, gens)
 
 
-def all_subgroups(group: Group, cap: int = 256) -> list[Subgroup]:
-    """Every subgroup, found by breadth-first generator extension.
-
-    Deterministic: output sorted by (order, element list).  Raises CapExceeded
-    when the lattice has more than ``cap`` subgroups.
-    """
-    from .errors import CapExceeded
-
+def _build_lattice(group: Group, cap: int) -> tuple[Subgroup, ...]:
     seen: dict[int, list[int]] = {1: []}
     queue = [1]
     while queue:
@@ -634,7 +653,21 @@ def all_subgroups(group: Group, cap: int = 256) -> list[Subgroup]:
                 seen[bigger] = gens + [g]
                 queue.append(bigger)
     masks = sorted(seen, key=lambda m: (m.bit_count(), mask_to_indices(m)))
-    return [_subgroup(group, m, seen[m]) for m in masks]
+    return tuple(_subgroup(group, m, seen[m]) for m in masks)
+
+
+def all_subgroups(group: Group, cap: int = SUBGROUP_CAP) -> tuple[Subgroup, ...]:
+    """Every subgroup, found by breadth-first generator extension.
+
+    Deterministic: output sorted by (order, element list).  Raises CapExceeded
+    when the lattice has more than ``cap`` subgroups.  The first call that
+    fits under its cap keeps the lattice on the group, and every later call
+    returns those same entries after checking its own cap against them.
+    """
+    lattice = group.stored("subgroup_lattice", lambda: _build_lattice(group, cap))
+    if len(lattice) > cap:
+        raise CapExceeded(f"more than {cap} subgroups")
+    return lattice
 
 
 # -- quotients ------------------------------------------------------------------
@@ -763,8 +796,7 @@ def quotient(group: Group, sub: Subgroup) -> tuple[Group, QuotientMap]:
         return cosid[group.index_add(reps[a], reps[b])]
 
     basis = _abelian_basis(q, qadd)
-    factors = tuple(d for _, d in basis)
-    quot = Group(factors)
+    quot = interned_group(tuple(d for _, d in basis))
 
     id_to_qidx = [-1] * q
     for qidx in range(quot.order):
@@ -822,7 +854,7 @@ def abelian_group_types(max_order: int, min_order: int = 2) -> list[Group]:
     out = []
     for n in range(min_order, max_order + 1):
         if n == 1:
-            out.append(Group(()))
+            out.append(trivial_group())
             continue
         m = n
         prime_exps = []
@@ -850,6 +882,6 @@ def abelian_group_types(max_order: int, min_order: int = 2) -> list[Group]:
                     if pos < len(part):
                         f *= p ** part[pos]
                 factors_desc.append(f)
-            out.append(Group(tuple(reversed(factors_desc))))
+            out.append(interned_group(tuple(reversed(factors_desc))))
     out.sort(key=lambda g: (g.order, g.invariant_factors))
     return out

@@ -3,14 +3,12 @@
 d*(G) = sum (n_i - 1) over invariant factors.  D(G) is the least L such that
 every length-L sequence over G has a nonempty zero-sum subsequence, computed
 exactly as 1 plus the longest zero-sum-free sequence found by depth-first
-search; d*(G) + 1 <= D(G) <= |G| always holds.
+search and kept on the group; d*(G) + 1 <= D(G) <= |G| always holds.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import GroupTooLarge
 from .groups import Group, Subgroup
@@ -40,11 +38,13 @@ def dstar(group: Group | Subgroup) -> int:
     return dstar_of_factors(group.invariant_factors)
 
 
-def _longest_zero_sum_free(group: Group, first: int | None = None) -> tuple[int, list[int]]:
-    """DFS over sorted nonzero-index multisets, tracking achievable subsums as a mask.
+def _longest_zero_sum_free(group: Group) -> tuple[int, GSequence]:
+    """(D(G), witness): a longest zero-sum-free sequence and 1 + its length.
 
-    A branch dies as soon as the identity becomes a subsum.  Additional-length
-    pruning uses |subsums| growing by at least one per appended term.
+    DFS over sorted nonzero-index multisets, tracking achievable subsums as a
+    mask.  A branch dies as soon as the identity becomes a subsum.
+    Additional-length pruning uses |subsums| growing by at least one per
+    appended term.
     """
     order = group.order
     translate = group.translate_mask
@@ -66,50 +66,25 @@ def _longest_zero_sum_free(group: Group, first: int | None = None) -> tuple[int,
             dfs(g, new, seq)
             seq.pop()
 
-    if first is None:
-        dfs(1, 0, [])
-    else:
-        new = 1 << first
-        if not new & 1:
-            dfs(first, new, [first])
-    return best_len, best_seq
+    dfs(1, 0, [])
+    return best_len + 1, seq_from_indices(group, best_seq)
 
 
-@lru_cache(maxsize=None)
-def _davenport_value(group: Group, cap: int) -> int:
+def davenport(group: Group, cap: int = DAVENPORT_CAP) -> int:
+    """D(G); see davenport_report."""
     return davenport_report(group, cap=cap)[0]
 
 
-def davenport(group: Group, cap: int = DAVENPORT_CAP, threads: int = 1) -> int:
-    if threads > 1:
-        return davenport_report(group, cap=cap, threads=threads)[0]
-    return _davenport_value(group, cap)
-
-
-def davenport_report(
-    group: Group, cap: int = DAVENPORT_CAP, threads: int = 1
-) -> tuple[int, GSequence]:
+def davenport_report(group: Group, cap: int = DAVENPORT_CAP) -> tuple[int, GSequence]:
     """(D(G), witness): witness is a longest zero-sum-free sequence.
 
-    Branch roots (first element choices) can be searched concurrently; the
-    merge keeps the witness from the smallest first index among maxima, so the
-    result is deterministic for any thread count.
+    Raises GroupTooLarge above the order cap, whether or not the pair is
+    already known.  The first search keeps the pair on the group, so later
+    calls under any cap that admits the group read it back.
     """
     if group.order > cap:
         raise GroupTooLarge(f"order {group.order} above Davenport cap {cap}")
-    if group.order == 1:
-        return 1, seq_from_indices(group, [])
-    if threads <= 1:
-        best_len, best_seq = _longest_zero_sum_free(group)
-    else:
-        firsts = list(range(1, group.order))
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda f: _longest_zero_sum_free(group, f), firsts))
-        best_len, best_seq = 0, []
-        for ln, seq in results:
-            if ln > best_len:
-                best_len, best_seq = ln, seq
-    return best_len + 1, seq_from_indices(group, best_seq)
+    return group.stored("davenport", lambda: _longest_zero_sum_free(group))
 
 
 def ell(group: Group, cap: int = DAVENPORT_CAP) -> int:

@@ -12,6 +12,7 @@ from functools import cached_property, reduce
 
 from .errors import EmptySet, GroupMismatch, KneserViolation
 from .groups import (
+    SUBGROUP_CAP,
     Element,
     Group,
     Subgroup,
@@ -183,8 +184,12 @@ def _quasi_split(group: Group, bits: int, submask: int) -> tuple[int, int] | Non
     return full, bits & ~full
 
 
-def stabilizer(a: GSet) -> StabilizerReport:
-    """Compute H(A) = {g : g + A = A} plus quasi-periodicity structure."""
+def stabilizer(a: GSet, cap: int = SUBGROUP_CAP) -> StabilizerReport:
+    """Compute H(A) = {g : g + A = A} plus quasi-periodicity structure.
+
+    The quasi-period search reads the subgroup lattice under `cap`, raising
+    CapExceeded when the lattice is larger.
+    """
     if a.is_empty():
         raise EmptySet("stabilizer of the empty set")
     group = a.group
@@ -197,7 +202,7 @@ def stabilizer(a: GSet) -> StabilizerReport:
 
     quasi = None
     a0 = a1 = None
-    for sub in all_subgroups(group, cap=4096):
+    for sub in all_subgroups(group, cap=cap):
         if sub.order == 1:
             continue
         split = _quasi_split(group, a.bits, sub.mask)

@@ -39,6 +39,7 @@ from .errors import (
     MissingField,
 )
 from .groups import (
+    SUBGROUP_CAP,
     Element,
     Group,
     Subgroup,
@@ -46,6 +47,7 @@ from .groups import (
     all_subgroups,
     format_element,
     format_group,
+    interned_group,
     quotient_iso_type,
     subgroup_generated,
 )
@@ -144,14 +146,17 @@ class SearchCaps:
     """Budgets for the search-bounded checkers.
 
     davenport caps the group order the Davenport search accepts; subgroups
-    caps the subgroup lattice; subsequences, partitions and assignments cap
-    the setpartition walk (see Budget).  Every cap that runs out yields an
-    undecided_capped verdict, never holds/fails, whether the checker meets
-    it in a budgeted search or as a CapExceeded that check_instance catches.
+    caps the subgroup lattice wherever a checker, a stabilizer or a planner
+    reads it, and a report's domain shows it as subgroup_cap; subsequences,
+    partitions and assignments cap the setpartition walk (see Budget).
+    Every cap that runs out in a checker yields an undecided_capped verdict,
+    never holds/fails, whether the checker meets it in a budgeted search or
+    as a CapExceeded that check_instance catches; a planner that meets one
+    raises it, and the CLI exits 3.
     """
 
     davenport: int = 64
-    subgroups: int = 4096
+    subgroups: int = SUBGROUP_CAP
     subsequences: int = 512
     partitions: int = 512
     assignments: int = 720
@@ -200,7 +205,7 @@ def contained_subgroup(a: GSet) -> Subgroup | None:
     return None
 
 
-def coset_condition(seq: GSequence, cap: int = 4096) -> tuple[int, Subgroup] | None:
+def coset_condition(seq: GSequence, cap: int = SUBGROUP_CAP) -> tuple[int, Subgroup] | None:
     """First coset g+H holding all but at most |G/H|-2 terms of the sequence.
 
     Subgroups are scanned ascending by order and coset representatives by
@@ -230,15 +235,6 @@ def _coset_reps(group: Group, submask: int) -> list[int]:
         seen |= coset
         reps.append(r)
     return reps
-
-
-def _positional_wsum(pairs: Iterable[tuple[int, GSet]]) -> GSet:
-    """_positional_wsum_bits over (weight, GSet block) pairs of one group."""
-    pairs = list(pairs)
-    if not pairs:
-        raise MissingField("positional weighted sum needs at least one block")
-    group = pairs[0][1].group
-    return GSet(group, _positional_wsum_bits(group, [(w, b.bits) for w, b in pairs]))
 
 
 def _distinct_perms(items: tuple[int, ...], cap: int, length: int):
@@ -333,7 +329,7 @@ def example1_instance(p: int) -> Instance:
         raise ValueError(f"{p} is not prime")
     if p % 4 != 3:
         raise ValueError(f"{p} is not congruent to 3 mod 4")
-    group = Group((p,))
+    group = interned_group((p,))
     n = (p - 1) // 2
     k = (n - 1) // 2
     w = weight_seq(group, [1] * k + [-1] * k + [0])
@@ -349,7 +345,7 @@ def example2_instance(r: int) -> Instance:
     if r < 1:
         raise ValueError("r must be positive")
     m = 2 ** r
-    group = Group((m,))
+    group = interned_group((m,))
     n = m - 1
     k = (n - 1) // 2
     w = weight_seq(group, [1] * k + [-1] * k + [0])
@@ -659,12 +655,12 @@ def _check_split(inst: Instance, caps: SearchCaps) -> Verdict:
         return _hyp_fail("needs exactly d*(H) weights for H generated by the shifted set")
     if any(gcd(x, sub.exponent) != 1 for x in w.raw):
         return _hyp_fail("weights must all be coprime to exp(H)")
-    total = _positional_wsum((x, a) for x in w.raw)
+    total = _positional_wsum_bits(group, [(x, a.bits) for x in w.raw])
     shift = group.index_scalar(sum(w.raw) % group.exponent, a0)
     target = group.translate_mask(sub.mask, shift)
-    if total.bits == target:
+    if total == target:
         return Verdict(Status.HOLDS, {"subgroup": sub, "coset_rep": shift})
-    return Verdict(Status.FAILS, {"subgroup": sub, "got": total,
+    return Verdict(Status.FAILS, {"subgroup": sub, "got": GSet(group, total),
                                   "expected": GSet(group, target)})
 
 
@@ -782,7 +778,7 @@ def check_ap_structure(sets: list[GSet], caps: SearchCaps = DEFAULT_CAPS) -> Ver
         return _hyp_fail("every set must contain 0")
     if any(x.size < 2 for x in sets):
         return _hyp_fail("every set must have at least 2 elements")
-    if any(stabilizer(x).quasi_period is not None for x in sets):
+    if any(stabilizer(x, caps.subgroups).quasi_period is not None for x in sets):
         return _hyp_fail("a set is quasi-periodic")
     n = len(sets)
     total: GSet | None = None
@@ -797,7 +793,7 @@ def check_ap_structure(sets: list[GSet], caps: SearchCaps = DEFAULT_CAPS) -> Ver
     else:
         if any(subgroup_generated(group, x.elements()).order != group.order for x in sets):
             return _hyp_fail("every set must generate the whole group")
-        if stabilizer(total).periodic:
+        if stabilizer(total, caps.subgroups).periodic:
             return _hyp_fail("the sum of the sets must be aperiodic")
         if not equality:
             return _hyp_fail("sum size must equal the Kneser equality bound")
@@ -966,16 +962,16 @@ def _check_aligned_conclusion(inst: Instance, sub: Subgroup,
 
     for _, part, (rep, e_out, inside), perm in _same_length_walk(inst, budget, cosets):
         blocks = part.blocks
-        total = _positional_wsum(zip(perm, blocks))
-        if total.size < (e_out + 1) * sub.order:
+        total = _positional_wsum_bits(group, [(x, b.bits) for x, b in zip(perm, blocks)])
+        if total.bit_count() < (e_out + 1) * sub.order:
             continue
         # prefix: d*(H) blocks inside the coset whose weighted sum
         # is exactly (sum of their weights)g + H
         found_prefix = None
         for combo in combinations(inside, d_h):
-            psum = _positional_wsum((perm[i], blocks[i]) for i in combo)
+            psum = _positional_wsum_bits(group, [(perm[i], blocks[i].bits) for i in combo])
             shift = group.index_scalar(sum(perm[i] for i in combo) % group.exponent, rep)
-            if psum.bits == group.translate_mask(sub.mask, shift):
+            if psum == group.translate_mask(sub.mask, shift):
                 found_prefix = combo
                 break
         if found_prefix is None:
@@ -1010,10 +1006,11 @@ def witness_search_setpartition(inst: Instance, caps: SearchCaps = DEFAULT_CAPS)
     floor = min(group.order, sprime.length - n + 1)
     budget = Budget(caps)
     for _, part, _, perm in _same_length_walk(inst, budget):
-        total = _positional_wsum(zip(perm, part.blocks))
-        if total.size >= floor:
+        achieved = _positional_wsum_bits(
+            group, [(x, b.bits) for x, b in zip(perm, part.blocks)]).bit_count()
+        if achieved >= floor:
             # the numbers for H = G when the sum covers G, else for H = {0}
-            full = total.bits == group.full_mask
+            full = achieved == group.order
             n_common, excess, bound = _witness_numbers(
                 group, group.full_mask if full else 1, group.order if full else 1,
                 part.blocks)
@@ -1021,7 +1018,7 @@ def witness_search_setpartition(inst: Instance, caps: SearchCaps = DEFAULT_CAPS)
                 "disjunct": "i",
                 "partition": part,
                 "assignment": list(perm),
-                "achieved": total.size,
+                "achieved": achieved,
                 "floor": floor,
                 "common_blocks": n_common,
                 "excess": excess,
@@ -1060,9 +1057,9 @@ def _certificate_holds(group: Group, w_res: tuple[int, ...], s: GSequence,
         return False
     if any(a > b for a, b in zip(t_mult, s.mult)):
         return False
-    psum = _positional_wsum(zip(w_res, blocks))
+    psum = _positional_wsum_bits(group, [(x, b.bits) for x, b in zip(w_res, blocks)])
     shift = group.index_scalar(sum(w_res[:d]) % group.exponent, rep)
-    if psum.bits != group.translate_mask(sub.mask, shift):
+    if psum != group.translate_mask(sub.mask, shift):
         return False
     left_in = sum((s.mult[i] - t_mult[i]) for i in range(group.order) if (coset >> i) & 1)
     return left_in >= need_left
@@ -1145,7 +1142,8 @@ def check_max_subgroup_dichotomy(inst: Instance, caps: SearchCaps = DEFAULT_CAPS
         for _, part, _, perm in _same_length_walk(inst, budget):
             if budget.ran_out:
                 break
-            if _positional_wsum(zip(perm, part.blocks)).bits == group.full_mask:
+            total = _positional_wsum_bits(group, [(x, b.bits) for x, b in zip(perm, part.blocks)])
+            if total == group.full_mask:
                 return Verdict(Status.HOLDS, {
                     "branch": "full",
                     "partition": part,
@@ -1197,6 +1195,8 @@ class SweepDomain:
     draw `samples` sequences per shard from a seeded generator.  When
     reduce_translation is set, sequence domains whose conclusion is
     translation-covariant keep one representative per translation orbit.
+    The subgroup lattice is capped by the sweep's SearchCaps.subgroups, not
+    here; the report's domain still carries that cap as subgroup_cap.
     """
 
     groups: tuple[Group, ...]
@@ -1207,7 +1207,6 @@ class SweepDomain:
     set_size_max: int = 4
     reduce_translation: bool = True
     max_instances: int = 2_000_000
-    subgroup_cap: int = 4096
 
 
 @dataclass
@@ -1238,35 +1237,14 @@ class SweepReport:
     examined: int
 
 
-_SEQ_POOL_CACHE: dict[tuple, tuple[tuple[int, ...], ...]] = {}
-_LATTICE_CACHE: dict[tuple[Group, int], list[Subgroup]] = {}
-
-
-def _subgroup_lattice(group: Group, cap: int) -> list[Subgroup]:
-    key = (group, cap)
-    got = _LATTICE_CACHE.get(key)
-    if got is None:
-        got = all_subgroups(group, cap=cap)
-        _LATTICE_CACHE[key] = got
-    return got
-
-
 def _seq_pool(group: Group, size: int, hcap: int, reduced: bool) -> tuple[tuple[int, ...], ...]:
-    key = (group, size, hcap, reduced)
-    got = _SEQ_POOL_CACHE.get(key)
-    if got is None:
-        if reduced:
-            got = tuple(v for v in _sub_multisets((hcap,) * group.order, size, hcap)
-                        if _is_canonical_translate(group, v))
-        else:
-            got = tuple(_sub_multisets((hcap,) * group.order, size, hcap))
-        _SEQ_POOL_CACHE[key] = got
-    return got
-
-
-def _pool_estimate(group: Group, size: int, reduced: bool) -> int:
-    raw = comb(group.order + size - 1, size)
-    return max(1, raw // group.order) if reduced else raw
+    """Multiplicity vectors of length-`size` sequences with every
+    multiplicity at most hcap, lex ascending; reduced keeps the least
+    translate of each orbit."""
+    pool = _sub_multisets((hcap,) * group.order, size, hcap)
+    if reduced:
+        return tuple(v for v in pool if _is_canonical_translate(group, v))
+    return tuple(pool)
 
 
 def _weight_lists(mod: int, size: int, *, zero_sum: int | None = None,
@@ -1288,7 +1266,7 @@ def _weight_lists(mod: int, size: int, *, zero_sum: int | None = None,
     return out
 
 
-def _domain_dict(dom: SweepDomain, sampled: bool) -> dict[str, Any]:
+def _domain_dict(dom: SweepDomain, sampled: bool, caps: SearchCaps) -> dict[str, Any]:
     return {
         "groups": [format_group(g) for g in dom.groups],
         "wlens": list(dom.wlens),
@@ -1298,7 +1276,7 @@ def _domain_dict(dom: SweepDomain, sampled: bool) -> dict[str, Any]:
         "set_size_max": dom.set_size_max,
         "reduce_translation": dom.reduce_translation,
         "max_instances": dom.max_instances,
-        "subgroup_cap": dom.subgroup_cap,
+        "subgroup_cap": caps.subgroups,
     }
 
 
@@ -1327,7 +1305,9 @@ class _SeqPlanner:
     multiplicities are at most k.  Translation reduction applies when
     translate is set and the weight total is 0 mod exp(G), so that
     translating S leaves every |W|-term weighted sum in place.  with_n puts
-    n = |W| on each instance.
+    n = |W| on each instance.  The plan's estimate is the exact instance
+    count: the pools are built at planning time, and the weight tuples of
+    one call share them.
     """
 
     weights: Callable[[Group, int], list[tuple[int, ...]]]
@@ -1339,6 +1319,13 @@ class _SeqPlanner:
     def __call__(self, dom: SweepDomain, caps: SearchCaps = DEFAULT_CAPS) -> SweepPlan:
         shards: list[tuple[str, Callable[[], list[Instance]]]] = []
         estimate = 0
+        shared: dict[tuple, tuple[tuple[int, ...], ...]] = {}
+
+        def pool(*spec) -> tuple[tuple[int, ...], ...]:
+            if spec not in shared:
+                shared[spec] = _seq_pool(*spec)
+            return shared[spec]
+
         for group in dom.groups:
             for wlen in dom.wlens:
                 base = self.slen(group, wlen, caps)
@@ -1348,9 +1335,9 @@ class _SeqPlanner:
                 for wtuple in self.weights(group, wlen):
                     reduced = (dom.reduce_translation and self.translate
                                and sum(wtuple) % group.exponent == 0)
-                    estimate += sum(_pool_estimate(group, size, reduced) for size in sizes)
-                    pools = [_seq_pool(group, size, wlen if self.cap_h else size, reduced)
+                    pools = [pool(group, size, wlen if self.cap_h else size, reduced)
                              for size in sizes]
+                    estimate += sum(map(len, pools))
                     key = f"{format_group(group)}|w={','.join(map(str, wtuple))}"
                     shards.append((key, partial(self._build, group, wtuple, pools)))
         return SweepPlan(shards, estimate)
@@ -1381,8 +1368,8 @@ def _plan_david(dom: SweepDomain, caps: SearchCaps = DEFAULT_CAPS) -> SweepPlan:
         for wlen in dom.wlens:
             sizes = range(wlen + d - 1, wlen + d + dom.slen_extra)
             wlists = _weight_lists(group.exponent, wlen)
-            estimate += len(wlists) * sum(
-                _pool_estimate(group, size, False) for size in sizes)
+            # bounds the count from above: the sequences of each size, unfiltered
+            estimate += len(wlists) * sum(comb(group.order + size - 1, size) for size in sizes)
             for wtuple in wlists:
                 key = f"{format_group(group)}|w={','.join(map(str, wtuple))}"
                 shards.append((key, partial(build, group, d, sizes, wtuple)))
@@ -1409,9 +1396,9 @@ def _plan_unweighted_sampled(slen_fn):
 
 def _plan_subgroup_instances(dom: SweepDomain, caps: SearchCaps = DEFAULT_CAPS) -> SweepPlan:
     return _per_group(
-        dom, lambda g: len(_subgroup_lattice(g, dom.subgroup_cap)),
+        dom, lambda g: len(all_subgroups(g, caps.subgroups)),
         lambda g: [Instance(g, extra={"subgroup": sub})
-                   for sub in _subgroup_lattice(g, dom.subgroup_cap)])
+                   for sub in all_subgroups(g, caps.subgroups)])
 
 
 def _plan_split(dom: SweepDomain, caps: SearchCaps = DEFAULT_CAPS) -> SweepPlan:
@@ -1681,7 +1668,7 @@ def sweep(sid: StatementId, dom: SweepDomain, threads: int = 1,
         flagged += shard_flagged
     return SweepReport(
         statement=sid,
-        domain=_domain_dict(dom, statement.sampled),
+        domain=_domain_dict(dom, statement.sampled, caps),
         counts=counts,
         failures=failures,
         flagged=flagged,
@@ -1707,7 +1694,7 @@ def to_jsonable(obj: Any) -> Any:
         return format_element(obj)
     if isinstance(obj, Subgroup):
         return {
-            "iso": format_group(Group(obj.iso_type)),
+            "iso": format_group(interned_group(obj.iso_type)),
             "elements": obj.indices(),
         }
     if isinstance(obj, GSet):

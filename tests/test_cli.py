@@ -107,6 +107,14 @@ def test_capped_checker_still_reports_and_exits_three(capsys):
     assert int(out.split("undecided: ")[1].split()[0]) > 0
 
 
+def test_subgroup_planner_over_its_cap_exits_three(capsys):
+    code, out, err = run(capsys, "sweep", "--statement", "PROP_DUAL", "--group", "c2xc2",
+                         "--cap-subgroups", "2")
+    assert code == 3
+    assert out == ""
+    assert err == "capped: more than 2 subgroups\n"
+
+
 def test_usage_errors_exit_two(capsys):
     code, _, err = run(capsys, "verify", "--statement", "NOPE", "--group", "c4")
     assert code == 2

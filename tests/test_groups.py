@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from zerosum import (
+    CapExceeded,
     EmptyFactors,
     FactorBelowTwo,
     Group,
@@ -153,6 +156,46 @@ def test_all_subgroups_counts(text, count):
     assert len(masks) == count
     orders = [s.order for s in subs]
     assert orders == sorted(orders)
+
+
+def test_equal_groups_are_one_object():
+    assert parse_group("c2xc4") is make_group((2, 4))
+    assert parse_group("C2xC4 ") is make_group([2, 4])
+    assert abelian_group_types(1, min_order=1)[0] is trivial_group()
+    for g in abelian_group_types(16):
+        assert g is make_group(g.invariant_factors)
+    g = parse_group("c2xc4")
+    for sub in all_subgroups(g):
+        q, proj = quotient(g, sub)
+        assert q is proj.quotient
+        assert q is (make_group(q.invariant_factors) if q.order > 1 else trivial_group())
+
+
+def test_lattice_is_kept_on_the_group_and_every_read_checks_its_cap():
+    g = Group((2, 2, 4))  # built directly, so nothing is kept on it yet
+    with pytest.raises(CapExceeded, match="^more than 5 subgroups$"):
+        all_subgroups(g, cap=5)
+    # running out of cap kept nothing, so a larger cap builds the lattice
+    lattice = all_subgroups(g, cap=100)
+    assert len(lattice) == 27
+    assert all_subgroups(g) is lattice
+    assert all(a is b for a, b in zip(all_subgroups(g, cap=27), lattice))
+    with pytest.raises(CapExceeded, match="^more than 5 subgroups$"):
+        all_subgroups(g, cap=5)
+    with pytest.raises(CapExceeded, match="^more than 26 subgroups$"):
+        all_subgroups(g, cap=26)
+
+
+def test_threads_racing_to_build_the_lattice_get_one_table():
+    g = Group((3, 3, 3))  # built directly, so nothing is kept on it yet
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            got = list(pool.map(lambda _: all_subgroups(g), range(8)))
+    finally:
+        sys.setswitchinterval(old)
+    assert all(lattice is all_subgroups(g) for lattice in got)
 
 
 def test_subgroup_iso_types_in_klein_vs_cyclic():

@@ -84,6 +84,15 @@ def test_cap_raises_group_too_large():
     assert v.status is Status.UNDECIDED_CAPPED
 
 
-def test_davenport_threads_agree():
+def test_davenport_cap_is_checked_before_the_stored_value():
     g = parse_group("c3xc3")
-    assert davenport(g) == davenport(g, threads=4)
+    message = "order 9 above Davenport cap 8"
+    with pytest.raises(GroupTooLarge, match=message):
+        davenport(g, cap=8)
+    assert davenport_report(g) is davenport_report(parse_group("c3xc3"))
+    assert davenport(g) == 5
+    with pytest.raises(GroupTooLarge, match=message):
+        davenport(g, cap=8)
+    with pytest.raises(GroupTooLarge, match=message):
+        davenport_report(g, cap=8)
+    assert davenport(g, cap=9) == 5

@@ -13,8 +13,8 @@ from hypothesis import given, settings, strategies as st
 
 from zerosum import (
     DEFAULT_CAPS,
+    CapExceeded,
     DomainTooLarge,
-    EmptySet,
     GroupTooLarge,
     GSequence,
     GSet,
@@ -52,7 +52,8 @@ from zerosum import (
     witness_search_setpartition,
 )
 from zerosum.groups import Group
-from zerosum.verify import STATEMENTS, _ap_difference_indices, _is_canonical_translate, _positional_wsum
+from zerosum.verify import (
+    STATEMENTS, _SeqPlanner, _ap_difference_indices, _is_canonical_translate)
 from zerosum.setsum import detect_ap
 
 from oracles import all_elements, brute_contained_subgroup, brute_subgroups, least_translate
@@ -88,16 +89,6 @@ def test_contained_subgroup_matches_brute_force_on_every_subset(text):
         else:
             assert got is not None, bits
             assert {elements[i] for i in got.indices()} == want, bits
-
-
-def test_positional_wsum_value_and_errors():
-    g = make_group((6,))
-    # 2*{1,2} + 1*{0,3} = {2,4} + {0,3}
-    assert _positional_wsum([(2, gset(g, [1, 2])), (1, gset(g, [0, 3]))]).indices() == [1, 2, 4, 5]
-    with pytest.raises(MissingField):
-        _positional_wsum([])
-    with pytest.raises(EmptySet):
-        _positional_wsum([(1, gset(g, [1])), (1, gset(g, []))])
 
 
 def test_coset_condition_detection():
@@ -690,6 +681,43 @@ def test_sweepable_statements_cover_all_but_the_certificate_checker():
     ids = sweepable_statements()
     assert StatementId.THM_SETPART_MAXK not in ids
     assert len(ids) == len(StatementId) - 1
+
+
+def test_subgroup_cap_reaches_the_stabilizer_and_the_planners():
+    g = parse_group("c2xc2")  # 5 subgroups
+    small = SearchCaps(subgroups=2)
+    report = sweep(StatementId.AP_STRUCT, SweepDomain(groups=(g,)), caps=small)
+    assert report.counts[Status.UNDECIDED_CAPPED.value] > 0
+    assert report.domain["subgroup_cap"] == 2
+    plan = STATEMENTS[StatementId.AP_STRUCT].planner(SweepDomain(groups=(g,)), small)
+    inst = plan.shards[0][1]()[0]
+    assert check_instance(StatementId.AP_STRUCT, inst, small).witness == {
+        "reason": "more than 2 subgroups"}
+    assert check_instance(StatementId.AP_STRUCT, inst).status is not Status.UNDECIDED_CAPPED
+    for sid in (StatementId.LEM_DSTAR_SUBADD, StatementId.PROP_DUAL, StatementId.PROP_ALIGN):
+        with pytest.raises(CapExceeded, match="^more than 2 subgroups$"):
+            STATEMENTS[sid].planner(SweepDomain(groups=(g,)), small)
+        assert sweep(sid, SweepDomain(groups=(g,)), caps=SearchCaps(subgroups=5)).examined == 5
+
+
+def _enumerated(plan) -> int:
+    return sum(len(factory()) for _, factory in plan.shards)
+
+
+def test_sequence_plan_estimates_are_exact():
+    rows = [sid for sid, st in STATEMENTS.items() if isinstance(st.planner, _SeqPlanner)]
+    assert len(rows) == 8
+    for sid in rows:
+        for text in ("c4", "c2xc2", "c5"):
+            for reduce_translation in (True, False):
+                dom = SweepDomain(groups=(parse_group(text),), wlens=(2, 3, 4),
+                                  reduce_translation=reduce_translation)
+                plan = STATEMENTS[sid].planner(dom, DEFAULT_CAPS)
+                assert plan.estimate == _enumerated(plan), (sid, text, reduce_translation)
+    # the former pool estimate gave 35,802 here, so max_instances=30000 refused it
+    dom = SweepDomain(groups=(parse_group("c8"),), wlens=(4,), max_instances=30_000)
+    plan = STATEMENTS[StatementId.THM_HAM_CHAR].planner(dom, DEFAULT_CAPS)
+    assert plan.estimate == _enumerated(plan) == 20_610
 
 
 def test_domain_too_large_guard():

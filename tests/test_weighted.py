@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from zerosum import (
     BadN,
     CapExceeded,
+    EmptySet,
     GSequence,
     LengthMismatch,
     abelian_group_types,
@@ -29,7 +30,7 @@ from zerosum import (
     w_dot,
     weight_seq,
 )
-from zerosum.weighted import _sums_by_n, _support
+from zerosum.weighted import _positional_wsum_bits, _sums_by_n, _support
 from oracles import naive_sigma_n, naive_sigma_range
 
 GROUPS = ["c2", "c3", "c4", "c5", "c6", "c2xc2", "c2xc4"]
@@ -336,3 +337,12 @@ def test_the_orientation_with_fewer_states_runs():
         _sums_by_n(g, w.residue_counts(), _support(s), 15, 15, side="weights")
     # sums of a distinct weights in 1..30 for every a <= 15 cover c64
     assert sigma_n(w, s, 15).bits == g.full_mask
+
+
+def test_positional_wsum_value_and_empty_block():
+    g = make_group((6,))
+    # 2*{1,2} + 1*{0,3} = {2,4} + {0,3}
+    bits = _positional_wsum_bits(g, [(2, gset(g, [1, 2]).bits), (1, gset(g, [0, 3]).bits)])
+    assert bits == gset(g, [1, 2, 4, 5]).bits
+    with pytest.raises(EmptySet):
+        _positional_wsum_bits(g, [(1, gset(g, [1]).bits), (1, 0)])
