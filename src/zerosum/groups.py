@@ -71,6 +71,23 @@ def _is_prime(n: int) -> bool:
     return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
 
 
+def _factorize(n: int) -> list[tuple[int, int]]:
+    """Prime factorization of n >= 1 as ascending (p, e) pairs; [] for 1."""
+    out = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            out.append((p, e))
+        p += 1
+    if n > 1:
+        out.append((n, 1))
+    return out
+
+
 @dataclass(frozen=True)
 class Group:
     """Finite abelian group C_n1 + ... + C_nr with n1 | n2 | ... | nr.
@@ -88,6 +105,8 @@ class Group:
     instance of the group shares them.  The tables a caller's cap bounds,
     the subgroup lattice (all_subgroups) and D(G) with its witness
     (invariants.davenport_report), are kept on it too, through stored().
+    So are its subgroups: subgroup(mask) returns one Subgroup per mask, and
+    every subgroup builder goes through it.
     """
 
     invariant_factors: tuple[int, ...]
@@ -136,6 +155,11 @@ class Group:
             # setdefault keeps the first build when sweep threads race
             tables.setdefault(name, build())
         return tables[name]
+
+    def subgroup(self, mask: int) -> "Subgroup":
+        """The one Subgroup object for a closed index mask (closure unchecked)."""
+        subs = self.stored("subgroups", dict)
+        return subs.get(mask) or subs.setdefault(mask, Subgroup(self, mask))
 
     # -- index arithmetic ---------------------------------------------------
 
@@ -314,8 +338,7 @@ class Group:
             if _is_prime(o):
                 covered |= self.cyclic_mask(idx)
                 found.append((o, idx))
-        return tuple(subgroup_generated(self, [self.element_from_index(idx)])
-                     for _, idx in sorted(found))
+        return tuple(self.subgroup(self.cyclic_mask(idx)) for _, idx in sorted(found))
 
 
 @dataclass(frozen=True)
@@ -429,25 +452,74 @@ def elt_order(group: Group, g: Element) -> int:
 
 @dataclass(frozen=True)
 class Subgroup:
-    """A subgroup, carried as a bitmask plus recovered structure.
+    """A subgroup H of `group`, which is its index bitmask `mask`.
 
-    iso_type is the subgroup's own invariant-factor chain (empty for the
-    trivial subgroup); generators is an irredundant generating list found
-    during construction.
+    Equality and hashing read the group and mask only.  Group.subgroup(mask)
+    keeps one object per mask, and every builder (subgroup_generated,
+    subgroup_from_elements, all_subgroups, prime_order_subgroups,
+    setsum.stabilizer) returns that object.  The structure is derived from
+    the mask on first use and cached on the object: iso_type (H's own
+    invariant-factor chain, () when trivial), generators (an irredundant
+    generating list, for display), quotient_type (G/H's chain) and
+    coset_reps (the least index of each coset).
     """
 
     group: Group
     mask: int
-    generators: tuple[Element, ...]
-    iso_type: tuple[int, ...]
 
     @cached_property
     def order(self) -> int:
         return self.mask.bit_count()
 
     @cached_property
+    def iso_type(self) -> tuple[int, ...]:
+        return _iso_type_of_mask(self.group, self.mask)
+
+    @cached_property
     def exponent(self) -> int:
         return self.iso_type[-1] if self.iso_type else 1
+
+    @cached_property
+    def generators(self) -> tuple[Element, ...]:
+        """The least nonzero index, then each index outside the span of the
+        earlier ones, less any that the others already span."""
+        gens = []
+        span = 1
+        for idx in iter_mask(self.mask):
+            if not (span >> idx) & 1:
+                gens.append(idx)
+                span = _extend_closure(self.group, span, idx)
+        for idx in list(gens):
+            rest = [g for g in gens if g != idx]
+            if _span(self.group, rest) == self.mask:
+                gens = rest
+        return tuple(self.group.element_from_index(i) for i in gens)
+
+    @cached_property
+    def coset_reps(self) -> tuple[int, ...]:
+        """The least index of each coset g + H, ascending."""
+        reps = []
+        seen = 0
+        for r in range(self.group.order):
+            if not (seen >> r) & 1:
+                seen |= self.group.translate_mask(self.mask, r)
+                reps.append(r)
+        return tuple(reps)
+
+    @cached_property
+    def quotient_type(self) -> tuple[int, ...]:
+        """Invariant factors of G/H from coset order statistics (no projection built)."""
+        group = self.group
+        _validate_subgroup(group, self)
+        counts: dict[int, int] = {}
+        for rep in self.coset_reps:
+            k = 1
+            acc = rep
+            while not (self.mask >> acc) & 1:
+                acc = group.index_add(acc, rep)
+                k += 1
+            counts[k] = counts.get(k, 0) + 1
+        return _iso_type_from_orders(counts, len(self.coset_reps))
 
     def contains_index(self, idx: int) -> bool:
         return bool((self.mask >> idx) & 1)
@@ -483,19 +555,6 @@ class Subgroup:
         return f"<{gens}>@{format_group(self.group)}"
 
 
-def _closure_mask(group: Group, gen_indices) -> int:
-    mask = 1
-    frontier = [0]
-    while frontier:
-        x = frontier.pop()
-        for g in gen_indices:
-            y = group.index_add(x, g)
-            if not (mask >> y) & 1:
-                mask |= 1 << y
-                frontier.append(y)
-    return mask
-
-
 def _extend_closure(group: Group, submask: int, gidx: int) -> int:
     # union of cosets submask + k*g until it wraps
     mask = submask
@@ -503,6 +562,14 @@ def _extend_closure(group: Group, submask: int, gidx: int) -> int:
     while not (mask >> x) & 1:
         mask |= group.translate_mask(submask, x)
         x = group.index_add(x, gidx)
+    return mask
+
+
+def _span(group: Group, indices) -> int:
+    """Mask of the subgroup generated by element indices in [0, |G|)."""
+    mask = 1
+    for idx in indices:
+        mask = _extend_closure(group, mask, idx)
     return mask
 
 
@@ -515,17 +582,7 @@ def _iso_type_from_orders(order_counts: dict[int, int], size: int) -> tuple[int,
     """
     if size == 1:
         return ()
-    primes = []
-    n = size
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            primes.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        primes.append(n)
+    primes = [p for p, _ in _factorize(size)]
 
     per_prime: list[list[int]] = []
     for p in primes:
@@ -577,50 +634,30 @@ def _iso_type_of_mask(group: Group, mask: int) -> tuple[int, ...]:
     return _iso_type_from_orders(counts, mask.bit_count())
 
 
-def _irredundant_gens(group: Group, mask: int, gen_indices: list[int]) -> tuple[int, ...]:
-    gens = list(gen_indices)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(gens)):
-            trial = gens[:i] + gens[i + 1 :]
-            if _closure_mask(group, trial) == mask:
-                gens = trial
-                changed = True
-                break
-    return tuple(gens)
-
-
-def _subgroup(group: Group, mask: int, gen_indices: list[int]) -> Subgroup:
-    gens = _irredundant_gens(group, mask, gen_indices)
-    return Subgroup(
-        group=group,
-        mask=mask,
-        generators=tuple(group.element_from_index(i) for i in gens),
-        iso_type=_iso_type_of_mask(group, mask),
-    )
+def _index_in(group: Group, g) -> int:
+    """The index of an element of `group`, or of an integer index: reduced
+    mod |G| on a cyclic group, else required to lie in [0, |G|)."""
+    if isinstance(g, Element):
+        if g.group != group:
+            raise GroupMismatch("element from another group")
+        return g.index
+    if group.rank == 1:
+        return int(g) % group.order
+    if 0 <= int(g) < group.order:
+        return int(g)
+    raise GroupMismatch(f"index {g} outside the group's index space")
 
 
 def subgroup_generated(group: Group, gens) -> Subgroup:
-    """Subgroup generated by a list of elements (empty list gives the trivial subgroup)."""
-    idxs = []
-    for g in gens:
-        if isinstance(g, Element):
-            if g.group != group:
-                raise GroupMismatch("generator from another group")
-            idxs.append(g.index)
-        else:
-            idxs.append(int(g) % group.order if group.rank == 1 else int(g))
-    mask = _closure_mask(group, idxs)
-    return _subgroup(group, mask, idxs)
+    """Subgroup generated by elements or indices (empty list gives the trivial subgroup)."""
+    return group.subgroup(_span(group, [_index_in(group, g) for g in gens]))
 
 
 def subgroup_from_elements(group: Group, elements) -> Subgroup:
-    """Wrap an explicit element set, verifying closure."""
+    """Wrap an explicit set of elements or indices, verifying closure."""
     mask = 0
     for g in elements:
-        idx = g.index if isinstance(g, Element) else int(g)
-        mask |= 1 << idx
+        mask |= 1 << _index_in(group, g)
     if not mask & 1:
         raise NotASubgroup("subgroup must contain the identity")
     idxs = mask_to_indices(mask)
@@ -628,21 +665,14 @@ def subgroup_from_elements(group: Group, elements) -> Subgroup:
         for b in idxs:
             if not (mask >> group.index_add(a, b)) & 1:
                 raise NotASubgroup("element set not closed under addition")
-    gens: list[int] = []
-    cur = 1
-    for idx in idxs:
-        if not (cur >> idx) & 1:
-            gens.append(idx)
-            cur = _extend_closure(group, cur, idx)
-    return _subgroup(group, mask, gens)
+    return group.subgroup(mask)
 
 
 def _build_lattice(group: Group, cap: int) -> tuple[Subgroup, ...]:
-    seen: dict[int, list[int]] = {1: []}
+    seen = {1}
     queue = [1]
     while queue:
         mask = queue.pop(0)
-        gens = seen[mask]
         for g in range(1, group.order):
             if (mask >> g) & 1:
                 continue
@@ -650,10 +680,10 @@ def _build_lattice(group: Group, cap: int) -> tuple[Subgroup, ...]:
             if bigger not in seen:
                 if len(seen) >= cap:
                     raise CapExceeded(f"more than {cap} subgroups")
-                seen[bigger] = gens + [g]
+                seen.add(bigger)
                 queue.append(bigger)
     masks = sorted(seen, key=lambda m: (m.bit_count(), mask_to_indices(m)))
-    return tuple(_subgroup(group, m, seen[m]) for m in masks)
+    return tuple(group.subgroup(m) for m in masks)
 
 
 def all_subgroups(group: Group, cap: int = SUBGROUP_CAP) -> tuple[Subgroup, ...]:
@@ -695,19 +725,6 @@ class QuotientMap:
 
     def kernel_mask(self) -> int:
         return self.subgroup.mask
-
-
-def _coset_ids(group: Group, submask: int) -> tuple[list[int], list[int]]:
-    """Assign coset ids in order of first appearance; returns (cosid per index, rep per id)."""
-    cosid = [-1] * group.order
-    reps = []
-    for g in range(group.order):
-        if cosid[g] == -1:
-            cid = len(reps)
-            reps.append(g)
-            for m in iter_mask(group.translate_mask(submask, g)):
-                cosid[m] = cid
-    return cosid, reps
 
 
 def _abelian_basis(q: int, add) -> list[tuple[int, int]]:
@@ -779,17 +796,20 @@ def _abelian_basis(q: int, add) -> list[tuple[int, int]]:
 def _validate_subgroup(group: Group, sub: Subgroup) -> None:
     if sub.group != group:
         raise GroupMismatch("subgroup of a different group")
-    if not sub.mask & 1:
-        raise NotASubgroup("subgroup lacks the identity")
-    regen = _closure_mask(group, [g.index for g in sub.generators])
-    if regen != sub.mask:
+    if not sub.mask & 1 or sub.mask >> group.order:
+        raise NotASubgroup("subgroup lacks the identity or leaves the index space")
+    if _span(group, (g.index for g in sub.generators)) != sub.mask:
         raise NotASubgroup("stored mask is not the closure of its generators")
 
 
 def quotient(group: Group, sub: Subgroup) -> tuple[Group, QuotientMap]:
     """Quotient G/H as a concrete group plus the projection map."""
     _validate_subgroup(group, sub)
-    cosid, reps = _coset_ids(group, sub.mask)
+    reps = sub.coset_reps
+    cosid = [-1] * group.order
+    for cid, rep in enumerate(reps):
+        for m in iter_mask(group.translate_mask(sub.mask, rep)):
+            cosid[m] = cid
     q = len(reps)
 
     def qadd(a: int, b: int) -> int:
@@ -814,22 +834,10 @@ def quotient(group: Group, sub: Subgroup) -> tuple[Group, QuotientMap]:
 
 
 def quotient_iso_type(group: Group, sub: Subgroup) -> tuple[int, ...]:
-    """Invariant factors of G/H from coset order statistics (no projection built)."""
-    _validate_subgroup(group, sub)
-    seen = 0
-    counts: dict[int, int] = {}
-    q = group.order // sub.order
-    for g in range(group.order):
-        if (seen >> g) & 1:
-            continue
-        seen |= group.translate_mask(sub.mask, g)
-        k = 1
-        acc = g
-        while not (sub.mask >> acc) & 1:
-            acc = group.index_add(acc, g)
-            k += 1
-        counts[k] = counts.get(k, 0) + 1
-    return _iso_type_from_orders(counts, q)
+    """Invariant factors of G/H, read from the subgroup's quotient_type."""
+    if sub.group != group:
+        raise GroupMismatch("subgroup of a different group")
+    return sub.quotient_type
 
 
 # -- isomorphism type enumeration ------------------------------------------------
@@ -856,22 +864,8 @@ def abelian_group_types(max_order: int, min_order: int = 2) -> list[Group]:
         if n == 1:
             out.append(trivial_group())
             continue
-        m = n
-        prime_exps = []
-        d = 2
-        while d * d <= m:
-            if m % d == 0:
-                e = 0
-                while m % d == 0:
-                    m //= d
-                    e += 1
-                prime_exps.append((d, e))
-            d += 1
-        if m > 1:
-            prime_exps.append((m, 1))
-
         combos: list[list[tuple[int, tuple[int, ...]]]] = [[]]
-        for p, e in prime_exps:
+        for p, e in _factorize(n):
             combos = [c + [(p, part)] for c in combos for part in _partitions_desc(e)]
         for combo in combos:
             t = max(len(part) for _, part in combo)

@@ -16,11 +16,11 @@ from .groups import (
     Element,
     Group,
     Subgroup,
-    _subgroup,
+    _index_in,
     all_subgroups,
     format_element,
-    iter_mask,
     mask_to_indices,
+    parse_element,
     quotient,
 )
 
@@ -90,18 +90,9 @@ class GSet:
 
 def gset(group: Group, elements) -> GSet:
     """Build a GSet from elements, indices, or literal strings."""
-    from .groups import parse_element
-
     bits = 0
     for g in elements:
-        if isinstance(g, Element):
-            if g.group != group:
-                raise GroupMismatch("element from another group")
-            bits |= 1 << g.index
-        elif isinstance(g, str):
-            bits |= 1 << parse_element(group, g).index
-        else:
-            bits |= 1 << (int(g) % group.order if group.rank == 1 else int(g))
+        bits |= 1 << _index_in(group, parse_element(group, g) if isinstance(g, str) else g)
     return GSet(group, bits)
 
 
@@ -148,18 +139,6 @@ class StabilizerReport:
     a1: GSet | None
 
 
-def _subgroup_from_mask(group: Group, mask: int) -> Subgroup:
-    gens: list[int] = []
-    cur = 1
-    from .groups import _extend_closure
-
-    for idx in iter_mask(mask):
-        if not (cur >> idx) & 1:
-            gens.append(idx)
-            cur = _extend_closure(group, cur, idx)
-    return _subgroup(group, mask, gens)
-
-
 def _quasi_split(group: Group, bits: int, submask: int) -> tuple[int, int] | None:
     """Split bits into (full H-cosets, remainder in one H-coset), or None."""
     full = 0
@@ -197,7 +176,7 @@ def stabilizer(a: GSet, cap: int = SUBGROUP_CAP) -> StabilizerReport:
     for g in range(group.order):
         if group.translate_mask(a.bits, g) == a.bits:
             mask |= 1 << g
-    stab = _subgroup_from_mask(group, mask)
+    stab = group.subgroup(mask)
     periodic = stab.order > 1
 
     quasi = None

@@ -43,12 +43,12 @@ from .groups import (
     Element,
     Group,
     Subgroup,
+    _factorize,
     _is_prime,
     all_subgroups,
     format_element,
     format_group,
     interned_group,
-    quotient_iso_type,
     subgroup_generated,
 )
 from .invariants import davenport, dstar, dstar_of_factors, ell
@@ -216,25 +216,12 @@ def coset_condition(seq: GSequence, cap: int = SUBGROUP_CAP) -> tuple[int, Subgr
         allowed = group.order // sub.order - 2
         if allowed < 0:
             continue
-        for rep in _coset_reps(group, sub.mask):
+        for rep in sub.coset_reps:
             coset = group.translate_mask(sub.mask, rep)
             outside = sum(m for i, m in enumerate(seq.mult) if not (coset >> i) & 1)
             if outside <= allowed:
                 return rep, sub
     return None
-
-
-def _coset_reps(group: Group, submask: int) -> list[int]:
-    """Minimum-index representative of each coset of the subgroup mask."""
-    reps = []
-    seen = 0
-    for r in range(group.order):
-        if (seen >> r) & 1:
-            continue
-        coset = group.translate_mask(submask, r)
-        seen |= coset
-        reps.append(r)
-    return reps
 
 
 def _distinct_perms(items: tuple[int, ...], cap: int, length: int):
@@ -304,19 +291,6 @@ def _is_canonical_translate(group: Group, mult: tuple[int, ...]) -> bool:
 
 def _nonunit_count(raw: tuple[int, ...], modulus: int) -> int:
     return sum(1 for w in raw if gcd(w, modulus) != 1)
-
-
-def _prime_valuations(n: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    p = 2
-    while p * p <= n:
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-        p += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -632,7 +606,7 @@ def _check_dstar_subadd(inst: Instance, caps: SearchCaps) -> Verdict:
     _need(inst, extra=("subgroup",))
     group = inst.group
     sub: Subgroup = inst.extra["subgroup"]
-    lhs = dstar_of_factors(sub.iso_type) + dstar_of_factors(quotient_iso_type(group, sub))
+    lhs = dstar_of_factors(sub.iso_type) + dstar_of_factors(sub.quotient_type)
     rhs = dstar(group)
     if lhs <= rhs:
         return Verdict(Status.HOLDS, {"lhs": lhs, "rhs": rhs})
@@ -649,7 +623,7 @@ def _check_split(inst: Instance, caps: SearchCaps) -> Verdict:
     if not a.contains_index(a0):
         return _hyp_fail("base point must lie in the set")
     shifted = [group.index_add(i, group.index_neg(a0)) for i in a.indices()]
-    sub = subgroup_generated(group, [group.element_from_index(i) for i in shifted])
+    sub = subgroup_generated(group, shifted)
     d = sub.dstar()
     if w.length != d:
         return _hyp_fail("needs exactly d*(H) weights for H generated by the shifted set")
@@ -672,10 +646,8 @@ def _check_dual(inst: Instance, caps: SearchCaps) -> Verdict:
         lattice = all_subgroups(group, cap=caps.subgroups)
     except CapExceeded:
         return _capped("subgroup lattice above cap")
-    want_k = quotient_iso_type(group, sub)
-    want_q = sub.iso_type
     for cand in lattice:
-        if cand.iso_type == want_k and quotient_iso_type(group, cand) == want_q:
+        if cand.iso_type == sub.quotient_type and cand.quotient_type == sub.iso_type:
             return Verdict(Status.HOLDS, {"partner": cand})
     return Verdict(Status.FAILS, {"subgroup": sub})
 
@@ -686,12 +658,11 @@ def check_self_duality(group: Group, caps: SearchCaps = DEFAULT_CAPS) -> Verdict
         lattice = all_subgroups(group, cap=caps.subgroups)
     except CapExceeded:
         return _capped("subgroup lattice above cap")
-    typed = [(sub, sub.iso_type, quotient_iso_type(group, sub)) for sub in lattice]
-    for sub, own, quo in typed:
-        ok = any(c_own == quo and c_quo == own for _, c_own, c_quo in typed)
-        if not ok:
+    for sub in lattice:
+        if not any(c.iso_type == sub.quotient_type and c.quotient_type == sub.iso_type
+                   for c in lattice):
             return Verdict(Status.FAILS, {"subgroup": sub})
-    return Verdict(Status.HOLDS, {"subgroups": len(typed)})
+    return Verdict(Status.HOLDS, {"subgroups": len(lattice)})
 
 
 def _check_align(inst: Instance, caps: SearchCaps) -> Verdict:
@@ -706,7 +677,7 @@ def _check_align(inst: Instance, caps: SearchCaps) -> Verdict:
     # per-prime refinement: aligned valuations never exceed the ambient ones,
     # and an equal factor pins every prime's valuation
     for i, (a, b) in enumerate(zip(padded, ambient)):
-        va, vb = _prime_valuations(a), _prime_valuations(b)
+        va, vb = dict(_factorize(a)), dict(_factorize(b))
         for p, k in va.items():
             if k > vb.get(p, 0):
                 return Verdict(Status.FAILS, {"subgroup": sub, "prime": p, "position": i})
@@ -934,18 +905,17 @@ def _check_aligned_conclusion(inst: Instance, sub: Subgroup,
     one fixed proper nontrivial subgroup.  None means nothing found."""
     group, s, n = inst.group, inst.seq, inst.n
     d_h = sub.dstar()
-    d_q = dstar_of_factors(quotient_iso_type(group, sub))
+    d_q = dstar_of_factors(sub.quotient_type)
     tail_need = max(0, n - d_h - d_q)
     allowed_out = group.order // sub.order - 2
     if allowed_out < 0:
         return None
-    reps = _coset_reps(group, sub.mask)
 
     def cosets(mult2: tuple[int, ...], part: Setpartition):
         """(rep, terms outside, blocks inside) for each coset g+H that
         holds every dropped term, meets every block, leaves at most
         |G/H| - 2 terms of S outside and wholly holds enough blocks."""
-        for rep in reps:
+        for rep in sub.coset_reps:
             coset = group.translate_mask(sub.mask, rep)
             if any(a > b and not (coset >> i) & 1
                    for i, (a, b) in enumerate(zip(s.mult, mult2))):
@@ -1087,7 +1057,7 @@ def _larger_certificate_exists(inst: Instance, sub: Subgroup, budget: Budget) ->
         if d > n:
             continue
         need_left = n - d + x
-        for rep in _coset_reps(group, cand.mask):
+        for rep in cand.coset_reps:
             coset = group.translate_mask(cand.mask, rep)
             in_coset = tuple(m if (coset >> i) & 1 else 0 for i, m in enumerate(s.mult))
             total_in = sum(in_coset)
@@ -1422,8 +1392,7 @@ def _plan_split(dom: SweepDomain, caps: SearchCaps = DEFAULT_CAPS) -> SweepPlan:
                 continue
             for rest in combinations(range(1, group.order), k - 1):
                 indices = (0,) + rest
-                sub = subgroup_generated(
-                    group, [group.element_from_index(i) for i in indices])
+                sub = subgroup_generated(group, indices)
                 d = sub.dstar()
                 units = [u for u in range(1, sub.exponent + 1)
                          if gcd(u, sub.exponent) == 1]

@@ -111,6 +111,21 @@ def brute_subgroups(factors):
     return out
 
 
+def span(factors, gens):
+    """The subgroup generated by coordinate tuples, as a set: {0} closed under
+    adding each generator."""
+    out = {tuple(0 for _ in factors)}
+    frontier = list(out)
+    while frontier:
+        x = frontier.pop()
+        for g in gens:
+            y = coord_add(factors, x, g)
+            if y not in out:
+                out.add(y)
+                frontier.append(y)
+    return out
+
+
 def brute_contained_subgroup(factors, subgroups, members):
     """Smallest nontrivial subgroup inside the element set `members`, ties broken
     by the least index of a nonzero element; None when no nontrivial one fits.

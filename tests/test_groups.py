@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from itertools import product
 
@@ -15,24 +16,28 @@ from zerosum import (
     EmptyFactors,
     FactorBelowTwo,
     Group,
+    GroupMismatch,
     NonDivisibleChain,
     NotASubgroup,
     ParseError,
+    Subgroup,
     abelian_group_types,
     all_subgroups,
     elt_order,
     format_element,
     format_group,
+    gset,
     make_group,
     parse_element,
     parse_group,
     quotient,
     quotient_iso_type,
+    stabilizer,
     subgroup_from_elements,
     subgroup_generated,
     trivial_group,
 )
-from oracles import coord_add, coord_scalar
+from oracles import coord_add, coord_scalar, span
 
 SMALL_FACTOR_LISTS = [(2,), (3,), (4,), (5,), (6,), (12,), (2, 2), (2, 4), (3, 3), (2, 2, 2), (2, 6)]
 
@@ -196,6 +201,93 @@ def test_threads_racing_to_build_the_lattice_get_one_table():
     finally:
         sys.setswitchinterval(old)
     assert all(lattice is all_subgroups(g) for lattice in got)
+
+
+def test_threads_racing_to_build_one_subgroup_get_one_object():
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(30):  # one race loses about one time in three without setdefault
+            g = Group((3, 3, 3))  # built directly, so nothing is kept on it yet
+            start = threading.Barrier(8)
+
+            def build(_):
+                start.wait()
+                return [subgroup_generated(g, [i]) for i in range(g.order)]
+
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                got = list(pool.map(build, range(8)))
+            assert all(a is b for subs in got for a, b in zip(subs, got[0]))
+    finally:
+        sys.setswitchinterval(old)
+    assert got[0][1] is subgroup_generated(g, [2])
+
+
+def test_subgroups_are_one_object_per_mask():
+    for text in ("c6", "c2xc2", "c2xc4", "c3xc3", "c2xc2xc2"):
+        g = Group(parse_group(text).invariant_factors)  # nothing kept on it yet
+        early = subgroup_generated(g, [g.order - 1])  # built before the lattice
+        lattice = {sub.mask: sub for sub in all_subgroups(g)}
+        assert lattice[early.mask] is early
+        for sub in lattice.values():
+            assert subgroup_generated(g, sub.generators) is sub
+            assert subgroup_from_elements(g, sub.indices()) is sub
+            assert stabilizer(gset(g, sub.indices())).stabilizer is sub
+        for sub in g.prime_order_subgroups:
+            assert lattice[sub.mask] is sub
+
+
+def test_subgroup_equality_follows_the_mask():
+    klein = parse_group("c2xc2")
+    a, b = subgroup_generated(klein, [1, 2]), subgroup_generated(klein, [2, 3])
+    assert a == b and len({a, b}) == 1 and a.order == 4
+    c6 = parse_group("c6")
+    assert subgroup_generated(c6, [2, 3]) == subgroup_generated(c6, [1])
+    assert subgroup_generated(c6, [2]) != subgroup_generated(c6, [3])
+
+
+def test_builders_reject_indices_outside_the_group():
+    klein = parse_group("c2xc2")
+    for bad in (4, 7, -1):
+        for build in (subgroup_generated, subgroup_from_elements, gset):
+            with pytest.raises(GroupMismatch):
+                build(klein, [0, bad])
+    with pytest.raises(GroupMismatch):
+        subgroup_from_elements(klein, [parse_group("c4").zero])
+    # integers on a cyclic group stay reduced mod |G|
+    c6 = parse_group("c6")
+    assert subgroup_generated(c6, [7]) is subgroup_generated(c6, [1])
+    assert subgroup_generated(c6, [-2]) is subgroup_generated(c6, [4])
+
+
+def test_generators_span_the_mask_irredundantly():
+    for g in abelian_group_types(24):
+        for sub in all_subgroups(g):
+            members = {g.element_from_index(i).coords for i in sub.indices()}
+            gens = [e.coords for e in sub.generators]
+            assert span(g.invariant_factors, gens) == members
+            for i in range(len(gens)):
+                assert span(g.invariant_factors, gens[:i] + gens[i + 1:]) < members
+
+
+def test_quotient_type_matches_the_built_quotient():
+    seen = 0
+    for g in abelian_group_types(24):
+        for sub in all_subgroups(g):
+            q, _ = quotient(g, sub)
+            assert quotient_iso_type(g, sub) == sub.quotient_type == q.invariant_factors
+            seen += 1
+    assert seen == 318
+
+
+def test_quotient_checks_the_subgroup():
+    c4 = parse_group("c4")
+    not_closed = Subgroup(c4, 0b11)
+    for read in (quotient, quotient_iso_type):
+        with pytest.raises(NotASubgroup):
+            read(c4, not_closed)
+        with pytest.raises(GroupMismatch):
+            read(c4, subgroup_generated(parse_group("c2xc2"), [1]))
 
 
 def test_subgroup_iso_types_in_klein_vs_cyclic():
