@@ -26,7 +26,7 @@ from .groups import (
     parse_group,
     subgroup_generated,
 )
-from .invariants import davenport_report, dstar, check_davenport_bounds
+from .invariants import check_davenport_bounds, invariant_report
 from .sequences import balanced_setpartition, format_sequence, has_setpartition, parse_sequence
 from .setsum import GSet, detect_ap, gset, iterated_sumset, stabilizer
 from .verdict import Status
@@ -129,10 +129,8 @@ def _exit_for(status: Status) -> int:
 
 def _cmd_group_info(args: argparse.Namespace) -> int:
     group = parse_group(args.group)
-    try:
-        d = davenport_report(group, cap=args.cap_davenport)[0]
-    except GroupTooLarge:
-        d = None
+    inv = invariant_report(group, cap=args.cap_davenport)
+    d = inv.davenport
     try:
         subs = all_subgroups(group, cap=args.cap_subgroups)
     except (GroupTooLarge, CapExceeded):
@@ -147,9 +145,9 @@ def _cmd_group_info(args: argparse.Namespace) -> int:
         "exponent": group.exponent,
         "rank": group.rank,
         "invariant_factors": list(group.invariant_factors),
-        "dstar": dstar(group),
+        "dstar": inv.dstar,
         "davenport": d,
-        "ell": None if d is None else group.order + d - 1,
+        "ell": inv.ell,
         "subgroup_count": None if subs is None else len(subs),
         "subgroups_by_order": {str(k): v for k, v in sorted(by_order.items())},
     }
@@ -273,28 +271,24 @@ def _cmd_setpartition(args: argparse.Namespace) -> int:
 def _cmd_invariants(args: argparse.Namespace) -> int:
     group = parse_group(args.group)
     verdict = check_davenport_bounds(group, cap=args.cap_davenport)
-    ds = dstar(group)
-    try:
-        d, witness = davenport_report(group, cap=args.cap_davenport)
-    except GroupTooLarge:
-        d, witness = None, None
+    inv = invariant_report(group, cap=args.cap_davenport)
     doc = {
         "group": format_group(group),
-        "dstar": ds,
-        "davenport": d,
-        "ell": None if d is None else group.order + d - 1,
-        "zero_sum_free_witness": witness,
+        "dstar": inv.dstar,
+        "davenport": inv.davenport,
+        "ell": inv.ell,
+        "zero_sum_free_witness": inv.witness_zsf,
         "bounds": verdict_to_dict(verdict),
     }
     if args.json is not None:
         _emit(_dump(doc), args.json)
         return _exit_for(verdict.status)
     print(f"group: {doc['group']}")
-    print(f"d*: {ds}")
-    print(f"davenport: {'above cap' if d is None else d}")
-    print(f"ell: {'above cap' if d is None else doc['ell']}")
-    if witness is not None:
-        print(f"zero-sum-free witness: {format_sequence(witness)}")
+    print(f"d*: {inv.dstar}")
+    print(f"davenport: {'above cap' if inv.davenport is None else inv.davenport}")
+    print(f"ell: {'above cap' if inv.ell is None else inv.ell}")
+    if inv.witness_zsf is not None:
+        print(f"zero-sum-free witness: {format_sequence(inv.witness_zsf)}")
     print(f"bounds d*+1 <= D <= |G|: {verdict.status.value}")
     return _exit_for(verdict.status)
 

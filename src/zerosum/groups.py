@@ -310,15 +310,6 @@ class Group:
             out |= self.translate_mask(a, idx)
         return out
 
-    def cyclic_mask(self, gidx: int) -> int:
-        """Bitmask of the cyclic subgroup generated by one index."""
-        mask = 1
-        x = gidx
-        while not (mask >> x) & 1:
-            mask |= 1 << x
-            x = self.index_add(x, gidx)
-        return mask
-
     @cached_property
     def prime_order_subgroups(self) -> tuple["Subgroup", ...]:
         """Every subgroup of prime order, sorted by (order, least generator index).
@@ -336,9 +327,10 @@ class Group:
                 continue
             o = self.index_order(idx)
             if _is_prime(o):
-                covered |= self.cyclic_mask(idx)
-                found.append((o, idx))
-        return tuple(self.subgroup(self.cyclic_mask(idx)) for _, idx in sorted(found))
+                mask = _span(self, [idx])
+                covered |= mask
+                found.append((o, idx, mask))
+        return tuple(self.subgroup(mask) for _, _, mask in sorted(found))
 
 
 @dataclass(frozen=True)
@@ -573,6 +565,16 @@ def _span(group: Group, indices) -> int:
     return mask
 
 
+def _chain(prime_exps) -> tuple[int, ...]:
+    """The invariant factors n1 | ... | nr, ascending, of the group whose
+    p-part is C_{p^e1} + C_{p^e2} + ... for each (p, (e1 >= e2 >= ...)):
+    the largest exponents of every prime multiply into nr, and so on down."""
+    prime_exps = list(prime_exps)
+    r = max(len(exps) for _, exps in prime_exps)
+    return tuple(prod(p ** exps[pos] for p, exps in prime_exps if pos < len(exps))
+                 for pos in reversed(range(r)))
+
+
 def _iso_type_from_orders(order_counts: dict[int, int], size: int) -> tuple[int, ...]:
     """Invariant factors of an abelian group from its multiset of element orders.
 
@@ -609,15 +611,7 @@ def _iso_type_from_orders(order_counts: dict[int, int], size: int) -> tuple[int,
             j += 1
         per_prime.append(sorted(exps, reverse=True))
 
-    t = max(len(e) for e in per_prime)
-    factors_desc = []
-    for pos in range(t):
-        f = 1
-        for p, exps in zip(primes, per_prime):
-            if pos < len(exps):
-                f *= p ** exps[pos]
-        factors_desc.append(f)
-    factors = tuple(reversed(factors_desc))
+    factors = _chain(zip(primes, per_prime))
     if prod(factors) != size:
         raise NotASubgroup("order statistics inconsistent with subgroup size")
     for a, b in zip(factors, factors[1:]):
@@ -867,15 +861,6 @@ def abelian_group_types(max_order: int, min_order: int = 2) -> list[Group]:
         combos: list[list[tuple[int, tuple[int, ...]]]] = [[]]
         for p, e in _factorize(n):
             combos = [c + [(p, part)] for c in combos for part in _partitions_desc(e)]
-        for combo in combos:
-            t = max(len(part) for _, part in combo)
-            factors_desc = []
-            for pos in range(t):
-                f = 1
-                for p, part in combo:
-                    if pos < len(part):
-                        f *= p ** part[pos]
-                factors_desc.append(f)
-            out.append(interned_group(tuple(reversed(factors_desc))))
+        out += [interned_group(_chain(combo)) for combo in combos]
     out.sort(key=lambda g: (g.order, g.invariant_factors))
     return out

@@ -102,6 +102,8 @@ class InvariantReport:
 
 
 def invariant_report(group: Group, cap: int = DAVENPORT_CAP) -> InvariantReport:
+    """d*(G), and D(G), ell and the zero-sum-free witness, which are None
+    when |G| is above cap."""
     ds = dstar(group)
     try:
         d, witness = davenport_report(group, cap=cap)
@@ -112,14 +114,13 @@ def invariant_report(group: Group, cap: int = DAVENPORT_CAP) -> InvariantReport:
 
 def check_davenport_bounds(group: Group, cap: int = DAVENPORT_CAP) -> Verdict:
     """d*(G) + 1 <= D(G) <= |G|, with the computed value as witness."""
-    try:
-        d, witness = davenport_report(group, cap=cap)
-    except GroupTooLarge:
+    rep = invariant_report(group, cap=cap)
+    d = rep.davenport
+    if d is None:
         return Verdict(Status.UNDECIDED_CAPPED, {"reason": f"order {group.order} above cap {cap}"})
-    lo = dstar(group) + 1
+    lo = rep.dstar + 1
     hi = group.order
-    ok = lo <= d <= hi
     return Verdict(
-        Status.HOLDS if ok else Status.FAILS,
-        {"davenport": d, "lower": lo, "upper": hi, "witness_zsf": witness},
+        Status.HOLDS if lo <= d <= hi else Status.FAILS,
+        {"davenport": d, "lower": lo, "upper": hi, "witness_zsf": rep.witness_zsf},
     )

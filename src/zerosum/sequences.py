@@ -12,7 +12,15 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import BadN, GroupMismatch, NoSetpartition, ParseError
-from .groups import Element, Group, format_element, parse_element
+from .groups import (
+    Element,
+    Group,
+    _index_in,
+    format_element,
+    iter_mask,
+    mask_to_indices,
+    parse_element,
+)
 from .setsum import GSet
 
 __all__ = [
@@ -98,22 +106,15 @@ def sequence(group: Group, items) -> GSequence:
             g, m = item
         else:
             g, m = item, 1
-        if isinstance(g, Element):
-            if g.group != group:
-                raise GroupMismatch("element from another group")
-            idx = g.index
-        elif isinstance(g, str):
-            idx = parse_element(group, g).index
-        else:
-            idx = int(g) % group.order if group.rank == 1 else int(g)
-        mult[idx] += m
+        mult[_index_in(group, parse_element(group, g) if isinstance(g, str) else g)] += m
     return GSequence(group, tuple(mult))
 
 
 def seq_from_indices(group: Group, indices) -> GSequence:
+    """One term per index; indices are checked as sequence() checks them."""
     mult = [0] * group.order
     for i in indices:
-        mult[i] += 1
+        mult[_index_in(group, i)] += 1
     return GSequence(group, tuple(mult))
 
 
@@ -139,23 +140,31 @@ def _split_top_level(text: str) -> list[str]:
     return parts
 
 
+def _literal_terms(parts, kind: str, text: str):
+    """Yield (term, value text, multiplicity) for each ``x`` or ``x^m`` term
+    of a literal already split into parts; kind names the literal in errors.
+    Lazy, so each term's errors come before the next term is read."""
+    for part in parts:
+        part = part.strip()
+        if not part:
+            raise ParseError(f"empty term in {kind} literal {text!r}")
+        value, caret, m = part.rpartition("^")
+        if not caret:
+            yield part, part, 1
+            continue
+        try:
+            m = int(m)
+        except ValueError as exc:
+            raise ParseError(f"bad multiplicity in {part!r}") from exc
+        if m < 0:
+            raise ParseError(f"negative multiplicity in {part!r}")
+        yield part, value, m
+
+
 def parse_sequence(group: Group, text: str) -> GSequence:
     """Parse ``0^3,1^3,2^3`` (or ``(0,1)^2,...`` for rank >= 2) into a sequence."""
     mult = [0] * group.order
-    for part in _split_top_level(text.strip()):
-        part = part.strip()
-        if not part:
-            raise ParseError(f"empty term in sequence literal {text!r}")
-        if "^" in part:
-            elt_text, _, mult_text = part.rpartition("^")
-            try:
-                m = int(mult_text)
-            except ValueError as exc:
-                raise ParseError(f"bad multiplicity in {part!r}") from exc
-            if m < 0:
-                raise ParseError(f"negative multiplicity in {part!r}")
-        else:
-            elt_text, m = part, 1
+    for _, elt_text, m in _literal_terms(_split_top_level(text.strip()), "sequence", text):
         mult[parse_element(group, elt_text).index] += m
     return GSequence(group, tuple(mult))
 
@@ -195,28 +204,36 @@ def seq_stats(seq: GSequence) -> SeqStats:
 
 @dataclass(frozen=True)
 class Setpartition:
-    """Unordered blocks, stored sorted by their index lists for canonical identity."""
+    """Unordered blocks of distinct elements, each an index bitmask.
 
-    blocks: tuple[GSet, ...]
+    masks are in canonical order, ascending by index list, so equal
+    partitions are equal objects; blocks wraps each mask as a GSet on first
+    use.
+    """
+
+    group: Group
+    masks: tuple[int, ...]
+
+    @cached_property
+    def blocks(self) -> tuple[GSet, ...]:
+        return tuple(GSet(self.group, m) for m in self.masks)
 
     def sizes(self) -> list[int]:
-        return [b.size for b in self.blocks]
+        return [m.bit_count() for m in self.masks]
 
     def as_sequence(self) -> GSequence:
-        group = self.blocks[0].group
-        mult = [0] * group.order
-        for b in self.blocks:
-            for i in b.indices():
+        mult = [0] * self.group.order
+        for m in self.masks:
+            for i in iter_mask(m):
                 mult[i] += 1
-        return GSequence(group, tuple(mult))
+        return GSequence(self.group, tuple(mult))
 
     def __repr__(self) -> str:
         return "[" + " | ".join(repr(b) for b in self.blocks) + "]"
 
 
-def _canonical_blocks(group: Group, blocks: list[list[int]]) -> Setpartition:
-    key = sorted(sorted(b) for b in blocks)
-    return Setpartition(tuple(GSet(group, sum(1 << i for i in b)) for b in key))
+def _canonical_masks(masks) -> tuple[int, ...]:
+    return tuple(sorted(masks, key=mask_to_indices))
 
 
 def has_setpartition(seq: GSequence, n: int) -> bool:
@@ -231,33 +248,23 @@ def has_setpartition(seq: GSequence, n: int) -> bool:
 def balanced_setpartition(seq: GSequence, n: int) -> Setpartition:
     """A deterministic n-setpartition with block sizes differing by at most one.
 
-    Terms are sorted by descending multiplicity (ties by element index) and
-    dealt cyclically; copies of one element are fewer than or equal to n and
-    consecutive, so they land in distinct blocks.
+    The support is sorted by descending multiplicity (ties by element index)
+    and its copies are dealt cyclically into n block masks.  A cyclic deal
+    keeps the sizes within one, and the copies of one element, at most n
+    and consecutive, land in distinct blocks.
     """
     if not has_setpartition(seq, n):
         raise NoSetpartition(
             f"no {n}-setpartition: need max multiplicity <= {n} <= length {seq.length}"
         )
-    order = sorted(seq.support_indices(), key=lambda i: (-seq.mult[i], i))
-    dealt = []
-    for i in order:
-        dealt.extend([i] * seq.mult[i])
-    blocks: list[list[int]] = [[] for _ in range(n)]
+    mult = seq.mult
+    masks = [0] * n
     pos = 0
-    for idx in dealt:
-        tried = 0
-        while idx in blocks[pos % n]:  # defensive; unreachable for a sorted deal
-            pos += 1
-            tried += 1
-            if tried > n:
-                raise NoSetpartition("deal failed to place a term")
-        blocks[pos % n].append(idx)
-        pos += 1
-    sizes = sorted(len(b) for b in blocks)
-    if sizes[-1] - sizes[0] > 1:
-        raise NoSetpartition("deal produced unbalanced blocks")
-    return _canonical_blocks(seq.group, blocks)
+    for i in sorted(seq.support_indices(), key=lambda i: (-mult[i], i)):
+        for _ in range(mult[i]):
+            masks[pos] |= 1 << i
+            pos = (pos + 1) % n
+    return Setpartition(seq.group, _canonical_masks(masks))
 
 
 def enum_setpartitions(seq: GSequence, n: int, cap: int = 10_000):
@@ -266,42 +273,37 @@ def enum_setpartitions(seq: GSequence, n: int, cap: int = 10_000):
     Enumeration is exhaustive when the total count is within cap.  Block labels
     follow first appearance and copies of one element take strictly increasing
     labels; assignments that still collide (blocks tied on their first term)
-    are deduplicated on the lexicographically sorted block form.
+    are deduplicated on the canonical mask tuple.
     """
-    if n < 1:
-        raise BadN(f"block count {n} < 1")
-    terms = seq.terms()
-    total = len(terms)
     if not has_setpartition(seq, n):
         return
-    group = seq.group
-    blocks: list[list[int]] = [[] for _ in range(n)]
+    terms = seq.terms()
+    total = len(terms)
+    masks = [0] * n
 
     def rec(pos: int, used: int, min_block_for_same: int):
         remaining = total - pos
         if remaining < n - used:
             return  # not enough terms left to make every block nonempty
         if pos == total:
-            yield _canonical_blocks(group, blocks)
+            yield _canonical_masks(masks)
             return
         idx = terms[pos]
+        bit = 1 << idx
         same_as_prev = pos > 0 and terms[pos - 1] == idx
         start = min_block_for_same if same_as_prev else 0
         limit = min(n, used + 1)  # next unused block only, in order
         for b in range(start, limit):
-            blocks[b].append(idx)
+            masks[b] |= bit
             nxt_min = b + 1 if pos + 1 < total and terms[pos + 1] == idx else 0
             yield from rec(pos + 1, max(used, b + 1), nxt_min)
-            blocks[b].pop()
+            masks[b] ^= bit
 
-    seen: set[tuple] = set()
-    emitted = 0
-    for part in rec(0, 0, 0):
-        key = tuple(b.bits for b in part.blocks)
+    seen: set[tuple[int, ...]] = set()
+    for key in rec(0, 0, 0):
         if key in seen:
             continue
         seen.add(key)
-        yield part
-        emitted += 1
-        if emitted >= cap:
+        yield Setpartition(seq.group, key)
+        if len(seen) >= cap:
             return

@@ -202,43 +202,57 @@ class ApWitness:
     length: int
 
 
+def _ap_differences(a: GSet) -> set[int]:
+    """Every nonzero d such that A is a progression with difference d.
+
+    A qualifies for d when it sits inside one coset of the cyclic group
+    generated by d and its positions along the d-cycle form a contiguous arc.
+    A set can qualify for several unrelated differences (wrap-around
+    progressions in small groups), so conclusions about a shared difference
+    must intersect these sets rather than compare single canonical forms.
+    """
+    group = a.group
+    idxs = a.indices()
+    k = len(idxs)
+    out: set[int] = set()
+    for d in range(1, group.order):
+        o = group.index_order(d)
+        if k > o:
+            continue
+        pos = {}
+        cur = idxs[0]
+        for t in range(o):
+            pos[cur] = t
+            cur = group.index_add(cur, d)
+        if any(i not in pos for i in idxs):
+            continue
+        ps = sorted(pos[i] for i in idxs)
+        breaks = sum(1 for j in range(k) if (ps[(j + 1) % k] - ps[j]) % o != 1)
+        if breaks <= 1:
+            out.add(d)
+    return out
+
+
 def detect_ap(a: GSet) -> ApWitness | None:
     """Arithmetic-progression recognition with a canonical witness.
 
-    Valid (start, diff) pairs are searched with diff ascending by element
-    index and start chosen as the endpoint from which the progression ascends
-    by diff; the first valid pair wins, so the +-d ambiguity resolves to the
-    smaller index.
+    The difference is the least index _ap_differences finds, and the start
+    the one element of A outside A + d, from which the progression ascends
+    by d; when A is a whole coset of <d> the start is its least index.  A
+    single element is the progression of length 1 with difference 0.
     """
     if a.is_empty():
         raise EmptySet("detect_ap on the empty set")
     group = a.group
-    length = a.size
-    if length == 1:
-        idx = a.indices()[0]
-        return ApWitness(group.element_from_index(idx), group.zero, 1)
-    for d in range(1, group.order):
-        if group.index_order(d) < length:
-            continue
-        if group.index_order(d) == length:
-            # full cycle of <d>: A must be a coset, any start works; take the minimum
-            start = a.indices()[0]
-            if group.translate_mask(group.cyclic_mask(d), start) == a.bits:
-                return ApWitness(group.element_from_index(start), group.element_from_index(d), length)
-            continue
-        shifted = group.translate_mask(a.bits, d)
-        head = a.bits & ~shifted
-        if head.bit_count() != 1:
-            continue
-        start = head.bit_length() - 1
-        rebuilt = 0
-        x = start
-        for _ in range(length):
-            rebuilt |= 1 << x
-            x = group.index_add(x, d)
-        if rebuilt == a.bits:
-            return ApWitness(group.element_from_index(start), group.element_from_index(d), length)
-    return None
+    if a.size == 1:
+        return ApWitness(group.element_from_index(a.indices()[0]), group.zero, 1)
+    diffs = _ap_differences(a)
+    if not diffs:
+        return None
+    d = min(diffs)
+    head = a.bits & ~group.translate_mask(a.bits, d) or a.bits  # a coset of <d> has no head
+    start = (head & -head).bit_length() - 1
+    return ApWitness(group.element_from_index(start), group.element_from_index(d), a.size)
 
 
 @dataclass(frozen=True)

@@ -49,6 +49,8 @@ from .groups import (
     format_element,
     format_group,
     interned_group,
+    iter_mask,
+    mask_to_indices,
     subgroup_generated,
 )
 from .invariants import davenport, dstar, dstar_of_factors, ell
@@ -58,9 +60,8 @@ from .sequences import (
     balanced_setpartition,
     enum_setpartitions,
     format_sequence,
-    has_setpartition,
 )
-from .setsum import GSet, gset, sumset, stabilizer
+from .setsum import GSet, _ap_differences, gset, sumset, stabilizer
 from .verdict import Status, Verdict
 from .weighted import (
     WeightSeq,
@@ -469,18 +470,16 @@ def _subgroup_in_full_sum(inst: Instance) -> tuple[Subgroup | None, GSet | None]
 
     First tries one balanced setpartition: its positional weighted block sum
     is a subset of the full sum set, so finding a subgroup there is already
-    conclusive and skips the exact computation.
+    conclusive and skips the exact computation.  Every caller's hypotheses
+    give h(S) <= |W| <= |S|, so the partition exists.
     """
     group, s, w = inst.group, inst.seq, inst.weights
-    n = w.length
-    if has_setpartition(s, n):
-        part = balanced_setpartition(s, n)
-        quick = _positional_wsum_bits(
-            group, [(x, b.bits) for x, b in zip(sorted(w.residues), part.blocks)])
-        sub = contained_subgroup(GSet(group, quick))
-        if sub is not None:
-            return sub, None
-    full = sigma_n(w, s, n)
+    part = balanced_setpartition(s, w.length)
+    quick = _positional_wsum_bits(group, zip(sorted(w.residues), part.masks))
+    sub = contained_subgroup(GSet(group, quick))
+    if sub is not None:
+        return sub, None
+    full = sigma_n(w, s, w.length)
     return contained_subgroup(full), full
 
 
@@ -701,37 +700,6 @@ def _check_pigeonhole(inst: Instance, caps: SearchCaps) -> Verdict:
     return Verdict(Status.FAILS, {"sum_set": total})
 
 
-def _ap_difference_indices(a: GSet) -> set[int]:
-    """Every nonzero d such that A is a progression with difference d.
-
-    A qualifies for d when it sits inside one coset of the cyclic group
-    generated by d and its positions along the d-cycle form a contiguous arc.
-    A set can qualify for several unrelated differences (wrap-around
-    progressions in small groups), so conclusions about a shared difference
-    must intersect these sets rather than compare single canonical forms.
-    """
-    group = a.group
-    idxs = a.indices()
-    k = len(idxs)
-    out: set[int] = set()
-    for d in range(1, group.order):
-        o = group.index_order(d)
-        if k > o:
-            continue
-        pos = {}
-        cur = idxs[0]
-        for t in range(o):
-            pos[cur] = t
-            cur = group.index_add(cur, d)
-        if any(i not in pos for i in idxs):
-            continue
-        ps = sorted(pos[i] for i in idxs)
-        breaks = sum(1 for j in range(k) if (ps[(j + 1) % k] - ps[j]) % o != 1)
-        if breaks <= 1:
-            out.add(d)
-    return out
-
-
 def check_ap_structure(sets: list[GSet], caps: SearchCaps = DEFAULT_CAPS) -> Verdict:
     """Kneser-equality structure: the sets must be progressions with one
     common difference.
@@ -768,7 +736,7 @@ def check_ap_structure(sets: list[GSet], caps: SearchCaps = DEFAULT_CAPS) -> Ver
             return _hyp_fail("the sum of the sets must be aperiodic")
         if not equality:
             return _hyp_fail("sum size must equal the Kneser equality bound")
-    diff_sets = [_ap_difference_indices(x) for x in sets]
+    diff_sets = [_ap_differences(x) for x in sets]
     missing = [i for i, ds in enumerate(diff_sets) if not ds]
     if missing:
         return Verdict(Status.FAILS, {"not_progressions": missing})
@@ -806,22 +774,20 @@ class SetpartitionWitness:
 
 
 def _witness_numbers(group: Group, submask: int, order: int,
-                     blocks: tuple[GSet, ...]) -> tuple[int, int, int]:
-    """(N, e, bound) of SetpartitionWitness for the subgroup mask of that order."""
+                     masks: tuple[int, ...]) -> tuple[int, int, int]:
+    """(N, e, bound) of SetpartitionWitness for the subgroup mask of that
+    order and the block masks."""
     common = group.full_mask
-    for block in blocks:
-        spread = 0
-        for i in block.indices():
-            spread |= group.translate_mask(submask, i)
-        common &= spread
+    for mask in masks:
+        common &= group.sum_masks(mask, submask)
     n_common = common.bit_count() // order
-    excess = sum(block.size - (block.bits & common).bit_count() for block in blocks)
-    bound = ((n_common - 1) * len(blocks) + excess + 1) * order
+    excess = sum((mask & ~common).bit_count() for mask in masks)
+    bound = ((n_common - 1) * len(masks) + excess + 1) * order
     return n_common, excess, bound
 
 
 def make_setpartition_witness(sub: Subgroup, partition: Setpartition) -> SetpartitionWitness:
-    numbers = _witness_numbers(sub.group, sub.mask, sub.order, partition.blocks)
+    numbers = _witness_numbers(sub.group, sub.mask, sub.order, partition.masks)
     return SetpartitionWitness(sub, partition, *numbers)
 
 
@@ -920,26 +886,26 @@ def _check_aligned_conclusion(inst: Instance, sub: Subgroup,
             if any(a > b and not (coset >> i) & 1
                    for i, (a, b) in enumerate(zip(s.mult, mult2))):
                 continue
-            if not all(block.bits & coset for block in part.blocks):
+            if not all(mask & coset for mask in part.masks):
                 continue
             e_out = sum(m for i, m in enumerate(s.mult) if not (coset >> i) & 1)
             if e_out > allowed_out:
                 continue
-            inside = [i for i, b in enumerate(part.blocks) if not (b.bits & ~coset)]
+            inside = [i for i, mask in enumerate(part.masks) if not mask & ~coset]
             if len(inside) < d_h or len(inside) - d_h < tail_need:
                 continue
             yield rep, e_out, inside
 
     for _, part, (rep, e_out, inside), perm in _same_length_walk(inst, budget, cosets):
-        blocks = part.blocks
-        total = _positional_wsum_bits(group, [(x, b.bits) for x, b in zip(perm, blocks)])
+        masks = part.masks
+        total = _positional_wsum_bits(group, zip(perm, masks))
         if total.bit_count() < (e_out + 1) * sub.order:
             continue
         # prefix: d*(H) blocks inside the coset whose weighted sum
         # is exactly (sum of their weights)g + H
         found_prefix = None
         for combo in combinations(inside, d_h):
-            psum = _positional_wsum_bits(group, [(perm[i], blocks[i].bits) for i in combo])
+            psum = _positional_wsum_bits(group, [(perm[i], masks[i]) for i in combo])
             shift = group.index_scalar(sum(perm[i] for i in combo) % group.exponent, rep)
             if psum == group.translate_mask(sub.mask, shift):
                 found_prefix = combo
@@ -976,14 +942,13 @@ def witness_search_setpartition(inst: Instance, caps: SearchCaps = DEFAULT_CAPS)
     floor = min(group.order, sprime.length - n + 1)
     budget = Budget(caps)
     for _, part, _, perm in _same_length_walk(inst, budget):
-        achieved = _positional_wsum_bits(
-            group, [(x, b.bits) for x, b in zip(perm, part.blocks)]).bit_count()
+        achieved = _positional_wsum_bits(group, zip(perm, part.masks)).bit_count()
         if achieved >= floor:
             # the numbers for H = G when the sum covers G, else for H = {0}
             full = achieved == group.order
             n_common, excess, bound = _witness_numbers(
                 group, group.full_mask if full else 1, group.order if full else 1,
-                part.blocks)
+                part.masks)
             return Verdict(Status.HOLDS, {
                 "disjunct": "i",
                 "partition": part,
@@ -1011,15 +976,16 @@ def witness_search_setpartition(inst: Instance, caps: SearchCaps = DEFAULT_CAPS)
 
 def _certificate_holds(group: Group, w_res: tuple[int, ...], s: GSequence,
                        sub: Subgroup, rep: int, t_mult: tuple[int, ...],
-                       blocks: tuple[GSet, ...], need_left: int) -> bool:
-    """Validity of one aligned-subgroup certificate against fixed weights."""
+                       masks: tuple[int, ...], need_left: int) -> bool:
+    """Validity of one aligned-subgroup certificate (blocks as masks)
+    against fixed weights."""
     d = sub.dstar()
-    if len(blocks) != d or len(w_res) < d:
+    if len(masks) != d or len(w_res) < d:
         return False
     coset = group.translate_mask(sub.mask, rep)
     merged = [0] * group.order
-    for b in blocks:
-        for i in b.indices():
+    for mask in masks:
+        for i in iter_mask(mask):
             merged[i] += 1
     if tuple(merged) != t_mult:
         return False
@@ -1027,7 +993,7 @@ def _certificate_holds(group: Group, w_res: tuple[int, ...], s: GSequence,
         return False
     if any(a > b for a, b in zip(t_mult, s.mult)):
         return False
-    psum = _positional_wsum_bits(group, [(x, b.bits) for x, b in zip(w_res, blocks)])
+    psum = _positional_wsum_bits(group, zip(w_res, masks))
     shift = group.index_scalar(sum(w_res[:d]) % group.exponent, rep)
     if psum != group.translate_mask(sub.mask, shift):
         return False
@@ -1067,7 +1033,7 @@ def _larger_certificate_exists(inst: Instance, sub: Subgroup, budget: Budget) ->
                                           for tsize in range(d, total_in - need_left + 1))
             for t_mult, part, _, perm in _budgeted_walk(budget, group, subseqs, d, weights):
                 if _certificate_holds(group, perm, s, cand, rep,
-                                      t_mult, part.blocks, need_left):
+                                      t_mult, part.masks, need_left):
                     return True
             if "subsequences" in budget.ran_out:
                 return False
@@ -1093,13 +1059,13 @@ def check_max_subgroup_dichotomy(inst: Instance, caps: SearchCaps = DEFAULT_CAPS
     sub: Subgroup = inst.extra["subgroup"]
     rep: int = inst.extra["coset_rep"]
     cert_seq: GSequence = inst.extra["cert_seq"]
-    blocks: tuple[GSet, ...] = tuple(inst.extra["cert_blocks"])
+    cert_masks = tuple(b.bits for b in inst.extra["cert_blocks"])
     if sub.is_trivial():
         return _hyp_fail("certificate subgroup must be nontrivial")
     x = s.length - sprime.length
     need_left = n - sub.dstar() + x
     if not _certificate_holds(group, tuple(w.residues), s, sub, rep,
-                              cert_seq.mult, blocks, need_left):
+                              cert_seq.mult, cert_masks, need_left):
         return _hyp_fail("certificate does not validate")
     budget = Budget(caps)
     if _larger_certificate_exists(inst, sub, budget):
@@ -1112,7 +1078,7 @@ def check_max_subgroup_dichotomy(inst: Instance, caps: SearchCaps = DEFAULT_CAPS
         for _, part, _, perm in _same_length_walk(inst, budget):
             if budget.ran_out:
                 break
-            total = _positional_wsum_bits(group, [(x, b.bits) for x, b in zip(perm, part.blocks)])
+            total = _positional_wsum_bits(group, zip(perm, part.masks))
             if total == group.full_mask:
                 return Verdict(Status.HOLDS, {
                     "branch": "full",
@@ -1308,41 +1274,39 @@ class _SeqPlanner:
                     pools = [pool(group, size, wlen if self.cap_h else size, reduced)
                              for size in sizes]
                     estimate += sum(map(len, pools))
-                    key = f"{format_group(group)}|w={','.join(map(str, wtuple))}"
-                    shards.append((key, partial(self._build, group, wtuple, pools)))
+                    shards.append(_seq_shard(group, wtuple, pools, self.with_n))
         return SweepPlan(shards, estimate)
 
-    def _build(self, group: Group, wtuple: tuple[int, ...],
-               pools: list[tuple[tuple[int, ...], ...]]) -> list[Instance]:
+
+def _seq_shard(group: Group, wtuple: tuple[int, ...], pools: list[tuple[tuple[int, ...], ...]],
+               with_n: bool = False) -> tuple[str, Callable[[], list[Instance]]]:
+    """The shard of one weight tuple over sequence pools built at planning
+    time: its key, and a factory listing one instance per pooled sequence."""
+    def build() -> list[Instance]:
         w = weight_seq(group, wtuple)
-        n = w.length if self.with_n else None
+        n = w.length if with_n else None
         return [Instance(group, seq=GSequence(group, mult), weights=w, n=n)
                 for pool in pools for mult in pool]
 
+    return f"{format_group(group)}|w={','.join(map(str, wtuple))}", build
+
 
 def _plan_david(dom: SweepDomain, caps: SearchCaps = DEFAULT_CAPS) -> SweepPlan:
-    def build(group: Group, d: int, sizes: range, wtuple: tuple[int, ...]) -> list[Instance]:
-        # every sequence whose height h >= D(G) - 1 is the multiplicity of 0
-        w = weight_seq(group, wtuple)
-        out = []
-        for size in sizes:
-            for h in range(d - 1, size + 1):
-                for rest in _sub_multisets((h,) * (group.order - 1), size - h, h):
-                    out.append(Instance(group, seq=GSequence(group, (h,) + rest), weights=w))
-        return out
-
     shards: list[tuple[str, Callable[[], list[Instance]]]] = []
     estimate = 0
     for group in dom.groups:
         d = davenport(group, cap=caps.davenport)
+        pools: dict[int, tuple[tuple[int, ...], ...]] = {}
+        for size in sorted({s for k in dom.wlens
+                            for s in range(k + d - 1, k + d + dom.slen_extra)}):
+            # every sequence whose height h >= D(G) - 1 is the multiplicity of 0
+            pools[size] = tuple((h,) + rest for h in range(d - 1, size + 1)
+                                for rest in _sub_multisets((h,) * (group.order - 1), size - h, h))
         for wlen in dom.wlens:
-            sizes = range(wlen + d - 1, wlen + d + dom.slen_extra)
+            sized = [pools[size] for size in range(wlen + d - 1, wlen + d + dom.slen_extra)]
             wlists = _weight_lists(group.exponent, wlen)
-            # bounds the count from above: the sequences of each size, unfiltered
-            estimate += len(wlists) * sum(comb(group.order + size - 1, size) for size in sizes)
-            for wtuple in wlists:
-                key = f"{format_group(group)}|w={','.join(map(str, wtuple))}"
-                shards.append((key, partial(build, group, d, sizes, wtuple)))
+            estimate += len(wlists) * sum(map(len, sized))
+            shards += [_seq_shard(group, wtuple, sized) for wtuple in wlists]
     return SweepPlan(shards, estimate)
 
 
@@ -1418,7 +1382,15 @@ def _plan_pigeonhole(dom: SweepDomain, caps: SearchCaps = DEFAULT_CAPS) -> Sweep
                     "set_b": GSet(group, bbits)}))
         return out
 
-    return _per_group(dom, lambda g: ((1 << g.order) - 1) * (1 << g.order) // 2, build)
+    def size(group: Group) -> int:
+        # mask pairs A <= B with |A| + |B| > m: by Vandermonde (4^m - C(2m, m)) / 2
+        # ordered pairs, plus the (2^m - [m even] C(m, m/2)) / 2 with A = B, halved
+        m = group.order
+        ordered = (4 ** m - comb(2 * m, m)) // 2
+        diagonal = (2 ** m - (comb(m, m // 2) if m % 2 == 0 else 0)) // 2
+        return (ordered + diagonal) // 2
+
+    return _per_group(dom, size, build)
 
 
 def _plan_ap_struct(dom: SweepDomain, caps: SearchCaps = DEFAULT_CAPS) -> SweepPlan:
@@ -1673,7 +1645,7 @@ def to_jsonable(obj: Any) -> Any:
     if isinstance(obj, WeightSeq):
         return format_weights(obj)
     if isinstance(obj, Setpartition):
-        return [block.indices() for block in obj.blocks]
+        return [mask_to_indices(mask) for mask in obj.masks]
     if isinstance(obj, SetpartitionWitness):
         return {
             "subgroup": to_jsonable(obj.subgroup),

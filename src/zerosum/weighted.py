@@ -29,7 +29,7 @@ from math import gcd, prod
 from operator import or_
 
 from .errors import BadN, CapExceeded, EmptySet, GroupMismatch, LengthMismatch, ParseError
-from .sequences import GSequence, Setpartition
+from .sequences import GSequence, Setpartition, _literal_terms
 from .setsum import GSet
 from .groups import Group
 
@@ -101,20 +101,7 @@ def unit_weights(group: Group, k: int) -> WeightSeq:
 def parse_weights(group: Group, text: str) -> WeightSeq:
     """Parse ``1^2,-1^2,0^1`` into a weight sequence (negatives allowed)."""
     raw: list[int] = []
-    for part in text.strip().split(","):
-        part = part.strip()
-        if not part:
-            raise ParseError(f"empty term in weight literal {text!r}")
-        if "^" in part:
-            val_text, _, mult_text = part.rpartition("^")
-            try:
-                m = int(mult_text)
-            except ValueError as exc:
-                raise ParseError(f"bad multiplicity in {part!r}") from exc
-            if m < 0:
-                raise ParseError(f"negative multiplicity in {part!r}")
-        else:
-            val_text, m = part, 1
+    for part, val_text, m in _literal_terms(text.strip().split(","), "weight", text):
         try:
             v = int(val_text)
         except ValueError as exc:
@@ -286,11 +273,10 @@ def _positional_wsum_bits(group: Group, pairs) -> int:
 
 def partition_wsum(w: WeightSeq, partition: Setpartition) -> GSet:
     """w_1*A_1 + ... + w_n*A_n for a setpartition's blocks, positionally."""
-    blocks = partition.blocks
-    if w.length != len(blocks):
-        raise LengthMismatch(f"{w.length} weights vs {len(blocks)} blocks")
-    if not blocks:
+    masks = partition.masks
+    if w.length != len(masks):
+        raise LengthMismatch(f"{w.length} weights vs {len(masks)} blocks")
+    if not masks:
         raise EmptySet("partition has no blocks")
-    group = blocks[0].group
-    return GSet(group, _positional_wsum_bits(
-        group, [(wi, block.bits) for wi, block in zip(w.raw, blocks)]))
+    group = partition.group
+    return GSet(group, _positional_wsum_bits(group, zip(w.raw, masks)))

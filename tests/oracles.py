@@ -151,3 +151,43 @@ def least_translate(factors, mult):
         if best is None or tuple(out) < best:
             best = tuple(out)
     return best
+
+
+def brute_ap(factors, members):
+    """Canonical progression witness (start, difference, length) of a set of
+    coordinate tuples, or None, from the definition A = {s + k*d : 0 <= k < |A|}
+    with |A| distinct terms.  The difference is the least index d for which
+    some start s gives A, and the start the least index among those s (the
+    only one unless A is a whole coset of <d>).  A single element has d = 0."""
+    elements = all_elements(factors)
+    k = len(members)
+    if k == 1:
+        return next(iter(members)), elements[0], 1
+    for d in elements[1:]:
+        starts = []
+        for s in elements:
+            terms = [s]
+            for _ in range(k - 1):
+                terms.append(coord_add(factors, terms[-1], d))
+            if len(set(terms)) == k and set(terms) == members:
+                starts.append(s)
+        if starts:
+            return starts[0], d, k  # elements, hence starts, ascend by index
+    return None
+
+
+def reference_deal(mult, n):
+    """The list-based balanced deal the library used before it dealt into
+    bitmasks: terms sorted by descending multiplicity (ties by index) and
+    dealt cyclically into n lists, a block that already holds the term being
+    skipped; returns the blocks as sorted index lists, in sorted order."""
+    support = sorted((i for i, m in enumerate(mult) if m), key=lambda i: (-mult[i], i))
+    dealt = [i for i in support for _ in range(mult[i])]
+    blocks = [[] for _ in range(n)]
+    pos = 0
+    for idx in dealt:
+        while idx in blocks[pos % n]:
+            pos += 1
+        blocks[pos % n].append(idx)
+        pos += 1
+    return sorted(sorted(b) for b in blocks)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from itertools import product
 from math import comb
 
 import pytest
@@ -10,6 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 from zerosum import (
     BadN,
+    GroupMismatch,
+    GSequence,
     NoSetpartition,
     ParseError,
     balanced_setpartition,
@@ -19,10 +22,13 @@ from zerosum import (
     make_group,
     parse_group,
     parse_sequence,
+    parse_weights,
     seq_from_indices,
     seq_stats,
     sequence,
 )
+from zerosum.groups import mask_to_indices
+from oracles import reference_deal
 
 
 def test_parse_format_round_trip():
@@ -50,6 +56,39 @@ def test_sequence_builders_agree():
     b = seq_from_indices(g, [1, 1, 3])
     assert a.mult == b.mult
     assert a.length == 3
+
+
+def test_sequence_builders_check_indices():
+    c2xc2 = parse_group("c2xc2")
+    c5 = make_group((5,))
+    # on rank >= 2 an index outside [0, |G|) is an error, as in gset
+    for bad in (-1, 4, c5.element_from_index(1)):
+        with pytest.raises(GroupMismatch):
+            sequence(c2xc2, [bad])
+        with pytest.raises(GroupMismatch):
+            seq_from_indices(c2xc2, [bad])
+    # on a cyclic group integers reduce mod |G|
+    assert seq_from_indices(c5, [7, -1]).mult == (0, 0, 1, 0, 1)
+    assert sequence(c5, [7, -1]).mult == (0, 0, 1, 0, 1)
+
+
+@pytest.mark.parametrize("parse, text, message", [
+    (parse_sequence, "0,,1", "empty term in sequence literal '0,,1'"),
+    (parse_sequence, "0^x", "bad multiplicity in '0^x'"),
+    (parse_sequence, "1,0^-1", "negative multiplicity in '0^-1'"),
+    (parse_sequence, "x^2", "bad element literal 'x'"),
+    (parse_weights, "1,,2", "empty term in weight literal '1,,2'"),
+    (parse_weights, "1^x", "bad multiplicity in '1^x'"),
+    (parse_weights, "2,1^-1", "negative multiplicity in '1^-1'"),
+    (parse_weights, "x^2", "bad weight in 'x^2'"),
+    # terms are read in order: a bad first term is reported before a bad second
+    (parse_weights, "x,1^-1", "bad weight in 'x'"),
+    (parse_sequence, "0^-1,x", "negative multiplicity in '0^-1'"),
+])
+def test_literal_parsers_keep_their_messages(parse, text, message):
+    with pytest.raises(ParseError) as exc:
+        parse(make_group((5,)), text)
+    assert str(exc.value) == message
 
 
 def test_seq_stats():
@@ -83,6 +122,20 @@ def test_balanced_setpartition_shape():
         balanced_setpartition(s, 2)  # below the height
     with pytest.raises(BadN):
         balanced_setpartition(s, 0)
+
+
+@pytest.mark.parametrize("text", ["c4", "c5", "c6", "c2xc2"])
+def test_balanced_setpartition_equals_reference_deal(text):
+    g = parse_group(text)
+    for mult in product(range(4), repeat=g.order):
+        s = GSequence(g, mult)
+        for n in range(max(max(mult), 1), s.length + 1):
+            part = balanced_setpartition(s, n)
+            assert [mask_to_indices(m) for m in part.masks] == reference_deal(mult, n)
+            # no two copies of an element share a block, so none is lost
+            assert part.as_sequence().mult == mult
+            sizes = part.sizes()
+            assert len(sizes) == n and max(sizes) - min(sizes) <= 1
 
 
 def test_enum_setpartitions_small_census():

@@ -10,7 +10,9 @@ from hypothesis import given, settings, strategies as st
 
 from zerosum import (
     EmptySet,
+    GSet,
     GroupMismatch,
+    abelian_group_types,
     detect_ap,
     gset,
     iterated_sumset,
@@ -21,7 +23,7 @@ from zerosum import (
     sumset,
     weighted_dilate,
 )
-from oracles import brute_sumset
+from oracles import all_elements, brute_ap, brute_sumset
 
 GROUPS = ["c2", "c3", "c4", "c5", "c6", "c7", "c8", "c2xc2", "c2xc4", "c3xc3"]
 
@@ -120,6 +122,16 @@ def test_detect_ap_frozen_cases():
     assert detect_ap(gset(c7, [0, 1, 3])) is None
     # wrap-around progressions count
     assert detect_ap(gset(c7, [5, 6, 0, 1])) is not None
+
+
+def test_detect_ap_matches_brute_force_on_every_subset():
+    for g in abelian_group_types(10):
+        elements = all_elements(g.invariant_factors)
+        for mask in range(1, 1 << g.order):
+            members = {elements[i] for i in range(g.order) if (mask >> i) & 1}
+            ap = detect_ap(GSet(g, mask))
+            got = None if ap is None else (ap.start.coords, ap.diff.coords, ap.length)
+            assert got == brute_ap(g.invariant_factors, members), (g, mask)
 
 
 def test_detect_ap_small_sets_are_always_progressions():

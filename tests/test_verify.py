@@ -52,9 +52,8 @@ from zerosum import (
     witness_search_setpartition,
 )
 from zerosum.groups import Group
-from zerosum.verify import (
-    STATEMENTS, _SeqPlanner, _ap_difference_indices, _is_canonical_translate)
-from zerosum.setsum import detect_ap
+from zerosum.verify import STATEMENTS, _SeqPlanner, _is_canonical_translate
+from zerosum.setsum import _ap_differences, detect_ap
 
 from oracles import all_elements, brute_contained_subgroup, brute_subgroups, least_translate
 
@@ -466,8 +465,8 @@ def test_ap_structure_multi_difference_sets_are_handled():
     v = check_ap_structure([gset(c5, [0, 2]), gset(c5, [0, 1, 2, 3])])
     if v.status is Status.HOLDS:
         d = v.witness["difference"].index
-        assert d in _ap_difference_indices(gset(c5, [0, 2]))
-        assert d in _ap_difference_indices(gset(c5, [0, 1, 2, 3]))
+        assert d in _ap_differences(gset(c5, [0, 2]))
+        assert d in _ap_differences(gset(c5, [0, 1, 2, 3]))
 
 
 def test_ap_difference_scan_agrees_with_detector():
@@ -475,7 +474,7 @@ def test_ap_difference_scan_agrees_with_detector():
         g = make_group(factors)
         for mask in range(1, 1 << g.order):
             a = GSet(g, mask)
-            assert bool(_ap_difference_indices(a)) == (detect_ap(a) is not None) or a.size == 1
+            assert bool(_ap_differences(a)) == (detect_ap(a) is not None) or a.size == 1
 
 
 def test_ap_structure_sweep_has_no_failures():
@@ -524,7 +523,7 @@ def test_witness_search_sweep_small():
 def test_setpartition_witness_recompute():
     g = make_group((4,))
     sub = subgroup_generated(g, [2])
-    part = Setpartition((gset(g, [0, 1]), gset(g, [1, 2])))
+    part = Setpartition(g, (0b011, 0b110))  # blocks {0,1} and {1,2}
     spw = make_setpartition_witness(sub, part)
     assert spw.subgroup.mask == sub.mask
     # bound formula: ((N - 1) * n + e + 1) * |H|
@@ -707,10 +706,12 @@ def _enumerated(plan) -> int:
 def test_sequence_plan_estimates_are_exact():
     rows = [sid for sid, st in STATEMENTS.items() if isinstance(st.planner, _SeqPlanner)]
     assert len(rows) == 8
-    for sid in rows:
+    # every sweepable statement, not only the _SeqPlanner rows
+    for sid in sweepable_statements():
         for text in ("c4", "c2xc2", "c5"):
             for reduce_translation in (True, False):
-                dom = SweepDomain(groups=(parse_group(text),), wlens=(2, 3, 4),
+                dom = SweepDomain(groups=(parse_group(text),), wlens=(2, 3, 4), samples=3,
+                                  slen_extra=int(not reduce_translation),
                                   reduce_translation=reduce_translation)
                 plan = STATEMENTS[sid].planner(dom, DEFAULT_CAPS)
                 assert plan.estimate == _enumerated(plan), (sid, text, reduce_translation)
@@ -718,6 +719,10 @@ def test_sequence_plan_estimates_are_exact():
     dom = SweepDomain(groups=(parse_group("c8"),), wlens=(4,), max_instances=30_000)
     plan = STATEMENTS[StatementId.THM_HAM_CHAR].planner(dom, DEFAULT_CAPS)
     assert plan.estimate == _enumerated(plan) == 20_610
+    # the former LEM_DAVID bound gave 340,956 here, so max_instances=100000 refused it
+    dom = SweepDomain(groups=(parse_group("c6"),), wlens=(2, 3, 4), max_instances=100_000)
+    plan = STATEMENTS[StatementId.LEM_DAVID].planner(dom, DEFAULT_CAPS)
+    assert plan.estimate == _enumerated(plan) == 19_453
 
 
 def test_domain_too_large_guard():

@@ -192,7 +192,7 @@ def test_partition_wsum_is_positional():
     w = weight_seq(g, [2, 3])
     from zerosum import Setpartition
 
-    part = Setpartition((gset(g, [1, 2]), gset(g, [0, 3])))
+    part = Setpartition(g, (0b0110, 0b1001))  # blocks {1,2} and {0,3}
     blocks = part.blocks  # canonical order fixes which weight meets which block
     want = {
         (2 * x + 3 * y) % 7
