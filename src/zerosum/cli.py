@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from functools import reduce
 from operator import or_
@@ -54,15 +53,7 @@ EXIT_FAILS = 1
 EXIT_USAGE = 2
 EXIT_CAPPED = 3
 
-
-def _threads_default() -> int:
-    raw = os.environ.get("ZEROSUM_THREADS", "")
-    if not raw:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError as exc:
-        raise ParseError(f"ZEROSUM_THREADS must be an integer, got {raw!r}") from exc
+_DOMAIN = SweepDomain(groups=())  # the field defaults the domain flags show
 
 
 def _parse_set(group, text: str) -> GSet:
@@ -133,7 +124,7 @@ def _cmd_group_info(args: argparse.Namespace) -> int:
     d = inv.davenport
     try:
         subs = all_subgroups(group, cap=args.cap_subgroups)
-    except (GroupTooLarge, CapExceeded):
+    except CapExceeded:
         subs = None
     by_order: dict[int, int] = {}
     if subs is not None:
@@ -339,7 +330,7 @@ def _domain_from(args: argparse.Namespace, groups) -> SweepDomain:
 
 
 def _sweep_and_report(sid: StatementId, dom: SweepDomain, args: argparse.Namespace) -> int:
-    report = sweep(sid, dom, threads=args.threads, caps=_caps_from(args))
+    report = sweep(sid, dom, caps=_caps_from(args))
     if args.json is not None:
         _emit(report_to_json(report), args.json)
     if args.csv is not None:
@@ -461,15 +452,15 @@ def _add_cap_flags(p: argparse.ArgumentParser) -> None:
 def _add_domain_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--wlen", type=int, action="append", metavar="K",
                    help="weight length to sweep (repeatable)")
-    p.add_argument("--slen-extra", type=int, default=0, metavar="N")
-    p.add_argument("--samples", type=int, default=200, metavar="N")
-    p.add_argument("--seed", type=int, default=0, metavar="N")
-    p.add_argument("--set-size-max", type=int, default=4, metavar="N")
+    p.add_argument("--slen-extra", type=int, default=_DOMAIN.slen_extra, metavar="N")
+    p.add_argument("--samples", type=int, default=_DOMAIN.samples, metavar="N")
+    p.add_argument("--seed", type=int, default=_DOMAIN.seed, metavar="N")
+    p.add_argument("--set-size-max", type=int, default=_DOMAIN.set_size_max, metavar="N")
     p.add_argument("--no-reduce", action="store_true",
                    help="disable reduction to canonical translates")
-    p.add_argument("--max-instances", type=int, default=2_000_000, metavar="N")
-    p.add_argument("--threads", type=int, default=None, metavar="N",
-                   help="worker threads (default: ZEROSUM_THREADS or 1)")
+    p.add_argument("--max-instances", type=int, default=_DOMAIN.max_instances, metavar="N")
+    p.add_argument("--threads", type=int, metavar="N",
+                   help="accepted and ignored: sweeps run on one thread")
 
 
 def _add_instance_flags(p: argparse.ArgumentParser) -> None:
@@ -555,12 +546,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "threads", None) is None and hasattr(args, "threads"):
-        try:
-            args.threads = _threads_default()
-        except ParseError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
     try:
         return args.fn(args)
     except (GroupTooLarge, DomainTooLarge, CapExceeded) as exc:

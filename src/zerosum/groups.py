@@ -152,14 +152,16 @@ class Group:
         """
         tables = self.__dict__.setdefault("_stored", {})
         if name not in tables:
-            # setdefault keeps the first build when sweep threads race
-            tables.setdefault(name, build())
+            tables[name] = build()
         return tables[name]
 
     def subgroup(self, mask: int) -> "Subgroup":
         """The one Subgroup object for a closed index mask (closure unchecked)."""
         subs = self.stored("subgroups", dict)
-        return subs.get(mask) or subs.setdefault(mask, Subgroup(self, mask))
+        sub = subs.get(mask)
+        if sub is None:
+            sub = subs[mask] = Subgroup(self, mask)
+        return sub
 
     # -- index arithmetic ---------------------------------------------------
 

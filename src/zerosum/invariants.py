@@ -25,7 +25,7 @@ __all__ = [
     "ell",
 ]
 
-DAVENPORT_CAP = 32
+DAVENPORT_CAP = 64  # default cap on the group order the Davenport search accepts
 
 
 def dstar_of_factors(factors) -> int:

@@ -24,7 +24,6 @@ import enum
 import json
 import random
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial, reduce
 from itertools import chain, combinations, combinations_with_replacement
@@ -43,7 +42,6 @@ from .groups import (
     Element,
     Group,
     Subgroup,
-    _factorize,
     _is_prime,
     all_subgroups,
     format_element,
@@ -53,7 +51,7 @@ from .groups import (
     mask_to_indices,
     subgroup_generated,
 )
-from .invariants import davenport, dstar, dstar_of_factors, ell
+from .invariants import DAVENPORT_CAP, davenport, dstar, dstar_of_factors, ell
 from .sequences import (
     GSequence,
     Setpartition,
@@ -156,7 +154,7 @@ class SearchCaps:
     raises it, and the CLI exits 3.
     """
 
-    davenport: int = 64
+    davenport: int = DAVENPORT_CAP
     subgroups: int = SUBGROUP_CAP
     subsequences: int = 512
     partitions: int = 512
@@ -673,15 +671,8 @@ def _check_align(inst: Instance, caps: SearchCaps) -> Verdict:
     bad = [i for i, (a, b) in enumerate(zip(padded, ambient)) if b % a]
     if bad:
         return Verdict(Status.FAILS, {"subgroup": sub, "positions": bad})
-    # per-prime refinement: aligned valuations never exceed the ambient ones,
-    # and an equal factor pins every prime's valuation
-    for i, (a, b) in enumerate(zip(padded, ambient)):
-        va, vb = dict(_factorize(a)), dict(_factorize(b))
-        for p, k in va.items():
-            if k > vb.get(p, 0):
-                return Verdict(Status.FAILS, {"subgroup": sub, "prime": p, "position": i})
-        if a == b and va != vb:
-            return Verdict(Status.FAILS, {"subgroup": sub, "position": i})
+    # a | b bounds every prime's valuation in a by its valuation in b, so the
+    # anchor's per-prime clause follows from the divisibility just checked
     return Verdict(Status.HOLDS, {"padded": list(padded)})
 
 
@@ -1150,8 +1141,8 @@ class SweepPlan:
     """A planned sweep: shards in enumeration order, each a (key, factory)
     pair whose factory lists the shard's instances when called, and the
     planned instance count.  sweep calls a factory only when it checks that
-    shard and tallies the shard as soon as it is checked, so at most one
-    shard's instances per worker are alive at a time."""
+    shard and tallies the shard as soon as it is checked, so only one
+    shard's instances are alive at a time."""
 
     shards: list[tuple[str, Callable[[], list[Instance]]]]
     estimate: int
@@ -1562,13 +1553,13 @@ def sweepable_statements() -> list[StatementId]:
 
 def sweep(sid: StatementId, dom: SweepDomain, threads: int = 1,
           caps: SearchCaps = DEFAULT_CAPS) -> SweepReport:
-    """Run one statement over a whole domain.
+    """Run one statement over a whole domain, on the calling thread.
 
     Each shard is tallied as soon as it is checked: its status counts, its
     failures and its flagged pairs are kept and its instances dropped, so
-    memory holds the failures, the flagged pairs and at most one shard's
-    instances per worker.  Tallies are added up in enumeration order, so the
-    report is byte-identical for any thread count.  Raises DomainTooLarge
+    memory holds the failures, the flagged pairs and one shard's instances.
+    Shards are checked and tallied in enumeration order, so the report is
+    deterministic.  threads is accepted and ignored.  Raises DomainTooLarge
     when the estimated instance count exceeds dom.max_instances.
     """
     statement = STATEMENTS[sid]
@@ -1579,12 +1570,10 @@ def sweep(sid: StatementId, dom: SweepDomain, threads: int = 1,
         raise DomainTooLarge(
             f"estimated {plan.estimate} instances exceed the cap {dom.max_instances}")
     flag = statement.flag
-
-    def run_shard(item: tuple[str, Callable[[], list[Instance]]]):
-        _, factory = item
-        counts = Counter()
-        failures = []
-        flagged = []
+    counts = {status.value: 0 for status in Status}
+    failures: list[tuple[Instance, Verdict]] = []
+    flagged: list[tuple[Instance, Verdict]] = []
+    for _, factory in plan.shards:
         for inst in factory():
             verdict = check_instance(sid, inst, caps)
             counts[verdict.status.value] += 1
@@ -1592,21 +1581,6 @@ def sweep(sid: StatementId, dom: SweepDomain, threads: int = 1,
                 failures.append((inst, verdict))
             if flag is not None and flag(inst, verdict):
                 flagged.append((inst, verdict))
-        return counts, failures, flagged
-
-    if threads <= 1:
-        tallies = map(run_shard, plan.shards)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            tallies = list(pool.map(run_shard, plan.shards))
-    counts = {status.value: 0 for status in Status}
-    failures: list[tuple[Instance, Verdict]] = []
-    flagged: list[tuple[Instance, Verdict]] = []
-    for shard_counts, shard_failures, shard_flagged in tallies:
-        for status, count in shard_counts.items():
-            counts[status] += count
-        failures += shard_failures
-        flagged += shard_flagged
     return SweepReport(
         statement=sid,
         domain=_domain_dict(dom, statement.sampled, caps),

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 
 import pytest
 
-from zerosum.cli import main
+from zerosum import SweepDomain, davenport, invariant_report, parse_group
+from zerosum.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -65,6 +67,15 @@ def test_invariants_command(capsys):
     code, out, _ = run(capsys, "invariants", "--group", "c2xc2")
     assert code == 0
     assert "davenport: 3" in out
+
+
+def test_library_and_cli_share_one_davenport_cap(capsys):
+    c36 = parse_group("c36")
+    assert davenport(c36) == 36
+    assert invariant_report(c36).davenport == 36
+    code, out, _ = run(capsys, "invariants", "--group", "c36", "--json")
+    assert code == 0
+    assert json.loads(out)["davenport"] == 36
 
 
 def test_verify_lattice_statement_exits_zero(capsys):
@@ -165,14 +176,19 @@ def test_sweep_csv_lists_failures(capsys):
     assert sum(1 for l in lines if l.startswith("failure,")) == 9
 
 
-def test_threads_env_default(capsys, monkeypatch):
-    monkeypatch.setenv("ZEROSUM_THREADS", "4")
-    code, out, _ = run(capsys, "verify", "--statement", "PROP_DUAL", "--group", "c2xc4")
-    assert code == 0
+def test_threads_env_variable_is_not_read(capsys, monkeypatch):
     monkeypatch.setenv("ZEROSUM_THREADS", "many")
-    code, _, err = run(capsys, "verify", "--statement", "PROP_DUAL", "--group", "c2xc4")
-    assert code == 2
-    assert "ZEROSUM_THREADS" in err
+    code, out, err = run(capsys, "verify", "--statement", "PROP_DUAL", "--group", "c2xc4")
+    assert code == 0
+    assert "fails: 0" in out and not err
+
+
+def test_domain_flag_defaults_are_the_sweep_domains():
+    args = build_parser().parse_args(["sweep", "--statement", "THM_WEGZ", "--group", "c2"])
+    defaults = {f.name: f.default for f in fields(SweepDomain)}
+    for name in ("slen_extra", "samples", "seed", "set_size_max", "max_instances"):
+        assert getattr(args, name) == defaults[name], name
+    assert args.no_reduce is not defaults["reduce_translation"]
 
 
 def test_quiet_json_mode_emits_only_json(capsys):

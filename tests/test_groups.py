@@ -3,9 +3,6 @@
 from __future__ import annotations
 
 import random
-import sys
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from itertools import product
 
 import pytest
@@ -189,38 +186,6 @@ def test_lattice_is_kept_on_the_group_and_every_read_checks_its_cap():
         all_subgroups(g, cap=5)
     with pytest.raises(CapExceeded, match="^more than 26 subgroups$"):
         all_subgroups(g, cap=26)
-
-
-def test_threads_racing_to_build_the_lattice_get_one_table():
-    g = Group((3, 3, 3))  # built directly, so nothing is kept on it yet
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            got = list(pool.map(lambda _: all_subgroups(g), range(8)))
-    finally:
-        sys.setswitchinterval(old)
-    assert all(lattice is all_subgroups(g) for lattice in got)
-
-
-def test_threads_racing_to_build_one_subgroup_get_one_object():
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(30):  # one race loses about one time in three without setdefault
-            g = Group((3, 3, 3))  # built directly, so nothing is kept on it yet
-            start = threading.Barrier(8)
-
-            def build(_):
-                start.wait()
-                return [subgroup_generated(g, [i]) for i in range(g.order)]
-
-            with ThreadPoolExecutor(max_workers=8) as pool:
-                got = list(pool.map(build, range(8)))
-            assert all(a is b for subs in got for a, b in zip(subs, got[0]))
-    finally:
-        sys.setswitchinterval(old)
-    assert got[0][1] is subgroup_generated(g, [2])
 
 
 def test_subgroups_are_one_object_per_mask():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import threading
 import tracemalloc
 from collections import Counter
 from itertools import combinations_with_replacement
@@ -217,6 +218,20 @@ def test_subgroup_conjecture_sweep_rediscovers_the_prime_counterexample():
     # 0^3 1^3 2^3 reduced to its lexicographically least translate
     assert (0, 0, 0, 0, 3, 3, 3) in canonical
     assert len(canonical) == 3
+
+
+def test_sweep_checks_every_instance_on_the_calling_thread(monkeypatch):
+    seen = []
+
+    def recording(*args, **kwargs):
+        seen.append(threading.get_ident())
+        return check_instance(*args, **kwargs)
+
+    monkeypatch.setattr("zerosum.verify.check_instance", recording)
+    dom = SweepDomain(groups=(parse_group("c5"), parse_group("c2xc2")), wlens=(2, 3))
+    report = sweep(StatementId.THM_WEGZ, dom, threads=4)
+    assert len(seen) == report.examined > 0
+    assert set(seen) == {threading.get_ident()}
 
 
 def test_failures_across_shards_keep_enumeration_order():
@@ -757,7 +772,7 @@ def test_sweep_memory_grows_with_failures_not_instances():
 def test_planners_take_the_sweeps_davenport_cap():
     c36 = parse_group("c36")
     sampled = SweepDomain(groups=(c36,), samples=2)
-    # D(c36) = 36 is above the Davenport search's own default cap of 32
+    # D(c36) = 36 needs a Davenport cap of at least 36; the default is 64
     report = sweep(StatementId.THM_GAO_COSET, sampled)
     assert report.counts[Status.HOLDS.value] == 2
     for _, factory in STATEMENTS[StatementId.THM_GAO_COSET].planner(sampled, DEFAULT_CAPS).shards:
