@@ -1,9 +1,12 @@
 """Group invariants: d*, the Davenport constant, and the derived length bound.
 
 d*(G) = sum (n_i - 1) over invariant factors.  D(G) is the least L such that
-every length-L sequence over G has a nonempty zero-sum subsequence, computed
-exactly as 1 plus the longest zero-sum-free sequence found by depth-first
-search and kept on the group; d*(G) + 1 <= D(G) <= |G| always holds.
+every length-L sequence over G has a nonempty zero-sum subsequence;
+d*(G) + 1 <= D(G) <= |G| always holds.  For p-groups and groups of rank <= 2,
+D(G) = d*(G) + 1 is a theorem (Olson 1969; van Emde Boas and Kruyswijk 1967),
+and the witness is the basis sequence e_1^(n_1 - 1) ... e_r^(n_r - 1).  For
+every other group D(G) is 1 plus the longest zero-sum-free sequence found by
+depth-first search.  Either way the pair is kept on the group.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import GroupTooLarge
-from .groups import Group, Subgroup
+from .groups import Group, Subgroup, _factorize
 from .sequences import GSequence, seq_from_indices
 from .verdict import Status, Verdict
 
@@ -25,7 +28,7 @@ __all__ = [
     "ell",
 ]
 
-DAVENPORT_CAP = 64  # default cap on the group order the Davenport search accepts
+DAVENPORT_CAP = 64  # default cap on the group order davenport_report accepts
 
 
 def dstar_of_factors(factors) -> int:
@@ -38,16 +41,29 @@ def dstar(group: Group | Subgroup) -> int:
     return dstar_of_factors(group.invariant_factors)
 
 
+def _basis_witness(group: Group) -> tuple[int, GSequence]:
+    """(d*(G) + 1, e_1^(n_1 - 1) ... e_r^(n_r - 1)), e_i the element at index
+    strides[i - 1].  This is D(G) and the witness the search keeps whenever
+    D(G) = d*(G) + 1: an index below strides[i] lies in <e_1..e_i>, whose
+    nonzero elements are all subsums of the basis prefix, so the search meets
+    the basis sequence first among the longest ones.
+    """
+    basis = [s for n, s in zip(group.invariant_factors, group.strides) for _ in range(n - 1)]
+    return dstar(group) + 1, seq_from_indices(group, basis)
+
+
 def _longest_zero_sum_free(group: Group) -> tuple[int, GSequence]:
     """(D(G), witness): a longest zero-sum-free sequence and 1 + its length.
 
     DFS over sorted nonzero-index multisets, tracking achievable subsums as a
     mask.  A branch dies as soon as the identity becomes a subsum.
     Additional-length pruning uses |subsums| growing by at least one per
-    appended term.
+    appended term.  A term g closes a zero sum exactly when -g is already a
+    subsum (g itself is never 0), so that is tested before any translate.
     """
     order = group.order
     translate = group.translate_mask
+    neg = [group.index_neg(g) for g in range(order)]
     best_len = 0
     best_seq: list[int] = []
 
@@ -59,11 +75,10 @@ def _longest_zero_sum_free(group: Group) -> tuple[int, GSequence]:
         if len(seq) + (order - 1) - sums.bit_count() <= best_len:
             return
         for g in range(min_idx, order):
-            new = sums | translate(sums, g) | (1 << g)
-            if new & 1:
+            if (sums >> neg[g]) & 1:
                 continue
             seq.append(g)
-            dfs(g, new, seq)
+            dfs(g, sums | translate(sums, g) | (1 << g), seq)
             seq.pop()
 
     dfs(1, 0, [])
@@ -79,12 +94,16 @@ def davenport_report(group: Group, cap: int = DAVENPORT_CAP) -> tuple[int, GSequ
     """(D(G), witness): witness is a longest zero-sum-free sequence.
 
     Raises GroupTooLarge above the order cap, whether or not the pair is
-    already known.  The first search keeps the pair on the group, so later
-    calls under any cap that admits the group read it back.
+    already known.  p-groups and groups of rank <= 2 take the closed form
+    (_basis_witness); every other group is searched.  The first call keeps
+    the pair on the group, so later calls under any cap that admits the
+    group read it back.
     """
     if group.order > cap:
         raise GroupTooLarge(f"order {group.order} above Davenport cap {cap}")
-    return group.stored("davenport", lambda: _longest_zero_sum_free(group))
+    theorem = group.rank <= 2 or len(_factorize(group.order)) <= 1
+    build = _basis_witness if theorem else _longest_zero_sum_free
+    return group.stored("davenport", lambda: build(group))
 
 
 def ell(group: Group, cap: int = DAVENPORT_CAP) -> int:

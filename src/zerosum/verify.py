@@ -144,7 +144,7 @@ class Instance:
 class SearchCaps:
     """Budgets for the search-bounded checkers.
 
-    davenport caps the group order the Davenport search accepts; subgroups
+    davenport caps the group order davenport_report accepts; subgroups
     caps the subgroup lattice wherever a checker, a stabilizer or a planner
     reads it, and a report's domain shows it as subgroup_cap; subsequences,
     partitions and assignments cap the setpartition walk (see Budget).

@@ -1,6 +1,9 @@
-"""Davenport constants, d*, and the exhaustive zero-sum-free witness search."""
+"""Davenport constants, d*, the closed form and the exhaustive zero-sum-free
+witness search."""
 
 from __future__ import annotations
+
+import time
 
 import pytest
 
@@ -17,6 +20,8 @@ from zerosum import (
     make_group,
     parse_group,
 )
+from zerosum.groups import _factorize, abelian_group_types
+from zerosum.invariants import _basis_witness, _longest_zero_sum_free
 from oracles import brute_davenport, is_zero_sum_free
 
 
@@ -47,7 +52,7 @@ def test_davenport_matches_independent_brute_force(text):
     assert davenport(g) == brute_davenport(g.invariant_factors)
 
 
-@pytest.mark.parametrize("text", ["c4", "c7", "c2xc4", "c3xc3", "c2xc2xc2"])
+@pytest.mark.parametrize("text", ["c4", "c7", "c2xc4", "c3xc3", "c2xc2xc2", "c2xc2xc6"])
 def test_witness_is_zero_sum_free_and_maximal(text):
     g = parse_group(text)
     d, witness = davenport_report(g)
@@ -56,6 +61,27 @@ def test_witness_is_zero_sum_free_and_maximal(text):
     for i, m in enumerate(witness.mult):
         terms.extend([g.element_from_index(i).coords] * m)
     assert is_zero_sum_free(g.invariant_factors, terms)
+
+
+def test_davenport_of_a_group_outside_the_theorem_is_searched():
+    # Rank 3 and order 24: neither a p-group nor rank <= 2.
+    assert davenport(parse_group("c2xc2xc6")) == 8
+
+
+THEOREM_TYPES = [
+    g for g in abelian_group_types(32, min_order=1)
+    if g.rank <= 2 or len(_factorize(g.order)) <= 1
+]
+
+
+@pytest.mark.parametrize("g", THEOREM_TYPES, ids=str)
+def test_closed_form_matches_the_search(g):
+    """The theorem path gives the search's D and its witness, term for term."""
+    d, witness = _basis_witness(g)
+    searched_d, searched = _longest_zero_sum_free(g)
+    assert d == searched_d == dstar(g) + 1
+    assert witness.mult == searched.mult
+    assert davenport_report(g)[1].mult == witness.mult
 
 
 @pytest.mark.parametrize("text", ["c2", "c5", "c8", "c2xc2", "c3xc3", "c2xc4", "c2xc2xc2"])
@@ -82,6 +108,15 @@ def test_cap_raises_group_too_large():
     assert r.davenport is None and r.ell is None
     v = check_davenport_bounds(g, cap=32)
     assert v.status is Status.UNDECIDED_CAPPED
+
+
+def test_rank_two_davenport_needs_no_search():
+    # test_cap_raises_group_too_large (c64, a p-group) and test_cli's c36
+    # test cover the order cap on this path.
+    for text, value in [("c4xc12", 15), ("c6xc6", 11)]:
+        start = time.perf_counter()
+        assert davenport(parse_group(text)) == value
+        assert time.perf_counter() - start < 0.5
 
 
 def test_davenport_cap_is_checked_before_the_stored_value():
