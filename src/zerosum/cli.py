@@ -71,10 +71,6 @@ def _parse_set_list(group, text: str) -> list[GSet]:
     return [_parse_set(group, p) for p in parts]
 
 
-def _format_set(a: GSet) -> str:
-    return "{" + ",".join(format_element(g) for g in a.elements()) + "}"
-
-
 def _statement(text: str) -> StatementId:
     try:
         return StatementId(text.upper())
@@ -184,8 +180,8 @@ def _cmd_sumset(args: argparse.Namespace) -> int:
     if args.json is not None:
         _emit(_dump(doc), args.json)
         return EXIT_OK
-    print(f"sets: {' '.join(_format_set(a) for a in sets)}")
-    print(f"sumset: {_format_set(total)}")
+    print(f"sets: {' '.join(map(repr, sets))}")
+    print(f"sumset: {total!r}")
     print(f"size: {total.size}")
     print(f"stabilizer: order {rep.stabilizer.order}")
     print(f"periodic: {'yes' if rep.periodic else 'no'}")
@@ -219,8 +215,8 @@ def _cmd_sigma(args: argparse.Namespace) -> int:
             _emit(_dump(doc), args.json)
             return EXIT_OK
         for n, a in table.items():
-            print(f"n={n}: {_format_set(a)}")
-        print(f"union: {_format_set(union)}")
+            print(f"n={n}: {a!r}")
+        print(f"union: {union!r}")
         return EXIT_OK
     if args.n is not None:
         out = sigma_n(w, s, args.n)
@@ -237,25 +233,19 @@ def _cmd_sigma(args: argparse.Namespace) -> int:
         }
         _emit(_dump(doc), args.json)
         return EXIT_OK
-    print(_format_set(out))
+    print(repr(out))
     return EXIT_OK
 
 
 def _cmd_setpartition(args: argparse.Namespace) -> int:
     group = parse_group(args.group)
     s = parse_sequence(group, args.seq)
-    if not has_setpartition(s, args.n):
-        if args.json is not None:
-            _emit(_dump({"group": format_group(group), "seq": s, "n": args.n, "blocks": None}), args.json)
-        else:
-            print("none")
-        return EXIT_OK
-    part = balanced_setpartition(s, args.n)
+    part = balanced_setpartition(s, args.n) if has_setpartition(s, args.n) else None
     if args.json is not None:
         doc = {"group": format_group(group), "seq": s, "n": args.n, "blocks": part}
         _emit(_dump(doc), args.json)
         return EXIT_OK
-    print(" ".join(_format_set(b) for b in part.blocks))
+    print("none" if part is None else " ".join(map(repr, part.blocks)))
     return EXIT_OK
 
 

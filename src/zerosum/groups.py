@@ -210,10 +210,10 @@ class Group:
         return o
 
     def element(self, coords) -> "Element":
-        coords = tuple(int(c) % n for c, n in zip(coords, self.invariant_factors))
+        coords = tuple(coords)
         if len(coords) != self.rank:
             raise GroupMismatch(f"expected {self.rank} coordinates, got {len(coords)}")
-        return Element(self, coords)
+        return Element(self, tuple(int(c) % n for c, n in zip(coords, self.invariant_factors)))
 
     def element_from_index(self, idx: int) -> "Element":
         return Element(self, self.index_to_coords(idx))
@@ -298,9 +298,6 @@ class Group:
                 out |= chunk << delta if delta >= 0 else chunk >> -delta
             mask = out
         return mask
-
-    def neg_mask(self, mask: int) -> int:
-        return self.dilate_mask(mask, -1)
 
     def sum_masks(self, a: int, b: int) -> int:
         """Index set {x + y : x in a, y in b}: the larger set translated by
@@ -524,12 +521,6 @@ class Subgroup:
     def indices(self) -> list[int]:
         return mask_to_indices(self.mask)
 
-    @property
-    def elements(self):
-        from .setsum import GSet  # local import avoids a module cycle
-
-        return GSet(self.group, self.mask)
-
     def padded_iso_type(self) -> tuple[int, ...]:
         """iso_type left-padded with 1s to the ambient rank."""
         pad = self.group.rank - len(self.iso_type)
@@ -540,9 +531,6 @@ class Subgroup:
 
     def is_trivial(self) -> bool:
         return self.order == 1
-
-    def dstar(self) -> int:
-        return sum(n - 1 for n in self.iso_type)
 
     def __repr__(self) -> str:
         gens = ",".join(format_element(g) for g in self.generators) or "0"
@@ -712,15 +700,6 @@ class QuotientMap:
         if g.group != self.group:
             raise GroupMismatch("element not in the domain group")
         return self.quotient.element_from_index(self.table[g.index])
-
-    def map_mask(self, mask: int) -> int:
-        out = 0
-        for idx in iter_mask(mask):
-            out |= 1 << self.table[idx]
-        return out
-
-    def kernel_mask(self) -> int:
-        return self.subgroup.mask
 
 
 def _abelian_basis(q: int, add) -> list[tuple[int, int]]:

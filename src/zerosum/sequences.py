@@ -78,17 +78,6 @@ class GSequence:
                 new[self.group.index_add(i, g.index)] = m
         return GSequence(self.group, tuple(new))
 
-    def remove(self, other: "GSequence") -> "GSequence":
-        """Multiset difference self - other; other must divide self."""
-        if other.group != self.group:
-            raise GroupMismatch("sequences over different groups")
-        new = []
-        for a, b in zip(self.mult, other.mult):
-            if b > a:
-                raise ParseError("not a subsequence")
-            new.append(a - b)
-        return GSequence(self.group, tuple(new))
-
     def is_subsequence_of(self, other: "GSequence") -> bool:
         return self.group == other.group and all(a <= b for a, b in zip(self.mult, other.mult))
 
@@ -303,7 +292,7 @@ def enum_setpartitions(seq: GSequence, n: int, cap: int = 10_000):
     for key in rec(0, 0, 0):
         if key in seen:
             continue
-        seen.add(key)
-        yield Setpartition(seq.group, key)
         if len(seen) >= cap:
             return
+        seen.add(key)
+        yield Setpartition(seq.group, key)

@@ -26,6 +26,3 @@ class Verdict:
 
     status: Status
     witness: dict[str, Any] = field(default_factory=dict)
-
-    def ok(self) -> bool:
-        return self.status is Status.HOLDS

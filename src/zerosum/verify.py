@@ -223,11 +223,9 @@ def coset_condition(seq: GSequence, cap: int = SUBGROUP_CAP) -> tuple[int, Subgr
     return None
 
 
-def _distinct_perms(items: tuple[int, ...], cap: int, length: int):
-    """Distinct arrangements of `length` items of a multiset, lexicographic,
-    capped.  The caller detects truncation by passing cap+1 and counting
-    yields.
-    """
+def _distinct_perms(items: tuple[int, ...], length: int):
+    """Distinct arrangements of `length` items of a multiset, lexicographic
+    and lazy, so a caller that stops early builds no more of them."""
     counter = Counter(items)
     keys = sorted(counter)
     acc: list[int] = []
@@ -244,12 +242,7 @@ def _distinct_perms(items: tuple[int, ...], cap: int, length: int):
                 acc.pop()
                 counter[k] += 1
 
-    emitted = 0
-    for perm in rec():
-        yield perm
-        emitted += 1
-        if emitted >= cap:
-            return
+    yield from rec()
 
 
 def _sub_multisets(mult: tuple[int, ...], size: int, hmax: int):
@@ -621,7 +614,7 @@ def _check_split(inst: Instance, caps: SearchCaps) -> Verdict:
         return _hyp_fail("base point must lie in the set")
     shifted = [group.index_add(i, group.index_neg(a0)) for i in a.indices()]
     sub = subgroup_generated(group, shifted)
-    d = sub.dstar()
+    d = dstar(sub)
     if w.length != d:
         return _hyp_fail("needs exactly d*(H) weights for H generated by the shifted set")
     if any(gcd(x, sub.exponent) != 1 for x in w.raw):
@@ -721,7 +714,7 @@ def check_ap_structure(sets: list[GSet], caps: SearchCaps = DEFAULT_CAPS) -> Ver
         if not equality:
             return _hyp_fail("sum size must equal |A| + |B| - 1")
     else:
-        if any(subgroup_generated(group, x.elements()).order != group.order for x in sets):
+        if any(subgroup_generated(group, x.indices()).order != group.order for x in sets):
             return _hyp_fail("every set must generate the whole group")
         if stabilizer(total, caps.subgroups).periodic:
             return _hyp_fail("the sum of the sets must be aperiodic")
@@ -823,7 +816,7 @@ def _budgeted_walk(budget: Budget, group: Group, subseqs: Iterable[tuple[int, ..
                 budget.exhaust("partitions")
                 break
             for ctx in (contexts(mult, part) if contexts else (None,)):
-                perms = _distinct_perms(weights, caps.assignments + 1, blocks)
+                perms = _distinct_perms(weights, blocks)
                 for seen_asg, perm in enumerate(perms, 1):
                     if seen_asg > caps.assignments:
                         budget.exhaust("assignments")
@@ -861,7 +854,7 @@ def _check_aligned_conclusion(inst: Instance, sub: Subgroup,
     """Search S''/partition/assignment/coset satisfying clauses (a)-(d) for
     one fixed proper nontrivial subgroup.  None means nothing found."""
     group, s, n = inst.group, inst.seq, inst.n
-    d_h = sub.dstar()
+    d_h = dstar(sub)
     d_q = dstar_of_factors(sub.quotient_type)
     tail_need = max(0, n - d_h - d_q)
     allowed_out = group.order // sub.order - 2
@@ -903,7 +896,7 @@ def _check_aligned_conclusion(inst: Instance, sub: Subgroup,
                 break
         if found_prefix is None:
             continue
-        spw = make_setpartition_witness(sub, part)
+        n_common, excess, bound = _witness_numbers(group, sub.mask, sub.order, masks)
         return Verdict(Status.HOLDS, {
             "disjunct": "ii",
             "subgroup": sub,
@@ -912,9 +905,9 @@ def _check_aligned_conclusion(inst: Instance, sub: Subgroup,
             "assignment": list(perm),
             "prefix_blocks": list(found_prefix),
             "outside_terms": e_out,
-            "common_blocks": spw.n_common,
-            "excess": spw.excess,
-            "size_bound": spw.bound,
+            "common_blocks": n_common,
+            "excess": excess,
+            "size_bound": bound,
         })
     return None
 
@@ -970,7 +963,7 @@ def _certificate_holds(group: Group, w_res: tuple[int, ...], s: GSequence,
                        masks: tuple[int, ...], need_left: int) -> bool:
     """Validity of one aligned-subgroup certificate (blocks as masks)
     against fixed weights."""
-    d = sub.dstar()
+    d = dstar(sub)
     if len(masks) != d or len(w_res) < d:
         return False
     coset = group.translate_mask(sub.mask, rep)
@@ -1010,7 +1003,7 @@ def _larger_certificate_exists(inst: Instance, sub: Subgroup, budget: Budget) ->
     for cand in lattice:
         if cand.mask == sub.mask or (cand.mask & sub.mask) != sub.mask:
             continue
-        d = cand.dstar()
+        d = dstar(cand)
         if d > n:
             continue
         need_left = n - d + x
@@ -1054,7 +1047,7 @@ def check_max_subgroup_dichotomy(inst: Instance, caps: SearchCaps = DEFAULT_CAPS
     if sub.is_trivial():
         return _hyp_fail("certificate subgroup must be nontrivial")
     x = s.length - sprime.length
-    need_left = n - sub.dstar() + x
+    need_left = n - dstar(sub) + x
     if not _certificate_holds(group, tuple(w.residues), s, sub, rep,
                               cert_seq.mult, cert_masks, need_left):
         return _hyp_fail("certificate does not validate")
@@ -1175,19 +1168,15 @@ def _seq_pool(group: Group, size: int, hcap: int, reduced: bool) -> tuple[tuple[
 
 
 def _weight_lists(mod: int, size: int, *, zero_sum: int | None = None,
-                  units_only: bool = False, max_nonunit: int | None = None,
-                  min_units: int | None = None) -> list[tuple[int, ...]]:
-    """Nondecreasing weight tuples over [0, mod) passing the given filters."""
+                  max_nonunit: int | None = None) -> list[tuple[int, ...]]:
+    """Nondecreasing weight tuples over [0, mod) with total 0 mod zero_sum
+    and at most max_nonunit weights not coprime to mod (each filter off
+    when None)."""
     out = []
     for combo in combinations_with_replacement(range(mod), size):
         if zero_sum is not None and sum(combo) % zero_sum:
             continue
-        nonunit = sum(1 for c in combo if gcd(c, mod) != 1)
-        if units_only and nonunit:
-            continue
-        if max_nonunit is not None and nonunit > max_nonunit:
-            continue
-        if min_units is not None and size - nonunit < min_units:
+        if max_nonunit is not None and _nonunit_count(combo, mod) > max_nonunit:
             continue
         out.append(combo)
     return out
@@ -1348,7 +1337,7 @@ def _plan_split(dom: SweepDomain, caps: SearchCaps = DEFAULT_CAPS) -> SweepPlan:
             for rest in combinations(range(1, group.order), k - 1):
                 indices = (0,) + rest
                 sub = subgroup_generated(group, indices)
-                d = sub.dstar()
+                d = dstar(sub)
                 units = [u for u in range(1, sub.exponent + 1)
                          if gcd(u, sub.exponent) == 1]
                 exhaustive = len(units) ** d <= 10_000
@@ -1465,7 +1454,7 @@ STATEMENTS: dict[StatementId, Statement] = {
         "subgroup inside the |W|-term weighted sums (false in general)"),
     StatementId.CONJ_ORDAZ_QUIROZ: Statement(
         _check_ordaz_quiroz, _SeqPlanner(
-            lambda g, k: _weight_lists(g.order, k, zero_sum=g.order, units_only=True)
+            lambda g, k: _weight_lists(g.order, k, zero_sum=g.order, max_nonunit=0)
             if k == g.order else [],
             slen=lambda g, k, caps: ell(g, caps.davenport), cap_h=False),
         "all weights coprime to |G|, |W| = |G|, weight total divisible by |G|, "
@@ -1497,7 +1486,7 @@ STATEMENTS: dict[StatementId, Statement] = {
         "exceed the ambient ones"),
     StatementId.THM_SETPART_WITNESS: Statement(
         witness_search_setpartition, _SeqPlanner(
-            lambda g, k: _weight_lists(g.exponent, k, units_only=True) if k >= dstar(g) else [],
+            lambda g, k: _weight_lists(g.exponent, k, max_nonunit=0) if k >= dstar(g) else [],
             slen=lambda g, k, caps: k, translate=False, with_n=True),
         "unit weights, n >= d*(G), h(S') <= n <= |S'|: some equal-length subsequence "
         "has an n-setpartition whose weighted block sum reaches min(|G|, |S'| - n + 1) "
@@ -1516,7 +1505,7 @@ STATEMENTS: dict[StatementId, Statement] = {
         sampled=True),
     StatementId.COR_SPUD: Statement(
         _check_spud, _SeqPlanner(
-            lambda g, k: _weight_lists(g.exponent, k, units_only=True) if k >= dstar(g) else [],
+            lambda g, k: _weight_lists(g.exponent, k, max_nonunit=0) if k >= dstar(g) else [],
             with_n=True),
         "max(h(S), d*(G)) <= n <= |S| - |G| + 1, all weights coprime to exp(G), "
         "|W| >= n, and no coset holding all but at most |G/H| - 2 terms: the n-term "
@@ -1528,13 +1517,14 @@ STATEMENTS: dict[StatementId, Statement] = {
         "weighted sums"),
     StatementId.COR_SPECIALCASE: Statement(
         _check_specialcase, _SeqPlanner(
-            lambda g, k: _weight_lists(g.order, k, units_only=True) if k == g.order else [],
+            lambda g, k: _weight_lists(g.order, k, max_nonunit=0) if k == g.order else [],
             slen=lambda g, k, caps: ell(g, caps.davenport)),
         "all weights coprime to |G|, |W| = |G|, |S| >= |G| + D(G) - 1, "
         "D(G) - 1 <= h(S) <= |G|: full coverage or the coset condition"),
     StatementId.COR_HAM_VAR: Statement(
         _check_ham_var, _SeqPlanner(
-            lambda g, k: _weight_lists(g.exponent, k, zero_sum=g.exponent, min_units=dstar(g))),
+            lambda g, k: _weight_lists(g.exponent, k, zero_sum=g.exponent,
+                                       max_nonunit=k - dstar(g))),
         "weight total divisible by exp(G), h(S) <= |W|, |S| >= |W| + |G| - 1, and at "
         "least d*(G) weights coprime to exp(G): a nontrivial subgroup lies in the "
         "|W|-term weighted sums"),

@@ -36,7 +36,6 @@ from .groups import Group
 __all__ = [
     "WeightSeq",
     "weight_seq",
-    "unit_weights",
     "parse_weights",
     "format_weights",
     "sigma_n",
@@ -92,10 +91,6 @@ class WeightSeq:
 
 def weight_seq(group: Group, weights) -> WeightSeq:
     return WeightSeq(group, tuple(int(w) for w in weights))
-
-
-def unit_weights(group: Group, k: int) -> WeightSeq:
-    return WeightSeq(group, (1,) * k)
 
 
 def parse_weights(group: Group, text: str) -> WeightSeq:

@@ -88,6 +88,13 @@ def test_index_round_trip_and_coordinates(factors):
     assert len(seen) == g.order
 
 
+def test_element_checks_the_coordinate_count_before_reducing():
+    for factors, coords in (((7,), (1, 2)), ((2, 4), (1, 2, 3)), ((2, 4), (1,))):
+        with pytest.raises(GroupMismatch, match="coordinates"):
+            make_group(factors).element(coords)
+    assert make_group((2, 4)).element(iter((3, 5))).coords == (1, 1)
+
+
 @pytest.mark.parametrize("factors", [(6,), (2, 4), (3, 3)])
 def test_element_arithmetic_matches_coordinate_model(factors):
     g = make_group(factors)

@@ -177,6 +177,12 @@ def test_enum_setpartitions_cap_truncates():
     assert len(some) == 5  # silently truncated at the cap
 
 
+def test_enum_setpartitions_yields_at_most_cap():
+    s = parse_sequence(make_group((4,)), "0^2,1^2")  # exactly one 2-setpartition
+    assert list(enum_setpartitions(s, 2, cap=0)) == []
+    assert len(list(enum_setpartitions(s, 2, cap=1))) == 1
+
+
 @given(st.data())
 @settings(max_examples=80, deadline=None)
 def test_setpartition_existence_matches_height_bound(data):

@@ -19,6 +19,7 @@ from zerosum import (
     kneser_audit,
     make_group,
     parse_group,
+    quotient,
     stabilizer,
     sumset,
     weighted_dilate,
@@ -142,6 +143,26 @@ def test_detect_ap_small_sets_are_always_progressions():
         assert detect_ap(gset(g, [i])) is not None
 
 
+def _projected_counts(sets, sub):
+    """(|phi(A_1) + ... + phi(A_n)|, sum |phi(A_i)| - n + 1) through the
+    projection table of the quotient G -> G/H."""
+    q, proj = quotient(sub.group, sub)
+    images = [{proj.table[i] for i in a.indices()} for a in sets]
+    acc = {0}
+    for img in images:
+        acc = {q.index_add(x, y) for x in acc for y in img}
+    return len(acc), sum(map(len, images)) - len(sets) + 1
+
+
+@pytest.mark.parametrize("text", ["c4", "c2xc2"])
+def test_kneser_audit_counts_equal_the_quotient_projection(text):
+    g = parse_group(text)
+    for am, bm in product(range(1, g.full_mask + 1), repeat=2):
+        sets = [GSet(g, am), GSet(g, bm)]
+        rep = kneser_audit(sets)
+        assert (rep.lhs, rep.rhs) == _projected_counts(sets, rep.stabilizer), (am, bm)
+
+
 @given(st.sampled_from(GROUPS), st.data())
 @settings(max_examples=120, deadline=None)
 def test_kneser_audit_never_fires_and_bounds(text, data):
@@ -152,6 +173,7 @@ def test_kneser_audit_never_fires_and_bounds(text, data):
     sets = [GSet(g, data.draw(st.integers(1, g.full_mask))) for _ in range(nsets)]
     rep = kneser_audit(sets)  # raises KneserViolation on a bug
     assert rep.lhs >= rep.rhs
+    assert (rep.lhs, rep.rhs) == _projected_counts(sets, rep.stabilizer)
     total = iterated_sumset(sets)
     assert rep.stabilizer.mask == stabilizer(total).stabilizer.mask
 

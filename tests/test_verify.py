@@ -714,6 +714,32 @@ def test_subgroup_cap_reaches_the_stabilizer_and_the_planners():
         assert sweep(sid, SweepDomain(groups=(g,)), caps=SearchCaps(subgroups=5)).examined == 5
 
 
+# sha256 of repr([planner.weights(G, k) for G in _WEIGHT_GROUPS for k in 0..6])
+# per _SeqPlanner statement, recorded before the weight filters were merged
+_WEIGHT_GROUPS = ("c2", "c4", "c5", "c6", "c2xc2", "c8", "c2xc4", "c3xc3", "c12")
+_WEIGHT_LIST_DIGESTS = {
+    "CONJ_HAMIDOUNE": "e517d9f58f01705cef7ce0a708b1d45b969152368e36fb689e1ada3aa60964d8",
+    "CONJ_ORDAZ_QUIROZ": "3a33cce15d29878e7e7631a39b036fd8c068261f5c75e3a535abaa6d5fda7032",
+    "COR_HAM_VAR": "1d61a044bcd1af0778d51a805359e7d828cc48a7d638a4a933c5659f8e619b95",
+    "COR_SPECIALCASE": "bfd27591258530aeececdbfdec2612b2c8291a2918c014b7ef806ff4ae4c1ae3",
+    "COR_SPUD": "17a9f1d48b20786eeb8fbbdeb3c234dd5eea028e15fbee2f92d817596ef48558",
+    "THM_HAM_CHAR": "e517d9f58f01705cef7ce0a708b1d45b969152368e36fb689e1ada3aa60964d8",
+    "THM_SETPART_WITNESS": "17a9f1d48b20786eeb8fbbdeb3c234dd5eea028e15fbee2f92d817596ef48558",
+    "THM_WEGZ": "b9bd28af206854f4d25963f0a27248994c5fa9c2132a9d8283fee99f4452ef75",
+}
+
+
+def test_sequence_planner_weight_lists_are_pinned():
+    rows = {sid.value: st.planner for sid, st in STATEMENTS.items()
+            if isinstance(st.planner, _SeqPlanner)}
+    assert set(rows) == set(_WEIGHT_LIST_DIGESTS)
+    groups = [parse_group(text) for text in _WEIGHT_GROUPS]
+    for name, planner in rows.items():
+        lists = [planner.weights(g, k) for g in groups for k in range(7)]
+        digest = hashlib.sha256(repr(lists).encode()).hexdigest()
+        assert digest == _WEIGHT_LIST_DIGESTS[name], name
+
+
 def _enumerated(plan) -> int:
     return sum(len(factory()) for _, factory in plan.shards)
 
