@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from functools import reduce
 from operator import or_
 from pathlib import Path
@@ -80,13 +81,7 @@ def _statement(text: str) -> StatementId:
 
 
 def _caps_from(args: argparse.Namespace) -> SearchCaps:
-    return SearchCaps(
-        davenport=args.cap_davenport,
-        subgroups=args.cap_subgroups,
-        subsequences=args.cap_subsequences,
-        partitions=args.cap_partitions,
-        assignments=args.cap_assignments,
-    )
+    return SearchCaps(**{f.name: getattr(args, f"cap_{f.name}") for f in fields(SearchCaps)})
 
 
 def _emit(payload: str, dest: str) -> None:
@@ -432,11 +427,8 @@ def _add_output_flags(p: argparse.ArgumentParser, csv: bool = False) -> None:
 
 
 def _add_cap_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--cap-davenport", type=int, default=DEFAULT_CAPS.davenport, metavar="N")
-    p.add_argument("--cap-subgroups", type=int, default=DEFAULT_CAPS.subgroups, metavar="N")
-    p.add_argument("--cap-subsequences", type=int, default=DEFAULT_CAPS.subsequences, metavar="N")
-    p.add_argument("--cap-partitions", type=int, default=DEFAULT_CAPS.partitions, metavar="N")
-    p.add_argument("--cap-assignments", type=int, default=DEFAULT_CAPS.assignments, metavar="N")
+    for f in fields(SearchCaps):
+        p.add_argument(f"--cap-{f.name}", type=int, default=f.default, metavar="N")
 
 
 def _add_domain_flags(p: argparse.ArgumentParser) -> None:

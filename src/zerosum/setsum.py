@@ -162,6 +162,16 @@ def _quasi_split(group: Group, bits: int, submask: int) -> tuple[int, int] | Non
     return full, bits & ~full
 
 
+def _period(a: GSet) -> Subgroup:
+    """H(A) = {g : g + A = A}, from one translate per element; no lattice."""
+    group = a.group
+    mask = 0
+    for g in range(group.order):
+        if group.translate_mask(a.bits, g) == a.bits:
+            mask |= 1 << g
+    return group.subgroup(mask)
+
+
 def stabilizer(a: GSet, cap: int = SUBGROUP_CAP) -> StabilizerReport:
     """Compute H(A) = {g : g + A = A} plus quasi-periodicity structure.
 
@@ -171,11 +181,7 @@ def stabilizer(a: GSet, cap: int = SUBGROUP_CAP) -> StabilizerReport:
     if a.is_empty():
         raise EmptySet("stabilizer of the empty set")
     group = a.group
-    mask = 0
-    for g in range(group.order):
-        if group.translate_mask(a.bits, g) == a.bits:
-            mask |= 1 << g
-    stab = group.subgroup(mask)
+    stab = _period(a)
     periodic = stab.order > 1
 
     quasi = None
@@ -272,7 +278,7 @@ def kneser_audit(sets) -> KneserReport:
         raise EmptySet("kneser_audit needs at least one set")
     total = iterated_sumset(sets)
     group = total.group
-    sub = stabilizer(total).stabilizer
+    sub = _period(total)
     lhs = total.size // sub.order
     rhs = sum(group.sum_masks(s.bits, sub.mask).bit_count() // sub.order for s in sets)
     rhs -= len(sets) - 1

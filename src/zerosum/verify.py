@@ -11,11 +11,11 @@ each shard's verdicts as soon as the shard is checked, keeping only
 failures and flagged pairs, with deterministic output.
 
 The setpartition searches share one walk over subsequences, setpartitions
-and weight assignments, bounded by a Budget built from SearchCaps.  Every
-cap that runs out ends as an undecided_capped verdict, never a wrong one:
-the budgeted searches name the cap in their reason, and check_instance turns
-a CapExceeded raised anywhere below it (a subgroup lattice or the exact
-sigma_n kernel above its cap) into that verdict too.
+and weight assignments, bounded by a Budget built from SearchCaps.  A cap
+that runs out never gives a wrong verdict: the walk moves on past it, and a
+search that then finds no witness is undecided_capped with a reason naming
+the cap; check_instance turns a CapExceeded raised anywhere below it (a
+subgroup lattice or the exact sigma_n kernel above its cap) into that too.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ from .groups import (
     format_element,
     format_group,
     interned_group,
-    iter_mask,
     mask_to_indices,
     subgroup_generated,
 )
@@ -59,7 +58,7 @@ from .sequences import (
     enum_setpartitions,
     format_sequence,
 )
-from .setsum import GSet, _ap_differences, gset, sumset, stabilizer
+from .setsum import GSet, _ap_differences, _period, gset, sumset, stabilizer
 from .verdict import Status, Verdict
 from .weighted import (
     WeightSeq,
@@ -289,46 +288,47 @@ def _nonunit_count(raw: tuple[int, ...], modulus: int) -> int:
 # example builders
 
 
+def _twin_weight_instance(m: int, n: int, support: int, **extra: int) -> Instance:
+    """Over Z/m: weights 1 and -1 each (n-1)/2 times plus one 0, against n
+    copies of each of the first `support` elements."""
+    group = interned_group((m,))
+    k = (n - 1) // 2
+    w = weight_seq(group, [1] * k + [-1] * k + [0])
+    s = GSequence(group, (n,) * support + (0,) * (m - support))
+    return Instance(group, seq=s, weights=w, extra=extra)
+
+
 def example1_instance(p: int) -> Instance:
     """Prime-modulus instance: n=(p-1)/2 twin weights against 0^n 1^n 2^n."""
     if p < 3 or not _is_prime(p):
         raise ValueError(f"{p} is not prime")
     if p % 4 != 3:
         raise ValueError(f"{p} is not congruent to 3 mod 4")
-    group = interned_group((p,))
-    n = (p - 1) // 2
-    k = (n - 1) // 2
-    w = weight_seq(group, [1] * k + [-1] * k + [0])
-    mult = [0] * p
-    for i in (0, 1, 2):
-        mult[i] = n
-    s = GSequence(group, tuple(mult))
-    return Instance(group, seq=s, weights=w, extra={"p": p})
+    return _twin_weight_instance(p, (p - 1) // 2, 3, p=p)
 
 
 def example2_instance(r: int) -> Instance:
     """Power-of-two instance: n=2^r-1 twin weights against 0^n 1^n."""
     if r < 1:
         raise ValueError("r must be positive")
-    m = 2 ** r
-    group = interned_group((m,))
-    n = m - 1
-    k = (n - 1) // 2
-    w = weight_seq(group, [1] * k + [-1] * k + [0])
-    mult = [0] * m
-    mult[0] = n
-    mult[1] = n
-    s = GSequence(group, tuple(mult))
-    return Instance(group, seq=s, weights=w, extra={"r": r})
+    return _twin_weight_instance(2 ** r, 2 ** r - 1, 2, r=r)
 
 
 # ---------------------------------------------------------------------------
 # statement checkers
 
 
-def _misses_exactly(inst: Instance, missing: list[int]) -> Verdict:
-    """Conclusion of the examples: the |W|-term weighted sums are G minus the
-    listed indices, and no nontrivial subgroup fits inside them."""
+def _misses_exactly(inst: Instance, ref: Instance, shape: str) -> Verdict:
+    """Conclusion of the examples over Z/m, given the example instance ref
+    on that group: the instance must have ref's sequence and ref's weight
+    residues up to order (else the hypothesis `shape` is not met); then the
+    |W|-term weighted sums are Z/m minus its middle, {m/2} for even m and
+    {(m-1)/2, (m+1)/2} for odd m, and no nontrivial subgroup fits in them."""
+    if (inst.seq.mult != ref.seq.mult
+            or sorted(inst.weights.residues) != sorted(ref.weights.residues)):
+        return _hyp_fail(shape)
+    m = inst.group.order
+    missing = sorted({m // 2, (m + 1) // 2})
     full = sigma_n(inst.weights, inst.seq, inst.weights.length)
     if full.bits != inst.group.full_mask & ~sum(1 << i for i in missing):
         return Verdict(Status.FAILS, {"sum_set": full, "expected_missing": missing})
@@ -339,29 +339,24 @@ def _misses_exactly(inst: Instance, missing: list[int]) -> Verdict:
 
 def _check_ex1(inst: Instance, caps: SearchCaps) -> Verdict:
     _need(inst, seq=True, weights=True)
-    group, s, w = inst.group, inst.seq, inst.weights
+    group = inst.group
     p = group.order
     if group.rank != 1 or not _is_prime(p):
         return _hyp_fail("group is not of prime order")
     if p % 4 != 3 or p < 7:
         return _hyp_fail("order must be a prime congruent to 3 mod 4, at least 7")
-    ref = example1_instance(p)
-    if s.mult != ref.seq.mult or sorted(x % p for x in w.raw) != sorted(x % p for x in ref.weights.raw):
-        return _hyp_fail("not the twin-weight triple-support shape for this prime")
-    return _misses_exactly(inst, [(p - 1) // 2, (p + 1) // 2])
+    return _misses_exactly(inst, example1_instance(p),
+                           "not the twin-weight triple-support shape for this prime")
 
 
 def _check_ex2(inst: Instance, caps: SearchCaps) -> Verdict:
     _need(inst, seq=True, weights=True)
-    group, s, w = inst.group, inst.seq, inst.weights
+    group = inst.group
     m = group.order
     if group.rank != 1 or m & (m - 1) or m < 4:
         return _hyp_fail("group must be cyclic of order 2^r with r >= 2")
-    r = m.bit_length() - 1
-    ref = example2_instance(r)
-    if s.mult != ref.seq.mult or sorted(x % m for x in w.raw) != sorted(x % m for x in ref.weights.raw):
-        return _hyp_fail("not the twin-weight double-support shape for this order")
-    return _misses_exactly(inst, [m // 2])
+    return _misses_exactly(inst, example2_instance(m.bit_length() - 1),
+                           "not the twin-weight double-support shape for this order")
 
 
 def _davenport_capped(group: Group, caps: SearchCaps) -> int:
@@ -716,7 +711,7 @@ def check_ap_structure(sets: list[GSet], caps: SearchCaps = DEFAULT_CAPS) -> Ver
     else:
         if any(subgroup_generated(group, x.indices()).order != group.order for x in sets):
             return _hyp_fail("every set must generate the whole group")
-        if stabilizer(total, caps.subgroups).periodic:
+        if _period(total).order > 1:
             return _hyp_fail("the sum of the sets must be aperiodic")
         if not equality:
             return _hyp_fail("sum size must equal the Kneser equality bound")
@@ -779,9 +774,10 @@ def make_setpartition_witness(sub: Subgroup, partition: Setpartition) -> Setpart
 class Budget:
     """SearchCaps for one search, plus the caps it ran out of, in order.
 
-    A cap that runs out never raises: the search records its SearchCaps
-    field name here and moves on, and the caller turns a nonempty record
-    into an undecided_capped verdict with its own reason.
+    The one rule of every setpartition search: a cap that runs out never
+    raises or ends the search; its SearchCaps field name is recorded here
+    and the walk moves on.  A witness found later still decides; a search
+    that ends without one turns a nonempty record into undecided_capped.
     """
 
     caps: SearchCaps
@@ -824,9 +820,14 @@ def _budgeted_walk(budget: Budget, group: Group, subseqs: Iterable[tuple[int, ..
                     yield mult, part, ctx, perm
 
 
+def _sprime(inst: Instance) -> GSequence:
+    """The designated subsequence S' (extra["sub_seq"]), else S itself."""
+    return inst.extra.get("sub_seq") or inst.seq
+
+
 def _hyp_setpart(inst: Instance) -> str | None:
     group, s, w, n = inst.group, inst.seq, inst.weights, inst.n
-    sprime: GSequence = inst.extra.get("sub_seq") or s
+    sprime = _sprime(inst)
     if any(gcd(x, group.exponent) != 1 for x in w.raw):
         return "weights must all be coprime to the exponent"
     if w.length != n:
@@ -843,10 +844,27 @@ def _hyp_setpart(inst: Instance) -> str | None:
 def _same_length_walk(inst: Instance, budget: Budget, contexts=None):
     """The walk over subsequences of S as long as S' with h <= n, their
     n-setpartitions and the arrangements of all n weights."""
-    s, n = inst.seq, inst.n
-    sprime: GSequence = inst.extra.get("sub_seq") or s
-    return _budgeted_walk(budget, inst.group, _sub_multisets(s.mult, sprime.length, n),
-                          n, tuple(sorted(inst.weights.residues)), contexts)
+    subseqs = _sub_multisets(inst.seq.mult, _sprime(inst).length, inst.n)
+    return _budgeted_walk(budget, inst.group, subseqs, inst.n,
+                          tuple(sorted(inst.weights.residues)), contexts)
+
+
+def _large_sums(inst: Instance, budget: Budget, floor: int):
+    """Yield (partition, arrangement, size) for each walked n-setpartition
+    and arrangement of the weights whose weighted block sum has at least
+    floor elements; the callers stop at the first."""
+    for _, part, _, perm in _same_length_walk(inst, budget):
+        achieved = _positional_wsum_bits(inst.group, zip(perm, part.masks)).bit_count()
+        if achieved >= floor:
+            yield part, perm, achieved
+
+
+def _is_coset_sum(group: Group, weights, masks, sub: Subgroup, rep: int) -> bool:
+    """w_1A_1 + ... + w_kA_k is exactly (w_1 + ... + w_k)g + H, pairing the
+    weights with the block masks in order, for H = sub and g of index rep."""
+    shift = group.index_scalar(sum(weights) % group.exponent, rep)
+    return (_positional_wsum_bits(group, zip(weights, masks))
+            == group.translate_mask(sub.mask, shift))
 
 
 def _check_aligned_conclusion(inst: Instance, sub: Subgroup,
@@ -857,9 +875,7 @@ def _check_aligned_conclusion(inst: Instance, sub: Subgroup,
     d_h = dstar(sub)
     d_q = dstar_of_factors(sub.quotient_type)
     tail_need = max(0, n - d_h - d_q)
-    allowed_out = group.order // sub.order - 2
-    if allowed_out < 0:
-        return None
+    allowed_out = group.order // sub.order - 2  # >= 0, as H is proper
 
     def cosets(mult2: tuple[int, ...], part: Setpartition):
         """(rep, terms outside, blocks inside) for each coset g+H that
@@ -885,16 +901,12 @@ def _check_aligned_conclusion(inst: Instance, sub: Subgroup,
         total = _positional_wsum_bits(group, zip(perm, masks))
         if total.bit_count() < (e_out + 1) * sub.order:
             continue
-        # prefix: d*(H) blocks inside the coset whose weighted sum
-        # is exactly (sum of their weights)g + H
-        found_prefix = None
-        for combo in combinations(inside, d_h):
-            psum = _positional_wsum_bits(group, [(perm[i], masks[i]) for i in combo])
-            shift = group.index_scalar(sum(perm[i] for i in combo) % group.exponent, rep)
-            if psum == group.translate_mask(sub.mask, shift):
-                found_prefix = combo
+        # prefix: d*(H) blocks inside the coset whose weighted sum is a coset of H
+        for prefix in combinations(inside, d_h):
+            if _is_coset_sum(group, [perm[i] for i in prefix],
+                             [masks[i] for i in prefix], sub, rep):
                 break
-        if found_prefix is None:
+        else:
             continue
         n_common, excess, bound = _witness_numbers(group, sub.mask, sub.order, masks)
         return Verdict(Status.HOLDS, {
@@ -903,7 +915,7 @@ def _check_aligned_conclusion(inst: Instance, sub: Subgroup,
             "coset_rep": rep,
             "partition": part,
             "assignment": list(perm),
-            "prefix_blocks": list(found_prefix),
+            "prefix_blocks": list(prefix),
             "outside_terms": e_out,
             "common_blocks": n_common,
             "excess": excess,
@@ -921,28 +933,25 @@ def witness_search_setpartition(inst: Instance, caps: SearchCaps = DEFAULT_CAPS)
     reason = _hyp_setpart(inst)
     if reason:
         return _hyp_fail(reason)
-    group, s, n = inst.group, inst.seq, inst.n
-    sprime: GSequence = inst.extra.get("sub_seq") or s
-    floor = min(group.order, sprime.length - n + 1)
+    group = inst.group
+    floor = min(group.order, _sprime(inst).length - inst.n + 1)
     budget = Budget(caps)
-    for _, part, _, perm in _same_length_walk(inst, budget):
-        achieved = _positional_wsum_bits(group, zip(perm, part.masks)).bit_count()
-        if achieved >= floor:
-            # the numbers for H = G when the sum covers G, else for H = {0}
-            full = achieved == group.order
-            n_common, excess, bound = _witness_numbers(
-                group, group.full_mask if full else 1, group.order if full else 1,
-                part.masks)
-            return Verdict(Status.HOLDS, {
-                "disjunct": "i",
-                "partition": part,
-                "assignment": list(perm),
-                "achieved": achieved,
-                "floor": floor,
-                "common_blocks": n_common,
-                "excess": excess,
-                "size_bound": bound,
-            })
+    for part, perm, achieved in _large_sums(inst, budget, floor):
+        # the numbers for H = G when the sum covers G, else for H = {0}
+        full = achieved == group.order
+        n_common, excess, bound = _witness_numbers(
+            group, group.full_mask if full else 1, group.order if full else 1,
+            part.masks)
+        return Verdict(Status.HOLDS, {
+            "disjunct": "i",
+            "partition": part,
+            "assignment": list(perm),
+            "achieved": achieved,
+            "floor": floor,
+            "common_blocks": n_common,
+            "excess": excess,
+            "size_bound": bound,
+        })
     try:
         lattice = all_subgroups(group, cap=caps.subgroups)
     except CapExceeded:
@@ -958,69 +967,54 @@ def witness_search_setpartition(inst: Instance, caps: SearchCaps = DEFAULT_CAPS)
     return Verdict(Status.FAILS, {"floor": floor})
 
 
-def _certificate_holds(group: Group, w_res: tuple[int, ...], s: GSequence,
-                       sub: Subgroup, rep: int, t_mult: tuple[int, ...],
-                       masks: tuple[int, ...], need_left: int) -> bool:
-    """Validity of one aligned-subgroup certificate (blocks as masks)
-    against fixed weights."""
+def _certificate_holds(inst: Instance) -> bool:
+    """The certificate in inst.extra is valid: its d*(K) blocks partition
+    cert_seq, which lies in S and in the coset g + K of coset_rep and leaves
+    at least n - d*(K) + |S| - |S'| terms of S there, and the blocks
+    weighted by the first d*(K) weights are a coset sum (_is_coset_sum)."""
+    group, s, sub, rep = inst.group, inst.seq, inst.extra["subgroup"], inst.extra["coset_rep"]
+    t_mult = inst.extra["cert_seq"].mult
+    masks = tuple(b.bits for b in inst.extra["cert_blocks"])
     d = dstar(sub)
-    if len(masks) != d or len(w_res) < d:
+    if len(masks) != d or Setpartition(group, masks).as_sequence().mult != t_mult:
         return False
     coset = group.translate_mask(sub.mask, rep)
-    merged = [0] * group.order
-    for mask in masks:
-        for i in iter_mask(mask):
-            merged[i] += 1
-    if tuple(merged) != t_mult:
+    in_coset = tuple(m if (coset >> i) & 1 else 0 for i, m in enumerate(s.mult))
+    if any(a > b for a, b in zip(t_mult, in_coset)):
         return False
-    if any(m and not (coset >> i) & 1 for i, m in enumerate(t_mult)):
-        return False
-    if any(a > b for a, b in zip(t_mult, s.mult)):
-        return False
-    psum = _positional_wsum_bits(group, zip(w_res, masks))
-    shift = group.index_scalar(sum(w_res[:d]) % group.exponent, rep)
-    if psum != group.translate_mask(sub.mask, shift):
-        return False
-    left_in = sum((s.mult[i] - t_mult[i]) for i in range(group.order) if (coset >> i) & 1)
-    return left_in >= need_left
+    need_left = inst.n - d + s.length - _sprime(inst).length
+    return (sum(in_coset) - sum(t_mult) >= need_left
+            and _is_coset_sum(group, inst.weights.residues[:d], masks, sub, rep))
 
 
 def _larger_certificate_exists(inst: Instance, sub: Subgroup, budget: Budget) -> bool:
-    """Search any strictly larger subgroup admitting a certificate.
+    """Search any strictly larger subgroup K admitting a certificate.
 
-    Each (subgroup, coset) walks its own subsequence budget; running out of
-    it ends the whole search.
+    Each coset of each such K walks the subsequences T of S in the coset
+    that leave enough terms of S there, with their d*(K)-setpartitions and
+    weight arrangements, under its own subsequence cap.  Each T meets every
+    clause of a certificate but the coset sum, the only one tested.
     """
-    group, s, w, n = inst.group, inst.seq, inst.weights, inst.n
-    sprime: GSequence = inst.extra.get("sub_seq") or s
-    x = s.length - sprime.length
+    group, s = inst.group, inst.seq
     try:
         lattice = all_subgroups(group, cap=budget.caps.subgroups)
     except CapExceeded:
         budget.exhaust("subgroups")
         return False
-    weights = tuple(sorted(w.residues))
+    weights = tuple(sorted(inst.weights.residues))
     for cand in lattice:
         if cand.mask == sub.mask or (cand.mask & sub.mask) != sub.mask:
             continue
-        d = dstar(cand)
-        if d > n:
-            continue
-        need_left = n - d + x
+        d = dstar(cand)  # at most d*(G) <= n, by the hypothesis
+        need_left = inst.n - d + s.length - _sprime(inst).length
         for rep in cand.coset_reps:
             coset = group.translate_mask(cand.mask, rep)
             in_coset = tuple(m if (coset >> i) & 1 else 0 for i, m in enumerate(s.mult))
-            total_in = sum(in_coset)
-            if total_in < d + need_left:
-                continue
             subseqs = chain.from_iterable(_sub_multisets(in_coset, tsize, d)
-                                          for tsize in range(d, total_in - need_left + 1))
-            for t_mult, part, _, perm in _budgeted_walk(budget, group, subseqs, d, weights):
-                if _certificate_holds(group, perm, s, cand, rep,
-                                      t_mult, part.masks, need_left):
+                                          for tsize in range(d, sum(in_coset) - need_left + 1))
+            for _, part, _, perm in _budgeted_walk(budget, group, subseqs, d, weights):
+                if _is_coset_sum(group, perm, part.masks, cand, rep):
                     return True
-            if "subsequences" in budget.ran_out:
-                return False
     return False
 
 
@@ -1038,18 +1032,10 @@ def check_max_subgroup_dichotomy(inst: Instance, caps: SearchCaps = DEFAULT_CAPS
     reason = _hyp_setpart(inst)
     if reason:
         return _hyp_fail(reason)
-    group, s, w, n = inst.group, inst.seq, inst.weights, inst.n
-    sprime: GSequence = inst.extra.get("sub_seq") or s
     sub: Subgroup = inst.extra["subgroup"]
-    rep: int = inst.extra["coset_rep"]
-    cert_seq: GSequence = inst.extra["cert_seq"]
-    cert_masks = tuple(b.bits for b in inst.extra["cert_blocks"])
     if sub.is_trivial():
         return _hyp_fail("certificate subgroup must be nontrivial")
-    x = s.length - sprime.length
-    need_left = n - dstar(sub) + x
-    if not _certificate_holds(group, tuple(w.residues), s, sub, rep,
-                              cert_seq.mult, cert_masks, need_left):
+    if not _certificate_holds(inst):
         return _hyp_fail("certificate does not validate")
     budget = Budget(caps)
     if _larger_certificate_exists(inst, sub, budget):
@@ -1058,21 +1044,15 @@ def check_max_subgroup_dichotomy(inst: Instance, caps: SearchCaps = DEFAULT_CAPS
         return _capped("maximality search budget exhausted")
     if not sub.is_proper():
         # full group: some equal-length subsequence has an n-setpartition
-        # whose weighted block sum covers G; the first cap to run out ends it
-        for _, part, _, perm in _same_length_walk(inst, budget):
-            if budget.ran_out:
-                break
-            total = _positional_wsum_bits(group, zip(perm, part.masks))
-            if total == group.full_mask:
-                return Verdict(Status.HOLDS, {
-                    "branch": "full",
-                    "partition": part,
-                    "assignment": list(perm),
-                })
-        if budget.ran_out:
-            return _capped({"subsequences": "subsequence budget exhausted",
-                            "partitions": "partition budget exhausted",
-                            "assignments": "assignment budget exhausted"}[budget.ran_out[0]])
+        # whose weighted block sum covers G
+        for part, perm, _ in _large_sums(inst, budget, inst.group.order):
+            return Verdict(Status.HOLDS, {
+                "branch": "full",
+                "partition": part,
+                "assignment": list(perm),
+            })
+        if budget.ran_out:  # "subsequences" -> "subsequence budget exhausted"
+            return _capped(f"{budget.ran_out[0][:-1]} budget exhausted")
         return Verdict(Status.FAILS, {"branch": "full"})
     verdict = _check_aligned_conclusion(inst, sub, budget)
     if verdict is not None:

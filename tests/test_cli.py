@@ -7,8 +7,8 @@ from dataclasses import fields
 
 import pytest
 
-from zerosum import SweepDomain, davenport, invariant_report, parse_group
-from zerosum.cli import build_parser, main
+from zerosum import DEFAULT_CAPS, SearchCaps, SweepDomain, davenport, invariant_report, parse_group
+from zerosum.cli import _caps_from, build_parser, main
 
 
 def run(capsys, *argv):
@@ -189,6 +189,30 @@ def test_domain_flag_defaults_are_the_sweep_domains():
     for name in ("slen_extra", "samples", "seed", "set_size_max", "max_instances"):
         assert getattr(args, name) == defaults[name], name
     assert args.no_reduce is not defaults["reduce_translation"]
+
+
+CAP_FLAGS = ["--cap-davenport", "--cap-subgroups", "--cap-subsequences",
+             "--cap-partitions", "--cap-assignments"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["group-info", "--group", "c4"],
+    ["invariants", "--group", "c4"],
+    ["verify", "--statement", "EX1"],
+    ["sweep", "--statement", "THM_WEGZ", "--group", "c4"],
+])
+def test_cap_flags_follow_the_search_caps(argv, capsys):
+    assert CAP_FLAGS == [f"--cap-{f.name}" for f in fields(SearchCaps)]
+    parser = build_parser()
+    assert _caps_from(parser.parse_args(argv)) == DEFAULT_CAPS
+    values = [11, 22, 33, 44, 55]
+    flags = [x for flag, v in zip(CAP_FLAGS, values) for x in (flag, str(v))]
+    assert _caps_from(parser.parse_args(argv + flags)) == SearchCaps(*values)
+    with pytest.raises(SystemExit):
+        parser.parse_args([argv[0], "--help"])
+    out = capsys.readouterr().out
+    assert all(f"{flag} N" in out for flag in CAP_FLAGS)
+    assert [out.index(flag) for flag in CAP_FLAGS] == sorted(out.index(flag) for flag in CAP_FLAGS)
 
 
 def test_quiet_json_mode_emits_only_json(capsys):

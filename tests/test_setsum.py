@@ -163,6 +163,16 @@ def test_kneser_audit_counts_equal_the_quotient_projection(text):
         assert (rep.lhs, rep.rhs) == _projected_counts(sets, rep.stabilizer), (am, bm)
 
 
+def test_kneser_audit_reads_no_subgroup_lattice():
+    # c2^7 has more subgroups than the default cap; H(A + B) needs none of them
+    g = parse_group("c2xc2xc2xc2xc2xc2xc2")
+    sets = [GSet(g, 0b1011), GSet(g, 0b110001)]
+    rep = kneser_audit(sets)
+    total = iterated_sumset(sets)
+    assert rep.stabilizer.mask == 1
+    assert (rep.lhs, rep.rhs) == (total.size, 3 + 3 - 1)
+
+
 @given(st.sampled_from(GROUPS), st.data())
 @settings(max_examples=120, deadline=None)
 def test_kneser_audit_never_fires_and_bounds(text, data):

@@ -186,6 +186,29 @@ def test_example_checkers_guard_hypotheses():
     assert check_instance(StatementId.EX2, inst).status is Status.HYPOTHESIS_NOT_MET
 
 
+def _example_variants(inst: Instance):
+    """The instance, one with all-one weights, one with its sequence rotated
+    by one place, and one with its weights reversed and shifted by |G|."""
+    g, s, w = inst.group, inst.seq, inst.weights
+    yield inst
+    yield Instance(g, seq=s, weights=weight_seq(g, [1] * w.length))
+    yield Instance(g, seq=GSequence(g, s.mult[-1:] + s.mult[:-1]), weights=w)
+    yield Instance(g, seq=s, weights=weight_seq(g, [x + g.order for x in reversed(w.raw)]))
+
+
+def test_example_builders_and_checkers_are_pinned():
+    # both builders, and both checkers on both families with three variants
+    # each, so every group and shape reason is in the digest
+    family = ([example1_instance(p) for p in (3, 7, 11, 19, 23)]
+              + [example2_instance(r) for r in range(1, 6)])
+    rows = [[instance_to_dict(v), verdict_to_dict(check_instance(sid, v))]
+            for sid in (StatementId.EX1, StatementId.EX2)
+            for inst in family for v in _example_variants(inst)]
+    blob = json.dumps(rows, sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == (
+        "2d6ce8c6f50c9fe7e8f4e0cd9d40789b8cbee6e902ef28754c675065443ce776")
+
+
 # ---------------------------------------------------------------------------
 # subgroup conjecture family
 
@@ -628,6 +651,23 @@ def test_setpartition_budgets_name_the_cap(check, build, cap, value, reason):
 @pytest.mark.parametrize("cap", ["subsequences", "partitions", "assignments"])
 def test_setpartition_budget_of_one_still_decides(check, build, cap):
     assert check(build(), SearchCaps(**{cap: 1})).status is Status.HOLDS
+
+
+def test_maxk_full_branch_walks_on_past_a_spent_cap():
+    # with one arrangement per partition the cap runs out before G is
+    # covered; the walk records it and goes on to a partition that covers G
+    g = make_group((4,))
+    s = parse_sequence(g, "1^1,2^1,3^3")
+    inst = Instance(g, seq=s, weights=weight_seq(g, [1, 1, 3]), n=3, extra={
+        "subgroup": subgroup_generated(g, [1]),
+        "coset_rep": 0,
+        "cert_seq": s,
+        "cert_blocks": (gset(g, [1, 3]), gset(g, [2, 3]), gset(g, [3])),
+    })
+    v = check_max_subgroup_dichotomy(inst, SearchCaps(assignments=1))
+    assert v.status is Status.HOLDS and v.witness["branch"] == "full"
+    v = check_max_subgroup_dichotomy(inst, SearchCaps(partitions=1))
+    assert v.witness == {"reason": "partition budget exhausted"}
 
 
 def test_max_subgroup_dichotomy_rejects_bad_certificates():
