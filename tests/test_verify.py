@@ -731,6 +731,176 @@ def test_missing_fields_raise():
         check_instance(StatementId.LEM_SPLIT, Instance(g, weights=weight_seq(g, [1]), extra={}))
 
 
+def _reason_case(text, seq=None, weights=None, n=None, **extra):
+    """An instance over the group `text` from literals; extra values that are
+    index lists become sets, and a list of them a list of sets."""
+    g = parse_group(text)
+
+    def value(v):
+        if isinstance(v, list) and v and isinstance(v[0], list):
+            return [gset(g, x) for x in v]
+        if isinstance(v, list):
+            return gset(g, v)
+        return parse_sequence(g, v) if isinstance(v, str) else v
+
+    return Instance(g, seq=None if seq is None else parse_sequence(g, seq),
+                    weights=None if weights is None else weight_seq(g, weights),
+                    n=n, extra={k: value(v) for k, v in extra.items()})
+
+
+def _maxk_case(text, seq, weights, sub_gens, rep, cert_seq, blocks):
+    g = parse_group(text)
+    return Instance(g, seq=parse_sequence(g, seq), weights=weight_seq(g, weights),
+                    n=len(weights), extra={
+                        "subgroup": subgroup_generated(g, sub_gens),
+                        "coset_rep": rep,
+                        "cert_seq": parse_sequence(g, cert_seq),
+                        "cert_blocks": tuple(gset(g, b) for b in blocks)})
+
+
+def _two_group_sets():
+    return Instance(parse_group("c4"), extra={"sets": [gset(parse_group("c4"), [0, 1]),
+                                                       gset(parse_group("c5"), [0, 1])]})
+
+
+# every literal hypothesis reason of the registered checkers, each with an
+# instance whose first failing clause is that one
+_EX1, _EX2 = StatementId.EX1, StatementId.EX2
+_HYPOTHESIS_REASONS = [
+    (_EX1, lambda: _reason_case("c9", "0^9", [1]), "group is not of prime order"),
+    (_EX1, lambda: _reason_case("c5", "0^5", [1]),
+     "order must be a prime congruent to 3 mod 4, at least 7"),
+    (_EX1, lambda: _reason_case("c11", "0^5,1^5,2^5", [1] * 5),
+     "not the twin-weight triple-support shape for this prime"),
+    (_EX2, lambda: _reason_case("c6", "0^5,1^5", [0, 1, 1, 5, 5]),
+     "group must be cyclic of order 2^r with r >= 2"),
+    (_EX2, lambda: _reason_case("c8", "0^7,1^7", [1] * 7),
+     "not the twin-weight double-support shape for this order"),
+    (StatementId.THM_GAO_COSET, lambda: _reason_case("c4", "0^6"),
+     "sequence shorter than |G| + D(G) - 1"),
+    (StatementId.COR_GAO_DSTAR, lambda: _reason_case("c4", "0^6"),
+     "sequence shorter than |G| + d*(G)"),
+    (StatementId.THM_WEGZ, lambda: _reason_case("c4", "0^6", []), "weights are empty"),
+    (StatementId.THM_WEGZ, lambda: _reason_case("c4", "0^6", [1]),
+     "weight total not divisible by the exponent"),
+    (StatementId.THM_WEGZ, lambda: _reason_case("c4", "0^4", [1, 3]),
+     "sequence shorter than |W| + |G| - 1"),
+    (StatementId.CONJ_HAMIDOUNE, lambda: _reason_case("c5", "0^6", [0]),
+     "needs |W| >= 2 so that |W| + |G| - 1 >= |G| + 1"),
+    (StatementId.CONJ_HAMIDOUNE, lambda: _reason_case("c5", "0^5", [1, 4]),
+     "sequence shorter than |W| + |G| - 1"),
+    (StatementId.CONJ_HAMIDOUNE, lambda: _reason_case("c5", "0^1,1^1,2^2,3^2", [1, 1]),
+     "weight total not divisible by the group order"),
+    (StatementId.CONJ_HAMIDOUNE, lambda: _reason_case("c5", "0^3,1^3", [1, 4]),
+     "maximum multiplicity exceeds |W|"),
+    (StatementId.CONJ_HAMIDOUNE, lambda: _reason_case("c4", "0^2,1^2,2^2", [0, 2, 2]),
+     "more than one weight shares a factor with the group order"),
+    (StatementId.THM_HAM_CHAR, lambda: _reason_case("c7", "0^2,1^2,2^2,3^2", [1, 6]),
+     "needs |W| >= |G| / 2"),
+    (StatementId.COR_HAM_VAR, lambda: _reason_case("c4", "0^6", []), "weights are empty"),
+    (StatementId.COR_HAM_VAR, lambda: _reason_case("c4", "0^4", [1, 3]),
+     "sequence shorter than |W| + |G| - 1"),
+    (StatementId.COR_HAM_VAR, lambda: _reason_case("c4", "0^1,1^1,2^1,3^2", [1, 1]),
+     "weight total not divisible by the exponent"),
+    (StatementId.COR_HAM_VAR, lambda: _reason_case("c4", "0^3,1^2", [1, 3]),
+     "maximum multiplicity exceeds |W|"),
+    (StatementId.COR_HAM_VAR, lambda: _reason_case("c4", "0^2,1^2,2^1", [1, 3]),
+     "fewer than d*(G) weights coprime to the exponent"),
+    (StatementId.CONJ_ORDAZ_QUIROZ, lambda: _reason_case("c4", "0^7", [1, 3]),
+     "needs |W| = |G|"),
+    (StatementId.CONJ_ORDAZ_QUIROZ, lambda: _reason_case("c4", "0^7", [1, 1, 1, 2]),
+     "weights must all be coprime to the group order"),
+    (StatementId.CONJ_ORDAZ_QUIROZ, lambda: _reason_case("c4", "0^7", [1, 1, 1, 3]),
+     "weight total not divisible by the group order"),
+    (StatementId.CONJ_ORDAZ_QUIROZ, lambda: _reason_case("c4", "0^6", [1, 1, 3, 3]),
+     "needs |S| = |G| + D(G) - 1"),
+    (StatementId.COR_SPECIALCASE, lambda: _reason_case("c4", "0^7", [1, 3]),
+     "needs |W| = |G|"),
+    (StatementId.COR_SPECIALCASE, lambda: _reason_case("c4", "0^7", [1, 1, 1, 2]),
+     "weights must all be coprime to the group order"),
+    (StatementId.COR_SPECIALCASE, lambda: _reason_case("c4", "0^6", [1, 1, 1, 1]),
+     "sequence shorter than |G| + D(G) - 1"),
+    (StatementId.COR_SPECIALCASE, lambda: _reason_case("c4", "0^2,1^2,2^2,3^1", [1, 1, 1, 1]),
+     "needs D(G) - 1 <= h(S) <= |G|"),
+    (StatementId.COR_SPUD, lambda: _reason_case("c4", "0^6", [1, 2], n=3),
+     "weights must all be coprime to the exponent"),
+    (StatementId.COR_SPUD, lambda: _reason_case("c4", "0^1,1^1,2^1,3^1", [1, 1, 1], n=2),
+     "n below max(h(S), d*(G))"),
+    (StatementId.COR_SPUD, lambda: _reason_case("c4", "0^2,1^1,2^1,3^1", [1, 1, 1], n=3),
+     "n above |S| - |G| + 1"),
+    (StatementId.COR_SPUD, lambda: _reason_case("c4", "0^2,1^2,2^1,3^1", [1, 1], n=3),
+     "fewer weights than n"),
+    (StatementId.COR_SPUD, lambda: _reason_case("c4", "0^3,2^3", [1, 1, 1], n=3),
+     "a coset holds all but at most |G/H| - 2 terms"),
+    (StatementId.LEM_DAVID, lambda: _reason_case("c4", "0^1", []),
+     "weights and sequence must be nonempty"),
+    (StatementId.LEM_DAVID, lambda: _reason_case("c4", "0^3", [1]),
+     "sequence shorter than |W| + D(G) - 1"),
+    (StatementId.LEM_DAVID, lambda: _reason_case("c4", "0^2,1^3", [1]),
+     "needs multiplicity of 0 equal to h(S) and at least D(G) - 1"),
+    (StatementId.LEM_SPLIT, lambda: _reason_case("c4", weights=[1], set=[0], base_index=0),
+     "set must have at least 2 elements"),
+    (StatementId.LEM_SPLIT, lambda: _reason_case("c4", weights=[1], set=[0, 1], base_index=2),
+     "base point must lie in the set"),
+    (StatementId.LEM_SPLIT, lambda: _reason_case("c4", weights=[1], set=[0, 1], base_index=0),
+     "needs exactly d*(H) weights for H generated by the shifted set"),
+    (StatementId.LEM_SPLIT,
+     lambda: _reason_case("c4", weights=[1, 1, 2], set=[0, 1], base_index=0),
+     "weights must all be coprime to exp(H)"),
+    (StatementId.PROP_PIGEONHOLE, lambda: _reason_case("c4", set_a=[], set_b=[0, 1]),
+     "both sets must be nonempty"),
+    (StatementId.PROP_PIGEONHOLE, lambda: _reason_case("c4", set_a=[0], set_b=[0, 1]),
+     "needs |A| + |B| >= |G| + 1"),
+    (StatementId.AP_STRUCT, lambda: _reason_case("c7", sets=[[0, 1]]),
+     "needs at least two sets"),
+    (StatementId.AP_STRUCT, _two_group_sets, "sets must share one group"),
+    (StatementId.AP_STRUCT, lambda: _reason_case("c7", sets=[[1, 2], [0, 1]]),
+     "every set must contain 0"),
+    (StatementId.AP_STRUCT, lambda: _reason_case("c7", sets=[[0], [0, 1]]),
+     "every set must have at least 2 elements"),
+    (StatementId.AP_STRUCT, lambda: _reason_case("c6", sets=[[0, 1, 3], [0, 1]]),
+     "a set is quasi-periodic"),
+    (StatementId.AP_STRUCT, lambda: _reason_case("c7", sets=[[0, 1, 2], [0, 1, 2]]),
+     "the two-set route needs a set of size exactly 2"),
+    (StatementId.AP_STRUCT, lambda: _reason_case("c7", sets=[[0, 1], [0, 2]]),
+     "sum size must equal |A| + |B| - 1"),
+    (StatementId.AP_STRUCT, lambda: _reason_case("c6", sets=[[0, 2], [0, 1], [0, 1]]),
+     "every set must generate the whole group"),
+    (StatementId.AP_STRUCT, lambda: _reason_case("c7", sets=[[0, 1], [0, 1], [0, 1, 2, 3, 4]]),
+     "the sum of the sets must be aperiodic"),
+    (StatementId.AP_STRUCT, lambda: _reason_case("c11", sets=[[0, 1], [0, 2], [0, 3]]),
+     "sum size must equal the Kneser equality bound"),
+    (StatementId.THM_SETPART_WITNESS, lambda: _reason_case("c4", "0^3", [1, 2], n=2),
+     "weights must all be coprime to the exponent"),
+    (StatementId.THM_SETPART_WITNESS, lambda: _reason_case("c4", "0^3", [1, 1, 1], n=2),
+     "needs exactly n weights"),
+    (StatementId.THM_SETPART_WITNESS, lambda: _reason_case("c4", "0^3", [1, 1], n=2),
+     "needs n >= d*(G)"),
+    (StatementId.THM_SETPART_WITNESS,
+     lambda: _reason_case("c4", "0^3", [1, 1, 1], n=3, sub_seq="1^3"),
+     "designated subsequence is not contained in the sequence"),
+    (StatementId.THM_SETPART_WITNESS, lambda: _reason_case("c4", "0^4", [1, 1, 1], n=3),
+     "needs h(S') <= n <= |S'|"),
+    (StatementId.THM_SETPART_MAXK,
+     lambda: _maxk_case("c4", "0^2,1^1,2^2,3^1", [1, 1, 1], [], 0, "0^1", [[0]]),
+     "certificate subgroup must be nontrivial"),
+    (StatementId.THM_SETPART_MAXK,
+     lambda: _maxk_case("c4", "0^2,1^1,2^2,3^1", [1, 1, 1], [2], 1, "0^1,2^1", [[0, 2]]),
+     "certificate does not validate"),
+    (StatementId.THM_SETPART_MAXK,
+     lambda: _maxk_case("c4", "0^2,1^1,2^2,3^1", [1, 1, 1], [2], 0, "0^1,2^1", [[0, 2]]),
+     "a strictly larger subgroup also admits a certificate"),
+]
+
+
+@pytest.mark.parametrize("sid,build,reason", _HYPOTHESIS_REASONS,
+                         ids=[f"{sid.value}:{reason}" for sid, _, reason in _HYPOTHESIS_REASONS])
+def test_every_hypothesis_reason_is_reached(sid, build, reason):
+    v = check_instance(sid, build())
+    assert v.status is Status.HYPOTHESIS_NOT_MET
+    assert v.witness == {"reason": reason}
+
+
 def test_sweepable_statements_cover_all_but_the_certificate_checker():
     ids = sweepable_statements()
     assert StatementId.THM_SETPART_MAXK not in ids
