@@ -9,6 +9,7 @@ space, which keeps sumset-style operations word-parallel.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from functools import cache, cached_property
@@ -620,15 +621,20 @@ def _iso_type_of_mask(group: Group, mask: int) -> tuple[int, ...]:
 
 def _index_in(group: Group, g) -> int:
     """The index of an element of `group`, or of an integer index: reduced
-    mod |G| on a cyclic group, else required to lie in [0, |G|)."""
+    mod |G| on a cyclic group, else required to lie in [0, |G|).  Anything
+    else, a float or a coordinate tuple, is a GroupMismatch."""
     if isinstance(g, Element):
         if g.group != group:
             raise GroupMismatch("element from another group")
         return g.index
+    try:
+        i = operator.index(g)
+    except TypeError:
+        raise GroupMismatch(f"{g!r} is neither an element nor an integer index") from None
     if group.rank == 1:
-        return int(g) % group.order
-    if 0 <= int(g) < group.order:
-        return int(g)
+        return i % group.order
+    if 0 <= i < group.order:
+        return i
     raise GroupMismatch(f"index {g} outside the group's index space")
 
 

@@ -6,7 +6,7 @@ STATEMENTS holds one Statement record per StatementId: its checker, the
 anchor text its reports carry, its sweep planner (None when it takes explicit
 instances only), the predicate that flags verdicts for the report, and
 whether its domain is sampled.  check_instance evaluates one instance
-exactly; sweep enumerates a finite instance domain, shards it, and tallies
+exactly; sweep plans a finite instance domain as counted shards, and tallies
 each shard's verdicts as soon as the shard is checked, keeping only
 failures and flagged pairs, with deterministic output.
 
@@ -14,8 +14,8 @@ The setpartition searches share one walk over subsequences, setpartitions
 and weight assignments, bounded by a Budget built from SearchCaps.  A cap
 that runs out never gives a wrong verdict: the walk moves on past it, and a
 search that then finds no witness is undecided_capped with a reason naming
-the cap; check_instance turns a CapExceeded raised anywhere below it (a
-subgroup lattice or the exact sigma_n kernel above its cap) into that too.
+the cap; check_instance turns a cap error raised anywhere below it (a
+subgroup lattice, the exact sigma_n kernel or D(G) above its cap) into that.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from functools import partial, reduce
 from itertools import chain, combinations, combinations_with_replacement
 from math import comb, gcd
 from operator import or_
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from .errors import (
     CapExceeded,
@@ -58,7 +58,7 @@ from .sequences import (
     enum_setpartitions,
     format_sequence,
 )
-from .setsum import GSet, _ap_differences, _period, gset, sumset, stabilizer
+from .setsum import GSet, _ap_differences, _period, gset, iterated_sumset, stabilizer, sumset
 from .verdict import Status, Verdict
 from .weighted import (
     WeightSeq,
@@ -149,8 +149,8 @@ class SearchCaps:
     partitions and assignments cap the setpartition walk (see Budget).
     Every cap that runs out in a checker yields an undecided_capped verdict,
     never holds/fails, whether the checker meets it in a budgeted search or
-    as a CapExceeded that check_instance catches; a planner that meets one
-    raises it, and the CLI exits 3.
+    as a CapExceeded, or davenport's GroupTooLarge, that check_instance
+    catches; a planner that meets one raises it, and the CLI exits 3.
     """
 
     davenport: int = DAVENPORT_CAP
@@ -314,57 +314,26 @@ def example2_instance(r: int) -> Instance:
     return _twin_weight_instance(2 ** r, 2 ** r - 1, 2, r=r)
 
 
-# ---------------------------------------------------------------------------
-# statement checkers
-
-
-def _misses_exactly(inst: Instance, ref: Instance, shape: str) -> Verdict:
-    """Conclusion of the examples over Z/m, given the example instance ref
-    on that group: the instance must have ref's sequence and ref's weight
-    residues up to order (else the hypothesis `shape` is not met); then the
-    |W|-term weighted sums are Z/m minus its middle, {m/2} for even m and
-    {(m-1)/2, (m+1)/2} for odd m, and no nontrivial subgroup fits in them."""
-    if (inst.seq.mult != ref.seq.mult
-            or sorted(inst.weights.residues) != sorted(ref.weights.residues)):
-        return _hyp_fail(shape)
-    m = inst.group.order
-    missing = sorted({m // 2, (m + 1) // 2})
-    full = sigma_n(inst.weights, inst.seq, inst.weights.length)
-    if full.bits != inst.group.full_mask & ~sum(1 << i for i in missing):
-        return Verdict(Status.FAILS, {"sum_set": full, "expected_missing": missing})
-    if contained_subgroup(full) is not None:
-        return Verdict(Status.FAILS, {"sum_set": full, "reason": "a nontrivial subgroup fits"})
-    return Verdict(Status.HOLDS, {"sum_set": full, "missing": missing})
-
-
-def _check_ex1(inst: Instance, caps: SearchCaps) -> Verdict:
-    _need(inst, seq=True, weights=True)
-    group = inst.group
+def _ex1_group(group: Group) -> str | None:
+    """Why EX1 does not apply on G; None when G is Z/p, p = 3 mod 4, p >= 7."""
     p = group.order
     if group.rank != 1 or not _is_prime(p):
-        return _hyp_fail("group is not of prime order")
+        return "group is not of prime order"
     if p % 4 != 3 or p < 7:
-        return _hyp_fail("order must be a prime congruent to 3 mod 4, at least 7")
-    return _misses_exactly(inst, example1_instance(p),
-                           "not the twin-weight triple-support shape for this prime")
+        return "order must be a prime congruent to 3 mod 4, at least 7"
+    return None
 
 
-def _check_ex2(inst: Instance, caps: SearchCaps) -> Verdict:
-    _need(inst, seq=True, weights=True)
-    group = inst.group
+def _ex2_group(group: Group) -> str | None:
+    """Why EX2 does not apply on G; None when G is Z/2^r with r >= 2."""
     m = group.order
     if group.rank != 1 or m & (m - 1) or m < 4:
-        return _hyp_fail("group must be cyclic of order 2^r with r >= 2")
-    return _misses_exactly(inst, example2_instance(m.bit_length() - 1),
-                           "not the twin-weight double-support shape for this order")
+        return "group must be cyclic of order 2^r with r >= 2"
+    return None
 
 
-def _davenport_capped(group: Group, caps: SearchCaps) -> int:
-    """D(G), or CapExceeded (an undecided verdict) above caps.davenport."""
-    try:
-        return davenport(group, cap=caps.davenport)
-    except GroupTooLarge:
-        raise CapExceeded("Davenport constant above cap") from None
+# ---------------------------------------------------------------------------
+# statement checkers
 
 
 def _cover_or_coset(s: GSequence, sums: int, caps: SearchCaps) -> Verdict:
@@ -378,23 +347,6 @@ def _cover_or_coset(s: GSequence, sums: int, caps: SearchCaps) -> Verdict:
         rep, sub = hit
         return Verdict(Status.HOLDS, {"disjunct": "ii", "coset_rep": rep, "subgroup": sub})
     return Verdict(Status.FAILS, {"sum_set": GSet(group, sums)})
-
-
-def _check_gao_coset(inst: Instance, caps: SearchCaps) -> Verdict:
-    _need(inst, seq=True)
-    group, s = inst.group, inst.seq
-    d = _davenport_capped(group, caps)
-    if s.length < group.order + d - 1:
-        return _hyp_fail("sequence shorter than |G| + D(G) - 1")
-    return _cover_or_coset(s, sums_by_count(s)[group.order], caps)
-
-
-def _check_gao_dstar(inst: Instance, caps: SearchCaps) -> Verdict:
-    _need(inst, seq=True)
-    group, s = inst.group, inst.seq
-    if s.length < group.order + dstar(group):
-        return _hyp_fail("sequence shorter than |G| + d*(G)")
-    return _cover_or_coset(s, sums_by_count(s)[group.order], caps)
 
 
 def _check_wegz(inst: Instance, caps: SearchCaps) -> Verdict:
@@ -508,7 +460,7 @@ def _check_ham_var(inst: Instance, caps: SearchCaps) -> Verdict:
         return _hyp_fail("weight total not divisible by the exponent")
     if max(s.mult) > w.length:
         return _hyp_fail("maximum multiplicity exceeds |W|")
-    if w.length - _nonunit_count(w.raw, e) < dstar(group):
+    if sum(w.units) < dstar(group):
         return _hyp_fail("fewer than d*(G) weights coprime to the exponent")
     sub, full = _subgroup_in_full_sum(inst)
     if sub is not None:
@@ -520,7 +472,7 @@ def _check_ordaz_quiroz(inst: Instance, caps: SearchCaps) -> Verdict:
     _need(inst, seq=True, weights=True)
     group, s, w = inst.group, inst.seq, inst.weights
     m = group.order
-    d = _davenport_capped(group, caps)
+    d = davenport(group, caps.davenport)
     if w.length != m:
         return _hyp_fail("needs |W| = |G|")
     if _nonunit_count(w.raw, m):
@@ -536,7 +488,7 @@ def _check_specialcase(inst: Instance, caps: SearchCaps) -> Verdict:
     _need(inst, seq=True, weights=True)
     group, s, w = inst.group, inst.seq, inst.weights
     m = group.order
-    d = _davenport_capped(group, caps)
+    d = davenport(group, caps.davenport)
     if w.length != m:
         return _hyp_fail("needs |W| = |G|")
     if _nonunit_count(w.raw, m):
@@ -552,7 +504,7 @@ def _check_specialcase(inst: Instance, caps: SearchCaps) -> Verdict:
 def _check_spud(inst: Instance, caps: SearchCaps) -> Verdict:
     _need(inst, seq=True, weights=True, n=True)
     group, s, w, h = inst.group, inst.seq, inst.weights, inst.n
-    if _nonunit_count(w.raw, group.exponent):
+    if not all(w.units):
         return _hyp_fail("weights must all be coprime to the exponent")
     if h < max(max(s.mult), dstar(group)):
         return _hyp_fail("n below max(h(S), d*(G))")
@@ -571,7 +523,7 @@ def _check_spud(inst: Instance, caps: SearchCaps) -> Verdict:
 def _check_david(inst: Instance, caps: SearchCaps) -> Verdict:
     _need(inst, seq=True, weights=True)
     group, s, w = inst.group, inst.seq, inst.weights
-    d = _davenport_capped(group, caps)
+    d = davenport(group, caps.davenport)
     if w.length < 1 or s.length < 1:
         return _hyp_fail("weights and sequence must be nonempty")
     if s.length < w.length + d - 1:
@@ -638,15 +590,15 @@ def _check_dual(inst: Instance, caps: SearchCaps) -> Verdict:
 
 
 def check_self_duality(group: Group, caps: SearchCaps = DEFAULT_CAPS) -> Verdict:
-    """For every subgroup H, some K has type(K) = type(G/H) and type(G/K) = type(H)."""
+    """PROP_DUAL's checker on every subgroup H; the first failure decides."""
     try:
         lattice = all_subgroups(group, cap=caps.subgroups)
     except CapExceeded:
         return _capped("subgroup lattice above cap")
     for sub in lattice:
-        if not any(c.iso_type == sub.quotient_type and c.quotient_type == sub.iso_type
-                   for c in lattice):
-            return Verdict(Status.FAILS, {"subgroup": sub})
+        verdict = _check_dual(Instance(group, extra={"subgroup": sub}), caps)
+        if verdict.status is Status.FAILS:
+            return verdict
     return Verdict(Status.HOLDS, {"subgroups": len(lattice)})
 
 
@@ -699,9 +651,7 @@ def check_ap_structure(sets: list[GSet], caps: SearchCaps = DEFAULT_CAPS) -> Ver
     if any(stabilizer(x, caps.subgroups).quasi_period is not None for x in sets):
         return _hyp_fail("a set is quasi-periodic")
     n = len(sets)
-    total: GSet | None = None
-    for x in sets:
-        total = x if total is None else sumset(total, x)
+    total = iterated_sumset(sets)
     equality = total.size == sum(x.size for x in sets) - n + 1
     if n == 2:
         if not any(x.size == 2 for x in sets):
@@ -828,7 +778,7 @@ def _sprime(inst: Instance) -> GSequence:
 def _hyp_setpart(inst: Instance) -> str | None:
     group, s, w, n = inst.group, inst.seq, inst.weights, inst.n
     sprime = _sprime(inst)
-    if any(gcd(x, group.exponent) != 1 for x in w.raw):
+    if not all(w.units):
         return "weights must all be coprime to the exponent"
     if w.length != n:
         return "needs exactly n weights"
@@ -1073,12 +1023,15 @@ def check_instance(sid: StatementId, inst: Instance,
 
     Unmet hypotheses and exhausted budgets are verdict statuses, not errors;
     a CapExceeded from below the checker becomes undecided_capped with the
-    exception's message as its reason.  Only malformed instances raise.
+    exception's message as its reason, and davenport's GroupTooLarge with
+    "Davenport constant above cap".  Only malformed instances raise.
     """
     try:
         return STATEMENTS[sid].checker(inst, caps)
     except CapExceeded as exc:
         return _capped(str(exc))
+    except GroupTooLarge:
+        return _capped("Davenport constant above cap")
 
 
 # ---------------------------------------------------------------------------
@@ -1097,6 +1050,8 @@ class SweepDomain:
     translation-covariant keep one representative per translation orbit.
     The subgroup lattice is capped by the sweep's SearchCaps.subgroups, not
     here; the report's domain still carries that cap as subgroup_cap.
+    A negative size (a wlen, slen_extra, samples, set_size_max or
+    max_instances) is a ValueError naming the field.
     """
 
     groups: tuple[Group, ...]
@@ -1108,17 +1063,18 @@ class SweepDomain:
     reduce_translation: bool = True
     max_instances: int = 2_000_000
 
+    def __post_init__(self) -> None:
+        if any(k < 0 for k in self.wlens):
+            raise ValueError(f"wlens must be non-negative, got {list(self.wlens)}")
+        for name in ("slen_extra", "samples", "set_size_max", "max_instances"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
 
-@dataclass
-class SweepPlan:
-    """A planned sweep: shards in enumeration order, each a (key, factory)
-    pair whose factory lists the shard's instances when called, and the
-    planned instance count.  sweep calls a factory only when it checks that
-    shard and tallies the shard as soon as it is checked, so only one
-    shard's instances are alive at a time."""
 
-    shards: list[tuple[str, Callable[[], list[Instance]]]]
-    estimate: int
+# A planned shard: its exact instance count and a factory listing its
+# instances.  sweep sums the counts before it calls any factory, then builds
+# one shard at a time, in the order the planner yields them.
+Shard = tuple[int, Callable[[], list[Instance]]]
 
 
 @dataclass
@@ -1177,17 +1133,13 @@ def _domain_dict(dom: SweepDomain, sampled: bool, caps: SearchCaps) -> dict[str,
 
 
 def _per_group(dom: SweepDomain, size: Callable[[Group], int | None],
-               build: Callable[[Group], list[Instance]]) -> SweepPlan:
-    """One shard per group, keyed by the group: size(G) counts its instances
-    at planning time (None leaves G out) and build(G) lists them."""
-    shards = []
-    estimate = 0
+               build: Callable[[Group], list[Instance]]) -> Iterator[Shard]:
+    """One shard per group: size(G) counts its instances at planning time
+    (None leaves G out) and build(G) lists them."""
     for group in dom.groups:
         count = size(group)
         if count is not None:
-            estimate += count
-            shards.append((format_group(group), partial(build, group)))
-    return SweepPlan(shards, estimate)
+            yield count, partial(build, group)
 
 
 @dataclass(frozen=True)
@@ -1201,9 +1153,8 @@ class _SeqPlanner:
     multiplicities are at most k.  Translation reduction applies when
     translate is set and the weight total is 0 mod exp(G), so that
     translating S leaves every |W|-term weighted sum in place.  with_n puts
-    n = |W| on each instance.  The plan's estimate is the exact instance
-    count: the pools are built at planning time, and the weight tuples of
-    one call share them.
+    n = |W| on each instance.  Each shard's count is exact: the pools are
+    built at planning time, and the weight tuples of one call share them.
     """
 
     weights: Callable[[Group, int], list[tuple[int, ...]]]
@@ -1212,9 +1163,7 @@ class _SeqPlanner:
     translate: bool = True
     with_n: bool = False
 
-    def __call__(self, dom: SweepDomain, caps: SearchCaps = DEFAULT_CAPS) -> SweepPlan:
-        shards: list[tuple[str, Callable[[], list[Instance]]]] = []
-        estimate = 0
+    def __call__(self, dom: SweepDomain, caps: SearchCaps = DEFAULT_CAPS) -> Iterator[Shard]:
         shared: dict[tuple, tuple[tuple[int, ...], ...]] = {}
 
         def pool(*spec) -> tuple[tuple[int, ...], ...]:
@@ -1233,27 +1182,23 @@ class _SeqPlanner:
                                and sum(wtuple) % group.exponent == 0)
                     pools = [pool(group, size, wlen if self.cap_h else size, reduced)
                              for size in sizes]
-                    estimate += sum(map(len, pools))
-                    shards.append(_seq_shard(group, wtuple, pools, self.with_n))
-        return SweepPlan(shards, estimate)
+                    yield _seq_shard(group, wtuple, pools, self.with_n)
 
 
 def _seq_shard(group: Group, wtuple: tuple[int, ...], pools: list[tuple[tuple[int, ...], ...]],
-               with_n: bool = False) -> tuple[str, Callable[[], list[Instance]]]:
+               with_n: bool = False) -> Shard:
     """The shard of one weight tuple over sequence pools built at planning
-    time: its key, and a factory listing one instance per pooled sequence."""
+    time: one instance per pooled sequence."""
     def build() -> list[Instance]:
         w = weight_seq(group, wtuple)
         n = w.length if with_n else None
         return [Instance(group, seq=GSequence(group, mult), weights=w, n=n)
                 for pool in pools for mult in pool]
 
-    return f"{format_group(group)}|w={','.join(map(str, wtuple))}", build
+    return sum(map(len, pools)), build
 
 
-def _plan_david(dom: SweepDomain, caps: SearchCaps = DEFAULT_CAPS) -> SweepPlan:
-    shards: list[tuple[str, Callable[[], list[Instance]]]] = []
-    estimate = 0
+def _plan_david(dom: SweepDomain, caps: SearchCaps = DEFAULT_CAPS) -> Iterator[Shard]:
     for group in dom.groups:
         d = davenport(group, cap=caps.davenport)
         pools: dict[int, tuple[tuple[int, ...], ...]] = {}
@@ -1264,38 +1209,18 @@ def _plan_david(dom: SweepDomain, caps: SearchCaps = DEFAULT_CAPS) -> SweepPlan:
                                 for rest in _sub_multisets((h,) * (group.order - 1), size - h, h))
         for wlen in dom.wlens:
             sized = [pools[size] for size in range(wlen + d - 1, wlen + d + dom.slen_extra)]
-            wlists = _weight_lists(group.exponent, wlen)
-            estimate += len(wlists) * sum(map(len, sized))
-            shards += [_seq_shard(group, wtuple, sized) for wtuple in wlists]
-    return SweepPlan(shards, estimate)
+            for wtuple in _weight_lists(group.exponent, wlen):
+                yield _seq_shard(group, wtuple, sized)
 
 
-def _plan_unweighted_sampled(slen_fn):
-    def plan(dom: SweepDomain, caps: SearchCaps = DEFAULT_CAPS) -> SweepPlan:
-        sizes = {group: slen_fn(group, caps) + dom.slen_extra for group in dom.groups}
-
-        def build(group: Group) -> list[Instance]:
-            rng = random.Random(f"{dom.seed}:{format_group(group)}:unweighted")
-            out = []
-            for _ in range(dom.samples):
-                mult = [0] * group.order
-                for idx in rng.choices(range(group.order), k=sizes[group]):
-                    mult[idx] += 1
-                out.append(Instance(group, seq=GSequence(group, tuple(mult))))
-            return out
-
-        return _per_group(dom, lambda g: dom.samples, build)
-    return plan
-
-
-def _plan_subgroup_instances(dom: SweepDomain, caps: SearchCaps = DEFAULT_CAPS) -> SweepPlan:
+def _plan_subgroup_instances(dom: SweepDomain, caps: SearchCaps = DEFAULT_CAPS) -> Iterator[Shard]:
     return _per_group(
         dom, lambda g: len(all_subgroups(g, caps.subgroups)),
         lambda g: [Instance(g, extra={"subgroup": sub})
                    for sub in all_subgroups(g, caps.subgroups)])
 
 
-def _plan_split(dom: SweepDomain, caps: SearchCaps = DEFAULT_CAPS) -> SweepPlan:
+def _plan_split(dom: SweepDomain, caps: SearchCaps = DEFAULT_CAPS) -> Iterator[Shard]:
     def build(group: Group, indices: tuple[int, ...], units: list[int], d: int,
               exhaustive: bool) -> list[Instance]:
         a = gset(group, [group.element_from_index(i) for i in indices])
@@ -1308,8 +1233,6 @@ def _plan_split(dom: SweepDomain, caps: SearchCaps = DEFAULT_CAPS) -> SweepPlan:
             wtuples = (tuple(sorted(rng.choices(units, k=d))) for _ in range(dom.samples))
         return [Instance(group, weights=weight_seq(group, wt), extra=extra) for wt in wtuples]
 
-    shards = []
-    estimate = 0
     for group in dom.groups:
         for k in range(2, dom.set_size_max + 1):
             if k > group.order:
@@ -1321,14 +1244,11 @@ def _plan_split(dom: SweepDomain, caps: SearchCaps = DEFAULT_CAPS) -> SweepPlan:
                 units = [u for u in range(1, sub.exponent + 1)
                          if gcd(u, sub.exponent) == 1]
                 exhaustive = len(units) ** d <= 10_000
-                count = (comb(len(units) + d - 1, d) if exhaustive else dom.samples)
-                estimate += count
-                key = f"{format_group(group)}|A={','.join(map(str, indices))}"
-                shards.append((key, partial(build, group, indices, units, d, exhaustive)))
-    return SweepPlan(shards, estimate)
+                yield (comb(len(units) + d - 1, d) if exhaustive else dom.samples,
+                       partial(build, group, indices, units, d, exhaustive))
 
 
-def _plan_pigeonhole(dom: SweepDomain, caps: SearchCaps = DEFAULT_CAPS) -> SweepPlan:
+def _plan_pigeonhole(dom: SweepDomain, caps: SearchCaps = DEFAULT_CAPS) -> Iterator[Shard]:
     def build(group: Group) -> list[Instance]:
         m = group.order
         out = []
@@ -1353,7 +1273,7 @@ def _plan_pigeonhole(dom: SweepDomain, caps: SearchCaps = DEFAULT_CAPS) -> Sweep
     return _per_group(dom, size, build)
 
 
-def _plan_ap_struct(dom: SweepDomain, caps: SearchCaps = DEFAULT_CAPS) -> SweepPlan:
+def _plan_ap_struct(dom: SweepDomain, caps: SearchCaps = DEFAULT_CAPS) -> Iterator[Shard]:
     def build(group: Group) -> list[Instance]:
         masks = [b for b in range(1, 1 << group.order) if b & 1 and b.bit_count() >= 2]
         out = []
@@ -1368,29 +1288,15 @@ def _plan_ap_struct(dom: SweepDomain, caps: SearchCaps = DEFAULT_CAPS) -> SweepP
                       build)
 
 
-def _plan_ex1(dom: SweepDomain, caps: SearchCaps = DEFAULT_CAPS) -> SweepPlan:
-    def size(group: Group) -> int | None:
-        p = group.order
-        return 1 if group.rank == 1 and p % 4 == 3 and p >= 7 and _is_prime(p) else None
-
-    return _per_group(dom, size, lambda g: [example1_instance(g.order)])
-
-
-def _plan_ex2(dom: SweepDomain, caps: SearchCaps = DEFAULT_CAPS) -> SweepPlan:
-    def size(group: Group) -> int | None:
-        m = group.order
-        return 1 if group.rank == 1 and m >= 4 and not m & (m - 1) else None
-
-    return _per_group(dom, size, lambda g: [example2_instance(g.order.bit_length() - 1)])
-
-
 @dataclass(frozen=True)
 class Statement:
     """Registry record of one statement.
 
-    checker evaluates one instance; planner(dom, caps) enumerates a sweep
-    domain into shards, taking D(G) under the sweep's caps.davenport as the
-    checkers do (None: the statement takes explicit instances only); anchor
+    checker evaluates one instance; planner(dom, caps) yields a sweep
+    domain's shards in enumeration order, each a Shard (its exact instance
+    count and the factory listing its instances), taking D(G) under the
+    sweep's caps.davenport as the checkers do (None: the statement takes
+    explicit instances only); anchor
     is the statement as reports quote it; flag picks the verdicts a report
     lists besides the failures (None: reports carry no flagged key); sampled
     says the planner draws dom.samples random instances, so the report's
@@ -1398,28 +1304,94 @@ class Statement:
     """
 
     checker: Callable[[Instance, SearchCaps], Verdict]
-    planner: Callable[[SweepDomain, SearchCaps], SweepPlan] | None
+    planner: Callable[[SweepDomain, SearchCaps], Iterable[Shard]] | None
     anchor: str
     flag: Callable[[Instance, Verdict], bool] | None = None
     sampled: bool = False
 
 
+def _example_statement(group_test: Callable[[Group], str | None],
+                       build: Callable[[Group], Instance], shape: str,
+                       anchor: str) -> Statement:
+    """Registry row of an example family over Z/m.  Its checker needs G to
+    pass group_test and the instance to have the sequence and the weight
+    residues, up to order, of the family's instance build(G) (else the
+    hypothesis `shape` is not met); then the |W|-term weighted sums are Z/m
+    minus its middle, {m/2} for even m and {(m-1)/2, (m+1)/2} for odd m, and
+    no nontrivial subgroup fits in them.  Its planner reads the same group
+    test and plans build(G) on each group that passes it."""
+    def check(inst: Instance, caps: SearchCaps) -> Verdict:
+        _need(inst, seq=True, weights=True)
+        reason = group_test(inst.group)
+        if reason:
+            return _hyp_fail(reason)
+        ref = build(inst.group)
+        if (inst.seq.mult != ref.seq.mult
+                or sorted(inst.weights.residues) != sorted(ref.weights.residues)):
+            return _hyp_fail(shape)
+        m = inst.group.order
+        missing = sorted({m // 2, (m + 1) // 2})
+        full = sigma_n(inst.weights, inst.seq, inst.weights.length)
+        if full.bits != inst.group.full_mask & ~sum(1 << i for i in missing):
+            return Verdict(Status.FAILS, {"sum_set": full, "expected_missing": missing})
+        if contained_subgroup(full) is not None:
+            return Verdict(Status.FAILS, {"sum_set": full, "reason": "a nontrivial subgroup fits"})
+        return Verdict(Status.HOLDS, {"sum_set": full, "missing": missing})
+
+    def plan(dom: SweepDomain, caps: SearchCaps = DEFAULT_CAPS) -> Iterator[Shard]:
+        return _per_group(dom, lambda g: None if group_test(g) else 1, lambda g: [build(g)])
+
+    return Statement(check, plan, anchor)
+
+
+def _gao_statement(threshold: Callable[[Group, SearchCaps], int], shorter: str,
+                   anchor: str) -> Statement:
+    """Registry row of a Gao-type statement: |S| >= threshold(G, caps) (else
+    the hypothesis `shorter` is not met) forces _cover_or_coset on the
+    |G|-term subsums.  Its planner reads the same threshold: per group it
+    draws dom.samples sequences of that length plus dom.slen_extra."""
+    def check(inst: Instance, caps: SearchCaps) -> Verdict:
+        _need(inst, seq=True)
+        group, s = inst.group, inst.seq
+        if s.length < threshold(group, caps):
+            return _hyp_fail(shorter)
+        return _cover_or_coset(s, sums_by_count(s)[group.order], caps)
+
+    def plan(dom: SweepDomain, caps: SearchCaps = DEFAULT_CAPS) -> Iterator[Shard]:
+        sizes = {group: threshold(group, caps) + dom.slen_extra for group in dom.groups}
+
+        def build(group: Group) -> list[Instance]:
+            rng = random.Random(f"{dom.seed}:{format_group(group)}:unweighted")
+            out = []
+            for _ in range(dom.samples):
+                mult = [0] * group.order
+                for idx in rng.choices(range(group.order), k=sizes[group]):
+                    mult[idx] += 1
+                out.append(Instance(group, seq=GSequence(group, tuple(mult))))
+            return out
+
+        return _per_group(dom, lambda g: dom.samples, build)
+
+    return Statement(check, plan, anchor, sampled=True)
+
+
 STATEMENTS: dict[StatementId, Statement] = {
-    StatementId.EX1: Statement(
-        _check_ex1, _plan_ex1,
+    StatementId.EX1: _example_statement(
+        _ex1_group, lambda g: example1_instance(g.order),
+        "not the twin-weight triple-support shape for this prime",
         "over Z/p with p = 3 mod 4 prime, weights 1 and -1 each (n-1)/2 times plus one 0 "
         "against 0^n 1^n 2^n, n = (p-1)/2: the n-term weighted sums are Z/p minus "
         "{(p-1)/2, (p+1)/2}, so no nontrivial subgroup fits"),
-    StatementId.EX2: Statement(
-        _check_ex2, _plan_ex2,
+    StatementId.EX2: _example_statement(
+        _ex2_group, lambda g: example2_instance(g.order.bit_length() - 1),
+        "not the twin-weight double-support shape for this order",
         "over Z/2^r, weights 1 and -1 each (n-1)/2 times plus one 0 against 0^n 1^n, "
         "n = 2^r - 1: the n-term weighted sums miss exactly 2^(r-1), the unique "
         "involution, so no nontrivial subgroup fits"),
-    StatementId.THM_GAO_COSET: Statement(
-        _check_gao_coset, _plan_unweighted_sampled(lambda g, caps: ell(g, caps.davenport)),
+    StatementId.THM_GAO_COSET: _gao_statement(
+        lambda g, caps: ell(g, caps.davenport), "sequence shorter than |G| + D(G) - 1",
         "|S| >= |G| + D(G) - 1 forces: the |G|-term subsums cover G, or some coset g+H "
-        "holds all but at most |G/H| - 2 terms of S",
-        sampled=True),
+        "holds all but at most |G/H| - 2 terms of S"),
     StatementId.THM_WEGZ: Statement(
         _check_wegz, _SeqPlanner(
             lambda g, k: _weight_lists(g.exponent, k, zero_sum=g.exponent), cap_h=False),
@@ -1478,11 +1450,10 @@ STATEMENTS: dict[StatementId, Statement] = {
     StatementId.PROP_PIGEONHOLE: Statement(
         _check_pigeonhole, _plan_pigeonhole,
         "|A| + |B| >= |G| + 1 forces A + B = G"),
-    StatementId.COR_GAO_DSTAR: Statement(
-        _check_gao_dstar, _plan_unweighted_sampled(lambda g, caps: g.order + dstar(g)),
+    StatementId.COR_GAO_DSTAR: _gao_statement(
+        lambda g, caps: g.order + dstar(g), "sequence shorter than |G| + d*(G)",
         "|S| >= |G| + d*(G) forces: the |G|-term subsums cover G, or the coset "
-        "condition",
-        sampled=True),
+        "condition"),
     StatementId.COR_SPUD: Statement(
         _check_spud, _SeqPlanner(
             lambda g, k: _weight_lists(g.exponent, k, max_nonunit=0) if k >= dstar(g) else [],
@@ -1525,25 +1496,28 @@ def sweep(sid: StatementId, dom: SweepDomain, threads: int = 1,
           caps: SearchCaps = DEFAULT_CAPS) -> SweepReport:
     """Run one statement over a whole domain, on the calling thread.
 
-    Each shard is tallied as soon as it is checked: its status counts, its
-    failures and its flagged pairs are kept and its instances dropped, so
-    memory holds the failures, the flagged pairs and one shard's instances.
-    Shards are checked and tallied in enumeration order, so the report is
-    deterministic.  threads is accepted and ignored.  Raises DomainTooLarge
-    when the estimated instance count exceeds dom.max_instances.
+    The planner's shards are all listed first, and DomainTooLarge is raised
+    when their counts sum past dom.max_instances, so neither that nor a cap
+    error raised while planning lets any instance be checked.  Then each
+    shard is built and tallied as soon as it is checked: its status counts,
+    its failures and its flagged pairs are kept and its instances dropped,
+    so memory holds the failures, the flagged pairs and one shard's
+    instances.  Shards are checked and tallied in enumeration order, so the
+    report is deterministic.  threads is accepted and ignored.
     """
     statement = STATEMENTS[sid]
     if statement.planner is None:
         raise MissingField(f"{sid.value} takes explicit instances, not sweep domains")
-    plan = statement.planner(dom, caps)
-    if plan.estimate > dom.max_instances:
+    shards = list(statement.planner(dom, caps))
+    planned = sum(count for count, _ in shards)
+    if planned > dom.max_instances:
         raise DomainTooLarge(
-            f"estimated {plan.estimate} instances exceed the cap {dom.max_instances}")
+            f"estimated {planned} instances exceed the cap {dom.max_instances}")
     flag = statement.flag
     counts = {status.value: 0 for status in Status}
     failures: list[tuple[Instance, Verdict]] = []
     flagged: list[tuple[Instance, Verdict]] = []
-    for _, factory in plan.shards:
+    for _, factory in shards:
         for inst in factory():
             verdict = check_instance(sid, inst, caps)
             counts[verdict.status.value] += 1

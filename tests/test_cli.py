@@ -219,3 +219,83 @@ def test_quiet_json_mode_emits_only_json(capsys):
     code, out, _ = run(capsys, "verify", "--statement", "EX1", "--p", "7", "--json")
     assert code == 0
     json.loads(out)  # the whole stdout is one JSON document
+
+
+def test_verify_builds_instances_from_every_instance_flag(capsys):
+    code, out, _ = run(capsys, "verify", "--statement", "PROP_DUAL", "--group", "c2xc4",
+                       "--subgroup", "(1,0);(0,2)", "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["instance"]["extra"]["subgroup"] == {"elements": [0, 1, 4, 5], "iso": "c2xc2"}
+    assert doc["verdict"] == {"status": "holds",
+                              "witness": {"partner": {"elements": [0, 4], "iso": "c2"}}}
+    code, out, _ = run(capsys, "verify", "--statement", "LEM_SPLIT", "--group", "c7",
+                       "--set", "0,1", "--base", "0", "--weights", "1^6")
+    assert code == 0
+    assert "status: holds" in out and '"coset_rep": 0' in out
+    code, out, _ = run(capsys, "verify", "--statement", "PROP_PIGEONHOLE", "--group", "c5",
+                       "--set-a", "0,1,2", "--set-b", "0,1,3", "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["instance"]["extra"] == {"set_a": [0, 1, 2], "set_b": [0, 1, 3]}
+    assert doc["verdict"]["status"] == "holds"
+    code, out, _ = run(capsys, "verify", "--statement", "AP_STRUCT", "--group", "c7",
+                       "--sets", "0,1;0,1,2", "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["instance"]["extra"]["sets"] == [[0, 1], [0, 1, 2]]
+    assert doc["verdict"] == {"status": "holds", "witness": {"difference": "1"}}
+    code, out, _ = run(capsys, "verify", "--statement", "EX2", "--r", "3")
+    assert code == 0
+    assert 'witness: {"missing": [4]' in out
+
+
+def test_verify_rejects_half_a_set_pair_and_repeated_elements(capsys):
+    code, out, err = run(capsys, "verify", "--statement", "PROP_PIGEONHOLE", "--group", "c5",
+                         "--set-a", "0,1,2")
+    assert (code, out, err) == (2, "", "error: --set-a and --set-b go together\n")
+    code, out, err = run(capsys, "verify", "--statement", "PROP_PIGEONHOLE", "--group", "c5",
+                         "--set-a", "0,1,1", "--set-b", "0,1")
+    assert (code, out, err) == (2, "", "error: set literal '0,1,1' repeats an element\n")
+
+
+def test_sumset_sigma_and_setpartition_json(capsys):
+    code, out, _ = run(capsys, "sumset", "--group", "c5", "--sets", "0,1;0,2", "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["sumset"] == [0, 1, 2, 3] and doc["size"] == 4
+    assert doc["stabilizer"] == {"elements": [0], "iso": "c1"}
+    assert doc["periodic"] is False and doc["quasi_period"] is None
+    assert doc["ap"] == {"start": "0", "difference": "1", "length": 4}
+    sigma = ["sigma", "--group", "c7", "--weights", "1^1,-1^1,0^1", "--seq", "0^3,1^3,2^3",
+             "--all"]
+    code, out, _ = run(capsys, *sigma)
+    assert code == 0
+    assert out.splitlines() == [f"n={n}: {{0,1,2,5,6}}" for n in (1, 2, 3)] + [
+        "union: {0,1,2,5,6}"]
+    code, out, _ = run(capsys, *sigma, "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["sums_by_n"] == {str(n): [0, 1, 2, 5, 6] for n in (1, 2, 3)}
+    assert doc["union"] == [0, 1, 2, 5, 6]
+    assert doc["weights"] == "-1^1,0^1,1^1" and doc["weights_canonical"] == [1, 6, 0]
+    code, out, _ = run(capsys, "setpartition", "--group", "c8", "--seq", "0^3,1^2,2,4^3",
+                       "--n", "3", "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["blocks"] == [[0, 1, 4], [0, 1, 4], [0, 2, 4]]
+    assert doc["seq"] == "0^3,1^2,2^1,4^3" and doc["n"] == 3
+
+
+@pytest.mark.parametrize("flags,field", [
+    (["--statement", "COR_GAO_DSTAR", "--samples", "-3"], "samples"),
+    (["--statement", "THM_HAM_CHAR", "--wlen", "3", "--slen-extra", "-1"], "slen_extra"),
+    (["--statement", "THM_HAM_CHAR", "--wlen", "-1"], "wlens"),
+    (["--statement", "LEM_SPLIT", "--set-size-max", "-2"], "set_size_max"),
+    (["--statement", "THM_WEGZ", "--wlen", "2", "--max-instances", "-1"], "max_instances"),
+])
+def test_negative_domain_sizes_exit_two(flags, field, capsys):
+    code, out, err = run(capsys, "sweep", "--group", "c5", *flags)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and field in err

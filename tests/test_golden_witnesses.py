@@ -111,7 +111,7 @@ def domain_summary(sid: StatementId, groups: tuple[str, ...],
                    wlens: tuple[int, ...]) -> dict:
     dom = SweepDomain(groups=tuple(parse_group(g) for g in groups), wlens=wlens)
     return summarize((inst, check_instance(sid, inst))
-                     for _, factory in STATEMENTS[sid].planner(dom).shards
+                     for _, factory in STATEMENTS[sid].planner(dom)
                      for inst in factory())
 
 

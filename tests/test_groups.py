@@ -29,6 +29,8 @@ from zerosum import (
     parse_group,
     quotient,
     quotient_iso_type,
+    seq_from_indices,
+    sequence,
     stabilizer,
     subgroup_from_elements,
     subgroup_generated,
@@ -230,6 +232,16 @@ def test_builders_reject_indices_outside_the_group():
     c6 = parse_group("c6")
     assert subgroup_generated(c6, [7]) is subgroup_generated(c6, [1])
     assert subgroup_generated(c6, [-2]) is subgroup_generated(c6, [4])
+
+
+def test_builders_take_only_elements_and_integers():
+    g = parse_group("c2xc4")
+    for build, bad in ((seq_from_indices, 1.5), (sequence, 2.7), (gset, (1, 2)),
+                       (sequence, (1, 2)), (subgroup_generated, (1, 0)),
+                       (subgroup_from_elements, "1")):
+        with pytest.raises(GroupMismatch):
+            build(g, [bad])
+    assert seq_from_indices(g, [True]).mult == seq_from_indices(g, [1]).mult
 
 
 def test_generators_span_the_mask_irredundantly():

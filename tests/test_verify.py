@@ -913,14 +913,15 @@ def test_subgroup_cap_reaches_the_stabilizer_and_the_planners():
     report = sweep(StatementId.AP_STRUCT, SweepDomain(groups=(g,)), caps=small)
     assert report.counts[Status.UNDECIDED_CAPPED.value] > 0
     assert report.domain["subgroup_cap"] == 2
-    plan = STATEMENTS[StatementId.AP_STRUCT].planner(SweepDomain(groups=(g,)), small)
-    inst = plan.shards[0][1]()[0]
+    planner = STATEMENTS[StatementId.AP_STRUCT].planner
+    _, factory = next(iter(planner(SweepDomain(groups=(g,)), small)))
+    inst = factory()[0]
     assert check_instance(StatementId.AP_STRUCT, inst, small).witness == {
         "reason": "more than 2 subgroups"}
     assert check_instance(StatementId.AP_STRUCT, inst).status is not Status.UNDECIDED_CAPPED
     for sid in (StatementId.LEM_DSTAR_SUBADD, StatementId.PROP_DUAL, StatementId.PROP_ALIGN):
         with pytest.raises(CapExceeded, match="^more than 2 subgroups$"):
-            STATEMENTS[sid].planner(SweepDomain(groups=(g,)), small)
+            list(STATEMENTS[sid].planner(SweepDomain(groups=(g,)), small))
         assert sweep(sid, SweepDomain(groups=(g,)), caps=SearchCaps(subgroups=5)).examined == 5
 
 
@@ -950,8 +951,13 @@ def test_sequence_planner_weight_lists_are_pinned():
         assert digest == _WEIGHT_LIST_DIGESTS[name], name
 
 
-def _enumerated(plan) -> int:
-    return sum(len(factory()) for _, factory in plan.shards)
+def _enumerated(shards) -> int:
+    """The planned instance count, each shard's count checked against its factory."""
+    total = 0
+    for count, factory in shards:
+        assert count == len(factory())
+        total += count
+    return total
 
 
 def test_sequence_plan_estimates_are_exact():
@@ -964,16 +970,24 @@ def test_sequence_plan_estimates_are_exact():
                 dom = SweepDomain(groups=(parse_group(text),), wlens=(2, 3, 4), samples=3,
                                   slen_extra=int(not reduce_translation),
                                   reduce_translation=reduce_translation)
-                plan = STATEMENTS[sid].planner(dom, DEFAULT_CAPS)
-                assert plan.estimate == _enumerated(plan), (sid, text, reduce_translation)
+                _enumerated(STATEMENTS[sid].planner(dom, DEFAULT_CAPS))
     # the former pool estimate gave 35,802 here, so max_instances=30000 refused it
     dom = SweepDomain(groups=(parse_group("c8"),), wlens=(4,), max_instances=30_000)
-    plan = STATEMENTS[StatementId.THM_HAM_CHAR].planner(dom, DEFAULT_CAPS)
-    assert plan.estimate == _enumerated(plan) == 20_610
+    assert _enumerated(STATEMENTS[StatementId.THM_HAM_CHAR].planner(dom, DEFAULT_CAPS)) == 20_610
     # the former LEM_DAVID bound gave 340,956 here, so max_instances=100000 refused it
     dom = SweepDomain(groups=(parse_group("c6"),), wlens=(2, 3, 4), max_instances=100_000)
-    plan = STATEMENTS[StatementId.LEM_DAVID].planner(dom, DEFAULT_CAPS)
-    assert plan.estimate == _enumerated(plan) == 19_453
+    assert _enumerated(STATEMENTS[StatementId.LEM_DAVID].planner(dom, DEFAULT_CAPS)) == 19_453
+
+
+@pytest.mark.parametrize("field,value", [
+    ("wlens", (2, -1)), ("slen_extra", -1), ("samples", -3), ("set_size_max", -1),
+    ("max_instances", -1),
+])
+def test_sweep_domain_rejects_negative_sizes(field, value):
+    with pytest.raises(ValueError, match=field):
+        SweepDomain(groups=(parse_group("c5"),), **{field: value})
+    zero = (0,) if field == "wlens" else 0
+    assert getattr(SweepDomain(groups=(), **{field: zero}), field) == zero
 
 
 def test_domain_too_large_guard():
@@ -1011,13 +1025,14 @@ def test_planners_take_the_sweeps_davenport_cap():
     # D(c36) = 36 needs a Davenport cap of at least 36; the default is 64
     report = sweep(StatementId.THM_GAO_COSET, sampled)
     assert report.counts[Status.HOLDS.value] == 2
-    for _, factory in STATEMENTS[StatementId.THM_GAO_COSET].planner(sampled, DEFAULT_CAPS).shards:
+    for _, factory in STATEMENTS[StatementId.THM_GAO_COSET].planner(sampled, DEFAULT_CAPS):
         for inst in factory():
             assert check_instance(StatementId.THM_GAO_COSET, inst).status is Status.HOLDS
     weighted = SweepDomain(groups=(c36,), wlens=(1,))
     for sid in (StatementId.CONJ_ORDAZ_QUIROZ, StatementId.COR_SPECIALCASE):
         assert sweep(sid, weighted).examined == 0  # |W| = |G| only; planning needs D(G)
-    assert STATEMENTS[StatementId.LEM_DAVID].planner(weighted, DEFAULT_CAPS).estimate > 0
+    assert sum(count for count, _ in STATEMENTS[StatementId.LEM_DAVID].planner(
+        weighted, DEFAULT_CAPS)) > 0
     small = SearchCaps(davenport=16)
     for sid, dom in ((StatementId.THM_GAO_COSET, sampled),
                      (StatementId.CONJ_ORDAZ_QUIROZ, weighted),
