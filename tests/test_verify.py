@@ -925,16 +925,16 @@ def test_subgroup_cap_reaches_the_stabilizer_and_the_planners():
         assert sweep(sid, SweepDomain(groups=(g,)), caps=SearchCaps(subgroups=5)).examined == 5
 
 
-# sha256 of repr([planner.weights(G, k) for G in _WEIGHT_GROUPS for k in 0..6])
-# per _SeqPlanner statement, recorded before the weight filters were merged
+# sha256 of repr([the weight tuples planned on G at |W| = k for G in
+# _WEIGHT_GROUPS for k in 0..6]) per _SeqPlanner statement
 _WEIGHT_GROUPS = ("c2", "c4", "c5", "c6", "c2xc2", "c8", "c2xc4", "c3xc3", "c12")
 _WEIGHT_LIST_DIGESTS = {
-    "CONJ_HAMIDOUNE": "e517d9f58f01705cef7ce0a708b1d45b969152368e36fb689e1ada3aa60964d8",
+    "CONJ_HAMIDOUNE": "94157dc5303cabd9a143e5605ebcebbbe1bc6d41de4e3db19ea20e7215fdbe19",
     "CONJ_ORDAZ_QUIROZ": "3a33cce15d29878e7e7631a39b036fd8c068261f5c75e3a535abaa6d5fda7032",
     "COR_HAM_VAR": "1d61a044bcd1af0778d51a805359e7d828cc48a7d638a4a933c5659f8e619b95",
     "COR_SPECIALCASE": "bfd27591258530aeececdbfdec2612b2c8291a2918c014b7ef806ff4ae4c1ae3",
     "COR_SPUD": "17a9f1d48b20786eeb8fbbdeb3c234dd5eea028e15fbee2f92d817596ef48558",
-    "THM_HAM_CHAR": "e517d9f58f01705cef7ce0a708b1d45b969152368e36fb689e1ada3aa60964d8",
+    "THM_HAM_CHAR": "1ac176f85d8f2b4a5e69b8db274c0697a6d1b92888b37bb6cbd6280d94ac1592",
     "THM_SETPART_WITNESS": "17a9f1d48b20786eeb8fbbdeb3c234dd5eea028e15fbee2f92d817596ef48558",
     "THM_WEGZ": "b9bd28af206854f4d25963f0a27248994c5fa9c2132a9d8283fee99f4452ef75",
 }
@@ -946,7 +946,8 @@ def test_sequence_planner_weight_lists_are_pinned():
     assert set(rows) == set(_WEIGHT_LIST_DIGESTS)
     groups = [parse_group(text) for text in _WEIGHT_GROUPS]
     for name, planner in rows.items():
-        lists = [planner.weights(g, k) for g in groups for k in range(7)]
+        lists = [planner.weights(g, k) if planner.slen(g, k, DEFAULT_CAPS) is not None else []
+                 for g in groups for k in range(7)]
         digest = hashlib.sha256(repr(lists).encode()).hexdigest()
         assert digest == _WEIGHT_LIST_DIGESTS[name], name
 
@@ -1040,6 +1041,17 @@ def test_planners_take_the_sweeps_davenport_cap():
                      (StatementId.LEM_DAVID, weighted)):
         with pytest.raises(GroupTooLarge, match="order 36 above Davenport cap 16"):
             sweep(sid, dom, caps=small)
+
+
+def test_davenport_cap_is_read_before_the_first_clause():
+    g = parse_group("c2xc2xc2")
+    inst = Instance(g, seq=GSequence(g, (3,) + (0,) * 7), weights=weight_seq(g, [1]))
+    for sid in (StatementId.CONJ_ORDAZ_QUIROZ, StatementId.COR_SPECIALCASE,
+                StatementId.LEM_DAVID):
+        v = check_instance(sid, inst, SearchCaps(davenport=4))
+        assert v.status is Status.UNDECIDED_CAPPED, sid
+        assert v.witness == {"reason": "Davenport constant above cap"}, sid
+        assert check_instance(sid, inst).status is Status.HYPOTHESIS_NOT_MET, sid
 
 
 def test_report_json_schema_and_determinism():
