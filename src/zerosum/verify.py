@@ -5,7 +5,10 @@ and a conclusion over a concrete instance (group, sequence, weights, extras).
 STATEMENTS holds one Statement record per StatementId: its checker, the
 anchor text its reports carry, its sweep planner (None when it takes explicit
 instances only), the predicate that flags verdicts for the report, and
-whether its domain is sampled.  check_instance evaluates one instance
+whether its domain is sampled.  A weights-cross-sequences statement
+states its hypotheses once, as an ordered tuple of Clause records: its
+checker runs them in order and its planner keeps the weight tuples that
+meet those not reading S.  check_instance evaluates one instance
 exactly; sweep plans a finite instance domain as counted shards, and tallies
 each shard's verdicts as soon as the shard is checked, keeping only
 failures and flagged pairs, with deterministic output.
@@ -25,7 +28,7 @@ import json
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import partial, reduce
+from functools import lru_cache, partial, reduce
 from itertools import chain, combinations, combinations_with_replacement
 from math import comb, gcd
 from operator import or_
@@ -34,6 +37,7 @@ from typing import Any, Callable, Iterable, Iterator, Mapping
 from .errors import (
     CapExceeded,
     DomainTooLarge,
+    GroupMismatch,
     GroupTooLarge,
     MissingField,
 )
@@ -169,6 +173,8 @@ DEFAULT_CAPS = SearchCaps()
 
 def _need(inst: Instance, *, seq: bool = False, weights: bool = False, n: bool = False,
           extra: tuple[str, ...] = ()) -> None:
+    """MissingField for a field the checker needs; GroupMismatch for a
+    sequence or weight sequence over a group other than inst.group."""
     if seq and inst.seq is None:
         raise MissingField("instance needs a sequence")
     if weights and inst.weights is None:
@@ -178,10 +184,33 @@ def _need(inst: Instance, *, seq: bool = False, weights: bool = False, n: bool =
     for key in extra:
         if key not in inst.extra:
             raise MissingField(f"instance needs extra[{key!r}]")
+    for part in (inst.seq, inst.weights):
+        if part is not None and part.group is not inst.group and part.group != inst.group:
+            raise GroupMismatch("instance parts over different groups")
 
 
 def _hyp_fail(reason: str) -> Verdict:
     return Verdict(Status.HYPOTHESIS_NOT_MET, {"reason": reason})
+
+
+@dataclass(frozen=True)
+class Clause:
+    """One hypothesis clause of a sequence statement: fails(inst, caps) is
+    true when the instance does not meet it, and reason is then the
+    hypothesis_not_met reason.  reads_seq is False for a clause that reads
+    only G, the weights and n, so a planner can filter weight tuples by it."""
+
+    reason: str
+    fails: Callable[[Instance, SearchCaps], Any]
+    reads_seq: bool = True
+
+
+def _unmet(clauses: tuple[Clause, ...], inst: Instance, caps: SearchCaps) -> str | None:
+    """The reason of the first clause, in order, that inst does not meet."""
+    for clause in clauses:
+        if clause.fails(inst, caps):
+            return clause.reason
+    return None
 
 
 def _capped(reason: str) -> Verdict:
@@ -349,36 +378,69 @@ def _cover_or_coset(s: GSequence, sums: int, caps: SearchCaps) -> Verdict:
     return Verdict(Status.FAILS, {"sum_set": GSet(group, sums)})
 
 
-def _check_wegz(inst: Instance, caps: SearchCaps) -> Verdict:
-    _need(inst, seq=True, weights=True)
-    group, s, w = inst.group, inst.seq, inst.weights
-    if w.length < 1:
-        return _hyp_fail("weights are empty")
-    if sum(w.raw) % group.exponent:
-        return _hyp_fail("weight total not divisible by the exponent")
-    if s.length < w.length + group.order - 1:
-        return _hyp_fail("sequence shorter than |W| + |G| - 1")
-    full = sigma_n(w, s, w.length)
+# clauses that several statements share
+_W_NONEMPTY = Clause("weights are empty", lambda i, c: i.weights.length < 1, False)
+_W_TOTAL_EXP = Clause("weight total not divisible by the exponent",
+                      lambda i, c: sum(i.weights.raw) % i.group.exponent, False)
+_W_TOTAL_ORDER = Clause("weight total not divisible by the group order",
+                        lambda i, c: sum(i.weights.raw) % i.group.order, False)
+_W_IS_G = Clause("needs |W| = |G|", lambda i, c: i.weights.length != i.group.order, False)
+_W_UNITS_ORDER = Clause("weights must all be coprime to the group order",
+                        lambda i, c: _nonunit_count(i.weights.raw, i.group.order), False)
+_W_UNITS_EXP = Clause("weights must all be coprime to the exponent",
+                      lambda i, c: not all(i.weights.units), False)
+_S_LONG = Clause("sequence shorter than |W| + |G| - 1",
+                 lambda i, c: i.seq.length < i.weights.length + i.group.order - 1)
+_S_HEIGHT = Clause("maximum multiplicity exceeds |W|",
+                   lambda i, c: max(i.seq.mult) > i.weights.length)
+
+_WEGZ_CLAUSES = (_W_NONEMPTY, _W_TOTAL_EXP, _S_LONG)
+_HAMIDOUNE_CLAUSES = (
+    Clause("needs |W| >= 2 so that |W| + |G| - 1 >= |G| + 1",
+           lambda i, c: i.weights.length < 2, False),
+    _S_LONG, _W_TOTAL_ORDER, _S_HEIGHT,
+    Clause("more than one weight shares a factor with the group order",
+           lambda i, c: _nonunit_count(i.weights.raw, i.group.order) > 1, False),
+)
+_HAM_CHAR_CLAUSES = _HAMIDOUNE_CLAUSES + (
+    Clause("needs |W| >= |G| / 2", lambda i, c: 2 * i.weights.length < i.group.order, False),)
+_HAM_VAR_CLAUSES = (
+    _W_NONEMPTY, _S_LONG, _W_TOTAL_EXP, _S_HEIGHT,
+    Clause("fewer than d*(G) weights coprime to the exponent",
+           lambda i, c: sum(i.weights.units) < dstar(i.group), False),
+)
+_ORDAZ_QUIROZ_CLAUSES = (
+    _W_IS_G, _W_UNITS_ORDER, _W_TOTAL_ORDER,
+    Clause("needs |S| = |G| + D(G) - 1",
+           lambda i, c: i.seq.length != ell(i.group, c.davenport)),
+)
+_SPECIALCASE_CLAUSES = (
+    _W_IS_G, _W_UNITS_ORDER,
+    Clause("sequence shorter than |G| + D(G) - 1",
+           lambda i, c: i.seq.length < ell(i.group, c.davenport)),
+    Clause("needs D(G) - 1 <= h(S) <= |G|",
+           lambda i, c: not davenport(i.group, c.davenport) - 1 <= max(i.seq.mult)
+           <= i.group.order),
+)
+# "n below max(h(S), d*(G))" is two clauses, so that planners can filter
+# weight tuples by its half that reads only n
+_SPUD_CLAUSES = (
+    _W_UNITS_EXP,
+    Clause("n below max(h(S), d*(G))", lambda i, c: i.n < dstar(i.group), False),
+    Clause("n below max(h(S), d*(G))", lambda i, c: i.n < max(i.seq.mult)),
+    Clause("n above |S| - |G| + 1", lambda i, c: i.n > i.seq.length - i.group.order + 1),
+    Clause("fewer weights than n", lambda i, c: i.weights.length < i.n, False),
+    Clause("a coset holds all but at most |G/H| - 2 terms",
+           lambda i, c: coset_condition(i.seq, cap=c.subgroups) is not None),
+)
+
+
+def _zero_in_full_sum(inst: Instance, caps: SearchCaps) -> Verdict:
+    """0 lies in the |W|-term weighted sums."""
+    full = sigma_n(inst.weights, inst.seq, inst.weights.length)
     if full.contains_index(0):
         return Verdict(Status.HOLDS, {})
     return Verdict(Status.FAILS, {"sum_set": full})
-
-
-def _subgroup_conjecture_hyp(inst: Instance) -> str | None:
-    """Shared hypothesis block: length bounds, zero total, near-unit weights."""
-    group, s, w = inst.group, inst.seq, inst.weights
-    m = group.order
-    if w.length < 2:
-        return "needs |W| >= 2 so that |W| + |G| - 1 >= |G| + 1"
-    if s.length < w.length + m - 1:
-        return "sequence shorter than |W| + |G| - 1"
-    if sum(w.raw) % m:
-        return "weight total not divisible by the group order"
-    if max(s.mult) > w.length:
-        return "maximum multiplicity exceeds |W|"
-    if _nonunit_count(w.raw, m) > 1:
-        return "more than one weight shares a factor with the group order"
-    return None
 
 
 def _twin_weight_pattern(inst: Instance) -> int | None:
@@ -386,11 +448,7 @@ def _twin_weight_pattern(inst: Instance) -> int | None:
     with two-point support, |W| = |G| - 1, and G cyclic of 2-power order."""
     group, s, w = inst.group, inst.seq, inst.weights
     m = group.order
-    if len(s.support_indices()) != 2:
-        return None
-    if w.length != m - 1:
-        return None
-    if group.rank != 1 or m & (m - 1):
+    if len(s.support_indices()) != 2 or w.length != m - 1 or group.rank != 1 or m & (m - 1):
         return None
     k = (w.length - 1) // 2
     counts = Counter(x % m for x in w.raw)
@@ -421,24 +479,16 @@ def _subgroup_in_full_sum(inst: Instance) -> tuple[Subgroup | None, GSet | None]
     return contained_subgroup(full), full
 
 
-def _check_conj_hamidoune(inst: Instance, caps: SearchCaps) -> Verdict:
-    _need(inst, seq=True, weights=True)
-    reason = _subgroup_conjecture_hyp(inst)
-    if reason:
-        return _hyp_fail(reason)
+def _subgroup_conclusion(inst: Instance, caps: SearchCaps) -> Verdict:
+    """A nontrivial subgroup lies in the |W|-term weighted sums."""
     sub, full = _subgroup_in_full_sum(inst)
     if sub is not None:
         return Verdict(Status.HOLDS, {"subgroup": sub})
     return Verdict(Status.FAILS, {"sum_set": full})
 
 
-def _check_ham_char(inst: Instance, caps: SearchCaps) -> Verdict:
-    _need(inst, seq=True, weights=True)
-    reason = _subgroup_conjecture_hyp(inst)
-    if reason:
-        return _hyp_fail(reason)
-    if 2 * inst.weights.length < inst.group.order:
-        return _hyp_fail("needs |W| >= |G| / 2")
+def _subgroup_or_twin(inst: Instance, caps: SearchCaps) -> Verdict:
+    """The subgroup conclusion (disjunct i) or the twin-weight shape (ii)."""
     sub, full = _subgroup_in_full_sum(inst)
     if sub is not None:
         return Verdict(Status.HOLDS, {"disjunct": "i", "subgroup": sub})
@@ -448,74 +498,15 @@ def _check_ham_char(inst: Instance, caps: SearchCaps) -> Verdict:
     return Verdict(Status.FAILS, {"sum_set": full})
 
 
-def _check_ham_var(inst: Instance, caps: SearchCaps) -> Verdict:
-    _need(inst, seq=True, weights=True)
-    group, s, w = inst.group, inst.seq, inst.weights
-    e = group.exponent
-    if w.length < 1:
-        return _hyp_fail("weights are empty")
-    if s.length < w.length + group.order - 1:
-        return _hyp_fail("sequence shorter than |W| + |G| - 1")
-    if sum(w.raw) % e:
-        return _hyp_fail("weight total not divisible by the exponent")
-    if max(s.mult) > w.length:
-        return _hyp_fail("maximum multiplicity exceeds |W|")
-    if sum(w.units) < dstar(group):
-        return _hyp_fail("fewer than d*(G) weights coprime to the exponent")
-    sub, full = _subgroup_in_full_sum(inst)
-    if sub is not None:
-        return Verdict(Status.HOLDS, {"subgroup": sub})
-    return Verdict(Status.FAILS, {"sum_set": full})
+def _full_sum_cover_or_coset(inst: Instance, caps: SearchCaps) -> Verdict:
+    """_cover_or_coset on the |G|-term weighted sums."""
+    return _cover_or_coset(inst.seq, sigma_n(inst.weights, inst.seq, inst.group.order).bits, caps)
 
 
-def _check_ordaz_quiroz(inst: Instance, caps: SearchCaps) -> Verdict:
-    _need(inst, seq=True, weights=True)
-    group, s, w = inst.group, inst.seq, inst.weights
-    m = group.order
-    d = davenport(group, caps.davenport)
-    if w.length != m:
-        return _hyp_fail("needs |W| = |G|")
-    if _nonunit_count(w.raw, m):
-        return _hyp_fail("weights must all be coprime to the group order")
-    if sum(w.raw) % m:
-        return _hyp_fail("weight total not divisible by the group order")
-    if s.length != m + d - 1:
-        return _hyp_fail("needs |S| = |G| + D(G) - 1")
-    return _cover_or_coset(s, sigma_n(w, s, m).bits, caps)
-
-
-def _check_specialcase(inst: Instance, caps: SearchCaps) -> Verdict:
-    _need(inst, seq=True, weights=True)
-    group, s, w = inst.group, inst.seq, inst.weights
-    m = group.order
-    d = davenport(group, caps.davenport)
-    if w.length != m:
-        return _hyp_fail("needs |W| = |G|")
-    if _nonunit_count(w.raw, m):
-        return _hyp_fail("weights must all be coprime to the group order")
-    if s.length < m + d - 1:
-        return _hyp_fail("sequence shorter than |G| + D(G) - 1")
-    h = max(s.mult)
-    if not d - 1 <= h <= m:
-        return _hyp_fail("needs D(G) - 1 <= h(S) <= |G|")
-    return _cover_or_coset(s, sigma_n(w, s, m).bits, caps)
-
-
-def _check_spud(inst: Instance, caps: SearchCaps) -> Verdict:
-    _need(inst, seq=True, weights=True, n=True)
-    group, s, w, h = inst.group, inst.seq, inst.weights, inst.n
-    if not all(w.units):
-        return _hyp_fail("weights must all be coprime to the exponent")
-    if h < max(max(s.mult), dstar(group)):
-        return _hyp_fail("n below max(h(S), d*(G))")
-    if h > s.length - group.order + 1:
-        return _hyp_fail("n above |S| - |G| + 1")
-    if w.length < h:
-        return _hyp_fail("fewer weights than n")
-    if coset_condition(s, cap=caps.subgroups) is not None:
-        return _hyp_fail("a coset holds all but at most |G/H| - 2 terms")
-    full = sigma_n(w, s, h)
-    if full.bits == group.full_mask:
+def _n_sums_cover(inst: Instance, caps: SearchCaps) -> Verdict:
+    """The n-term weighted sums cover G."""
+    full = sigma_n(inst.weights, inst.seq, inst.n)
+    if full.bits == inst.group.full_mask:
         return Verdict(Status.HOLDS, {})
     return Verdict(Status.FAILS, {"sum_set": full})
 
@@ -775,20 +766,15 @@ def _sprime(inst: Instance) -> GSequence:
     return inst.extra.get("sub_seq") or inst.seq
 
 
-def _hyp_setpart(inst: Instance) -> str | None:
-    group, s, w, n = inst.group, inst.seq, inst.weights, inst.n
-    sprime = _sprime(inst)
-    if not all(w.units):
-        return "weights must all be coprime to the exponent"
-    if w.length != n:
-        return "needs exactly n weights"
-    if n < dstar(group):
-        return "needs n >= d*(G)"
-    if not sprime.is_subsequence_of(s):
-        return "designated subsequence is not contained in the sequence"
-    if not max(sprime.mult) <= n <= sprime.length:
-        return "needs h(S') <= n <= |S'|"
-    return None
+_SETPART_CLAUSES = (
+    _W_UNITS_EXP,
+    Clause("needs exactly n weights", lambda i, c: i.weights.length != i.n, False),
+    Clause("needs n >= d*(G)", lambda i, c: i.n < dstar(i.group), False),
+    Clause("designated subsequence is not contained in the sequence",
+           lambda i, c: not _sprime(i).is_subsequence_of(i.seq)),
+    Clause("needs h(S') <= n <= |S'|",
+           lambda i, c: not max(_sprime(i).mult) <= i.n <= _sprime(i).length),
+)
 
 
 def _same_length_walk(inst: Instance, budget: Budget, contexts=None):
@@ -875,14 +861,16 @@ def _check_aligned_conclusion(inst: Instance, sub: Subgroup,
 
 
 def witness_search_setpartition(inst: Instance, caps: SearchCaps = DEFAULT_CAPS) -> Verdict:
+    """The THM_SETPART_WITNESS checker: the hypothesis clauses it shares with
+    check_max_subgroup_dichotomy, then the bounded witness search."""
+    return STATEMENTS[StatementId.THM_SETPART_WITNESS].checker(inst, caps)
+
+
+def _setpartition_search(inst: Instance, caps: SearchCaps) -> Verdict:
     """Bounded search for the setpartition conclusion: a same-length
     subsequence with an n-setpartition whose weighted block sum is large
     (disjunct i) or aligned to a proper coset with clauses (a)-(d)
     (disjunct ii)."""
-    _need(inst, seq=True, weights=True, n=True)
-    reason = _hyp_setpart(inst)
-    if reason:
-        return _hyp_fail(reason)
     group = inst.group
     floor = min(group.order, _sprime(inst).length - inst.n + 1)
     budget = Budget(caps)
@@ -979,7 +967,7 @@ def check_max_subgroup_dichotomy(inst: Instance, caps: SearchCaps = DEFAULT_CAPS
     """
     _need(inst, seq=True, weights=True, n=True,
           extra=("subgroup", "coset_rep", "cert_seq", "cert_blocks"))
-    reason = _hyp_setpart(inst)
+    reason = _unmet(_SETPART_CLAUSES, inst, caps)
     if reason:
         return _hyp_fail(reason)
     sub: Subgroup = inst.extra["subgroup"]
@@ -1103,21 +1091,6 @@ def _seq_pool(group: Group, size: int, hcap: int, reduced: bool) -> tuple[tuple[
     return tuple(pool)
 
 
-def _weight_lists(mod: int, size: int, *, zero_sum: int | None = None,
-                  max_nonunit: int | None = None) -> list[tuple[int, ...]]:
-    """Nondecreasing weight tuples over [0, mod) with total 0 mod zero_sum
-    and at most max_nonunit weights not coprime to mod (each filter off
-    when None)."""
-    out = []
-    for combo in combinations_with_replacement(range(mod), size):
-        if zero_sum is not None and sum(combo) % zero_sum:
-            continue
-        if max_nonunit is not None and _nonunit_count(combo, mod) > max_nonunit:
-            continue
-        out.append(combo)
-    return out
-
-
 def _domain_dict(dom: SweepDomain, sampled: bool, caps: SearchCaps) -> dict[str, Any]:
     return {
         "groups": [format_group(g) for g in dom.groups],
@@ -1147,37 +1120,42 @@ class _SeqPlanner:
     """Planner row for a weights-cross-sequences statement: one shard per
     (group, weight tuple).
 
-    weights(G, k) lists the weight tuples of length k; slen(G, k, caps) is
-    the base sequence length (None skips k), stretched by dom.slen_extra;
-    a length that needs D(G) takes it under caps.davenport.  With cap_h,
-    multiplicities are at most k.  Translation reduction applies when
-    translate is set and the weight total is 0 mod exp(G), so that
-    translating S leaves every |W|-term weighted sum in place.  with_n puts
-    n = |W| on each instance.  Each shard's count is exact: the pools are
-    built at planning time, and the weight tuples of one call share them.
+    clauses are the row's hypotheses, the tuple its checker runs.
+    weight_tuples(G, k) keeps each nondecreasing k-tuple of residues mod
+    G.order or G.exponent, as alphabet names, that meets every clause not
+    reading S; with_n sets n = |W| there and on each planned instance.
+    slen(G, k, caps) is the base sequence length, read before the weights
+    and stretched by dom.slen_extra; a length that needs D(G) takes it under
+    caps.davenport.  With cap_h, multiplicities are at most k.  Translation
+    reduction applies when translate is set and the weight total is 0 mod
+    exp(G), so that translating S leaves every |W|-term weighted sum in
+    place.  Each shard's count is exact: the pools are built at planning
+    time, and the weight tuples of one call share them.
     """
 
-    weights: Callable[[Group, int], list[tuple[int, ...]]]
-    slen: Callable[[Group, int, SearchCaps], int | None] = lambda g, k, caps: k + g.order - 1
+    clauses: tuple[Clause, ...]
+    alphabet: str = "exponent"
+    slen: Callable[[Group, int, SearchCaps], int] = lambda g, k, caps: k + g.order - 1
     cap_h: bool = True
     translate: bool = True
     with_n: bool = False
 
+    def weight_tuples(self, group: Group, k: int,
+                      caps: SearchCaps = DEFAULT_CAPS) -> list[tuple[int, ...]]:
+        weight_side = tuple(c for c in self.clauses if not c.reads_seq)
+        n = k if self.with_n else None
+        return [wtuple for wtuple in combinations_with_replacement(
+                    range(getattr(group, self.alphabet)), k)
+                if _unmet(weight_side, Instance(group, weights=weight_seq(group, wtuple), n=n),
+                          caps) is None]
+
     def __call__(self, dom: SweepDomain, caps: SearchCaps = DEFAULT_CAPS) -> Iterator[Shard]:
-        shared: dict[tuple, tuple[tuple[int, ...], ...]] = {}
-
-        def pool(*spec) -> tuple[tuple[int, ...], ...]:
-            if spec not in shared:
-                shared[spec] = _seq_pool(*spec)
-            return shared[spec]
-
+        pool = lru_cache(maxsize=None)(_seq_pool)  # one pool per spec in this plan
         for group in dom.groups:
             for wlen in dom.wlens:
                 base = self.slen(group, wlen, caps)
-                if base is None:
-                    continue
                 sizes = range(base, base + dom.slen_extra + 1)
-                for wtuple in self.weights(group, wlen):
+                for wtuple in self.weight_tuples(group, wlen, caps):
                     reduced = (dom.reduce_translation and self.translate
                                and sum(wtuple) % group.exponent == 0)
                     pools = [pool(group, size, wlen if self.cap_h else size, reduced)
@@ -1209,7 +1187,7 @@ def _plan_david(dom: SweepDomain, caps: SearchCaps = DEFAULT_CAPS) -> Iterator[S
                                 for rest in _sub_multisets((h,) * (group.order - 1), size - h, h))
         for wlen in dom.wlens:
             sized = [pools[size] for size in range(wlen + d - 1, wlen + d + dom.slen_extra)]
-            for wtuple in _weight_lists(group.exponent, wlen):
+            for wtuple in combinations_with_replacement(range(group.exponent), wlen):
                 yield _seq_shard(group, wtuple, sized)
 
 
@@ -1296,11 +1274,13 @@ class Statement:
     domain's shards in enumeration order, each a Shard (its exact instance
     count and the factory listing its instances), taking D(G) under the
     sweep's caps.davenport as the checkers do (None: the statement takes
-    explicit instances only); anchor
-    is the statement as reports quote it; flag picks the verdicts a report
-    lists besides the failures (None: reports carry no flagged key); sampled
-    says the planner draws dom.samples random instances, so the report's
-    domain shows that count.
+    explicit instances only); anchor is the statement as reports quote it;
+    flag picks the verdicts a report lists besides the failures (None:
+    reports carry no flagged key); sampled says the planner draws
+    dom.samples random instances, so the report's domain shows that count.
+    A row made by _seq_statement has a _SeqPlanner whose clauses are the one
+    statement of its hypotheses: its checker runs them in order, and its
+    planner filters weight tuples by those that do not read S.
     """
 
     checker: Callable[[Instance, SearchCaps], Verdict]
@@ -1375,6 +1355,29 @@ def _gao_statement(threshold: Callable[[Group, SearchCaps], int], shorter: str,
     return Statement(check, plan, anchor, sampled=True)
 
 
+def _seq_statement(planner: _SeqPlanner, conclusion: Callable[[Instance, SearchCaps], Verdict],
+                   anchor: str, *, davenport_first: bool = False,
+                   flag: Callable[[Instance, Verdict], bool] | None = None) -> Statement:
+    """Registry row of a weights-cross-sequences statement.  Its checker
+    needs S, W and, when the planner sets n, n; with davenport_first it
+    reads D(G) under caps.davenport; then it runs planner.clauses in order,
+    the first one unmet giving hypothesis_not_met with its reason, and
+    otherwise the conclusion.  The planner filters its weight tuples by the
+    same clauses."""
+    clauses = planner.clauses
+
+    def check(inst: Instance, caps: SearchCaps) -> Verdict:
+        _need(inst, seq=True, weights=True, n=planner.with_n)
+        if davenport_first:
+            davenport(inst.group, caps.davenport)
+        reason = _unmet(clauses, inst, caps)
+        if reason:
+            return _hyp_fail(reason)
+        return conclusion(inst, caps)
+
+    return Statement(check, planner, anchor, flag)
+
+
 STATEMENTS: dict[StatementId, Statement] = {
     StatementId.EX1: _example_statement(
         _ex1_group, lambda g: example1_instance(g.order),
@@ -1392,29 +1395,24 @@ STATEMENTS: dict[StatementId, Statement] = {
         lambda g, caps: ell(g, caps.davenport), "sequence shorter than |G| + D(G) - 1",
         "|S| >= |G| + D(G) - 1 forces: the |G|-term subsums cover G, or some coset g+H "
         "holds all but at most |G/H| - 2 terms of S"),
-    StatementId.THM_WEGZ: Statement(
-        _check_wegz, _SeqPlanner(
-            lambda g, k: _weight_lists(g.exponent, k, zero_sum=g.exponent), cap_h=False),
+    StatementId.THM_WEGZ: _seq_statement(
+        _SeqPlanner(_WEGZ_CLAUSES, cap_h=False), _zero_in_full_sum,
         "weight total divisible by exp(G) and |S| >= |W| + |G| - 1 force 0 into the "
         "|W|-term weighted sums"),
-    StatementId.CONJ_HAMIDOUNE: Statement(
-        _check_conj_hamidoune, _SeqPlanner(
-            lambda g, k: _weight_lists(g.order, k, zero_sum=g.order, max_nonunit=1),
-            slen=lambda g, k, caps: k + g.order - 1 if k >= 2 else None),
+    StatementId.CONJ_HAMIDOUNE: _seq_statement(
+        _SeqPlanner(_HAMIDOUNE_CLAUSES, "order"), _subgroup_conclusion,
         "|S| >= |W| + |G| - 1 >= |G| + 1, weight total divisible by |G|, h(S) <= |W|, "
         "all weights but at most one coprime to |G|: claimed to force a nontrivial "
         "subgroup inside the |W|-term weighted sums (false in general)"),
-    StatementId.CONJ_ORDAZ_QUIROZ: Statement(
-        _check_ordaz_quiroz, _SeqPlanner(
-            lambda g, k: _weight_lists(g.order, k, zero_sum=g.order, max_nonunit=0)
-            if k == g.order else [],
-            slen=lambda g, k, caps: ell(g, caps.davenport), cap_h=False),
+    StatementId.CONJ_ORDAZ_QUIROZ: _seq_statement(
+        _SeqPlanner(_ORDAZ_QUIROZ_CLAUSES, "order",
+                    slen=lambda g, k, caps: ell(g, caps.davenport), cap_h=False),
+        _full_sum_cover_or_coset,
         "all weights coprime to |G|, |W| = |G|, weight total divisible by |G|, "
-        "|S| = |G| + D(G) - 1: claimed to force full coverage or the coset condition"),
-    StatementId.THM_HAM_CHAR: Statement(
-        _check_ham_char, _SeqPlanner(
-            lambda g, k: _weight_lists(g.order, k, zero_sum=g.order, max_nonunit=1),
-            slen=lambda g, k, caps: k + g.order - 1 if k >= 2 and 2 * k >= g.order else None),
+        "|S| = |G| + D(G) - 1: claimed to force full coverage or the coset condition",
+        davenport_first=True),
+    StatementId.THM_HAM_CHAR: _seq_statement(
+        _SeqPlanner(_HAM_CHAR_CLAUSES, "order"), _subgroup_or_twin,
         "under the subgroup-conjecture hypotheses with 2|W| >= |G|: a nontrivial "
         "subgroup lies in the |W|-term weighted sums, or |supp(S)| = 2, |W| = |G| - 1, "
         "G = Z/2^r, and the weights are x and -x in equal numbers plus one 0 mod |G|",
@@ -1436,10 +1434,9 @@ STATEMENTS: dict[StatementId, Statement] = {
         "a subgroup's invariant factors, left-padded with 1s, divide the ambient "
         "factors position by position, and per prime the aligned valuations never "
         "exceed the ambient ones"),
-    StatementId.THM_SETPART_WITNESS: Statement(
-        witness_search_setpartition, _SeqPlanner(
-            lambda g, k: _weight_lists(g.exponent, k, max_nonunit=0) if k >= dstar(g) else [],
-            slen=lambda g, k, caps: k, translate=False, with_n=True),
+    StatementId.THM_SETPART_WITNESS: _seq_statement(
+        _SeqPlanner(_SETPART_CLAUSES, slen=lambda g, k, caps: k, translate=False, with_n=True),
+        _setpartition_search,
         "unit weights, n >= d*(G), h(S') <= n <= |S'|: some equal-length subsequence "
         "has an n-setpartition whose weighted block sum reaches min(|G|, |S'| - n + 1) "
         "elements, or one aligned to a coset g+H with the four alignment clauses"),
@@ -1454,10 +1451,8 @@ STATEMENTS: dict[StatementId, Statement] = {
         lambda g, caps: g.order + dstar(g), "sequence shorter than |G| + d*(G)",
         "|S| >= |G| + d*(G) forces: the |G|-term subsums cover G, or the coset "
         "condition"),
-    StatementId.COR_SPUD: Statement(
-        _check_spud, _SeqPlanner(
-            lambda g, k: _weight_lists(g.exponent, k, max_nonunit=0) if k >= dstar(g) else [],
-            with_n=True),
+    StatementId.COR_SPUD: _seq_statement(
+        _SeqPlanner(_SPUD_CLAUSES, with_n=True), _n_sums_cover,
         "max(h(S), d*(G)) <= n <= |S| - |G| + 1, all weights coprime to exp(G), "
         "|W| >= n, and no coset holding all but at most |G/H| - 2 terms: the n-term "
         "weighted sums cover G"),
@@ -1466,16 +1461,14 @@ STATEMENTS: dict[StatementId, Statement] = {
         "multiplicity of 0 equal to h(S) and at least D(G) - 1, with "
         "|S| >= |W| + D(G) - 1: weighted sums of every length equal the |W|-term "
         "weighted sums"),
-    StatementId.COR_SPECIALCASE: Statement(
-        _check_specialcase, _SeqPlanner(
-            lambda g, k: _weight_lists(g.order, k, max_nonunit=0) if k == g.order else [],
-            slen=lambda g, k, caps: ell(g, caps.davenport)),
+    StatementId.COR_SPECIALCASE: _seq_statement(
+        _SeqPlanner(_SPECIALCASE_CLAUSES, "order", slen=lambda g, k, caps: ell(g, caps.davenport)),
+        _full_sum_cover_or_coset,
         "all weights coprime to |G|, |W| = |G|, |S| >= |G| + D(G) - 1, "
-        "D(G) - 1 <= h(S) <= |G|: full coverage or the coset condition"),
-    StatementId.COR_HAM_VAR: Statement(
-        _check_ham_var, _SeqPlanner(
-            lambda g, k: _weight_lists(g.exponent, k, zero_sum=g.exponent,
-                                       max_nonunit=k - dstar(g))),
+        "D(G) - 1 <= h(S) <= |G|: full coverage or the coset condition",
+        davenport_first=True),
+    StatementId.COR_HAM_VAR: _seq_statement(
+        _SeqPlanner(_HAM_VAR_CLAUSES), _subgroup_conclusion,
         "weight total divisible by exp(G), h(S) <= |W|, |S| >= |W| + |G| - 1, and at "
         "least d*(G) weights coprime to exp(G): a nontrivial subgroup lies in the "
         "|W|-term weighted sums"),

@@ -22,6 +22,7 @@ sigma_table keeps every count, and sums_by_count is its unit-weight case.
 
 from __future__ import annotations
 
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
@@ -90,7 +91,12 @@ class WeightSeq:
 
 
 def weight_seq(group: Group, weights) -> WeightSeq:
-    return WeightSeq(group, tuple(int(w) for w in weights))
+    """Weights taken with operator.index, so that a float or a string is a
+    GroupMismatch, as in groups._index_in, and is never truncated."""
+    try:
+        return WeightSeq(group, tuple(map(operator.index, weights)))
+    except TypeError as exc:
+        raise GroupMismatch(f"weights must be integers: {exc}") from None
 
 
 def parse_weights(group: Group, text: str) -> WeightSeq:

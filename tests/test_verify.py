@@ -16,6 +16,7 @@ from zerosum import (
     DEFAULT_CAPS,
     CapExceeded,
     DomainTooLarge,
+    GroupMismatch,
     GroupTooLarge,
     GSequence,
     GSet,
@@ -723,6 +724,19 @@ def test_maxk_takes_no_sweep_domain():
 # engine behavior and serialization
 
 
+def test_instance_parts_over_another_group_raise():
+    c4, c5 = parse_group("c4"), parse_group("c5")
+    s, w = parse_sequence(c5, "0^2,1^2,2^2,3^1"), weight_seq(c5, [1, 1, -1, -1])
+    own_s, own_w = parse_sequence(c4, "0^2,1^2,2^2,3^1"), weight_seq(c4, [1, 1, -1, -1])
+    # a c4 verdict must not be read off c5 sums
+    for sid in (StatementId.THM_WEGZ, StatementId.CONJ_HAMIDOUNE, StatementId.THM_HAM_CHAR,
+                StatementId.COR_HAM_VAR):
+        for seq, weights in ((s, w), (own_s, w), (s, own_w)):
+            with pytest.raises(GroupMismatch):
+                check_instance(sid, Instance(c4, seq=seq, weights=weights))
+        assert check_instance(sid, Instance(c4, seq=own_s, weights=own_w)).status is Status.HOLDS
+
+
 def test_missing_fields_raise():
     g = make_group((4,))
     with pytest.raises(MissingField):
@@ -936,7 +950,8 @@ _WEIGHT_LIST_DIGESTS = {
     "COR_SPUD": "17a9f1d48b20786eeb8fbbdeb3c234dd5eea028e15fbee2f92d817596ef48558",
     "THM_HAM_CHAR": "1ac176f85d8f2b4a5e69b8db274c0697a6d1b92888b37bb6cbd6280d94ac1592",
     "THM_SETPART_WITNESS": "17a9f1d48b20786eeb8fbbdeb3c234dd5eea028e15fbee2f92d817596ef48558",
-    "THM_WEGZ": "b9bd28af206854f4d25963f0a27248994c5fa9c2132a9d8283fee99f4452ef75",
+    # "weights are empty" reads no sequence, so k = 0 plans no tuple
+    "THM_WEGZ": "44a7ea62a01e4f176d6aaeb8a5580768f9a51fc0a7c477532ad567a796d72ec2",
 }
 
 
@@ -946,8 +961,7 @@ def test_sequence_planner_weight_lists_are_pinned():
     assert set(rows) == set(_WEIGHT_LIST_DIGESTS)
     groups = [parse_group(text) for text in _WEIGHT_GROUPS]
     for name, planner in rows.items():
-        lists = [planner.weights(g, k) if planner.slen(g, k, DEFAULT_CAPS) is not None else []
-                 for g in groups for k in range(7)]
+        lists = [planner.weight_tuples(g, k, DEFAULT_CAPS) for g in groups for k in range(7)]
         digest = hashlib.sha256(repr(lists).encode()).hexdigest()
         assert digest == _WEIGHT_LIST_DIGESTS[name], name
 
@@ -978,6 +992,13 @@ def test_sequence_plan_estimates_are_exact():
     # the former LEM_DAVID bound gave 340,956 here, so max_instances=100000 refused it
     dom = SweepDomain(groups=(parse_group("c6"),), wlens=(2, 3, 4), max_instances=100_000)
     assert _enumerated(STATEMENTS[StatementId.LEM_DAVID].planner(dom, DEFAULT_CAPS)) == 19_453
+
+
+def test_weighted_egz_plans_no_empty_weight_tuple():
+    # "weights are empty" reads no sequence, so the planner drops the empty tuple
+    for text in ("c4", "c2xc2", "c5"):
+        dom = SweepDomain(groups=(parse_group(text),), wlens=(0,))
+        assert sweep(StatementId.THM_WEGZ, dom).examined == 0, text
 
 
 @pytest.mark.parametrize("field,value", [

@@ -11,8 +11,10 @@ from zerosum import (
     BadN,
     CapExceeded,
     EmptySet,
+    GroupMismatch,
     GSequence,
     LengthMismatch,
+    ParseError,
     abelian_group_types,
     gset,
     make_group,
@@ -54,6 +56,17 @@ def test_parse_weights_keeps_raw_and_canonicalizes():
     assert sorted(w.residues) == [0, 1, 1, 5, 5]
     assert w.length == 5
     assert w.total() == 0
+
+
+def test_weight_seq_takes_integers_only():
+    g = parse_group("c5")
+    # never truncated to (1, 2) or (3, 1)
+    for bad in ([1.5, 2.9], ["3", True]):
+        with pytest.raises(GroupMismatch):
+            weight_seq(g, bad)
+    assert weight_seq(g, [3, -1, 0]).raw == (3, -1, 0)
+    with pytest.raises(ParseError):
+        parse_weights(g, "1.5^2")
 
 
 def test_units_classification():
