@@ -10,8 +10,12 @@ states its hypotheses once, as an ordered tuple of Clause records: its
 checker runs them in order and its planner keeps the weight tuples that
 meet those not reading S.  check_instance evaluates one instance
 exactly; sweep plans a finite instance domain as counted shards, and tallies
-each shard's verdicts as soon as the shard is checked, keeping only
-failures and flagged pairs, with deterministic output.
+the verdicts batch by batch, keeping only failures and flagged pairs, with
+deterministic output.  The rows that conclude "a nontrivial subgroup lies
+in the |W|-term weighted sums" (THM_HAM_CHAR, CONJ_HAMIDOUNE, COR_HAM_VAR)
+have a batch checker: per pooled sequence it runs the S-side clauses,
+builds the balanced setpartition and dilates its blocks once, for every
+planned weight tuple; explicit instances keep the per-instance checker.
 
 The setpartition searches share one walk over subsequences, setpartitions
 and weight assignments, bounded by a Budget built from SearchCaps.  A cap
@@ -29,9 +33,9 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache, partial, reduce
-from itertools import chain, combinations, combinations_with_replacement
+from itertools import chain, combinations, combinations_with_replacement, groupby
 from math import comb, gcd
-from operator import or_
+from operator import attrgetter, itemgetter, or_
 from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from .errors import (
@@ -172,9 +176,10 @@ DEFAULT_CAPS = SearchCaps()
 
 
 def _need(inst: Instance, *, seq: bool = False, weights: bool = False, n: bool = False,
-          extra: tuple[str, ...] = ()) -> None:
+          extra: tuple[str, ...] = (), own: tuple[str, ...] = ()) -> None:
     """MissingField for a field the checker needs; GroupMismatch for a
-    sequence or weight sequence over a group other than inst.group."""
+    sequence, a weight sequence or an extra named in own (one object with a
+    group, or a tuple of them) over a group other than inst.group."""
     if seq and inst.seq is None:
         raise MissingField("instance needs a sequence")
     if weights and inst.weights is None:
@@ -184,7 +189,11 @@ def _need(inst: Instance, *, seq: bool = False, weights: bool = False, n: bool =
     for key in extra:
         if key not in inst.extra:
             raise MissingField(f"instance needs extra[{key!r}]")
-    for part in (inst.seq, inst.weights):
+    parts = [inst.seq, inst.weights]
+    for key in own:
+        value = inst.extra.get(key)
+        parts.extend(value if isinstance(value, (tuple, list)) else (value,))
+    for part in parts:
         if part is not None and part.group is not inst.group and part.group != inst.group:
             raise GroupMismatch("instance parts over different groups")
 
@@ -197,12 +206,15 @@ def _hyp_fail(reason: str) -> Verdict:
 class Clause:
     """One hypothesis clause of a sequence statement: fails(inst, caps) is
     true when the instance does not meet it, and reason is then the
-    hypothesis_not_met reason.  reads_seq is False for a clause that reads
-    only G, the weights and n, so a planner can filter weight tuples by it."""
+    hypothesis_not_met reason.  reads says what of the instance it reads
+    besides G: "seq" for S, with W only through |W| and n; "weights" for
+    the weight values and n, not S; "length" for |W| and n alone.  So a
+    planner runs the "length" clauses once per |W| and the "weights" ones
+    once per weight tuple, and a batch checker the "seq" ones once per S."""
 
     reason: str
     fails: Callable[[Instance, SearchCaps], Any]
-    reads_seq: bool = True
+    reads: str = "seq"
 
 
 def _unmet(clauses: tuple[Clause, ...], inst: Instance, caps: SearchCaps) -> str | None:
@@ -217,6 +229,18 @@ def _capped(reason: str) -> Verdict:
     return Verdict(Status.UNDECIDED_CAPPED, {"reason": reason})
 
 
+def _guard(check: Callable[..., Any], *args: Any) -> Any:
+    """check(*args), with a CapExceeded from below it turned into
+    undecided_capped with the exception's message as its reason, and
+    davenport's GroupTooLarge into "Davenport constant above cap"."""
+    try:
+        return check(*args)
+    except CapExceeded as exc:
+        return _capped(str(exc))
+    except GroupTooLarge:
+        return _capped("Davenport constant above cap")
+
+
 def contained_subgroup(a: GSet) -> Subgroup | None:
     """Smallest nontrivial subgroup wholly inside A, or None.
 
@@ -226,8 +250,13 @@ def contained_subgroup(a: GSet) -> Subgroup | None:
     the least generator index, i.e. the least index of a nonzero element.
     The returned subgroup is the table's shared entry.
     """
-    for sub in a.group.prime_order_subgroups:
-        if not sub.mask & ~a.bits:
+    return _subgroup_inside(a.group, a.bits)
+
+
+def _subgroup_inside(group: Group, bits: int) -> Subgroup | None:
+    """contained_subgroup of the index set `bits`, with no GSet built."""
+    for sub in group.prime_order_subgroups:
+        if not sub.mask & ~bits:
             return sub
     return None
 
@@ -379,16 +408,16 @@ def _cover_or_coset(s: GSequence, sums: int, caps: SearchCaps) -> Verdict:
 
 
 # clauses that several statements share
-_W_NONEMPTY = Clause("weights are empty", lambda i, c: i.weights.length < 1, False)
+_W_NONEMPTY = Clause("weights are empty", lambda i, c: i.weights.length < 1, "length")
 _W_TOTAL_EXP = Clause("weight total not divisible by the exponent",
-                      lambda i, c: sum(i.weights.raw) % i.group.exponent, False)
+                      lambda i, c: sum(i.weights.raw) % i.group.exponent, "weights")
 _W_TOTAL_ORDER = Clause("weight total not divisible by the group order",
-                        lambda i, c: sum(i.weights.raw) % i.group.order, False)
-_W_IS_G = Clause("needs |W| = |G|", lambda i, c: i.weights.length != i.group.order, False)
+                        lambda i, c: sum(i.weights.raw) % i.group.order, "weights")
+_W_IS_G = Clause("needs |W| = |G|", lambda i, c: i.weights.length != i.group.order, "length")
 _W_UNITS_ORDER = Clause("weights must all be coprime to the group order",
-                        lambda i, c: _nonunit_count(i.weights.raw, i.group.order), False)
+                        lambda i, c: _nonunit_count(i.weights.raw, i.group.order), "weights")
 _W_UNITS_EXP = Clause("weights must all be coprime to the exponent",
-                      lambda i, c: not all(i.weights.units), False)
+                      lambda i, c: not all(i.weights.units), "weights")
 _S_LONG = Clause("sequence shorter than |W| + |G| - 1",
                  lambda i, c: i.seq.length < i.weights.length + i.group.order - 1)
 _S_HEIGHT = Clause("maximum multiplicity exceeds |W|",
@@ -397,17 +426,18 @@ _S_HEIGHT = Clause("maximum multiplicity exceeds |W|",
 _WEGZ_CLAUSES = (_W_NONEMPTY, _W_TOTAL_EXP, _S_LONG)
 _HAMIDOUNE_CLAUSES = (
     Clause("needs |W| >= 2 so that |W| + |G| - 1 >= |G| + 1",
-           lambda i, c: i.weights.length < 2, False),
+           lambda i, c: i.weights.length < 2, "length"),
     _S_LONG, _W_TOTAL_ORDER, _S_HEIGHT,
     Clause("more than one weight shares a factor with the group order",
-           lambda i, c: _nonunit_count(i.weights.raw, i.group.order) > 1, False),
+           lambda i, c: _nonunit_count(i.weights.raw, i.group.order) > 1, "weights"),
 )
 _HAM_CHAR_CLAUSES = _HAMIDOUNE_CLAUSES + (
-    Clause("needs |W| >= |G| / 2", lambda i, c: 2 * i.weights.length < i.group.order, False),)
+    Clause("needs |W| >= |G| / 2", lambda i, c: 2 * i.weights.length < i.group.order,
+           "length"),)
 _HAM_VAR_CLAUSES = (
     _W_NONEMPTY, _S_LONG, _W_TOTAL_EXP, _S_HEIGHT,
     Clause("fewer than d*(G) weights coprime to the exponent",
-           lambda i, c: sum(i.weights.units) < dstar(i.group), False),
+           lambda i, c: sum(i.weights.units) < dstar(i.group), "weights"),
 )
 _ORDAZ_QUIROZ_CLAUSES = (
     _W_IS_G, _W_UNITS_ORDER, _W_TOTAL_ORDER,
@@ -426,10 +456,10 @@ _SPECIALCASE_CLAUSES = (
 # weight tuples by its half that reads only n
 _SPUD_CLAUSES = (
     _W_UNITS_EXP,
-    Clause("n below max(h(S), d*(G))", lambda i, c: i.n < dstar(i.group), False),
+    Clause("n below max(h(S), d*(G))", lambda i, c: i.n < dstar(i.group), "length"),
     Clause("n below max(h(S), d*(G))", lambda i, c: i.n < max(i.seq.mult)),
     Clause("n above |S| - |G| + 1", lambda i, c: i.n > i.seq.length - i.group.order + 1),
-    Clause("fewer weights than n", lambda i, c: i.weights.length < i.n, False),
+    Clause("fewer weights than n", lambda i, c: i.weights.length < i.n, "length"),
     Clause("a coset holds all but at most |G/H| - 2 terms",
            lambda i, c: coset_condition(i.seq, cap=c.subgroups) is not None),
 )
@@ -461,41 +491,54 @@ def _twin_weight_pattern(inst: Instance) -> int | None:
     return None
 
 
-def _subgroup_in_full_sum(inst: Instance) -> tuple[Subgroup | None, GSet | None]:
+def _subgroup_in_full_sum(inst: Instance,
+                          quick: int | None = None) -> tuple[Subgroup | None, GSet | None]:
     """(subgroup, exact sum set or None) for the |W|-term weighted sums.
 
-    First tries one balanced setpartition: its positional weighted block sum
-    is a subset of the full sum set, so finding a subgroup there is already
-    conclusive and skips the exact computation.  Every caller's hypotheses
-    give h(S) <= |W| <= |S|, so the partition exists.
+    First tries the quick mask: the positional weighted block sum of one
+    balanced setpartition, the residues sorted.  An explicit instance builds
+    it here; a batched sweep hands in the one it built from the partition
+    and the block dilates it shares per S and the running sum it shares
+    with the weight tuple before (_subgroup_sums_batch).  It is a subset of
+    the full sum set, so finding a subgroup there is already conclusive and
+    skips the exact computation.  Every caller's hypotheses give
+    h(S) <= |W| <= |S|, so the partition exists.
     """
     group, s, w = inst.group, inst.seq, inst.weights
-    part = balanced_setpartition(s, w.length)
-    quick = _positional_wsum_bits(group, zip(sorted(w.residues), part.masks))
-    sub = contained_subgroup(GSet(group, quick))
+    if quick is None:
+        part = balanced_setpartition(s, w.length)
+        quick = _positional_wsum_bits(group, zip(sorted(w.residues), part.masks))
+    sub = _subgroup_inside(group, quick)
     if sub is not None:
         return sub, None
     full = sigma_n(w, s, w.length)
     return contained_subgroup(full), full
 
 
-def _subgroup_conclusion(inst: Instance, caps: SearchCaps) -> Verdict:
-    """A nontrivial subgroup lies in the |W|-term weighted sums."""
-    sub, full = _subgroup_in_full_sum(inst)
-    if sub is not None:
-        return Verdict(Status.HOLDS, {"subgroup": sub})
-    return Verdict(Status.FAILS, {"sum_set": full})
+@dataclass(frozen=True)
+class _SubgroupInSums:
+    """Conclusion: a nontrivial subgroup lies in the |W|-term weighted sums
+    (_subgroup_in_full_sum); with twin, disjunct i of that or disjunct ii,
+    the twin-weight shape.  verdict gives the verdict shapes; a batch
+    checker that found the subgroup on its own quick mask calls it with no
+    instance, and calls the conclusion with the mask only where it missed."""
 
+    twin: bool = False
 
-def _subgroup_or_twin(inst: Instance, caps: SearchCaps) -> Verdict:
-    """The subgroup conclusion (disjunct i) or the twin-weight shape (ii)."""
-    sub, full = _subgroup_in_full_sum(inst)
-    if sub is not None:
-        return Verdict(Status.HOLDS, {"disjunct": "i", "subgroup": sub})
-    x = _twin_weight_pattern(inst)
-    if x is not None:
-        return Verdict(Status.HOLDS, {"disjunct": "ii", "x": x})
-    return Verdict(Status.FAILS, {"sum_set": full})
+    def __call__(self, inst: Instance, caps: SearchCaps, quick: int | None = None) -> Verdict:
+        sub, full = _subgroup_in_full_sum(inst, quick)
+        return self.verdict(sub, inst, full)
+
+    def verdict(self, sub: Subgroup | None, inst: Instance | None = None,
+                full: GSet | None = None) -> Verdict:
+        """HOLDS on sub; else the twin shape of inst, or FAILS with full."""
+        if sub is not None:
+            return Verdict(Status.HOLDS, {"disjunct": "i", "subgroup": sub} if self.twin
+                           else {"subgroup": sub})
+        x = _twin_weight_pattern(inst) if self.twin else None
+        if x is not None:
+            return Verdict(Status.HOLDS, {"disjunct": "ii", "x": x})
+        return Verdict(Status.FAILS, {"sum_set": full})
 
 
 def _full_sum_cover_or_coset(inst: Instance, caps: SearchCaps) -> Verdict:
@@ -768,8 +811,8 @@ def _sprime(inst: Instance) -> GSequence:
 
 _SETPART_CLAUSES = (
     _W_UNITS_EXP,
-    Clause("needs exactly n weights", lambda i, c: i.weights.length != i.n, False),
-    Clause("needs n >= d*(G)", lambda i, c: i.n < dstar(i.group), False),
+    Clause("needs exactly n weights", lambda i, c: i.weights.length != i.n, "length"),
+    Clause("needs n >= d*(G)", lambda i, c: i.n < dstar(i.group), "length"),
     Clause("designated subsequence is not contained in the sequence",
            lambda i, c: not _sprime(i).is_subsequence_of(i.seq)),
     Clause("needs h(S') <= n <= |S'|",
@@ -966,7 +1009,8 @@ def check_max_subgroup_dichotomy(inst: Instance, caps: SearchCaps = DEFAULT_CAPS
     the aligned conclusion with H = K.
     """
     _need(inst, seq=True, weights=True, n=True,
-          extra=("subgroup", "coset_rep", "cert_seq", "cert_blocks"))
+          extra=("subgroup", "coset_rep", "cert_seq", "cert_blocks"),
+          own=("subgroup", "cert_seq", "cert_blocks", "sub_seq"))
     reason = _unmet(_SETPART_CLAUSES, inst, caps)
     if reason:
         return _hyp_fail(reason)
@@ -1014,12 +1058,7 @@ def check_instance(sid: StatementId, inst: Instance,
     exception's message as its reason, and davenport's GroupTooLarge with
     "Davenport constant above cap".  Only malformed instances raise.
     """
-    try:
-        return STATEMENTS[sid].checker(inst, caps)
-    except CapExceeded as exc:
-        return _capped(str(exc))
-    except GroupTooLarge:
-        return _capped("Davenport constant above cap")
+    return _guard(STATEMENTS[sid].checker, inst, caps)
 
 
 # ---------------------------------------------------------------------------
@@ -1060,8 +1099,10 @@ class SweepDomain:
 
 
 # A planned shard: its exact instance count and a factory listing its
-# instances.  sweep sums the counts before it calls any factory, then builds
-# one shard at a time, in the order the planner yields them.
+# instances.  sweep sums the counts before it checks anything, then checks
+# the shards in the order the planner yields them: one at a time, or, for a
+# statement with a batch checker, each stretch of them that shares one
+# group and one tuple of pools (read off their _SeqShard factories) at once.
 Shard = tuple[int, Callable[[], list[Instance]]]
 
 
@@ -1123,14 +1164,20 @@ class _SeqPlanner:
     clauses are the row's hypotheses, the tuple its checker runs.
     weight_tuples(G, k) keeps each nondecreasing k-tuple of residues mod
     G.order or G.exponent, as alphabet names, that meets every clause not
-    reading S; with_n sets n = |W| there and on each planned instance.
-    slen(G, k, caps) is the base sequence length, read before the weights
-    and stretched by dom.slen_extra; a length that needs D(G) takes it under
-    caps.davenport.  With cap_h, multiplicities are at most k.  Translation
-    reduction applies when translate is set and the weight total is 0 mod
-    exp(G), so that translating S leaves every |W|-term weighted sum in
-    place.  Each shard's count is exact: the pools are built at planning
-    time, and the weight tuples of one call share them.
+    reading S: the "length" clauses decide once for all k-tuples, and only
+    the "weights" ones are run per tuple.  with_n sets n = |W| there and on
+    each planned instance.  slen(G, k, caps) is the base sequence length,
+    read before the weights and stretched by dom.slen_extra; a length that
+    needs D(G) takes it under caps.davenport.  With cap_h, multiplicities
+    are at most k.  Translation reduction applies when translate is set and
+    the weight total is 0 mod exp(G), so that translating S leaves every
+    |W|-term weighted sum in place.  Each shard's count is exact: the pools
+    are built at planning time, and the weight tuples of one (G, k) that
+    reduce alike share one tuple of them.  A row with a batch checker
+    (Statement.batch) is swept over those shards at once: per pooled S it
+    checks the clauses that read S and builds the partition and the block
+    dilates, and per weight tuple the weight sequence; explicit instances
+    take the row's checker.
     """
 
     clauses: tuple[Clause, ...]
@@ -1142,12 +1189,20 @@ class _SeqPlanner:
 
     def weight_tuples(self, group: Group, k: int,
                       caps: SearchCaps = DEFAULT_CAPS) -> list[tuple[int, ...]]:
-        weight_side = tuple(c for c in self.clauses if not c.reads_seq)
         n = k if self.with_n else None
+        # the "length" clauses read no weight value, so k zeros stand for every k-tuple
+        probe = Instance(group, weights=WeightSeq(group, (0,) * k), n=n)
+        if _unmet(self.reading("length"), probe, caps) is not None:
+            return []
+        valued = self.reading("weights")
         return [wtuple for wtuple in combinations_with_replacement(
                     range(getattr(group, self.alphabet)), k)
-                if _unmet(weight_side, Instance(group, weights=weight_seq(group, wtuple), n=n),
+                if _unmet(valued, Instance(group, weights=weight_seq(group, wtuple), n=n),
                           caps) is None]
+
+    def reading(self, reads: str) -> tuple[Clause, ...]:
+        """The clauses, in order, whose reads is `reads`."""
+        return tuple(c for c in self.clauses if c.reads == reads)
 
     def __call__(self, dom: SweepDomain, caps: SearchCaps = DEFAULT_CAPS) -> Iterator[Shard]:
         pool = lru_cache(maxsize=None)(_seq_pool)  # one pool per spec in this plan
@@ -1158,22 +1213,89 @@ class _SeqPlanner:
                 for wtuple in self.weight_tuples(group, wlen, caps):
                     reduced = (dom.reduce_translation and self.translate
                                and sum(wtuple) % group.exponent == 0)
-                    pools = [pool(group, size, wlen if self.cap_h else size, reduced)
-                             for size in sizes]
+                    pools = tuple(pool(group, size, wlen if self.cap_h else size, reduced)
+                                  for size in sizes)
                     yield _seq_shard(group, wtuple, pools, self.with_n)
 
 
-def _seq_shard(group: Group, wtuple: tuple[int, ...], pools: list[tuple[tuple[int, ...], ...]],
-               with_n: bool = False) -> Shard:
-    """The shard of one weight tuple over sequence pools built at planning
-    time: one instance per pooled sequence."""
-    def build() -> list[Instance]:
-        w = weight_seq(group, wtuple)
-        n = w.length if with_n else None
-        return [Instance(group, seq=GSequence(group, mult), weights=w, n=n)
-                for pool in pools for mult in pool]
+@dataclass(frozen=True, eq=False)
+class _SeqShard:
+    """The factory of one weight tuple's shard over sequence pools built at
+    planning time: one instance per pooled sequence, pool by pool."""
 
-    return sum(map(len, pools)), build
+    group: Group
+    wtuple: tuple[int, ...]
+    pools: tuple[tuple[tuple[int, ...], ...], ...]
+    with_n: bool = False
+
+    def __call__(self) -> list[Instance]:
+        w = weight_seq(self.group, self.wtuple)
+        n = w.length if self.with_n else None
+        return [Instance(self.group, seq=GSequence(self.group, mult), weights=w, n=n)
+                for pool in self.pools for mult in pool]
+
+
+def _seq_shard(group: Group, wtuple: tuple[int, ...],
+               pools: tuple[tuple[tuple[int, ...], ...], ...], with_n: bool = False) -> Shard:
+    return sum(map(len, pools)), _SeqShard(group, wtuple, pools, with_n)
+
+
+def _subgroup_sums_batch(unmet: Callable[[Instance, SearchCaps], Verdict | None],
+                         conclusion: _SubgroupInSums, with_n: bool, group: Group,
+                         pools: tuple[tuple[tuple[int, ...], ...], ...],
+                         wtuples: list[tuple[int, ...]], caps: SearchCaps = DEFAULT_CAPS
+                         ) -> Iterator[tuple[tuple[int, int, int], Verdict,
+                                             Callable[[], Instance]]]:
+    """Batch checker of a row whose conclusion is a _SubgroupInSums: the
+    verdict check_instance gives on each pair of a planned weight tuple (all
+    of one length k) and a pooled sequence, as ((tuple position, pool
+    position, sequence position), verdict, a callable building the pair's
+    Instance), sequence by sequence.
+
+    Per S: unmet, the row's preamble on its clauses that read S, runs once,
+    since they read W only through |W| = k and the planner has dropped
+    every tuple that fails another clause; then one balanced setpartition,
+    each block dilated once per residue mod exp(G), and the quick masks of
+    the sorted residue tuples in lex order, each extending the running sum
+    of the prefix it shares with the one before.  Per W: the weight
+    sequence, and the residue tuple that tuples with equal residues share.
+    A pair whose quick mask holds a prime-order subgroup is decided there;
+    only the others build their Instance and run the conclusion on the
+    mask, under check_instance's cap mapping.
+    """
+    wseqs = [weight_seq(group, wtuple) for wtuple in wtuples]
+    k = wseqs[0].length
+    n = k if with_n else None
+    sharing: dict[tuple[int, ...], list[int]] = {}
+    for wi, w in enumerate(wseqs):
+        sharing.setdefault(tuple(sorted(w.residues)), []).append(wi)
+    walk = sorted(sharing.items())
+    # each residue tuple keeps the running sums of the prefix it shares with
+    # the one before it, and extends them from there
+    starts = [0] + [next(j for j, (a, b) in enumerate(zip(prev, cur)) if a != b)
+                    for (prev, _), (cur, _) in zip(walk, walk[1:])]
+    for pi, pool in enumerate(pools):
+        for si, mult in enumerate(pool):
+            seq = GSequence(group, mult)
+            builds = [partial(Instance, group, seq, w, n) for w in wseqs]
+            hyp = _guard(unmet, builds[0](), caps)
+            if hyp is not None:
+                for wi, build in enumerate(builds):
+                    yield (wi, pi, si), hyp, build
+                continue
+            masks = balanced_setpartition(seq, k).masks
+            dilate = lru_cache(maxsize=None)(group.dilate_mask)
+            running = [0] * (k + 1)
+            for (residues, wis), start in zip(walk, starts):
+                for j in range(start, k):
+                    running[j + 1] = _positional_wsum_bits(
+                        group, ((residues[j], masks[j]),), running[j], dilate)
+                quick = running[k]
+                sub = _subgroup_inside(group, quick)
+                for wi in wis:
+                    verdict = (conclusion.verdict(sub) if sub is not None
+                               else _guard(conclusion, builds[wi](), caps, quick))
+                    yield (wi, pi, si), verdict, builds[wi]
 
 
 def _plan_david(dom: SweepDomain, caps: SearchCaps = DEFAULT_CAPS) -> Iterator[Shard]:
@@ -1186,7 +1308,7 @@ def _plan_david(dom: SweepDomain, caps: SearchCaps = DEFAULT_CAPS) -> Iterator[S
             pools[size] = tuple((h,) + rest for h in range(d - 1, size + 1)
                                 for rest in _sub_multisets((h,) * (group.order - 1), size - h, h))
         for wlen in dom.wlens:
-            sized = [pools[size] for size in range(wlen + d - 1, wlen + d + dom.slen_extra)]
+            sized = tuple(pools[size] for size in range(wlen + d - 1, wlen + d + dom.slen_extra))
             for wtuple in combinations_with_replacement(range(group.exponent), wlen):
                 yield _seq_shard(group, wtuple, sized)
 
@@ -1281,13 +1403,22 @@ class Statement:
     A row made by _seq_statement has a _SeqPlanner whose clauses are the one
     statement of its hypotheses: its checker runs them in order, and its
     planner filters weight tuples by those that do not read S.
+    batch, when set, is what sweep runs in place of the checker:
+    batch(G, pools, weight tuples, caps) yields the verdict the checker
+    gives on every (weight tuple, pooled sequence) pair.  It does once per
+    S what does not depend on W: the clauses that read S, the balanced
+    setpartition and each block's dilates; and once per W what does not
+    depend on S: the weight sequence and its sorted residues
+    (_subgroup_sums_batch).  Explicit instances, and so check_instance and
+    the CLI's verify on instance flags, always take the checker.
     """
 
     checker: Callable[[Instance, SearchCaps], Verdict]
     planner: Callable[[SweepDomain, SearchCaps], Iterable[Shard]] | None
     anchor: str
-    flag: Callable[[Instance, Verdict], bool] | None = None
+    flag: Callable[[Verdict], bool] | None = None
     sampled: bool = False
+    batch: Callable[..., Iterable[tuple[Any, Verdict, Callable[[], Instance]]]] | None = None
 
 
 def _example_statement(group_test: Callable[[Group], str | None],
@@ -1363,19 +1494,25 @@ def _seq_statement(planner: _SeqPlanner, conclusion: Callable[[Instance, SearchC
     reads D(G) under caps.davenport; then it runs planner.clauses in order,
     the first one unmet giving hypothesis_not_met with its reason, and
     otherwise the conclusion.  The planner filters its weight tuples by the
-    same clauses."""
-    clauses = planner.clauses
-
-    def check(inst: Instance, caps: SearchCaps) -> Verdict:
+    same clauses.  A _SubgroupInSums conclusion also gives the row a batch
+    checker, which runs the same preamble on the clauses that read S."""
+    def unmet(inst: Instance, caps: SearchCaps,
+              clauses: tuple[Clause, ...] = planner.clauses) -> Verdict | None:
         _need(inst, seq=True, weights=True, n=planner.with_n)
         if davenport_first:
             davenport(inst.group, caps.davenport)
         reason = _unmet(clauses, inst, caps)
-        if reason:
-            return _hyp_fail(reason)
-        return conclusion(inst, caps)
+        return _hyp_fail(reason) if reason else None
 
-    return Statement(check, planner, anchor, flag)
+    def check(inst: Instance, caps: SearchCaps) -> Verdict:
+        hyp = unmet(inst, caps)
+        return conclusion(inst, caps) if hyp is None else hyp
+
+    batch = None
+    if isinstance(conclusion, _SubgroupInSums):
+        batch = partial(_subgroup_sums_batch, partial(unmet, clauses=planner.reading("seq")),
+                        conclusion, planner.with_n)
+    return Statement(check, planner, anchor, flag, batch=batch)
 
 
 STATEMENTS: dict[StatementId, Statement] = {
@@ -1400,7 +1537,7 @@ STATEMENTS: dict[StatementId, Statement] = {
         "weight total divisible by exp(G) and |S| >= |W| + |G| - 1 force 0 into the "
         "|W|-term weighted sums"),
     StatementId.CONJ_HAMIDOUNE: _seq_statement(
-        _SeqPlanner(_HAMIDOUNE_CLAUSES, "order"), _subgroup_conclusion,
+        _SeqPlanner(_HAMIDOUNE_CLAUSES, "order"), _SubgroupInSums(),
         "|S| >= |W| + |G| - 1 >= |G| + 1, weight total divisible by |G|, h(S) <= |W|, "
         "all weights but at most one coprime to |G|: claimed to force a nontrivial "
         "subgroup inside the |W|-term weighted sums (false in general)"),
@@ -1412,11 +1549,11 @@ STATEMENTS: dict[StatementId, Statement] = {
         "|S| = |G| + D(G) - 1: claimed to force full coverage or the coset condition",
         davenport_first=True),
     StatementId.THM_HAM_CHAR: _seq_statement(
-        _SeqPlanner(_HAM_CHAR_CLAUSES, "order"), _subgroup_or_twin,
+        _SeqPlanner(_HAM_CHAR_CLAUSES, "order"), _SubgroupInSums(twin=True),
         "under the subgroup-conjecture hypotheses with 2|W| >= |G|: a nontrivial "
         "subgroup lies in the |W|-term weighted sums, or |supp(S)| = 2, |W| = |G| - 1, "
         "G = Z/2^r, and the weights are x and -x in equal numbers plus one 0 mod |G|",
-        flag=lambda inst, v: v.status is Status.HOLDS and v.witness.get("disjunct") == "ii"),
+        flag=lambda v: v.status is Status.HOLDS and v.witness.get("disjunct") == "ii"),
     StatementId.LEM_DSTAR_SUBADD: Statement(
         _check_dstar_subadd, _plan_subgroup_instances,
         "d*(H) + d*(G/H) <= d*(G) for every subgroup H of G"),
@@ -1468,7 +1605,7 @@ STATEMENTS: dict[StatementId, Statement] = {
         "D(G) - 1 <= h(S) <= |G|: full coverage or the coset condition",
         davenport_first=True),
     StatementId.COR_HAM_VAR: _seq_statement(
-        _SeqPlanner(_HAM_VAR_CLAUSES), _subgroup_conclusion,
+        _SeqPlanner(_HAM_VAR_CLAUSES), _SubgroupInSums(),
         "weight total divisible by exp(G), h(S) <= |W|, |S| >= |W| + |G| - 1, and at "
         "least d*(G) weights coprime to exp(G): a nontrivial subgroup lies in the "
         "|W|-term weighted sums"),
@@ -1491,12 +1628,19 @@ def sweep(sid: StatementId, dom: SweepDomain, threads: int = 1,
 
     The planner's shards are all listed first, and DomainTooLarge is raised
     when their counts sum past dom.max_instances, so neither that nor a cap
-    error raised while planning lets any instance be checked.  Then each
-    shard is built and tallied as soon as it is checked: its status counts,
-    its failures and its flagged pairs are kept and its instances dropped,
-    so memory holds the failures, the flagged pairs and one shard's
-    instances.  Shards are checked and tallied in enumeration order, so the
-    report is deterministic.  threads is accepted and ignored.
+    error raised while planning lets any instance be checked.  Then the
+    shards are checked in enumeration order, batch by batch (_verdict_runs),
+    and tallied as they go: status counts, failures and flagged pairs are
+    kept, each batch's kept pairs put back in enumeration order, and
+    everything else dropped.  A statement with a batch checker
+    (THM_HAM_CHAR, CONJ_HAMIDOUNE, COR_HAM_VAR) runs the S-side hypothesis
+    check and builds the partition and its block dilates once per pooled S,
+    and the weight sequence once per weight tuple, for the whole batch; it
+    builds an Instance only where the quick path misses.  The others, and
+    explicit instances anywhere, go through check_instance one at a time.
+    So memory holds the failures, the flagged pairs and one batch's per-S
+    tables or one shard's instances, and the report is deterministic.
+    threads is accepted and ignored.
     """
     statement = STATEMENTS[sid]
     if statement.planner is None:
@@ -1507,17 +1651,19 @@ def sweep(sid: StatementId, dom: SweepDomain, threads: int = 1,
         raise DomainTooLarge(
             f"estimated {planned} instances exceed the cap {dom.max_instances}")
     flag = statement.flag
-    counts = {status.value: 0 for status in Status}
+    tally = dict.fromkeys(Status, 0)
     failures: list[tuple[Instance, Verdict]] = []
     flagged: list[tuple[Instance, Verdict]] = []
-    for _, factory in shards:
-        for inst in factory():
-            verdict = check_instance(sid, inst, caps)
-            counts[verdict.status.value] += 1
-            if verdict.status is Status.FAILS:
-                failures.append((inst, verdict))
-            if flag is not None and flag(inst, verdict):
-                flagged.append((inst, verdict))
+    for run in _verdict_runs(sid, shards, caps):
+        kept = []
+        for key, verdict, instance in run:
+            tally[verdict.status] += 1
+            if verdict.status is Status.FAILS or (flag is not None and flag(verdict)):
+                kept.append((key, instance(), verdict))
+        kept.sort(key=itemgetter(0))
+        failures += [(inst, v) for _, inst, v in kept if v.status is Status.FAILS]
+        flagged += [(inst, v) for _, inst, v in kept if flag is not None and flag(v)]
+    counts = {status.value: count for status, count in tally.items()}
     return SweepReport(
         statement=sid,
         domain=_domain_dict(dom, statement.sampled, caps),
@@ -1527,6 +1673,24 @@ def sweep(sid: StatementId, dom: SweepDomain, threads: int = 1,
         anchor=statement.anchor,
         examined=sum(counts.values()),
     )
+
+
+def _verdict_runs(sid: StatementId, shards: list[Shard], caps: SearchCaps
+                  ) -> Iterator[Iterable[tuple[Any, Verdict, Callable[[], Instance]]]]:
+    """A sweep's verdicts, one run per batch, in enumeration order.  A run
+    lists (key, verdict, a callable building the checked Instance), and
+    sorting it by key gives its enumeration order.  With a batch checker a
+    batch is each stretch of shards over one group and one tuple of pools;
+    without one it is a shard, its instances checked one by one."""
+    batch = STATEMENTS[sid].batch
+    if batch is None:
+        for _, factory in shards:
+            yield ((i, check_instance(sid, inst, caps), lambda inst=inst: inst)
+                   for i, inst in enumerate(factory()))
+        return
+    for (group, pools), run in groupby((factory for _, factory in shards),
+                                       key=attrgetter("group", "pools")):
+        yield batch(group, pools, [factory.wtuple for factory in run], caps)
 
 
 # ---------------------------------------------------------------------------

@@ -257,17 +257,21 @@ def sums_by_count(s: GSequence) -> tuple[int, ...]:
     return tuple(_sums_by_n(s.group, [(unit, s.length)], _support(s), s.length))
 
 
-def _positional_wsum_bits(group: Group, pairs) -> int:
+def _positional_wsum_bits(group: Group, pairs, start: int = 0, dilate=None) -> int:
     """Bitmask of w_1*A_1 + ... + w_k*A_k over (weight, block bitmask) pairs.
 
     The one positional weighted sum: partition_wsum and the checkers in
-    verify wrap it.  Needs k >= 1 nonempty blocks.
+    verify wrap it.  Needs k >= 1 nonempty blocks, or a nonempty start: a
+    running sum that the terms then extend.  dilate(bits, w) stands in for
+    group.dilate_mask, so that a caller summing the same blocks under many
+    weight tuples can dilate each block once per weight.
     """
-    acc = 0
+    dilate = dilate or group.dilate_mask
+    acc = start
     for w, bits in pairs:
         if not bits:
             raise EmptySet("positional weighted sum needs nonempty blocks")
-        term = group.dilate_mask(bits, w)
+        term = dilate(bits, w)
         acc = group.sum_masks(acc, term) if acc else term
     return acc
 

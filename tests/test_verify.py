@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import threading
 import tracemalloc
 from collections import Counter
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -55,6 +57,7 @@ from zerosum import (
 )
 from zerosum.groups import Group
 from zerosum.verify import STATEMENTS, _SeqPlanner, _is_canonical_translate
+from zerosum.weighted import weight_seq as real_weight_seq
 from zerosum.setsum import _ap_differences, detect_ap
 
 from oracles import all_elements, brute_contained_subgroup, brute_subgroups, least_translate
@@ -715,6 +718,24 @@ def test_cap_exceeded_below_a_checker_is_an_undecided_verdict():
     assert v.witness["reason"].startswith("sigma DP needs")
 
 
+def test_maxk_certificate_over_another_group_raises():
+    c8 = parse_group("c8")
+    own = _maxk_case("c4", "0^2,1^2,2^2,3^2", [1, 1, 1], [2], 0, "0^1,2^1", [[0, 2]])
+    foreign = {"subgroup": subgroup_generated(c8, [4]), "coset_rep": 0,
+               "cert_seq": parse_sequence(c8, "0^1,4^1"), "cert_blocks": (gset(c8, [0, 4]),)}
+    # the whole certificate over c8 once crashed in Setpartition.as_sequence
+    # with an IndexError; each part over c8 is a malformed instance too
+    swaps = [foreign, {"sub_seq": parse_sequence(c8, "0^3")}] + [
+        {key: value} for key, value in foreign.items() if key != "coset_rep"]
+    for swap in swaps:
+        bad = dataclasses.replace(own, extra={**own.extra, **swap})
+        with pytest.raises(GroupMismatch):
+            check_instance(StatementId.THM_SETPART_MAXK, bad)
+    # over its own group the same certificate is checked, and K = <2> is not maximal
+    assert check_instance(StatementId.THM_SETPART_MAXK, own).witness == {
+        "reason": "a strictly larger subgroup also admits a certificate"}
+
+
 def test_maxk_takes_no_sweep_domain():
     with pytest.raises(MissingField):
         sweep(StatementId.THM_SETPART_MAXK, SweepDomain(groups=(parse_group("c4"),)))
@@ -966,6 +987,23 @@ def test_sequence_planner_weight_lists_are_pinned():
         assert digest == _WEIGHT_LIST_DIGESTS[name], name
 
 
+def test_length_clauses_decide_before_any_weight_tuple_is_built(monkeypatch):
+    built = []
+
+    def counting(group, weights):
+        built.append(weights)
+        return real_weight_seq(group, weights)
+
+    monkeypatch.setattr("zerosum.verify.weight_seq", counting)
+    planner = STATEMENTS[StatementId.CONJ_ORDAZ_QUIROZ].planner
+    # "needs |W| = |G|" reads only |W|: C(22, 11) = 705,432 tuples were built here
+    assert planner.weight_tuples(parse_group("c12"), 11) == []
+    assert built == []
+    # at |W| = |G| each tuple is built once, for the clauses that read its values
+    kept = planner.weight_tuples(parse_group("c4"), 4)
+    assert kept and len(built) == comb(4 + 4 - 1, 4)
+
+
 def _enumerated(shards) -> int:
     """The planned instance count, each shard's count checked against its factory."""
     total = 0
@@ -1129,3 +1167,107 @@ def test_check_instance_status_is_deterministic(text, data):
     a = check_instance(StatementId.THM_WEGZ, inst)
     b = check_instance(StatementId.THM_WEGZ, inst)
     assert a.status == b.status and to_jsonable(a.witness) == to_jsonable(b.witness)
+
+
+# ---------------------------------------------------------------------------
+# batch checker
+
+
+_BATCHED = (StatementId.THM_HAM_CHAR, StatementId.CONJ_HAMIDOUNE, StatementId.COR_HAM_VAR)
+_ALL_DOMAINS = tuple(product((True, False), (0, 1)))  # (reduce_translation, slen_extra)
+_BATCH_CASES = [
+    (StatementId.THM_HAM_CHAR, "c4", (2, 3, 4), _ALL_DOMAINS),  # flagged twin shapes
+    (StatementId.THM_HAM_CHAR, "c2xc2", (2, 3, 4), _ALL_DOMAINS),
+    (StatementId.THM_HAM_CHAR, "c5", (3,), _ALL_DOMAINS),
+    (StatementId.THM_HAM_CHAR, "c6", (3,), _ALL_DOMAINS),
+    (StatementId.CONJ_HAMIDOUNE, "c4", (2, 3), _ALL_DOMAINS),
+    (StatementId.CONJ_HAMIDOUNE, "c2xc2", (2, 3), _ALL_DOMAINS),
+    (StatementId.CONJ_HAMIDOUNE, "c5", (2, 3), _ALL_DOMAINS),
+    (StatementId.CONJ_HAMIDOUNE, "c6", (2, 3), _ALL_DOMAINS),
+    # weights 0..7 named mod |G| = 8 act mod exp(G) = 4
+    (StatementId.CONJ_HAMIDOUNE, "c2xc4", (2,), _ALL_DOMAINS),
+    # 63 failures across three weight tuples
+    (StatementId.CONJ_HAMIDOUNE, "c7", (3,), ((True, 0), (False, 0))),
+    (StatementId.COR_HAM_VAR, "c4", (4,), _ALL_DOMAINS),
+    (StatementId.COR_HAM_VAR, "c2xc2", (2, 3, 4), _ALL_DOMAINS),
+    (StatementId.COR_HAM_VAR, "c5", (4,), _ALL_DOMAINS),
+    (StatementId.COR_HAM_VAR, "c2xc4", (4,), ((True, 0),)),
+]
+
+
+def _one_by_one(sid, dom):
+    """The counts, failures and flagged pairs of a sweep that checks every
+    planned instance with check_instance, in shard order: the reference the
+    batch checker must equal."""
+    statement = STATEMENTS[sid]
+    counts = {status.value: 0 for status in Status}
+    failures, flagged = [], []
+    for _, factory in statement.planner(dom, DEFAULT_CAPS):
+        for inst in factory():
+            verdict = check_instance(sid, inst)
+            counts[verdict.status.value] += 1
+            if verdict.status is Status.FAILS:
+                failures.append((inst, verdict))
+            if statement.flag is not None and statement.flag(verdict):
+                flagged.append((inst, verdict))
+    return counts, failures, flagged
+
+
+@pytest.mark.parametrize("sid,text,wlens,domains", _BATCH_CASES,
+                         ids=[f"{sid.value}:{text}:{w}" for sid, text, w, _ in _BATCH_CASES])
+def test_batched_sweeps_equal_instance_by_instance_checks(sid, text, wlens, domains):
+    assert STATEMENTS[sid].batch is not None
+    for reduce_translation, slen_extra in domains:
+        dom = SweepDomain(groups=(parse_group(text),), wlens=wlens, slen_extra=slen_extra,
+                          reduce_translation=reduce_translation)
+        report = sweep(sid, dom)
+        counts, failures, flagged = _one_by_one(sid, dom)
+        reference = dataclasses.replace(report, counts=counts, failures=failures,
+                                        flagged=flagged, examined=sum(counts.values()))
+        assert report.examined > 0
+        assert report_to_json(report) == report_to_json(reference), (reduce_translation,
+                                                                     slen_extra)
+        if (sid, text) == (StatementId.CONJ_HAMIDOUNE, "c7") and not reduce_translation:
+            assert len(report.failures) == 63
+        if (sid, text) == (StatementId.THM_HAM_CHAR, "c4"):
+            assert report.flagged
+
+
+def test_only_the_subgroup_rows_are_batched():
+    assert {sid for sid, st in STATEMENTS.items() if st.batch is not None} == set(_BATCHED)
+
+
+@pytest.mark.parametrize("sid", _BATCHED)
+def test_batch_checker_reads_the_sequence_clauses_once_per_sequence(sid):
+    g = parse_group("c5")
+    statement = STATEMENTS[sid]
+    wtuples = statement.planner.weight_tuples(g, 4)
+    assert len(wtuples) > 1
+    # |W| = 4, so |S| >= 8 and h(S) <= 4 are the sequence-side clauses; sweeps
+    # never pool a sequence that fails them
+    pools = (((5, 1, 1, 1, 0), (2, 2, 1, 1, 0), (2, 2, 2, 1, 1)),
+             ((3, 2, 2, 1, 1), (0, 0, 0, 4, 6)))
+    seen = set()
+    reasons = Counter()
+    for (wi, pi, si), verdict, build in statement.batch(g, pools, wtuples, DEFAULT_CAPS):
+        inst = build()
+        assert inst == Instance(g, seq=GSequence(g, pools[pi][si]),
+                                weights=weight_seq(g, wtuples[wi]))
+        assert verdict == check_instance(sid, inst), (wi, pi, si)
+        if verdict.status is Status.HYPOTHESIS_NOT_MET:
+            reasons[verdict.witness["reason"]] += 1
+        seen.add((wi, pi, si))
+    assert len(seen) == 5 * len(wtuples)
+    assert reasons == {"maximum multiplicity exceeds |W|": 2 * len(wtuples),
+                       "sequence shorter than |W| + |G| - 1": len(wtuples)}
+    # the per-S check rests on this: the clauses that read S read W only
+    # through |W|, so two weight tuples of one length agree on every S
+    seq_side = statement.planner.reading("seq")
+    assert seq_side
+    for mult in (m for pool in pools for m in pool):
+        s = GSequence(g, mult)
+        for clause in seq_side:
+            a, b = (bool(clause.fails(Instance(g, seq=s, weights=weight_seq(g, w)),
+                                      DEFAULT_CAPS))
+                    for w in ((0, 0, 0, 0), (1, 2, 3, 4)))
+            assert a == b, (clause.reason, mult)
