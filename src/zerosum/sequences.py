@@ -55,6 +55,11 @@ class GSequence:
     def length(self) -> int:
         return sum(self.mult)
 
+    @cached_property
+    def _dealt(self) -> dict[int, "Setpartition"]:
+        # balanced_setpartition's partitions of this sequence, by block count
+        return {}
+
     def __len__(self) -> int:
         return self.length
 
@@ -240,8 +245,13 @@ def balanced_setpartition(seq: GSequence, n: int) -> Setpartition:
     The support is sorted by descending multiplicity (ties by element index)
     and its copies are dealt cyclically into n block masks.  A cyclic deal
     keeps the sizes within one, and the copies of one element, at most n
-    and consecutive, land in distinct blocks.
+    and consecutive, land in distinct blocks.  The sequence object keeps the
+    partitions dealt from it, so checks of many weight tuples against one
+    sequence, as a sweep makes them, share one partition.
     """
+    part = seq._dealt.get(n)
+    if part is not None:
+        return part
     if not has_setpartition(seq, n):
         raise NoSetpartition(
             f"no {n}-setpartition: need max multiplicity <= {n} <= length {seq.length}"
@@ -253,7 +263,8 @@ def balanced_setpartition(seq: GSequence, n: int) -> Setpartition:
         for _ in range(mult[i]):
             masks[pos] |= 1 << i
             pos = (pos + 1) % n
-    return Setpartition(seq.group, _canonical_masks(masks))
+    part = seq._dealt[n] = Setpartition(seq.group, _canonical_masks(masks))
+    return part
 
 
 def enum_setpartitions(seq: GSequence, n: int, cap: int = 10_000):

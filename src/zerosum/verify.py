@@ -11,11 +11,11 @@ checker runs them in order and its planner keeps the weight tuples that
 meet those not reading S.  check_instance evaluates one instance
 exactly; sweep plans a finite instance domain as counted shards, and tallies
 the verdicts batch by batch, keeping only failures and flagged pairs, with
-deterministic output.  The rows that conclude "a nontrivial subgroup lies
-in the |W|-term weighted sums" (THM_HAM_CHAR, CONJ_HAMIDOUNE, COR_HAM_VAR)
-have a batch checker: per pooled sequence it runs the S-side clauses,
-builds the balanced setpartition and dilates its blocks once, for every
-planned weight tuple; explicit instances keep the per-instance checker.
+deterministic output.  Every planned instance goes through check_instance;
+a sweep visits the weight tuples that share a sequence pool sequence by
+sequence, so that what the checkers memoize per sequence (the balanced
+setpartition, the running block sums of the quick path) serves every
+weight tuple checked against it.
 
 The setpartition searches share one walk over subsequences, setpartitions
 and weight assignments, bounded by a Budget built from SearchCaps.  A cap
@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache, partial, reduce
 from itertools import chain, combinations, combinations_with_replacement, groupby
 from math import comb, gcd
-from operator import attrgetter, itemgetter, or_
+from operator import itemgetter, or_
 from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from .errors import (
@@ -71,6 +71,7 @@ from .verdict import Status, Verdict
 from .weighted import (
     WeightSeq,
     _positional_wsum_bits,
+    _block_sums,
     format_weights,
     sigma_n,
     sigma_table,
@@ -210,7 +211,7 @@ class Clause:
     besides G: "seq" for S, with W only through |W| and n; "weights" for
     the weight values and n, not S; "length" for |W| and n alone.  So a
     planner runs the "length" clauses once per |W| and the "weights" ones
-    once per weight tuple, and a batch checker the "seq" ones once per S."""
+    once per weight tuple."""
 
     reason: str
     fails: Callable[[Instance, SearchCaps], Any]
@@ -229,18 +230,6 @@ def _capped(reason: str) -> Verdict:
     return Verdict(Status.UNDECIDED_CAPPED, {"reason": reason})
 
 
-def _guard(check: Callable[..., Any], *args: Any) -> Any:
-    """check(*args), with a CapExceeded from below it turned into
-    undecided_capped with the exception's message as its reason, and
-    davenport's GroupTooLarge into "Davenport constant above cap"."""
-    try:
-        return check(*args)
-    except CapExceeded as exc:
-        return _capped(str(exc))
-    except GroupTooLarge:
-        return _capped("Davenport constant above cap")
-
-
 def contained_subgroup(a: GSet) -> Subgroup | None:
     """Smallest nontrivial subgroup wholly inside A, or None.
 
@@ -250,13 +239,8 @@ def contained_subgroup(a: GSet) -> Subgroup | None:
     the least generator index, i.e. the least index of a nonzero element.
     The returned subgroup is the table's shared entry.
     """
-    return _subgroup_inside(a.group, a.bits)
-
-
-def _subgroup_inside(group: Group, bits: int) -> Subgroup | None:
-    """contained_subgroup of the index set `bits`, with no GSet built."""
-    for sub in group.prime_order_subgroups:
-        if not sub.mask & ~bits:
+    for sub in a.group.prime_order_subgroups:
+        if not sub.mask & ~a.bits:
             return sub
     return None
 
@@ -338,6 +322,7 @@ def _is_canonical_translate(group: Group, mult: tuple[int, ...]) -> bool:
     return True
 
 
+@lru_cache(maxsize=1024)
 def _nonunit_count(raw: tuple[int, ...], modulus: int) -> int:
     return sum(1 for w in raw if gcd(w, modulus) != 1)
 
@@ -491,26 +476,36 @@ def _twin_weight_pattern(inst: Instance) -> int | None:
     return None
 
 
-def _subgroup_in_full_sum(inst: Instance,
-                          quick: int | None = None) -> tuple[Subgroup | None, GSet | None]:
+def _subgroup_in_full_sum(inst: Instance) -> tuple[Subgroup | None, GSet | None]:
     """(subgroup, exact sum set or None) for the |W|-term weighted sums.
 
-    First tries the quick mask: the positional weighted block sum of one
-    balanced setpartition, the residues sorted.  An explicit instance builds
-    it here; a batched sweep hands in the one it built from the partition
-    and the block dilates it shares per S and the running sum it shares
-    with the weight tuple before (_subgroup_sums_batch).  It is a subset of
-    the full sum set, so finding a subgroup there is already conclusive and
-    skips the exact computation.  Every caller's hypotheses give
-    h(S) <= |W| <= |S|, so the partition exists.
+    Every positional weighted block sum of an n-setpartition of S with
+    n = |W|, under any order of the weights, is a subset of the full sum
+    set.  So first the quick mask, one balanced setpartition's block sum
+    with the residues sorted: a subgroup there is already conclusive.
+    Else the same blocks under the residues rotated by one place join it,
+    and where the union holds the first entry of the group's prime-order
+    table, that is the subgroup contained_subgroup finds in the full sum set
+    too.  Only then does the exact computation run.  Every caller's
+    hypotheses give h(S) <= |W| <= |S|, so the partition exists.
+
+    S keeps the partition dealt from it, and _block_sums keeps the running
+    block sums of the last weight tuple per partition.  So a sweep, which
+    checks one S against its weight tuples in lex order, deals S's partition
+    once, dilates each block once per residue, and extends the block sum of
+    the prefix each tuple shares with the one before.
     """
     group, s, w = inst.group, inst.seq, inst.weights
-    if quick is None:
-        part = balanced_setpartition(s, w.length)
-        quick = _positional_wsum_bits(group, zip(sorted(w.residues), part.masks))
-    sub = _subgroup_inside(group, quick)
+    part = balanced_setpartition(s, w.length)
+    residues = tuple(sorted(w.residues))
+    quick = _block_sums(group, part.masks)(residues)
+    sub = contained_subgroup(GSet(group, quick))
     if sub is not None:
         return sub, None
+    quick |= _positional_wsum_bits(group, zip(residues[1:] + residues[:1], part.masks))
+    first = group.prime_order_subgroups[:1]
+    if first and not first[0].mask & ~quick:
+        return first[0], None
     full = sigma_n(w, s, w.length)
     return contained_subgroup(full), full
 
@@ -519,19 +514,12 @@ def _subgroup_in_full_sum(inst: Instance,
 class _SubgroupInSums:
     """Conclusion: a nontrivial subgroup lies in the |W|-term weighted sums
     (_subgroup_in_full_sum); with twin, disjunct i of that or disjunct ii,
-    the twin-weight shape.  verdict gives the verdict shapes; a batch
-    checker that found the subgroup on its own quick mask calls it with no
-    instance, and calls the conclusion with the mask only where it missed."""
+    the twin-weight shape."""
 
     twin: bool = False
 
-    def __call__(self, inst: Instance, caps: SearchCaps, quick: int | None = None) -> Verdict:
-        sub, full = _subgroup_in_full_sum(inst, quick)
-        return self.verdict(sub, inst, full)
-
-    def verdict(self, sub: Subgroup | None, inst: Instance | None = None,
-                full: GSet | None = None) -> Verdict:
-        """HOLDS on sub; else the twin shape of inst, or FAILS with full."""
+    def __call__(self, inst: Instance, caps: SearchCaps) -> Verdict:
+        sub, full = _subgroup_in_full_sum(inst)
         if sub is not None:
             return Verdict(Status.HOLDS, {"disjunct": "i", "subgroup": sub} if self.twin
                            else {"subgroup": sub})
@@ -1058,7 +1046,12 @@ def check_instance(sid: StatementId, inst: Instance,
     exception's message as its reason, and davenport's GroupTooLarge with
     "Davenport constant above cap".  Only malformed instances raise.
     """
-    return _guard(STATEMENTS[sid].checker, inst, caps)
+    try:
+        return STATEMENTS[sid].checker(inst, caps)
+    except CapExceeded as exc:
+        return _capped(str(exc))
+    except GroupTooLarge:
+        return _capped("Davenport constant above cap")
 
 
 # ---------------------------------------------------------------------------
@@ -1100,9 +1093,9 @@ class SweepDomain:
 
 # A planned shard: its exact instance count and a factory listing its
 # instances.  sweep sums the counts before it checks anything, then checks
-# the shards in the order the planner yields them: one at a time, or, for a
-# statement with a batch checker, each stretch of them that shares one
-# group and one tuple of pools (read off their _SeqShard factories) at once.
+# the shards in the order the planner yields them: one at a time, or, where
+# a stretch of them shares one group and one tuple of pools (read off their
+# _SeqShard factories), that stretch at once, sequence by sequence.
 Shard = tuple[int, Callable[[], list[Instance]]]
 
 
@@ -1173,11 +1166,11 @@ class _SeqPlanner:
     the weight total is 0 mod exp(G), so that translating S leaves every
     |W|-term weighted sum in place.  Each shard's count is exact: the pools
     are built at planning time, and the weight tuples of one (G, k) that
-    reduce alike share one tuple of them.  A row with a batch checker
-    (Statement.batch) is swept over those shards at once: per pooled S it
-    checks the clauses that read S and builds the partition and the block
-    dilates, and per weight tuple the weight sequence; explicit instances
-    take the row's checker.
+    reduce alike share one tuple of them.  sweep checks the shards that
+    share pools together, each pooled S built once and checked against
+    every weight tuple in turn, and each weight sequence built once for all
+    of them; each pair still goes through check_instance, as an explicit
+    instance does.
     """
 
     clauses: tuple[Clause, ...]
@@ -1238,64 +1231,6 @@ class _SeqShard:
 def _seq_shard(group: Group, wtuple: tuple[int, ...],
                pools: tuple[tuple[tuple[int, ...], ...], ...], with_n: bool = False) -> Shard:
     return sum(map(len, pools)), _SeqShard(group, wtuple, pools, with_n)
-
-
-def _subgroup_sums_batch(unmet: Callable[[Instance, SearchCaps], Verdict | None],
-                         conclusion: _SubgroupInSums, with_n: bool, group: Group,
-                         pools: tuple[tuple[tuple[int, ...], ...], ...],
-                         wtuples: list[tuple[int, ...]], caps: SearchCaps = DEFAULT_CAPS
-                         ) -> Iterator[tuple[tuple[int, int, int], Verdict,
-                                             Callable[[], Instance]]]:
-    """Batch checker of a row whose conclusion is a _SubgroupInSums: the
-    verdict check_instance gives on each pair of a planned weight tuple (all
-    of one length k) and a pooled sequence, as ((tuple position, pool
-    position, sequence position), verdict, a callable building the pair's
-    Instance), sequence by sequence.
-
-    Per S: unmet, the row's preamble on its clauses that read S, runs once,
-    since they read W only through |W| = k and the planner has dropped
-    every tuple that fails another clause; then one balanced setpartition,
-    each block dilated once per residue mod exp(G), and the quick masks of
-    the sorted residue tuples in lex order, each extending the running sum
-    of the prefix it shares with the one before.  Per W: the weight
-    sequence, and the residue tuple that tuples with equal residues share.
-    A pair whose quick mask holds a prime-order subgroup is decided there;
-    only the others build their Instance and run the conclusion on the
-    mask, under check_instance's cap mapping.
-    """
-    wseqs = [weight_seq(group, wtuple) for wtuple in wtuples]
-    k = wseqs[0].length
-    n = k if with_n else None
-    sharing: dict[tuple[int, ...], list[int]] = {}
-    for wi, w in enumerate(wseqs):
-        sharing.setdefault(tuple(sorted(w.residues)), []).append(wi)
-    walk = sorted(sharing.items())
-    # each residue tuple keeps the running sums of the prefix it shares with
-    # the one before it, and extends them from there
-    starts = [0] + [next(j for j, (a, b) in enumerate(zip(prev, cur)) if a != b)
-                    for (prev, _), (cur, _) in zip(walk, walk[1:])]
-    for pi, pool in enumerate(pools):
-        for si, mult in enumerate(pool):
-            seq = GSequence(group, mult)
-            builds = [partial(Instance, group, seq, w, n) for w in wseqs]
-            hyp = _guard(unmet, builds[0](), caps)
-            if hyp is not None:
-                for wi, build in enumerate(builds):
-                    yield (wi, pi, si), hyp, build
-                continue
-            masks = balanced_setpartition(seq, k).masks
-            dilate = lru_cache(maxsize=None)(group.dilate_mask)
-            running = [0] * (k + 1)
-            for (residues, wis), start in zip(walk, starts):
-                for j in range(start, k):
-                    running[j + 1] = _positional_wsum_bits(
-                        group, ((residues[j], masks[j]),), running[j], dilate)
-                quick = running[k]
-                sub = _subgroup_inside(group, quick)
-                for wi in wis:
-                    verdict = (conclusion.verdict(sub) if sub is not None
-                               else _guard(conclusion, builds[wi](), caps, quick))
-                    yield (wi, pi, si), verdict, builds[wi]
 
 
 def _plan_david(dom: SweepDomain, caps: SearchCaps = DEFAULT_CAPS) -> Iterator[Shard]:
@@ -1402,23 +1337,19 @@ class Statement:
     dom.samples random instances, so the report's domain shows that count.
     A row made by _seq_statement has a _SeqPlanner whose clauses are the one
     statement of its hypotheses: its checker runs them in order, and its
-    planner filters weight tuples by those that do not read S.
-    batch, when set, is what sweep runs in place of the checker:
-    batch(G, pools, weight tuples, caps) yields the verdict the checker
-    gives on every (weight tuple, pooled sequence) pair.  It does once per
-    S what does not depend on W: the clauses that read S, the balanced
-    setpartition and each block's dilates; and once per W what does not
-    depend on S: the weight sequence and its sorted residues
-    (_subgroup_sums_batch).  Explicit instances, and so check_instance and
-    the CLI's verify on instance flags, always take the checker.
+    planner filters weight tuples by those that do not read S.  sweep runs
+    the checker, through check_instance, on every planned instance, and
+    visits a _SeqPlanner row's instances sequence by sequence: so the
+    subgroup rows (THM_HAM_CHAR, CONJ_HAMIDOUNE, COR_HAM_VAR) deal each
+    pooled S's partition once and share block sums along the weight tuples
+    (_subgroup_in_full_sum), and explicit instances take the same path.
     """
 
     checker: Callable[[Instance, SearchCaps], Verdict]
     planner: Callable[[SweepDomain, SearchCaps], Iterable[Shard]] | None
     anchor: str
-    flag: Callable[[Verdict], bool] | None = None
+    flag: Callable[[Instance, Verdict], bool] | None = None
     sampled: bool = False
-    batch: Callable[..., Iterable[tuple[Any, Verdict, Callable[[], Instance]]]] | None = None
 
 
 def _example_statement(group_test: Callable[[Group], str | None],
@@ -1494,25 +1425,15 @@ def _seq_statement(planner: _SeqPlanner, conclusion: Callable[[Instance, SearchC
     reads D(G) under caps.davenport; then it runs planner.clauses in order,
     the first one unmet giving hypothesis_not_met with its reason, and
     otherwise the conclusion.  The planner filters its weight tuples by the
-    same clauses.  A _SubgroupInSums conclusion also gives the row a batch
-    checker, which runs the same preamble on the clauses that read S."""
-    def unmet(inst: Instance, caps: SearchCaps,
-              clauses: tuple[Clause, ...] = planner.clauses) -> Verdict | None:
+    same clauses."""
+    def check(inst: Instance, caps: SearchCaps) -> Verdict:
         _need(inst, seq=True, weights=True, n=planner.with_n)
         if davenport_first:
             davenport(inst.group, caps.davenport)
-        reason = _unmet(clauses, inst, caps)
-        return _hyp_fail(reason) if reason else None
+        reason = _unmet(planner.clauses, inst, caps)
+        return conclusion(inst, caps) if reason is None else _hyp_fail(reason)
 
-    def check(inst: Instance, caps: SearchCaps) -> Verdict:
-        hyp = unmet(inst, caps)
-        return conclusion(inst, caps) if hyp is None else hyp
-
-    batch = None
-    if isinstance(conclusion, _SubgroupInSums):
-        batch = partial(_subgroup_sums_batch, partial(unmet, clauses=planner.reading("seq")),
-                        conclusion, planner.with_n)
-    return Statement(check, planner, anchor, flag, batch=batch)
+    return Statement(check, planner, anchor, flag)
 
 
 STATEMENTS: dict[StatementId, Statement] = {
@@ -1553,7 +1474,7 @@ STATEMENTS: dict[StatementId, Statement] = {
         "under the subgroup-conjecture hypotheses with 2|W| >= |G|: a nontrivial "
         "subgroup lies in the |W|-term weighted sums, or |supp(S)| = 2, |W| = |G| - 1, "
         "G = Z/2^r, and the weights are x and -x in equal numbers plus one 0 mod |G|",
-        flag=lambda v: v.status is Status.HOLDS and v.witness.get("disjunct") == "ii"),
+        flag=lambda inst, v: v.status is Status.HOLDS and v.witness.get("disjunct") == "ii"),
     StatementId.LEM_DSTAR_SUBADD: Statement(
         _check_dstar_subadd, _plan_subgroup_instances,
         "d*(H) + d*(G/H) <= d*(G) for every subgroup H of G"),
@@ -1628,19 +1549,17 @@ def sweep(sid: StatementId, dom: SweepDomain, threads: int = 1,
 
     The planner's shards are all listed first, and DomainTooLarge is raised
     when their counts sum past dom.max_instances, so neither that nor a cap
-    error raised while planning lets any instance be checked.  Then the
-    shards are checked in enumeration order, batch by batch (_verdict_runs),
-    and tallied as they go: status counts, failures and flagged pairs are
-    kept, each batch's kept pairs put back in enumeration order, and
-    everything else dropped.  A statement with a batch checker
-    (THM_HAM_CHAR, CONJ_HAMIDOUNE, COR_HAM_VAR) runs the S-side hypothesis
-    check and builds the partition and its block dilates once per pooled S,
-    and the weight sequence once per weight tuple, for the whole batch; it
-    builds an Instance only where the quick path misses.  The others, and
-    explicit instances anywhere, go through check_instance one at a time.
-    So memory holds the failures, the flagged pairs and one batch's per-S
-    tables or one shard's instances, and the report is deterministic.
-    threads is accepted and ignored.
+    error raised while planning lets any instance be checked.  Then every
+    instance goes through check_instance, as an explicit one does, batch by
+    batch (_verdict_runs): the weight tuples that share a sequence pool are
+    checked sequence by sequence, each pooled S and each weight sequence
+    built once, so what the checker memoizes per S (for the subgroup rows,
+    S's balanced setpartition and its running block sums) serves every
+    weight tuple.  The verdicts are tallied as they go: status counts,
+    failures and flagged pairs are kept, each batch's kept pairs put back in
+    enumeration order, and everything else dropped.  So memory holds the
+    failures, the flagged pairs and the instance being checked, and the
+    report is deterministic.  threads is accepted and ignored.
     """
     statement = STATEMENTS[sid]
     if statement.planner is None:
@@ -1656,13 +1575,13 @@ def sweep(sid: StatementId, dom: SweepDomain, threads: int = 1,
     flagged: list[tuple[Instance, Verdict]] = []
     for run in _verdict_runs(sid, shards, caps):
         kept = []
-        for key, verdict, instance in run:
+        for key, inst, verdict in run:
             tally[verdict.status] += 1
-            if verdict.status is Status.FAILS or (flag is not None and flag(verdict)):
-                kept.append((key, instance(), verdict))
+            if verdict.status is Status.FAILS or (flag is not None and flag(inst, verdict)):
+                kept.append((key, inst, verdict))
         kept.sort(key=itemgetter(0))
         failures += [(inst, v) for _, inst, v in kept if v.status is Status.FAILS]
-        flagged += [(inst, v) for _, inst, v in kept if flag is not None and flag(v)]
+        flagged += [(inst, v) for _, inst, v in kept if flag is not None and flag(inst, v)]
     counts = {status.value: count for status, count in tally.items()}
     return SweepReport(
         statement=sid,
@@ -1676,21 +1595,38 @@ def sweep(sid: StatementId, dom: SweepDomain, threads: int = 1,
 
 
 def _verdict_runs(sid: StatementId, shards: list[Shard], caps: SearchCaps
-                  ) -> Iterator[Iterable[tuple[Any, Verdict, Callable[[], Instance]]]]:
-    """A sweep's verdicts, one run per batch, in enumeration order.  A run
-    lists (key, verdict, a callable building the checked Instance), and
-    sorting it by key gives its enumeration order.  With a batch checker a
-    batch is each stretch of shards over one group and one tuple of pools;
-    without one it is a shard, its instances checked one by one."""
-    batch = STATEMENTS[sid].batch
-    if batch is None:
-        for _, factory in shards:
-            yield ((i, check_instance(sid, inst, caps), lambda inst=inst: inst)
-                   for i, inst in enumerate(factory()))
-        return
-    for (group, pools), run in groupby((factory for _, factory in shards),
-                                       key=attrgetter("group", "pools")):
-        yield batch(group, pools, [factory.wtuple for factory in run], caps)
+                  ) -> Iterator[Iterator[tuple[Any, Instance, Verdict]]]:
+    """A sweep's (key, instance, check_instance verdict) triples, one run
+    per batch; sorting a run by key gives its enumeration order.  A batch is
+    each stretch of shards whose _SeqShard factories share one group and one
+    tuple of pools, or else one shard.  A _SeqShard batch is walked
+    sequence by sequence: each pooled S is built once and checked against
+    every weight tuple of the batch in turn, so what a checker memoizes per
+    S (the balanced setpartition, the block sums of sorted residue
+    prefixes) serves them all."""
+    for _, run in groupby((factory for _, factory in shards),
+                          key=lambda f: (f.group, f.pools) if isinstance(f, _SeqShard) else f):
+        factories = list(run)
+        if isinstance(factories[0], _SeqShard):
+            yield _seq_batch(sid, factories, caps)
+        else:
+            yield ((i, inst, check_instance(sid, inst, caps))
+                   for i, inst in enumerate(factories[0]()))
+
+
+def _seq_batch(sid: StatementId, shards: list[_SeqShard], caps: SearchCaps
+               ) -> Iterator[tuple[tuple[int, int, int], Instance, Verdict]]:
+    """Each (weight tuple, pooled sequence) pair of shards over one group and
+    one tuple of pools, keyed (tuple position, pool position, sequence
+    position), visited sequence by sequence."""
+    group, with_n = shards[0].group, shards[0].with_n
+    wseqs = [weight_seq(group, shard.wtuple) for shard in shards]
+    for pi, pool in enumerate(shards[0].pools):
+        for si, mult in enumerate(pool):
+            seq = GSequence(group, mult)
+            for wi, w in enumerate(wseqs):
+                inst = Instance(group, seq, w, w.length if with_n else None)
+                yield (wi, pi, si), inst, check_instance(sid, inst, caps)
 
 
 # ---------------------------------------------------------------------------

@@ -56,7 +56,11 @@ from zerosum import (
     witness_search_setpartition,
 )
 from zerosum.groups import Group
-from zerosum.verify import STATEMENTS, _SeqPlanner, _is_canonical_translate
+from zerosum import sequences, verify
+from zerosum.errors import NoSetpartition
+from zerosum.sequences import balanced_setpartition
+from zerosum.verify import STATEMENTS, _SeqPlanner, _SeqShard, _is_canonical_translate, _seq_batch
+from zerosum.weighted import _BlockSums, _positional_wsum_bits, sigma_n
 from zerosum.weighted import weight_seq as real_weight_seq
 from zerosum.setsum import _ap_differences, detect_ap
 
@@ -1170,12 +1174,12 @@ def test_check_instance_status_is_deterministic(text, data):
 
 
 # ---------------------------------------------------------------------------
-# batch checker
+# sequence-major sweeps and the quick path's memos
 
 
-_BATCHED = (StatementId.THM_HAM_CHAR, StatementId.CONJ_HAMIDOUNE, StatementId.COR_HAM_VAR)
+_SUBGROUP_ROWS = (StatementId.THM_HAM_CHAR, StatementId.CONJ_HAMIDOUNE, StatementId.COR_HAM_VAR)
 _ALL_DOMAINS = tuple(product((True, False), (0, 1)))  # (reduce_translation, slen_extra)
-_BATCH_CASES = [
+_WALK_CASES = [
     (StatementId.THM_HAM_CHAR, "c4", (2, 3, 4), _ALL_DOMAINS),  # flagged twin shapes
     (StatementId.THM_HAM_CHAR, "c2xc2", (2, 3, 4), _ALL_DOMAINS),
     (StatementId.THM_HAM_CHAR, "c5", (3,), _ALL_DOMAINS),
@@ -1192,13 +1196,17 @@ _BATCH_CASES = [
     (StatementId.COR_HAM_VAR, "c2xc2", (2, 3, 4), _ALL_DOMAINS),
     (StatementId.COR_HAM_VAR, "c5", (4,), _ALL_DOMAINS),
     (StatementId.COR_HAM_VAR, "c2xc4", (4,), ((True, 0),)),
+    # rows whose conclusion takes no partition walk the same way
+    (StatementId.THM_WEGZ, "c5", (2, 3), _ALL_DOMAINS),
+    (StatementId.COR_SPUD, "c2xc2", (2, 3), ((True, 0), (False, 1))),
+    (StatementId.LEM_DAVID, "c4", (2, 3), ((True, 0), (True, 1))),
 ]
 
 
-def _one_by_one(sid, dom):
+def _shard_order(sid, dom):
     """The counts, failures and flagged pairs of a sweep that checks every
-    planned instance with check_instance, in shard order: the reference the
-    batch checker must equal."""
+    planned instance with check_instance in shard order, each instance with
+    its own sequence object: the reference a sequence-major sweep must equal."""
     statement = STATEMENTS[sid]
     counts = {status.value: 0 for status in Status}
     failures, flagged = [], []
@@ -1208,20 +1216,19 @@ def _one_by_one(sid, dom):
             counts[verdict.status.value] += 1
             if verdict.status is Status.FAILS:
                 failures.append((inst, verdict))
-            if statement.flag is not None and statement.flag(verdict):
+            if statement.flag is not None and statement.flag(inst, verdict):
                 flagged.append((inst, verdict))
     return counts, failures, flagged
 
 
-@pytest.mark.parametrize("sid,text,wlens,domains", _BATCH_CASES,
-                         ids=[f"{sid.value}:{text}:{w}" for sid, text, w, _ in _BATCH_CASES])
-def test_batched_sweeps_equal_instance_by_instance_checks(sid, text, wlens, domains):
-    assert STATEMENTS[sid].batch is not None
+@pytest.mark.parametrize("sid,text,wlens,domains", _WALK_CASES,
+                         ids=[f"{sid.value}:{text}:{w}" for sid, text, w, _ in _WALK_CASES])
+def test_sequence_major_sweeps_equal_shard_order_checks(sid, text, wlens, domains):
     for reduce_translation, slen_extra in domains:
         dom = SweepDomain(groups=(parse_group(text),), wlens=wlens, slen_extra=slen_extra,
                           reduce_translation=reduce_translation)
         report = sweep(sid, dom)
-        counts, failures, flagged = _one_by_one(sid, dom)
+        counts, failures, flagged = _shard_order(sid, dom)
         reference = dataclasses.replace(report, counts=counts, failures=failures,
                                         flagged=flagged, examined=sum(counts.values()))
         assert report.examined > 0
@@ -1233,41 +1240,148 @@ def test_batched_sweeps_equal_instance_by_instance_checks(sid, text, wlens, doma
             assert report.flagged
 
 
-def test_only_the_subgroup_rows_are_batched():
-    assert {sid for sid, st in STATEMENTS.items() if st.batch is not None} == set(_BATCHED)
+@pytest.mark.parametrize("sid", _SUBGROUP_ROWS)
+def test_a_sweep_checks_every_pair_and_deals_each_sequence_once(sid, monkeypatch):
+    checked, dealt = [], []
+    real_check, real_canonical = verify.check_instance, sequences._canonical_masks
+
+    def counting_check(*args):
+        checked.append(args[1])
+        return real_check(*args)
+
+    def counting_deal(masks):
+        dealt.append(masks)
+        return real_canonical(masks)
+
+    monkeypatch.setattr(verify, "check_instance", counting_check)
+    monkeypatch.setattr(sequences, "_canonical_masks", counting_deal)
+    g = parse_group("c5")
+    dom = SweepDomain(groups=(g,), wlens=(4,), reduce_translation=False)
+    report = sweep(sid, dom)
+    pools = {factory.pools for _, factory in STATEMENTS[sid].planner(dom, DEFAULT_CAPS)}
+    assert len(pools) == 1  # every weight tuple of the row shares one pool here
+    pooled = sum(map(len, pools.pop()))
+    wtuples = STATEMENTS[sid].planner.weight_tuples(g, 4)
+    assert len(wtuples) > 1
+    assert len(checked) == report.examined == pooled * len(wtuples)
+    # one partition per pooled sequence, shared by every weight tuple checked on it
+    assert report.counts["hypothesis_not_met"] == 0 and len(dealt) == pooled
 
 
-@pytest.mark.parametrize("sid", _BATCHED)
-def test_batch_checker_reads_the_sequence_clauses_once_per_sequence(sid):
+@pytest.mark.parametrize("sid", _SUBGROUP_ROWS)
+def test_sequence_major_walk_gives_each_pair_its_own_verdict(sid):
     g = parse_group("c5")
     statement = STATEMENTS[sid]
     wtuples = statement.planner.weight_tuples(g, 4)
-    assert len(wtuples) > 1
     # |W| = 4, so |S| >= 8 and h(S) <= 4 are the sequence-side clauses; sweeps
     # never pool a sequence that fails them
     pools = (((5, 1, 1, 1, 0), (2, 2, 1, 1, 0), (2, 2, 2, 1, 1)),
              ((3, 2, 2, 1, 1), (0, 0, 0, 4, 6)))
+    shards = [_SeqShard(g, wtuple, pools) for wtuple in wtuples]
     seen = set()
     reasons = Counter()
-    for (wi, pi, si), verdict, build in statement.batch(g, pools, wtuples, DEFAULT_CAPS):
-        inst = build()
-        assert inst == Instance(g, seq=GSequence(g, pools[pi][si]),
-                                weights=weight_seq(g, wtuples[wi]))
-        assert verdict == check_instance(sid, inst), (wi, pi, si)
+    for (wi, pi, si), inst, verdict in _seq_batch(sid, shards, DEFAULT_CAPS):
+        fresh = Instance(g, seq=GSequence(g, pools[pi][si]), weights=weight_seq(g, wtuples[wi]))
+        assert inst == fresh
+        assert verdict == check_instance(sid, fresh), (wi, pi, si)
         if verdict.status is Status.HYPOTHESIS_NOT_MET:
             reasons[verdict.witness["reason"]] += 1
         seen.add((wi, pi, si))
     assert len(seen) == 5 * len(wtuples)
     assert reasons == {"maximum multiplicity exceeds |W|": 2 * len(wtuples),
                        "sequence shorter than |W| + |G| - 1": len(wtuples)}
-    # the per-S check rests on this: the clauses that read S read W only
-    # through |W|, so two weight tuples of one length agree on every S
-    seq_side = statement.planner.reading("seq")
+
+
+@pytest.mark.parametrize("sid", [sid for sid, st in STATEMENTS.items()
+                                 if isinstance(st.planner, _SeqPlanner)])
+def test_sequence_clauses_read_the_weights_only_through_their_length(sid):
+    # what Clause.reads says of a "seq" clause, and what lets the planner
+    # filter weight tuples without S
+    g = parse_group("c5")
+    planner = STATEMENTS[sid].planner
+    seq_side = planner.reading("seq")
     assert seq_side
-    for mult in (m for pool in pools for m in pool):
+    for mult in ((5, 1, 1, 1, 0), (2, 2, 1, 1, 0), (2, 2, 2, 1, 1), (0, 0, 0, 4, 6),
+                 (3, 3, 3, 3, 3)):
         s = GSequence(g, mult)
         for clause in seq_side:
-            a, b = (bool(clause.fails(Instance(g, seq=s, weights=weight_seq(g, w)),
+            a, b = (bool(clause.fails(Instance(g, seq=s, weights=weight_seq(g, w),
+                                               n=4 if planner.with_n else None),
                                       DEFAULT_CAPS))
                     for w in ((0, 0, 0, 0), (1, 2, 3, 4)))
             assert a == b, (clause.reason, mult)
+
+
+def test_block_sums_extend_the_shared_prefix(monkeypatch):
+    g = parse_group("c7")
+    masks = (0b0000011, 0b0001100, 0b0110000, 0b1000001)
+    calls = []
+    real = Group.sum_masks
+
+    def counting(self, a, b):
+        calls.append(1)
+        return real(self, a, b)
+
+    monkeypatch.setattr(Group, "sum_masks", counting)
+    tuples = list(combinations_with_replacement(range(7), 4))
+    sums = _BlockSums(g, masks)
+    expected, prev = 0, ()
+    for w in tuples:
+        calls.clear()
+        assert sums(w) == _positional_wsum_bits(g, zip(w, masks))
+        # the reference itself sums k - 1 times; the block sums only past the shared prefix
+        shared = next((j for j, (a, b) in enumerate(zip(prev, w)) if a != b), len(prev))
+        assert len(calls) == 3 + (4 - max(shared, 1)), w
+        prev = w
+    # each block is dilated once per weight
+    assert sums.dilate.cache_info().currsize <= 4 * 7
+    # out of order, repeated, or after another tuple, the sums stay exact
+    for w in [(6, 5, 4, 3), (6, 5, 4, 3), (0, 0, 0, 0), (1, 1, 1, 2), (0, 0, 0, 0)]:
+        assert sums(w) == _positional_wsum_bits(g, zip(w, masks))
+
+
+def test_balanced_setpartition_is_kept_on_its_sequence():
+    c8, c2xc4 = parse_group("c8"), parse_group("c2xc4")
+    mult = (2, 2, 1, 1, 0, 0, 1, 0)
+    s = GSequence(c8, mult)
+    part = balanced_setpartition(s, 3)
+    assert balanced_setpartition(s, 3) is part
+    assert balanced_setpartition(GSequence(c8, mult), 3) == part
+    assert balanced_setpartition(s, 2) != part
+    # the same multiplicities over another group of order 8 deal over that group
+    other = balanced_setpartition(GSequence(c2xc4, mult), 3)
+    assert other.group is c2xc4 and other.masks == part.masks and other != part
+    with pytest.raises(NoSetpartition):
+        balanced_setpartition(s, 1)
+    with pytest.raises(NoSetpartition):
+        balanced_setpartition(s, 1)
+
+
+def test_subgroup_in_full_sum_equals_the_exact_sum_sets_subgroup():
+    # reference: the sorted-residue block sum of the balanced partition, and
+    # where it holds no subgroup, contained_subgroup of the exact sum set
+    paths = Counter()
+    for text, wlens in (("c4", (2, 3, 4)), ("c5", (3, 4)), ("c6", (3, 4)), ("c7", (3,)),
+                        ("c2xc2", (2, 3, 4)), ("c8", (3,))):
+        g = parse_group(text)
+        for sid in _SUBGROUP_ROWS:
+            dom = SweepDomain(groups=(g,), wlens=wlens)
+            for _, factory in STATEMENTS[sid].planner(dom, DEFAULT_CAPS):
+                for inst in factory():
+                    if check_instance(sid, inst).status is Status.HYPOTHESIS_NOT_MET:
+                        continue
+                    s, w = inst.seq, inst.weights
+                    part = balanced_setpartition(s, w.length)
+                    quick = _positional_wsum_bits(g, zip(sorted(w.residues), part.masks))
+                    want = contained_subgroup(GSet(g, quick))
+                    full = None
+                    if want is None:
+                        full = sigma_n(w, s, w.length)
+                        want = contained_subgroup(full)
+                    got, got_full = verify._subgroup_in_full_sum(inst)
+                    assert got == want, (text, sid, s.mult, w.raw)
+                    assert got_full is None or got_full == full
+                    paths["quick" if full is None else
+                          "exact" if got_full is not None else "rotated"] += 1
+    # every path is taken, the rotated one and the exact one on several groups
+    assert paths["quick"] and paths["rotated"] and paths["exact"], paths
