@@ -9,13 +9,14 @@ whether its domain is sampled.  A weights-cross-sequences statement
 states its hypotheses once, as an ordered tuple of Clause records: its
 checker runs them in order and its planner keeps the weight tuples that
 meet those not reading S.  check_instance evaluates one instance
-exactly; sweep plans a finite instance domain as counted shards, and tallies
-the verdicts batch by batch, keeping only failures and flagged pairs, with
-deterministic output.  Every planned instance goes through check_instance;
-a sweep visits the weight tuples that share a sequence pool sequence by
-sequence, so that what the checkers memoize per sequence (the balanced
-setpartition, the running block sums of the quick path) serves every
-weight tuple checked against it.
+exactly; sweep plans a finite instance domain as counted shards, each
+factory yielding its keyed instances in check order, and tallies the
+verdicts shard by shard, keeping only failures and flagged pairs, with
+deterministic output.  Every planned instance goes through check_instance.
+A sequence row's shard is one run of weight tuples that share their
+sequence pools, walked sequence by sequence, so that what the checkers
+memoize per sequence (the balanced setpartition, the running block sums of
+the quick path) serves every weight tuple checked against it.
 
 The setpartition searches share one walk over subsequences, setpartitions
 and weight assignments, bounded by a Budget built from SearchCaps.  A cap
@@ -562,7 +563,7 @@ def _check_david(inst: Instance, caps: SearchCaps) -> Verdict:
 
 
 def _check_dstar_subadd(inst: Instance, caps: SearchCaps) -> Verdict:
-    _need(inst, extra=("subgroup",))
+    _need(inst, extra=("subgroup",), own=("subgroup",))
     group = inst.group
     sub: Subgroup = inst.extra["subgroup"]
     lhs = dstar_of_factors(sub.iso_type) + dstar_of_factors(sub.quotient_type)
@@ -573,7 +574,7 @@ def _check_dstar_subadd(inst: Instance, caps: SearchCaps) -> Verdict:
 
 
 def _check_split(inst: Instance, caps: SearchCaps) -> Verdict:
-    _need(inst, weights=True, extra=("set", "base_index"))
+    _need(inst, weights=True, extra=("set", "base_index"), own=("set",))
     group, w = inst.group, inst.weights
     a: GSet = inst.extra["set"]
     a0: int = inst.extra["base_index"]
@@ -598,7 +599,7 @@ def _check_split(inst: Instance, caps: SearchCaps) -> Verdict:
 
 
 def _check_dual(inst: Instance, caps: SearchCaps) -> Verdict:
-    _need(inst, extra=("subgroup",))
+    _need(inst, extra=("subgroup",), own=("subgroup",))
     group = inst.group
     sub: Subgroup = inst.extra["subgroup"]
     try:
@@ -625,7 +626,7 @@ def check_self_duality(group: Group, caps: SearchCaps = DEFAULT_CAPS) -> Verdict
 
 
 def _check_align(inst: Instance, caps: SearchCaps) -> Verdict:
-    _need(inst, extra=("subgroup",))
+    _need(inst, extra=("subgroup",), own=("subgroup",))
     group = inst.group
     sub: Subgroup = inst.extra["subgroup"]
     ambient = group.invariant_factors
@@ -639,7 +640,7 @@ def _check_align(inst: Instance, caps: SearchCaps) -> Verdict:
 
 
 def _check_pigeonhole(inst: Instance, caps: SearchCaps) -> Verdict:
-    _need(inst, extra=("set_a", "set_b"))
+    _need(inst, extra=("set_a", "set_b"), own=("set_a", "set_b"))
     a: GSet = inst.extra["set_a"]
     b: GSet = inst.extra["set_b"]
     group = inst.group
@@ -1091,12 +1092,11 @@ class SweepDomain:
                 raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
 
 
-# A planned shard: its exact instance count and a factory listing its
-# instances.  sweep sums the counts before it checks anything, then checks
-# the shards in the order the planner yields them: one at a time, or, where
-# a stretch of them shares one group and one tuple of pools (read off their
-# _SeqShard factories), that stretch at once, sequence by sequence.
-Shard = tuple[int, Callable[[], list[Instance]]]
+# A planned shard: its exact instance count and a factory yielding its
+# (key, instance) pairs in check order; sorted by key, they are in
+# enumeration order.  sweep sums the counts before it checks anything, then
+# checks the shards one at a time in the order the planner yields them.
+Shard = tuple[int, Callable[[], Iterable[tuple[Any, Instance]]]]
 
 
 @dataclass
@@ -1142,17 +1142,18 @@ def _domain_dict(dom: SweepDomain, sampled: bool, caps: SearchCaps) -> dict[str,
 def _per_group(dom: SweepDomain, size: Callable[[Group], int | None],
                build: Callable[[Group], list[Instance]]) -> Iterator[Shard]:
     """One shard per group: size(G) counts its instances at planning time
-    (None leaves G out) and build(G) lists them."""
+    (None leaves G out) and build(G) lists them, keyed by position."""
     for group in dom.groups:
         count = size(group)
         if count is not None:
-            yield count, partial(build, group)
+            yield count, lambda group=group: enumerate(build(group))
 
 
 @dataclass(frozen=True)
 class _SeqPlanner:
     """Planner row for a weights-cross-sequences statement: one shard per
-    (group, weight tuple).
+    run of consecutive weight tuples of one (group, |W|) that share their
+    sequence pools.
 
     clauses are the row's hypotheses, the tuple its checker runs.
     weight_tuples(G, k) keeps each nondecreasing k-tuple of residues mod
@@ -1165,12 +1166,12 @@ class _SeqPlanner:
     are at most k.  Translation reduction applies when translate is set and
     the weight total is 0 mod exp(G), so that translating S leaves every
     |W|-term weighted sum in place.  Each shard's count is exact: the pools
-    are built at planning time, and the weight tuples of one (G, k) that
-    reduce alike share one tuple of them.  sweep checks the shards that
-    share pools together, each pooled S built once and checked against
-    every weight tuple in turn, and each weight sequence built once for all
-    of them; each pair still goes through check_instance, as an explicit
-    instance does.
+    are built at planning time, and each run of weight tuples of one (G, k)
+    that reduce alike shares one tuple of them.  The shard walks its pools
+    sequence by sequence (_seq_walk), each pooled S built once and paired
+    with every weight tuple of the run in turn, and each weight sequence
+    built once for all of them; each pair still goes through
+    check_instance, as an explicit instance does.
     """
 
     clauses: tuple[Clause, ...]
@@ -1203,34 +1204,33 @@ class _SeqPlanner:
             for wlen in dom.wlens:
                 base = self.slen(group, wlen, caps)
                 sizes = range(base, base + dom.slen_extra + 1)
-                for wtuple in self.weight_tuples(group, wlen, caps):
-                    reduced = (dom.reduce_translation and self.translate
-                               and sum(wtuple) % group.exponent == 0)
+                runs = groupby(self.weight_tuples(group, wlen, caps),
+                               key=lambda wt: (dom.reduce_translation and self.translate
+                                               and sum(wt) % group.exponent == 0))
+                for reduced, run in runs:
                     pools = tuple(pool(group, size, wlen if self.cap_h else size, reduced)
                                   for size in sizes)
-                    yield _seq_shard(group, wtuple, pools, self.with_n)
+                    yield _seq_shard(group, tuple(run), pools, self.with_n)
 
 
-@dataclass(frozen=True, eq=False)
-class _SeqShard:
-    """The factory of one weight tuple's shard over sequence pools built at
-    planning time: one instance per pooled sequence, pool by pool."""
-
-    group: Group
-    wtuple: tuple[int, ...]
-    pools: tuple[tuple[tuple[int, ...], ...], ...]
-    with_n: bool = False
-
-    def __call__(self) -> list[Instance]:
-        w = weight_seq(self.group, self.wtuple)
-        n = w.length if self.with_n else None
-        return [Instance(self.group, seq=GSequence(self.group, mult), weights=w, n=n)
-                for pool in self.pools for mult in pool]
+def _seq_walk(group: Group, wtuples: tuple[tuple[int, ...], ...],
+              pools: tuple[tuple[tuple[int, ...], ...], ...], with_n: bool = False
+              ) -> Iterator[tuple[tuple[int, int, int], Instance]]:
+    """The factory of a sequence row's shard: each (weight tuple, pooled
+    sequence) pair, keyed (tuple position, pool position, sequence
+    position), visited sequence by sequence, with each pooled S and each
+    weight sequence built once."""
+    wseqs = [weight_seq(group, wtuple) for wtuple in wtuples]
+    for pi, pool in enumerate(pools):
+        for si, mult in enumerate(pool):
+            seq = GSequence(group, mult)
+            for wi, w in enumerate(wseqs):
+                yield (wi, pi, si), Instance(group, seq, w, w.length if with_n else None)
 
 
-def _seq_shard(group: Group, wtuple: tuple[int, ...],
+def _seq_shard(group: Group, wtuples: tuple[tuple[int, ...], ...],
                pools: tuple[tuple[tuple[int, ...], ...], ...], with_n: bool = False) -> Shard:
-    return sum(map(len, pools)), _SeqShard(group, wtuple, pools, with_n)
+    return len(wtuples) * sum(map(len, pools)), partial(_seq_walk, group, wtuples, pools, with_n)
 
 
 def _plan_david(dom: SweepDomain, caps: SearchCaps = DEFAULT_CAPS) -> Iterator[Shard]:
@@ -1244,8 +1244,8 @@ def _plan_david(dom: SweepDomain, caps: SearchCaps = DEFAULT_CAPS) -> Iterator[S
                                 for rest in _sub_multisets((h,) * (group.order - 1), size - h, h))
         for wlen in dom.wlens:
             sized = tuple(pools[size] for size in range(wlen + d - 1, wlen + d + dom.slen_extra))
-            for wtuple in combinations_with_replacement(range(group.exponent), wlen):
-                yield _seq_shard(group, wtuple, sized)
+            wtuples = tuple(combinations_with_replacement(range(group.exponent), wlen))
+            yield _seq_shard(group, wtuples, sized)
 
 
 def _plan_subgroup_instances(dom: SweepDomain, caps: SearchCaps = DEFAULT_CAPS) -> Iterator[Shard]:
@@ -1257,7 +1257,7 @@ def _plan_subgroup_instances(dom: SweepDomain, caps: SearchCaps = DEFAULT_CAPS) 
 
 def _plan_split(dom: SweepDomain, caps: SearchCaps = DEFAULT_CAPS) -> Iterator[Shard]:
     def build(group: Group, indices: tuple[int, ...], units: list[int], d: int,
-              exhaustive: bool) -> list[Instance]:
+              exhaustive: bool) -> Iterator[tuple[int, Instance]]:
         a = gset(group, [group.element_from_index(i) for i in indices])
         extra = {"set": a, "base_index": 0}
         if exhaustive:
@@ -1266,7 +1266,8 @@ def _plan_split(dom: SweepDomain, caps: SearchCaps = DEFAULT_CAPS) -> Iterator[S
             tag = ",".join(map(str, indices))
             rng = random.Random(f"{dom.seed}:{format_group(group)}:{tag}:split")
             wtuples = (tuple(sorted(rng.choices(units, k=d))) for _ in range(dom.samples))
-        return [Instance(group, weights=weight_seq(group, wt), extra=extra) for wt in wtuples]
+        return enumerate(Instance(group, weights=weight_seq(group, wt), extra=extra)
+                         for wt in wtuples)
 
     for group in dom.groups:
         for k in range(2, dom.set_size_max + 1):
@@ -1329,20 +1330,22 @@ class Statement:
 
     checker evaluates one instance; planner(dom, caps) yields a sweep
     domain's shards in enumeration order, each a Shard (its exact instance
-    count and the factory listing its instances), taking D(G) under the
-    sweep's caps.davenport as the checkers do (None: the statement takes
-    explicit instances only); anchor is the statement as reports quote it;
-    flag picks the verdicts a report lists besides the failures (None:
-    reports carry no flagged key); sampled says the planner draws
-    dom.samples random instances, so the report's domain shows that count.
+    count and the factory yielding its keyed instances in check order),
+    taking D(G) under the sweep's caps.davenport as the checkers do (None:
+    the statement takes explicit instances only); anchor is the statement as
+    reports quote it; flag picks the verdicts a report lists besides the
+    failures (None: reports carry no flagged key); sampled says the planner
+    draws dom.samples random instances, so the report's domain shows that
+    count.
     A row made by _seq_statement has a _SeqPlanner whose clauses are the one
     statement of its hypotheses: its checker runs them in order, and its
     planner filters weight tuples by those that do not read S.  sweep runs
-    the checker, through check_instance, on every planned instance, and
-    visits a _SeqPlanner row's instances sequence by sequence: so the
-    subgroup rows (THM_HAM_CHAR, CONJ_HAMIDOUNE, COR_HAM_VAR) deal each
-    pooled S's partition once and share block sums along the weight tuples
-    (_subgroup_in_full_sum), and explicit instances take the same path.
+    the checker, through check_instance, on every planned instance.  A
+    _SeqPlanner row's shard is one run of weight tuples that share their
+    pools, walked sequence by sequence: so the subgroup rows (THM_HAM_CHAR,
+    CONJ_HAMIDOUNE, COR_HAM_VAR) deal each pooled S's partition once and
+    share block sums along the weight tuples (_subgroup_in_full_sum), and
+    explicit instances take the same path.
     """
 
     checker: Callable[[Instance, SearchCaps], Verdict]
@@ -1549,14 +1552,15 @@ def sweep(sid: StatementId, dom: SweepDomain, threads: int = 1,
 
     The planner's shards are all listed first, and DomainTooLarge is raised
     when their counts sum past dom.max_instances, so neither that nor a cap
-    error raised while planning lets any instance be checked.  Then every
-    instance goes through check_instance, as an explicit one does, batch by
-    batch (_verdict_runs): the weight tuples that share a sequence pool are
-    checked sequence by sequence, each pooled S and each weight sequence
-    built once, so what the checker memoizes per S (for the subgroup rows,
-    S's balanced setpartition and its running block sums) serves every
-    weight tuple.  The verdicts are tallied as they go: status counts,
-    failures and flagged pairs are kept, each batch's kept pairs put back in
+    error raised while planning lets any instance be checked.  Then each
+    shard's factory yields its keyed instances in check order, and every one
+    goes through check_instance, as an explicit instance does.  A sequence
+    row's shard is one run of weight tuples that share their pools, walked
+    sequence by sequence, each pooled S and each weight sequence built once,
+    so what the checker memoizes per S (for the subgroup rows, S's balanced
+    setpartition and its running block sums) serves every weight tuple.  The
+    verdicts are tallied as they go: status counts, failures and flagged
+    pairs are kept, each shard's kept pairs sorted by key back into
     enumeration order, and everything else dropped.  So memory holds the
     failures, the flagged pairs and the instance being checked, and the
     report is deterministic.  threads is accepted and ignored.
@@ -1573,15 +1577,17 @@ def sweep(sid: StatementId, dom: SweepDomain, threads: int = 1,
     tally = dict.fromkeys(Status, 0)
     failures: list[tuple[Instance, Verdict]] = []
     flagged: list[tuple[Instance, Verdict]] = []
-    for run in _verdict_runs(sid, shards, caps):
+    for _, factory in shards:
         kept = []
-        for key, inst, verdict in run:
+        for key, inst in factory():
+            verdict = check_instance(sid, inst, caps)
             tally[verdict.status] += 1
-            if verdict.status is Status.FAILS or (flag is not None and flag(inst, verdict)):
-                kept.append((key, inst, verdict))
+            marked = flag is not None and flag(inst, verdict)
+            if marked or verdict.status is Status.FAILS:
+                kept.append((key, inst, verdict, marked))
         kept.sort(key=itemgetter(0))
-        failures += [(inst, v) for _, inst, v in kept if v.status is Status.FAILS]
-        flagged += [(inst, v) for _, inst, v in kept if flag is not None and flag(inst, v)]
+        failures += [(inst, v) for _, inst, v, _ in kept if v.status is Status.FAILS]
+        flagged += [(inst, v) for _, inst, v, marked in kept if marked]
     counts = {status.value: count for status, count in tally.items()}
     return SweepReport(
         statement=sid,
@@ -1592,41 +1598,6 @@ def sweep(sid: StatementId, dom: SweepDomain, threads: int = 1,
         anchor=statement.anchor,
         examined=sum(counts.values()),
     )
-
-
-def _verdict_runs(sid: StatementId, shards: list[Shard], caps: SearchCaps
-                  ) -> Iterator[Iterator[tuple[Any, Instance, Verdict]]]:
-    """A sweep's (key, instance, check_instance verdict) triples, one run
-    per batch; sorting a run by key gives its enumeration order.  A batch is
-    each stretch of shards whose _SeqShard factories share one group and one
-    tuple of pools, or else one shard.  A _SeqShard batch is walked
-    sequence by sequence: each pooled S is built once and checked against
-    every weight tuple of the batch in turn, so what a checker memoizes per
-    S (the balanced setpartition, the block sums of sorted residue
-    prefixes) serves them all."""
-    for _, run in groupby((factory for _, factory in shards),
-                          key=lambda f: (f.group, f.pools) if isinstance(f, _SeqShard) else f):
-        factories = list(run)
-        if isinstance(factories[0], _SeqShard):
-            yield _seq_batch(sid, factories, caps)
-        else:
-            yield ((i, inst, check_instance(sid, inst, caps))
-                   for i, inst in enumerate(factories[0]()))
-
-
-def _seq_batch(sid: StatementId, shards: list[_SeqShard], caps: SearchCaps
-               ) -> Iterator[tuple[tuple[int, int, int], Instance, Verdict]]:
-    """Each (weight tuple, pooled sequence) pair of shards over one group and
-    one tuple of pools, keyed (tuple position, pool position, sequence
-    position), visited sequence by sequence."""
-    group, with_n = shards[0].group, shards[0].with_n
-    wseqs = [weight_seq(group, shard.wtuple) for shard in shards]
-    for pi, pool in enumerate(shards[0].pools):
-        for si, mult in enumerate(pool):
-            seq = GSequence(group, mult)
-            for wi, w in enumerate(wseqs):
-                inst = Instance(group, seq, w, w.length if with_n else None)
-                yield (wi, pi, si), inst, check_instance(sid, inst, caps)
 
 
 # ---------------------------------------------------------------------------

@@ -285,8 +285,7 @@ class _BlockSums:
     sums of the prefix it shares with the tuple before, each block dilated
     once per weight.  Weight tuples asked for in lex order, as a sweep
     checks the sorted weight tuples against one sequence's partition, so
-    share their common prefixes.  The last tuple and its running sums are
-    replaced as one pair, so a concurrent caller reads a consistent one."""
+    share their common prefixes."""
 
     def __init__(self, group: Group, masks: tuple[int, ...]) -> None:
         self.group, self.masks = group, masks

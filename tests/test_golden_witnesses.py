@@ -23,6 +23,7 @@ import json
 import sys
 from collections import Counter
 from itertools import product
+from operator import itemgetter
 from pathlib import Path
 
 import pytest
@@ -112,7 +113,7 @@ def domain_summary(sid: StatementId, groups: tuple[str, ...],
     dom = SweepDomain(groups=tuple(parse_group(g) for g in groups), wlens=wlens)
     return summarize((inst, check_instance(sid, inst))
                      for _, factory in STATEMENTS[sid].planner(dom)
-                     for inst in factory())
+                     for _, inst in sorted(factory(), key=itemgetter(0)))
 
 
 def grid_instances():

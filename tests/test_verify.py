@@ -10,6 +10,7 @@ import tracemalloc
 from collections import Counter
 from itertools import combinations_with_replacement, product
 from math import comb
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -59,7 +60,7 @@ from zerosum.groups import Group
 from zerosum import sequences, verify
 from zerosum.errors import NoSetpartition
 from zerosum.sequences import balanced_setpartition
-from zerosum.verify import STATEMENTS, _SeqPlanner, _SeqShard, _is_canonical_translate, _seq_batch
+from zerosum.verify import STATEMENTS, _SeqPlanner, _is_canonical_translate, _seq_walk
 from zerosum.weighted import _BlockSums, _positional_wsum_bits, sigma_n
 from zerosum.weighted import weight_seq as real_weight_seq
 from zerosum.setsum import _ap_differences, detect_ap
@@ -762,6 +763,30 @@ def test_instance_parts_over_another_group_raise():
         assert check_instance(sid, Instance(c4, seq=own_s, weights=own_w)).status is Status.HOLDS
 
 
+# each extra lies over another group than the instance; each of these once
+# gave a verdict read off that group (PROP_PIGEONHOLE, PROP_DUAL and
+# LEM_DSTAR_SUBADD fails, PROP_ALIGN and LEM_SPLIT holds)
+_FOREIGN_EXTRAS = [
+    (StatementId.PROP_PIGEONHOLE, "c2", lambda c7, c8: {
+        "set_a": gset(c7, [0, 1]), "set_b": gset(c7, [0, 2])}),
+    (StatementId.PROP_DUAL, "c4", lambda c7, c8: {"subgroup": subgroup_generated(c8, [2])}),
+    (StatementId.LEM_DSTAR_SUBADD, "c4",
+     lambda c7, c8: {"subgroup": subgroup_generated(c8, [2])}),
+    (StatementId.PROP_ALIGN, "c4", lambda c7, c8: {"subgroup": subgroup_generated(c8, [2])}),
+    (StatementId.LEM_SPLIT, "c2", lambda c7, c8: {"set": gset(c7, [0, 1]), "base_index": 0}),
+]
+
+
+@pytest.mark.parametrize("sid,text,extra", _FOREIGN_EXTRAS,
+                         ids=[sid.value for sid, _, _ in _FOREIGN_EXTRAS])
+def test_extras_over_another_group_raise(sid, text, extra):
+    g = parse_group(text)
+    inst = Instance(g, weights=weight_seq(g, [1]),
+                    extra=extra(parse_group("c7"), parse_group("c8")))
+    with pytest.raises(GroupMismatch):
+        check_instance(sid, inst)
+
+
 def test_missing_fields_raise():
     g = make_group((4,))
     with pytest.raises(MissingField):
@@ -954,7 +979,7 @@ def test_subgroup_cap_reaches_the_stabilizer_and_the_planners():
     assert report.domain["subgroup_cap"] == 2
     planner = STATEMENTS[StatementId.AP_STRUCT].planner
     _, factory = next(iter(planner(SweepDomain(groups=(g,)), small)))
-    inst = factory()[0]
+    _, inst = next(iter(factory()))
     assert check_instance(StatementId.AP_STRUCT, inst, small).witness == {
         "reason": "more than 2 subgroups"}
     assert check_instance(StatementId.AP_STRUCT, inst).status is not Status.UNDECIDED_CAPPED
@@ -1009,10 +1034,11 @@ def test_length_clauses_decide_before_any_weight_tuple_is_built(monkeypatch):
 
 
 def _enumerated(shards) -> int:
-    """The planned instance count, each shard's count checked against its factory."""
+    """The planned instance count, each shard's count checked against the
+    pairs its factory yields."""
     total = 0
     for count, factory in shards:
-        assert count == len(factory())
+        assert count == sum(1 for _ in factory())
         total += count
     return total
 
@@ -1090,7 +1116,7 @@ def test_planners_take_the_sweeps_davenport_cap():
     report = sweep(StatementId.THM_GAO_COSET, sampled)
     assert report.counts[Status.HOLDS.value] == 2
     for _, factory in STATEMENTS[StatementId.THM_GAO_COSET].planner(sampled, DEFAULT_CAPS):
-        for inst in factory():
+        for _, inst in factory():
             assert check_instance(StatementId.THM_GAO_COSET, inst).status is Status.HOLDS
     weighted = SweepDomain(groups=(c36,), wlens=(1,))
     for sid in (StatementId.CONJ_ORDAZ_QUIROZ, StatementId.COR_SPECIALCASE):
@@ -1200,18 +1226,24 @@ _WALK_CASES = [
     (StatementId.THM_WEGZ, "c5", (2, 3), _ALL_DOMAINS),
     (StatementId.COR_SPUD, "c2xc2", (2, 3), ((True, 0), (False, 1))),
     (StatementId.LEM_DAVID, "c4", (2, 3), ((True, 0), (True, 1))),
+    # weight tuples that alternate between reduced and unreduced pools within
+    # one (G, |W|): c4 at |W| = 4 plans five runs
+    (StatementId.COR_SPECIALCASE, "c3", (3, 4), _ALL_DOMAINS),
+    (StatementId.COR_SPECIALCASE, "c4", (3, 4), _ALL_DOMAINS),
 ]
 
 
 def _shard_order(sid, dom):
     """The counts, failures and flagged pairs of a sweep that checks every
-    planned instance with check_instance in shard order, each instance with
-    its own sequence object: the reference a sequence-major sweep must equal."""
+    planned instance with check_instance in enumeration order (each shard's
+    pairs sorted by key), each instance with its own sequence object: the
+    reference a sequence-major sweep must equal."""
     statement = STATEMENTS[sid]
     counts = {status.value: 0 for status in Status}
     failures, flagged = [], []
     for _, factory in statement.planner(dom, DEFAULT_CAPS):
-        for inst in factory():
+        for _, inst in sorted(factory(), key=itemgetter(0)):
+            inst = dataclasses.replace(inst, seq=GSequence(inst.group, inst.seq.mult))
             verdict = check_instance(sid, inst)
             counts[verdict.status.value] += 1
             if verdict.status is Status.FAILS:
@@ -1258,14 +1290,16 @@ def test_a_sweep_checks_every_pair_and_deals_each_sequence_once(sid, monkeypatch
     g = parse_group("c5")
     dom = SweepDomain(groups=(g,), wlens=(4,), reduce_translation=False)
     report = sweep(sid, dom)
-    pools = {factory.pools for _, factory in STATEMENTS[sid].planner(dom, DEFAULT_CAPS)}
-    assert len(pools) == 1  # every weight tuple of the row shares one pool here
-    pooled = sum(map(len, pools.pop()))
+    # one shard: every weight tuple of the row shares one pool here
+    (count, _), = STATEMENTS[sid].planner(dom, DEFAULT_CAPS)
     wtuples = STATEMENTS[sid].planner.weight_tuples(g, 4)
     assert len(wtuples) > 1
-    assert len(checked) == report.examined == pooled * len(wtuples)
-    # one partition per pooled sequence, shared by every weight tuple checked on it
-    assert report.counts["hypothesis_not_met"] == 0 and len(dealt) == pooled
+    assert len(checked) == report.examined == count
+    # each pooled sequence is built once, and its partition dealt once, for
+    # every weight tuple checked on it
+    pooled = {id(inst.seq) for inst in checked}
+    assert len(pooled) * len(wtuples) == count
+    assert report.counts["hypothesis_not_met"] == 0 and len(dealt) == len(pooled)
 
 
 @pytest.mark.parametrize("sid", _SUBGROUP_ROWS)
@@ -1277,12 +1311,12 @@ def test_sequence_major_walk_gives_each_pair_its_own_verdict(sid):
     # never pool a sequence that fails them
     pools = (((5, 1, 1, 1, 0), (2, 2, 1, 1, 0), (2, 2, 2, 1, 1)),
              ((3, 2, 2, 1, 1), (0, 0, 0, 4, 6)))
-    shards = [_SeqShard(g, wtuple, pools) for wtuple in wtuples]
     seen = set()
     reasons = Counter()
-    for (wi, pi, si), inst, verdict in _seq_batch(sid, shards, DEFAULT_CAPS):
+    for (wi, pi, si), inst in _seq_walk(g, tuple(wtuples), pools):
         fresh = Instance(g, seq=GSequence(g, pools[pi][si]), weights=weight_seq(g, wtuples[wi]))
         assert inst == fresh
+        verdict = check_instance(sid, inst)
         assert verdict == check_instance(sid, fresh), (wi, pi, si)
         if verdict.status is Status.HYPOTHESIS_NOT_MET:
             reasons[verdict.witness["reason"]] += 1
@@ -1367,7 +1401,7 @@ def test_subgroup_in_full_sum_equals_the_exact_sum_sets_subgroup():
         for sid in _SUBGROUP_ROWS:
             dom = SweepDomain(groups=(g,), wlens=wlens)
             for _, factory in STATEMENTS[sid].planner(dom, DEFAULT_CAPS):
-                for inst in factory():
+                for _, inst in factory():
                     if check_instance(sid, inst).status is Status.HYPOTHESIS_NOT_MET:
                         continue
                     s, w = inst.seq, inst.weights
