@@ -9,7 +9,7 @@ and then block sizes can always be balanced to differ by at most one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .errors import BadN, GroupMismatch, NoSetpartition, ParseError
 from .groups import (
@@ -211,6 +211,15 @@ class Setpartition:
     @cached_property
     def blocks(self) -> tuple[GSet, ...]:
         return tuple(GSet(self.group, m) for m in self.masks)
+
+    @cached_property
+    def dilate(self):
+        """group.dilate_mask, memoized for as long as the partition lives,
+        so the weighted block sums of its blocks under many weight tuples
+        dilate each block once per weight.  A balanced partition lives on
+        its sequence (balanced_setpartition), so its dilates serve every
+        weight tuple checked against that sequence."""
+        return lru_cache(maxsize=None)(self.group.dilate_mask)
 
     def sizes(self) -> list[int]:
         return [m.bit_count() for m in self.masks]

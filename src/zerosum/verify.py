@@ -15,8 +15,7 @@ verdicts shard by shard, keeping only failures and flagged pairs, with
 deterministic output.  Every planned instance goes through check_instance.
 A sequence row's shard is one run of weight tuples that share their
 sequence pools, walked sequence by sequence, so that what the checkers
-memoize per sequence (the balanced setpartition, the running block sums of
-the quick path) serves every weight tuple checked against it.
+memoize per sequence serves every weight tuple checked against it.
 
 The setpartition searches share one walk over subsequences, setpartitions
 and weight assignments, bounded by a Budget built from SearchCaps.  A cap
@@ -51,6 +50,7 @@ from .groups import (
     Element,
     Group,
     Subgroup,
+    _index_in,
     _is_prime,
     all_subgroups,
     format_element,
@@ -72,7 +72,6 @@ from .verdict import Status, Verdict
 from .weighted import (
     WeightSeq,
     _positional_wsum_bits,
-    _block_sums,
     format_weights,
     sigma_n,
     sigma_table,
@@ -323,11 +322,6 @@ def _is_canonical_translate(group: Group, mult: tuple[int, ...]) -> bool:
     return True
 
 
-@lru_cache(maxsize=1024)
-def _nonunit_count(raw: tuple[int, ...], modulus: int) -> int:
-    return sum(1 for w in raw if gcd(w, modulus) != 1)
-
-
 # ---------------------------------------------------------------------------
 # example builders
 
@@ -401,7 +395,7 @@ _W_TOTAL_ORDER = Clause("weight total not divisible by the group order",
                         lambda i, c: sum(i.weights.raw) % i.group.order, "weights")
 _W_IS_G = Clause("needs |W| = |G|", lambda i, c: i.weights.length != i.group.order, "length")
 _W_UNITS_ORDER = Clause("weights must all be coprime to the group order",
-                        lambda i, c: _nonunit_count(i.weights.raw, i.group.order), "weights")
+                        lambda i, c: not all(i.weights.units), "weights")
 _W_UNITS_EXP = Clause("weights must all be coprime to the exponent",
                       lambda i, c: not all(i.weights.units), "weights")
 _S_LONG = Clause("sequence shorter than |W| + |G| - 1",
@@ -415,7 +409,7 @@ _HAMIDOUNE_CLAUSES = (
            lambda i, c: i.weights.length < 2, "length"),
     _S_LONG, _W_TOTAL_ORDER, _S_HEIGHT,
     Clause("more than one weight shares a factor with the group order",
-           lambda i, c: _nonunit_count(i.weights.raw, i.group.order) > 1, "weights"),
+           lambda i, c: i.weights.units.count(False) > 1, "weights"),
 )
 _HAM_CHAR_CLAUSES = _HAMIDOUNE_CLAUSES + (
     Clause("needs |W| >= |G| / 2", lambda i, c: 2 * i.weights.length < i.group.order,
@@ -490,20 +484,20 @@ def _subgroup_in_full_sum(inst: Instance) -> tuple[Subgroup | None, GSet | None]
     too.  Only then does the exact computation run.  Every caller's
     hypotheses give h(S) <= |W| <= |S|, so the partition exists.
 
-    S keeps the partition dealt from it, and _block_sums keeps the running
-    block sums of the last weight tuple per partition.  So a sweep, which
-    checks one S against its weight tuples in lex order, deals S's partition
-    once, dilates each block once per residue, and extends the block sum of
-    the prefix each tuple shares with the one before.
+    S keeps the partition dealt from it, and the partition keeps its dilates
+    (Setpartition.dilate), which both block sums read.  So a sweep, which
+    checks one S against every weight tuple of its shard, deals S's
+    partition once and dilates each block once per residue.
     """
     group, s, w = inst.group, inst.seq, inst.weights
     part = balanced_setpartition(s, w.length)
-    residues = tuple(sorted(w.residues))
-    quick = _block_sums(group, part.masks)(residues)
+    residues = sorted(w.residues)
+    quick = _positional_wsum_bits(group, zip(residues, part.masks), part.dilate)
     sub = contained_subgroup(GSet(group, quick))
     if sub is not None:
         return sub, None
-    quick |= _positional_wsum_bits(group, zip(residues[1:] + residues[:1], part.masks))
+    quick |= _positional_wsum_bits(group, zip(residues[1:] + residues[:1], part.masks),
+                                   part.dilate)
     first = group.prime_order_subgroups[:1]
     if first and not first[0].mask & ~quick:
         return first[0], None
@@ -577,7 +571,7 @@ def _check_split(inst: Instance, caps: SearchCaps) -> Verdict:
     _need(inst, weights=True, extra=("set", "base_index"), own=("set",))
     group, w = inst.group, inst.weights
     a: GSet = inst.extra["set"]
-    a0: int = inst.extra["base_index"]
+    a0 = _index_in(group, inst.extra["base_index"])
     if a.size < 2:
         return _hyp_fail("set must have at least 2 elements")
     if not a.contains_index(a0):
@@ -701,8 +695,14 @@ def check_ap_structure(sets: list[GSet], caps: SearchCaps = DEFAULT_CAPS) -> Ver
 
 
 def _check_ap_struct(inst: Instance, caps: SearchCaps) -> Verdict:
+    """check_ap_structure on extra["sets"]; sets over several groups are a
+    hypothesis it reads, but sets none of which lies over G are a
+    GroupMismatch, as for the other checkers' extras."""
     _need(inst, extra=("sets",))
-    return check_ap_structure(list(inst.extra["sets"]), caps)
+    sets = list(inst.extra["sets"])
+    if sets and all(x.group != inst.group for x in sets):
+        raise GroupMismatch("no set lies over the instance's group")
+    return check_ap_structure(sets, caps)
 
 
 # ---------------------------------------------------------------------------
@@ -822,7 +822,8 @@ def _large_sums(inst: Instance, budget: Budget, floor: int):
     and arrangement of the weights whose weighted block sum has at least
     floor elements; the callers stop at the first."""
     for _, part, _, perm in _same_length_walk(inst, budget):
-        achieved = _positional_wsum_bits(inst.group, zip(perm, part.masks)).bit_count()
+        achieved = _positional_wsum_bits(inst.group, zip(perm, part.masks),
+                                         part.dilate).bit_count()
         if achieved >= floor:
             yield part, perm, achieved
 
@@ -866,7 +867,7 @@ def _check_aligned_conclusion(inst: Instance, sub: Subgroup,
 
     for _, part, (rep, e_out, inside), perm in _same_length_walk(inst, budget, cosets):
         masks = part.masks
-        total = _positional_wsum_bits(group, zip(perm, masks))
+        total = _positional_wsum_bits(group, zip(perm, masks), part.dilate)
         if total.bit_count() < (e_out + 1) * sub.order:
             continue
         # prefix: d*(H) blocks inside the coset whose weighted sum is a coset of H
@@ -942,7 +943,8 @@ def _certificate_holds(inst: Instance) -> bool:
     cert_seq, which lies in S and in the coset g + K of coset_rep and leaves
     at least n - d*(K) + |S| - |S'| terms of S there, and the blocks
     weighted by the first d*(K) weights are a coset sum (_is_coset_sum)."""
-    group, s, sub, rep = inst.group, inst.seq, inst.extra["subgroup"], inst.extra["coset_rep"]
+    group, s, sub = inst.group, inst.seq, inst.extra["subgroup"]
+    rep = _index_in(group, inst.extra["coset_rep"])
     t_mult = inst.extra["cert_seq"].mult
     masks = tuple(b.bits for b in inst.extra["cert_blocks"])
     d = dstar(sub)
@@ -1140,9 +1142,10 @@ def _domain_dict(dom: SweepDomain, sampled: bool, caps: SearchCaps) -> dict[str,
 
 
 def _per_group(dom: SweepDomain, size: Callable[[Group], int | None],
-               build: Callable[[Group], list[Instance]]) -> Iterator[Shard]:
+               build: Callable[[Group], Iterable[Instance]]) -> Iterator[Shard]:
     """One shard per group: size(G) counts its instances at planning time
-    (None leaves G out) and build(G) lists them, keyed by position."""
+    (None leaves G out) and build(G) yields them, keyed by position, one at
+    a time as the sweep checks them."""
     for group in dom.groups:
         count = size(group)
         if count is not None:
@@ -1251,8 +1254,8 @@ def _plan_david(dom: SweepDomain, caps: SearchCaps = DEFAULT_CAPS) -> Iterator[S
 def _plan_subgroup_instances(dom: SweepDomain, caps: SearchCaps = DEFAULT_CAPS) -> Iterator[Shard]:
     return _per_group(
         dom, lambda g: len(all_subgroups(g, caps.subgroups)),
-        lambda g: [Instance(g, extra={"subgroup": sub})
-                   for sub in all_subgroups(g, caps.subgroups)])
+        lambda g: (Instance(g, extra={"subgroup": sub})
+                   for sub in all_subgroups(g, caps.subgroups)))
 
 
 def _plan_split(dom: SweepDomain, caps: SearchCaps = DEFAULT_CAPS) -> Iterator[Shard]:
@@ -1285,18 +1288,15 @@ def _plan_split(dom: SweepDomain, caps: SearchCaps = DEFAULT_CAPS) -> Iterator[S
 
 
 def _plan_pigeonhole(dom: SweepDomain, caps: SearchCaps = DEFAULT_CAPS) -> Iterator[Shard]:
-    def build(group: Group) -> list[Instance]:
+    def build(group: Group) -> Iterator[Instance]:
         m = group.order
-        out = []
         for abits in range(1, 1 << m):
             asize = abits.bit_count()
             for bbits in range(abits, 1 << m):
-                if asize + bbits.bit_count() < m + 1:
-                    continue
-                out.append(Instance(group, extra={
-                    "set_a": GSet(group, abits),
-                    "set_b": GSet(group, bbits)}))
-        return out
+                if asize + bbits.bit_count() > m:
+                    yield Instance(group, extra={
+                        "set_a": GSet(group, abits),
+                        "set_b": GSet(group, bbits)})
 
     def size(group: Group) -> int:
         # mask pairs A <= B with |A| + |B| > m: by Vandermonde (4^m - C(2m, m)) / 2
@@ -1310,14 +1310,11 @@ def _plan_pigeonhole(dom: SweepDomain, caps: SearchCaps = DEFAULT_CAPS) -> Itera
 
 
 def _plan_ap_struct(dom: SweepDomain, caps: SearchCaps = DEFAULT_CAPS) -> Iterator[Shard]:
-    def build(group: Group) -> list[Instance]:
+    def build(group: Group) -> Iterator[Instance]:
         masks = [b for b in range(1, 1 << group.order) if b & 1 and b.bit_count() >= 2]
-        out = []
         for i, abits in enumerate(masks):
             for bbits in masks[i:]:
-                out.append(Instance(group, extra={
-                    "sets": (GSet(group, abits), GSet(group, bbits))}))
-        return out
+                yield Instance(group, extra={"sets": (GSet(group, abits), GSet(group, bbits))})
 
     # 2^(|G|-1) - 1 sets hold 0 and another element; shards list unordered pairs
     return _per_group(dom, lambda g: (1 << (g.order - 1)) * ((1 << (g.order - 1)) - 1) // 2,
@@ -1342,10 +1339,7 @@ class Statement:
     planner filters weight tuples by those that do not read S.  sweep runs
     the checker, through check_instance, on every planned instance.  A
     _SeqPlanner row's shard is one run of weight tuples that share their
-    pools, walked sequence by sequence: so the subgroup rows (THM_HAM_CHAR,
-    CONJ_HAMIDOUNE, COR_HAM_VAR) deal each pooled S's partition once and
-    share block sums along the weight tuples (_subgroup_in_full_sum), and
-    explicit instances take the same path.
+    pools, walked sequence by sequence (see sweep).
     """
 
     checker: Callable[[Instance, SearchCaps], Verdict]
@@ -1384,7 +1378,7 @@ def _example_statement(group_test: Callable[[Group], str | None],
         return Verdict(Status.HOLDS, {"sum_set": full, "missing": missing})
 
     def plan(dom: SweepDomain, caps: SearchCaps = DEFAULT_CAPS) -> Iterator[Shard]:
-        return _per_group(dom, lambda g: None if group_test(g) else 1, lambda g: [build(g)])
+        return _per_group(dom, lambda g: None if group_test(g) else 1, lambda g: map(build, (g,)))
 
     return Statement(check, plan, anchor)
 
@@ -1405,15 +1399,13 @@ def _gao_statement(threshold: Callable[[Group, SearchCaps], int], shorter: str,
     def plan(dom: SweepDomain, caps: SearchCaps = DEFAULT_CAPS) -> Iterator[Shard]:
         sizes = {group: threshold(group, caps) + dom.slen_extra for group in dom.groups}
 
-        def build(group: Group) -> list[Instance]:
+        def build(group: Group) -> Iterator[Instance]:
             rng = random.Random(f"{dom.seed}:{format_group(group)}:unweighted")
-            out = []
             for _ in range(dom.samples):
                 mult = [0] * group.order
                 for idx in rng.choices(range(group.order), k=sizes[group]):
                     mult[idx] += 1
-                out.append(Instance(group, seq=GSequence(group, tuple(mult))))
-            return out
+                yield Instance(group, seq=GSequence(group, tuple(mult)))
 
         return _per_group(dom, lambda g: dom.samples, build)
 
@@ -1557,13 +1549,13 @@ def sweep(sid: StatementId, dom: SweepDomain, threads: int = 1,
     goes through check_instance, as an explicit instance does.  A sequence
     row's shard is one run of weight tuples that share their pools, walked
     sequence by sequence, each pooled S and each weight sequence built once,
-    so what the checker memoizes per S (for the subgroup rows, S's balanced
-    setpartition and its running block sums) serves every weight tuple.  The
+    so what the checker memoizes per S serves every weight tuple.  The
     verdicts are tallied as they go: status counts, failures and flagged
     pairs are kept, each shard's kept pairs sorted by key back into
-    enumeration order, and everything else dropped.  So memory holds the
-    failures, the flagged pairs and the instance being checked, and the
-    report is deterministic.  threads is accepted and ignored.
+    enumeration order, and everything else dropped.  So besides the
+    sequence pools a planner builds, memory holds the failures, the flagged
+    pairs and the instance being checked, and the report is deterministic.
+    threads is accepted and ignored.
     """
     statement = STATEMENTS[sid]
     if statement.planner is None:

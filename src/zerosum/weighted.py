@@ -257,57 +257,22 @@ def sums_by_count(s: GSequence) -> tuple[int, ...]:
     return tuple(_sums_by_n(s.group, [(unit, s.length)], _support(s), s.length))
 
 
-def _positional_wsum_bits(group: Group, pairs, start: int = 0, dilate=None,
-                          running: list[int] | None = None) -> int:
+def _positional_wsum_bits(group: Group, pairs, dilate=None) -> int:
     """Bitmask of w_1*A_1 + ... + w_k*A_k over (weight, block bitmask) pairs.
 
-    The one positional weighted sum: partition_wsum, _BlockSums and the
-    checkers in verify wrap it.  Needs k >= 1 nonempty blocks, or a nonempty
-    start: a running sum that the terms then extend.  dilate(bits, w) stands
-    in for group.dilate_mask; running, when given, gets the running sum
-    appended after each term.
+    The one positional weighted sum: partition_wsum and the checkers in
+    verify wrap it.  Needs k >= 1 nonempty blocks.  dilate(bits, w) stands
+    in for group.dilate_mask, as a Setpartition's memo of it (its dilate)
+    does.
     """
     dilate = dilate or group.dilate_mask
-    acc = start
+    acc = 0
     for w, bits in pairs:
         if not bits:
             raise EmptySet("positional weighted sum needs nonempty blocks")
         term = dilate(bits, w)
         acc = group.sum_masks(acc, term) if acc else term
-        if running is not None:
-            running.append(acc)
     return acc
-
-
-class _BlockSums:
-    """The positional weighted sums of one tuple of blocks (bitmasks), one
-    weight tuple at a time: calling it on a weight tuple extends the running
-    sums of the prefix it shares with the tuple before, each block dilated
-    once per weight.  Weight tuples asked for in lex order, as a sweep
-    checks the sorted weight tuples against one sequence's partition, so
-    share their common prefixes."""
-
-    def __init__(self, group: Group, masks: tuple[int, ...]) -> None:
-        self.group, self.masks = group, masks
-        self.dilate = lru_cache(maxsize=None)(group.dilate_mask)
-        self.last: tuple[tuple[int, ...], tuple[int, ...]] = ((), (0,))
-
-    def __call__(self, weights: tuple[int, ...]) -> int:
-        prev, sums = self.last
-        j = 0
-        for a, b in zip(prev, weights):
-            if a != b:
-                break
-            j += 1
-        run = list(sums[:j + 1])
-        acc = _positional_wsum_bits(self.group, zip(weights[j:], self.masks[j:]), run[-1],
-                                    self.dilate, run)
-        self.last = (weights, tuple(run))
-        return acc
-
-
-# the blocks of the partitions checked last, each with its running sums
-_block_sums = lru_cache(maxsize=16)(_BlockSums)
 
 
 def partition_wsum(w: WeightSeq, partition: Setpartition) -> GSet:

@@ -61,7 +61,7 @@ from zerosum import sequences, verify
 from zerosum.errors import NoSetpartition
 from zerosum.sequences import balanced_setpartition
 from zerosum.verify import STATEMENTS, _SeqPlanner, _is_canonical_translate, _seq_walk
-from zerosum.weighted import _BlockSums, _positional_wsum_bits, sigma_n
+from zerosum.weighted import _positional_wsum_bits, sigma_n
 from zerosum.weighted import weight_seq as real_weight_seq
 from zerosum.setsum import _ap_differences, detect_ap
 
@@ -765,7 +765,7 @@ def test_instance_parts_over_another_group_raise():
 
 # each extra lies over another group than the instance; each of these once
 # gave a verdict read off that group (PROP_PIGEONHOLE, PROP_DUAL and
-# LEM_DSTAR_SUBADD fails, PROP_ALIGN and LEM_SPLIT holds)
+# LEM_DSTAR_SUBADD fails, PROP_ALIGN, LEM_SPLIT and AP_STRUCT holds)
 _FOREIGN_EXTRAS = [
     (StatementId.PROP_PIGEONHOLE, "c2", lambda c7, c8: {
         "set_a": gset(c7, [0, 1]), "set_b": gset(c7, [0, 2])}),
@@ -774,6 +774,10 @@ _FOREIGN_EXTRAS = [
      lambda c7, c8: {"subgroup": subgroup_generated(c8, [2])}),
     (StatementId.PROP_ALIGN, "c4", lambda c7, c8: {"subgroup": subgroup_generated(c8, [2])}),
     (StatementId.LEM_SPLIT, "c2", lambda c7, c8: {"set": gset(c7, [0, 1]), "base_index": 0}),
+    # AP_STRUCT's sets over two groups, one of them G, keep their hypothesis
+    # reason (_two_group_sets); here no set lies over G
+    (StatementId.AP_STRUCT, "c5", lambda c7, c8: {
+        "sets": (gset(c7, [0, 1]), gset(c7, [0, 1, 2, 3, 4, 5]))}),
 ]
 
 
@@ -785,6 +789,45 @@ def test_extras_over_another_group_raise(sid, text, extra):
                     extra=extra(parse_group("c7"), parse_group("c8")))
     with pytest.raises(GroupMismatch):
         check_instance(sid, inst)
+
+
+def test_index_extras_are_read_as_group_indices():
+    # coset_rep and base_index are read as every other index is
+    # (groups._index_in): reduced mod |G| on a cyclic group, and a
+    # GroupMismatch off the index space or when not an integer; at first a
+    # negative coset_rep was read as a negative tuple index, and a
+    # negative base_index as a negative shift count
+    proper = _maxk_proper_instance()  # over c4, certified at coset_rep 1
+    want = verdict_to_dict(check_max_subgroup_dichotomy(proper))
+    for rep in (-3, 5):
+        inst = dataclasses.replace(proper, extra={**proper.extra, "coset_rep": rep})
+        assert verdict_to_dict(check_max_subgroup_dichotomy(inst)) == want, rep
+    with pytest.raises(GroupMismatch):
+        check_max_subgroup_dichotomy(
+            dataclasses.replace(proper, extra={**proper.extra, "coset_rep": 1.0}))
+    aligned = _coset_aligned_instance()  # over c2xc2, meeting every clause
+    g = aligned.group
+    for rep in (5, -1):
+        inst = dataclasses.replace(aligned, extra={
+            "subgroup": subgroup_generated(g, [1]), "coset_rep": rep, "cert_seq": aligned.seq,
+            "cert_blocks": (gset(g, [0, 1]), gset(g, [0, 1]))})
+        with pytest.raises(GroupMismatch):
+            check_max_subgroup_dichotomy(inst)
+    c4 = parse_group("c4")
+
+    def split(group, base):
+        return check_instance(StatementId.LEM_SPLIT, Instance(
+            group, weights=weight_seq(group, [1]),
+            extra={"set": gset(group, [0, 2]), "base_index": base}))
+
+    want = verdict_to_dict(split(c4, 2))
+    assert want["status"] == "holds"
+    for base in (-2, 6):
+        assert verdict_to_dict(split(c4, base)) == want, base
+    assert split(c4, -1).witness == {"reason": "base point must lie in the set"}
+    for group, base in ((c4, 1.5), (parse_group("c2xc2"), -1), (parse_group("c2xc2"), 4)):
+        with pytest.raises(GroupMismatch):
+            split(group, base)
 
 
 def test_missing_fields_raise():
@@ -1109,6 +1152,21 @@ def test_sweep_memory_grows_with_failures_not_instances():
     assert peak < 3 * 2**20
 
 
+def test_per_group_planners_stream_their_instances():
+    dom = SweepDomain(groups=(parse_group("c8"),))
+    tracemalloc.start()
+    try:
+        report = sweep(StatementId.PROP_PIGEONHOLE, dom)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.examined == 13_213
+    assert not report.failures
+    # building the group's whole instance list before the first check peaked
+    # at 7.7 MiB on this sweep; yielding one instance at a time, near 0
+    assert peak < 2**20
+
+
 def test_planners_take_the_sweeps_davenport_cap():
     c36 = parse_group("c36")
     sampled = SweepDomain(groups=(c36,), samples=2)
@@ -1346,32 +1404,18 @@ def test_sequence_clauses_read_the_weights_only_through_their_length(sid):
             assert a == b, (clause.reason, mult)
 
 
-def test_block_sums_extend_the_shared_prefix(monkeypatch):
+def test_partition_dilates_each_block_once_per_residue():
     g = parse_group("c7")
-    masks = (0b0000011, 0b0001100, 0b0110000, 0b1000001)
-    calls = []
-    real = Group.sum_masks
-
-    def counting(self, a, b):
-        calls.append(1)
-        return real(self, a, b)
-
-    monkeypatch.setattr(Group, "sum_masks", counting)
+    s = GSequence(g, (2, 2, 1, 1, 1, 1, 0))
+    part = balanced_setpartition(s, 4)
+    # the memo lives on the partition, which lives on the sequence
+    assert balanced_setpartition(s, 4).dilate is part.dilate
     tuples = list(combinations_with_replacement(range(7), 4))
-    sums = _BlockSums(g, masks)
-    expected, prev = 0, ()
-    for w in tuples:
-        calls.clear()
-        assert sums(w) == _positional_wsum_bits(g, zip(w, masks))
-        # the reference itself sums k - 1 times; the block sums only past the shared prefix
-        shared = next((j for j, (a, b) in enumerate(zip(prev, w)) if a != b), len(prev))
-        assert len(calls) == 3 + (4 - max(shared, 1)), w
-        prev = w
-    # each block is dilated once per weight
-    assert sums.dilate.cache_info().currsize <= 4 * 7
-    # out of order, repeated, or after another tuple, the sums stay exact
-    for w in [(6, 5, 4, 3), (6, 5, 4, 3), (0, 0, 0, 0), (1, 1, 1, 2), (0, 0, 0, 0)]:
-        assert sums(w) == _positional_wsum_bits(g, zip(w, masks))
+    for w in tuples + [(6, 5, 4, 3), (0, 0, 0, 0), (1, 1, 1, 2)]:
+        for order in (w, w[1:] + w[:1]):
+            assert (_positional_wsum_bits(g, zip(order, part.masks), part.dilate)
+                    == _positional_wsum_bits(g, zip(order, part.masks))), order
+    assert part.dilate.cache_info().currsize <= len(part.masks) * 7
 
 
 def test_balanced_setpartition_is_kept_on_its_sequence():

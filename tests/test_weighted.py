@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -73,6 +74,18 @@ def test_units_classification():
     g = make_group((6,))
     w = weight_seq(g, [1, 5, 2, 3])
     assert w.units == (True, True, False, False)  # 1 and 5 are coprime to 6
+
+
+def test_units_mod_the_order_are_units_mod_the_exponent():
+    # |G| and exp(G) have the same prime divisors, so WeightSeq.units (read
+    # mod exp(G)) also says which weights are coprime to |G|: the clauses that
+    # ask for weights coprime to the group order read it
+    cases = 0
+    for g in abelian_group_types(128):
+        raw = tuple(range(-2 * g.order, 2 * g.order + 1))
+        assert weight_seq(g, raw).units == tuple(gcd(w, g.order) == 1 for w in raw), g
+        cases += len(raw)
+    assert cases == 68_918
 
 
 def test_sigma_frozen_example():
