@@ -5,6 +5,10 @@ C_n1 + ... + C_nr.  Elements are coordinate vectors; each element also has a
 mixed-radix little-endian integer index in [0, order), index 0 being the
 identity.  Sets of elements are manipulated as integer bitmasks over the index
 space, which keeps sumset-style operations word-parallel.
+
+A subgroup H's own type, G/H's type and the projection G -> G/H, x -> xV
+mod d, all come from one Smith normal form diag(d) = UAV of the matrix A
+with rows n_i e_i and H's generators, kept on the Subgroup (Subgroup._smith).
 """
 
 from __future__ import annotations
@@ -458,10 +462,12 @@ class Subgroup:
     keeps one object per mask, and every builder (subgroup_generated,
     subgroup_from_elements, all_subgroups, prime_order_subgroups,
     setsum.stabilizer) returns that object.  The structure is derived from
-    the mask on first use and cached on the object: iso_type (H's own
-    invariant-factor chain, () when trivial), generators (an irredundant
-    generating list, for display), quotient_type (G/H's chain) and
-    coset_reps (the least index of each coset).
+    the mask on first use and cached on the object: generators (an
+    irredundant generating list), coset_reps (the least index of each
+    coset), and one Smith normal form that gives iso_type (H's own
+    invariant-factor chain, () when trivial), quotient_type (G/H's chain)
+    and the projection quotient() tabulates.  Reading any of those three
+    first checks that the mask is a subgroup.
     """
 
     group: Group
@@ -473,7 +479,7 @@ class Subgroup:
 
     @cached_property
     def iso_type(self) -> tuple[int, ...]:
-        return _iso_type_of_mask(self.group, self.mask)
+        return self._smith[0]
 
     @cached_property
     def exponent(self) -> int:
@@ -508,24 +514,38 @@ class Subgroup:
 
     @cached_property
     def quotient_type(self) -> tuple[int, ...]:
-        """Invariant factors of G/H from coset order statistics (no projection built)."""
-        group = self.group
-        _validate_subgroup(group, self)
-        counts: dict[int, int] = {}
-        for rep in self.coset_reps:
-            k = 1
-            acc = rep
-            while not (self.mask >> acc) & 1:
-                acc = group.index_add(acc, rep)
-                k += 1
-            counts[k] = counts.get(k, 0) + 1
-        return _iso_type_from_orders(counts, len(self.coset_reps))
+        return self._smith[1]
+
+    @cached_property
+    def _smith(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, ...], ...]]:
+        """(iso_type, quotient_type, the projection's columns) from one
+        Smith normal form.
+
+        The preimage L of H in Z^r is the row span of n_i e_i and H's
+        generators.  _smith_form brings that matrix to diag(d) by a column
+        transform V, so LV = d_1 Z + ... + d_r Z and x -> xV mod d maps G
+        onto C_d1 + ... + C_dr with kernel H: G/H's type is d less its 1s,
+        and V's columns for the other d_j give the projection.  V carries
+        n_i e_i to the row X_i = (n_i V[i][j] / d_j)_j over LV's basis
+        d_j e_j, so H = L / <n_i e_i> is Z^r / rowspan(X), read off X's
+        Smith form.
+        """
+        _validate_subgroup(self)
+        factors = self.group.invariant_factors
+        r = len(factors)
+        rows = [[n * (i == j) for j in range(r)] for i, n in enumerate(factors)]
+        d, v = _smith_form(rows + [list(g.coords) for g in self.generators], r)
+        h, _ = _smith_form([[n * v[i][j] // d[j] for j in range(r)]
+                            for i, n in enumerate(factors)], r)
+        keep = [j for j in range(r) if d[j] > 1]
+        return (tuple(e for e in h if e > 1), tuple(d[j] for j in keep),
+                tuple(tuple(row[j] for row in v) for j in keep))
 
     def contains_index(self, idx: int) -> bool:
         return bool((self.mask >> idx) & 1)
 
     def __contains__(self, g: Element) -> bool:
-        return self.contains_index(g.index)
+        return self.contains_index(_index_in(self.group, g))
 
     def indices(self) -> list[int]:
         return mask_to_indices(self.mask)
@@ -574,57 +594,55 @@ def _chain(prime_exps) -> tuple[int, ...]:
                  for pos in reversed(range(r)))
 
 
-def _iso_type_from_orders(order_counts: dict[int, int], size: int) -> tuple[int, ...]:
-    """Invariant factors of an abelian group from its multiset of element orders.
+def _smith_form(rows, ncols: int) -> tuple[list[int], list[list[int]]]:
+    """Smith normal form of an integer matrix of full column rank.
 
-    Per prime p, the count of elements killed by p^k determines how many
-    cyclic factors have p-exponent >= k; factors are then aligned greedily
-    largest-with-largest across primes.
+    Returns (d, V): integer row operations and the column operations
+    collected in the unimodular ncols x ncols matrix V bring `rows` to
+    diag(d_1, ..., d_ncols), with 1 <= d_1 | d_2 | ... .  Step t moves the
+    least nonzero entry of the block below and right of (t, t) to (t, t)
+    and divides it into its row and column; a remainder becomes the next
+    pivot, and an entry of the block that the pivot does not divide is
+    first added into the pivot's row.
     """
-    if size == 1:
-        return ()
-    primes = [p for p, _ in _factorize(size)]
-
-    per_prime: list[list[int]] = []
-    for p in primes:
-        fs = [1]
+    a = [list(row) for row in rows]
+    v = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
+    d = []
+    for t in range(ncols):
         while True:
-            pk = p ** len(fs)
-            fk = sum(c for o, c in order_counts.items() if pk % o == 0)
-            fs.append(fk)
-            if fk == fs[-2]:
+            least = 0
+            for k in range(t, len(a)):
+                row = a[k]
+                for c in range(t, ncols):
+                    x = abs(row[c])
+                    if x and (x < least or not least):
+                        least, i, j = x, k, c
+            a[t], a[i] = a[i], a[t]
+            if j != t:
+                for row in a + v:
+                    row[t], row[j] = row[j], row[t]
+            pivot = a[t]
+            p = pivot[t]
+            done = True
+            for k in range(t + 1, len(a)):
+                if a[k][t]:
+                    q = a[k][t] // p
+                    a[k] = [x - q * y for x, y in zip(a[k], pivot)]
+                    done = done and not a[k][t]
+            for c in range(t + 1, ncols):
+                if pivot[c]:
+                    q = pivot[c] // p
+                    for row in a + v:
+                        row[c] -= q * row[t]
+                    done = done and not pivot[c]
+            if not done:
+                continue
+            bad = next((row for row in a[t + 1:] if any(x % p for x in row[t + 1:])), None)
+            if bad is None:
                 break
-        logs = []
-        for f in fs:
-            e = 0
-            while p**e < f:
-                e += 1
-            if p**e != f:
-                raise NotASubgroup(f"order statistics not a subgroup (count {f} not a power of {p})")
-            logs.append(e)
-        geq = [logs[k] - logs[k - 1] for k in range(1, len(logs))]  # geq[k-1] = #factors with exp >= k
-        exps = []
-        j = 1
-        while geq and j <= geq[0]:
-            exps.append(sum(1 for g in geq if g >= j))
-            j += 1
-        per_prime.append(sorted(exps, reverse=True))
-
-    factors = _chain(zip(primes, per_prime))
-    if prod(factors) != size:
-        raise NotASubgroup("order statistics inconsistent with subgroup size")
-    for a, b in zip(factors, factors[1:]):
-        if b % a:
-            raise NotASubgroup("recovered factors not a divisibility chain")
-    return factors
-
-
-def _iso_type_of_mask(group: Group, mask: int) -> tuple[int, ...]:
-    counts: dict[int, int] = {}
-    for idx in iter_mask(mask):
-        o = group.index_order(idx)
-        counts[o] = counts.get(o, 0) + 1
-    return _iso_type_from_orders(counts, mask.bit_count())
+            a[t] = [x + y for x, y in zip(pivot, bad)]
+        d.append(least)
+    return d, v
 
 
 def _index_in(group: Group, g) -> int:
@@ -716,75 +734,8 @@ class QuotientMap:
         return self.quotient.element_from_index(self.table[g.index])
 
 
-def _abelian_basis(q: int, add) -> list[tuple[int, int]]:
-    """Basis of a concrete abelian group on ids 0..q-1 with identity 0.
-
-    Returns [(element id, order)] whose orders form an ascending divisibility
-    chain and whose cyclic spans decompose the group as a direct sum.
-    """
-    if q == 1:
-        return []
-
-    def order_of(x: int) -> int:
-        k = 1
-        acc = x
-        while acc != 0:
-            acc = add(acc, x)
-            k += 1
-        return k
-
-    def scalar(k: int, x: int) -> int:
-        acc = 0
-        for _ in range(k):
-            acc = add(acc, x)
-        return acc
-
-    orders = [order_of(x) for x in range(q)]
-    e = max(orders)
-    y = orders.index(e)
-
-    mult_of_y: dict[int, int] = {}
-    x = 0
-    for c in range(e):
-        mult_of_y.setdefault(x, c)
-        x = add(x, y)
-
-    # cosets of <y>, reps chosen as minimal ids
-    crep = [-1] * q
-    for i in range(q):
-        if crep[i] == -1:
-            members = []
-            x = i
-            for _ in range(e):
-                members.append(x)
-                x = add(x, y)
-            m = min(members)
-            for mm in members:
-                crep[mm] = m
-    reps = sorted(set(crep))
-    pos = {r: i for i, r in enumerate(reps)}
-
-    def qadd(a: int, b: int) -> int:
-        return pos[crep[add(reps[a], reps[b])]]
-
-    basis = []
-    for p, d in _abelian_basis(q // e, qadd):
-        z = reps[p]
-        c = mult_of_y[scalar(d, z)]
-        if c % d:
-            raise NotASubgroup("basis lift failed; group tables inconsistent")
-        z = add(z, scalar((e - (c // d) % e) % e, y))
-        basis.append((z, d))
-    basis.append((y, e))
-    for (_, a), (_, b) in zip(basis, basis[1:]):
-        if b % a:
-            raise NotASubgroup("basis orders not a divisibility chain")
-    return basis
-
-
-def _validate_subgroup(group: Group, sub: Subgroup) -> None:
-    if sub.group != group:
-        raise GroupMismatch("subgroup of a different group")
+def _validate_subgroup(sub: Subgroup) -> None:
+    group = sub.group
     if not sub.mask & 1 or sub.mask >> group.order:
         raise NotASubgroup("subgroup lacks the identity or leaves the index space")
     if _span(group, (g.index for g in sub.generators)) != sub.mask:
@@ -792,33 +743,19 @@ def _validate_subgroup(group: Group, sub: Subgroup) -> None:
 
 
 def quotient(group: Group, sub: Subgroup) -> tuple[Group, QuotientMap]:
-    """Quotient G/H as a concrete group plus the projection map."""
-    _validate_subgroup(group, sub)
-    reps = sub.coset_reps
-    cosid = [-1] * group.order
-    for cid, rep in enumerate(reps):
-        for m in iter_mask(group.translate_mask(sub.mask, rep)):
-            cosid[m] = cid
-    q = len(reps)
+    """Quotient G/H as a concrete group plus a projection map.
 
-    def qadd(a: int, b: int) -> int:
-        return cosid[group.index_add(reps[a], reps[b])]
-
-    basis = _abelian_basis(q, qadd)
-    quot = interned_group(tuple(d for _, d in basis))
-
-    id_to_qidx = [-1] * q
-    for qidx in range(quot.order):
-        coords = quot.index_to_coords(qidx)
-        concrete = 0
-        for c, (b, _) in zip(coords, basis):
-            for _ in range(c):
-                concrete = qadd(concrete, b)
-        id_to_qidx[concrete] = qidx
-    if any(v < 0 for v in id_to_qidx):
-        raise NotASubgroup("quotient coordinates do not cover all cosets")
-
-    table = tuple(id_to_qidx[cosid[g]] for g in range(group.order))
+    The projection is x -> xV mod d over the columns with d_j > 1, d and V
+    being the Smith normal form that also gives sub.iso_type and
+    sub.quotient_type; the trivial subgroup's is the identity.
+    """
+    if sub.group != group:
+        raise GroupMismatch("subgroup of a different group")
+    _, factors, columns = sub._smith
+    quot = interned_group(factors)
+    table = tuple(quot.coords_to_index([sum(c * x for c, x in zip(group.index_to_coords(g), col))
+                                        for col in columns])
+                  for g in range(group.order))
     return quot, QuotientMap(group=group, subgroup=sub, quotient=quot, table=table)
 
 

@@ -64,7 +64,7 @@ class GSequence:
         return self.length
 
     def multiplicity(self, g: Element) -> int:
-        return self.mult[g.index]
+        return self.mult[_index_in(self.group, g)]
 
     def support_indices(self) -> list[int]:
         return [i for i, m in enumerate(self.mult) if m]
@@ -77,10 +77,11 @@ class GSequence:
         return out
 
     def translate(self, g: Element) -> "GSequence":
+        gidx = _index_in(self.group, g)
         new = [0] * self.group.order
         for i, m in enumerate(self.mult):
             if m:
-                new[self.group.index_add(i, g.index)] = m
+                new[self.group.index_add(i, gidx)] = m
         return GSequence(self.group, tuple(new))
 
     def is_subsequence_of(self, other: "GSequence") -> bool:

@@ -57,7 +57,7 @@ class GSet:
         return self.size
 
     def __contains__(self, g: Element) -> bool:
-        return bool((self.bits >> g.index) & 1)
+        return bool((self.bits >> _index_in(self.group, g)) & 1)
 
     def contains_index(self, idx: int) -> bool:
         return bool((self.bits >> idx) & 1)
@@ -69,7 +69,7 @@ class GSet:
         return [self.group.element_from_index(i) for i in self.indices()]
 
     def translate(self, g: Element) -> "GSet":
-        return GSet(self.group, self.group.translate_mask(self.bits, g.index))
+        return GSet(self.group, self.group.translate_mask(self.bits, _index_in(self.group, g)))
 
     def is_empty(self) -> bool:
         return self.bits == 0

@@ -6,6 +6,7 @@ arithmetic, sharing no code path with the library internals it checks.
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import combinations, permutations
 
 
@@ -124,6 +125,42 @@ def span(factors, gens):
                 out.add(y)
                 frontier.append(y)
     return out
+
+
+def _order(factors, x):
+    """Least k >= 1 with k*x = 0, by repeated addition."""
+    zero = tuple(0 for _ in factors)
+    k, acc = 1, x
+    while acc != zero:
+        acc = coord_add(factors, acc, x)
+        k += 1
+    return k
+
+
+def order_histogram(factors, members):
+    """How many of the coordinate tuples in `members` have each order.
+    Two finite abelian groups are isomorphic iff these counts agree."""
+    return Counter(_order(factors, x) for x in members)
+
+
+def quotient_order_histogram(factors, members):
+    """How many cosets x + H of G/H have each order, H being the set
+    `members` of coordinate tuples: x + H has order the least k >= 1 with
+    kx in H, the same for all |H| elements x of the coset."""
+    counts = Counter()
+    for x in all_elements(factors):
+        k, acc = 1, x
+        while acc not in members:
+            acc = coord_add(factors, acc, x)
+            k += 1
+        counts[k] += 1
+    return Counter({k: c // len(members) for k, c in counts.items()})
+
+
+def chain_order_histogram(chain):
+    """How many elements of C_n1 + ... + C_nr have each order, for a claimed
+    invariant-factor chain (n1, ..., nr); () is the trivial group."""
+    return order_histogram(chain, all_elements(chain))
 
 
 def brute_contained_subgroup(factors, subgroups, members):

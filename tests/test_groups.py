@@ -36,9 +36,18 @@ from zerosum import (
     subgroup_generated,
     trivial_group,
 )
-from oracles import coord_add, coord_scalar, span
+from oracles import (
+    all_elements,
+    chain_order_histogram,
+    coord_add,
+    coord_scalar,
+    order_histogram,
+    quotient_order_histogram,
+    span,
+)
 
-SMALL_FACTOR_LISTS = [(2,), (3,), (4,), (5,), (6,), (12,), (2, 2), (2, 4), (3, 3), (2, 2, 2), (2, 6)]
+SMALL_FACTOR_LISTS = [(2,), (3,), (4,), (5,), (6,), (12,), (2, 2), (2, 4), (3, 3), (2, 2, 2), (2, 6),
+                      (4, 4), (3, 9), (2, 2, 4)]
 
 
 def test_constructor_rejects_bad_factor_lists():
@@ -254,14 +263,66 @@ def test_generators_span_the_mask_irredundantly():
                 assert span(g.invariant_factors, gens[:i] + gens[i + 1:]) < members
 
 
+def _is_chain(factors):
+    return all(n > 1 for n in factors) and all(b % a == 0 for a, b in zip(factors, factors[1:]))
+
+
 def test_quotient_type_matches_the_built_quotient():
     seen = 0
     for g in abelian_group_types(24):
+        elements = all_elements(g.invariant_factors)
         for sub in all_subgroups(g):
             q, _ = quotient(g, sub)
+            members = {elements[i] for i in sub.indices()}
             assert quotient_iso_type(g, sub) == sub.quotient_type == q.invariant_factors
+            assert chain_order_histogram(q.invariant_factors) == quotient_order_histogram(
+                g.invariant_factors, members)
             seen += 1
     assert seen == 318
+
+
+def test_iso_and_quotient_types_match_element_order_counts():
+    seen = 0
+    for g in abelian_group_types(64):
+        elements = all_elements(g.invariant_factors)
+        for sub in all_subgroups(g):
+            members = {elements[i] for i in sub.indices()}
+            assert _is_chain(sub.iso_type) and _is_chain(sub.quotient_type)
+            assert chain_order_histogram(sub.iso_type) == order_histogram(g.invariant_factors, members)
+            assert chain_order_histogram(sub.quotient_type) == quotient_order_histogram(
+                g.invariant_factors, members)
+            seen += 1
+    assert seen == 6021
+
+
+def test_quotient_by_the_trivial_subgroup_is_the_identity():
+    for g in abelian_group_types(64):
+        q, proj = quotient(g, subgroup_generated(g, []))
+        assert q is g and proj.table == tuple(range(g.order))
+
+
+def test_iso_type_checks_its_mask():
+    g = parse_group("c2xc2xc2")
+    not_closed = Subgroup(g, sum(1 << g.coords_to_index(c)
+                                 for c in ((0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 1))))
+    for read in ("iso_type", "quotient_type"):
+        with pytest.raises(NotASubgroup):
+            getattr(not_closed, read)
+
+
+@pytest.mark.parametrize("read", [
+    lambda c4, x: x in gset(c4, [0, 1]),
+    lambda c4, x: x in subgroup_generated(c4, [2]),
+    lambda c4, x: sequence(c4, [1, 2]).multiplicity(x),
+    lambda c4, x: gset(c4, [0, 1]).translate(x),
+    lambda c4, x: sequence(c4, [1, 2]).translate(x),
+], ids=["GSet.__contains__", "Subgroup.__contains__", "GSequence.multiplicity",
+        "GSet.translate", "GSequence.translate"])
+@pytest.mark.parametrize("idx", [1, 5])
+def test_element_readers_reject_elements_of_another_group(read, idx):
+    c4, c8 = parse_group("c4"), parse_group("c8")
+    with pytest.raises(GroupMismatch):
+        read(c4, c8.element_from_index(idx))
 
 
 def test_quotient_checks_the_subgroup():
