@@ -104,7 +104,8 @@ class Group:
     Groups are interned: make_group, parse_group, trivial_group, quotient and
     abelian_group_types return one object per factor tuple.  Derived tables
     (the rotation and digit masks behind the bitmask operations, the
-    per-element rotation lists translate_mask walks, the index_shifts
+    per-element rotation lists translate_mask walks and their copies over
+    packed fields (field_translations, through stored()), the index_shifts
     permutations, the multiples table and prime_order_subgroups) are built
     on first use and cached on that object, so every set, sequence and
     instance of the group shares them.  The tables a caller's cap bounds,
@@ -271,6 +272,19 @@ class Group:
         return tuple(
             tuple(rots[c] for c, rots in zip(self.index_to_coords(g), self._rot_masks) if c)
             for g in range(self.order))
+
+    def field_translations(self, fields: int) -> tuple:
+        """_translations with every mask repeated over `fields` |G|-bit fields,
+        so that one pass translates each field of a packed mask by g at once.
+        Built once per field count and kept on the group through stored()."""
+        tables = self.stored("field_translations", dict)
+        table = tables.get(fields)
+        if table is None:
+            rep = ((1 << self.order * fields) - 1) // self.full_mask  # bit 0 of every field
+            table = tables[fields] = tuple(
+                tuple((low * rep, high * rep, k, back) for low, high, k, back in rots)
+                for rots in self._translations)
+        return table
 
     @cached_property
     def index_shifts(self) -> tuple:

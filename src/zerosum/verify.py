@@ -1162,7 +1162,8 @@ class _SeqPlanner:
     weight_tuples(G, k) keeps each nondecreasing k-tuple of residues mod
     G.order or G.exponent, as alphabet names, that meets every clause not
     reading S: the "length" clauses decide once for all k-tuples, and only
-    the "weights" ones are run per tuple.  with_n sets n = |W| there and on
+    the "weights" ones are run per tuple, over the unit residues alone when
+    the first of them asks for units.  with_n sets n = |W| there and on
     each planned instance.  slen(G, k, caps) is the base sequence length,
     read before the weights and stretched by dom.slen_extra; a length that
     needs D(G) takes it under caps.davenport.  With cap_h, multiplicities
@@ -1192,8 +1193,11 @@ class _SeqPlanner:
         if _unmet(self.reading("length"), probe, caps) is not None:
             return []
         valued = self.reading("weights")
-        return [wtuple for wtuple in combinations_with_replacement(
-                    range(getattr(group, self.alphabet)), k)
+        alphabet = range(getattr(group, self.alphabet))
+        if valued and valued[0] in (_W_UNITS_ORDER, _W_UNITS_EXP):
+            # only tuples of units pass, and |G| and exp(G) have the same primes
+            alphabet = [r for r in alphabet if gcd(r, group.exponent) == 1]
+        return [wtuple for wtuple in combinations_with_replacement(alphabet, k)
                 if _unmet(valued, Instance(group, weights=weight_seq(group, wtuple), n=n),
                           caps) is None]
 

@@ -8,16 +8,29 @@ values retained).
 The exact evaluator is one 0/1 knapsack over bitmasks, capped at a top
 count n.  In the weight-side orientation a state counts the slots used in
 each weight-residue class (at most min(m_j, n) each, at most n in all); the
-DP walks the terms of S, each support element capped at n copies, and for
-each term x and each state c reached so far sets
-table[c + e_j] |= (table[c] translated by r_j * x), reading table[c] as it
-stood before x.  The sequence-side orientation swaps the roles: it walks the
+DP walks the terms of S, each support element capped at n copies, and each
+term x may join one class j with room, translating the state's sums by
+r_j * x.  The sequence-side orientation swaps the roles: it walks the
 weight slots and a state counts the copies used of each support element of
 S.  The orientation with fewer states of at most n items runs (a choice
 made from the input's shape alone); above STATE_CAP states CapExceeded is
-raised before any is built.  States that can no longer reach the target
-are dropped.  sigma_n joins table[c] over the states with |c| = n;
-sigma_table keeps every count, and sums_by_count is its unit-weight case.
+raised before any is built.
+
+The table is packed: it is keyed by the counts of every class but the one
+with the largest cap, and each value is one int holding a |G|-bit field of
+sums for each count d of that packed class.  A walk step translates each
+value field-wise (Group.field_translations) and shifts it up one field for
+the packed class, and translates it field-wise into the next key for each
+other class with room.  No state is pruned, so every count's entry is
+exact.  sigma_n reads count n; sigma_table keeps every count, and
+sums_by_count is its unit-weight case.
+
+A WeightSeq keeps, per top count, its last weight-side walk: the terms it
+walked and the table after each.  The next call on the same WeightSeq
+resumes from the longest prefix of terms it shares with that walk, which
+in a sweep (one WeightSeq against lex-ascending pooled sequences) is most
+of it.  Tables are kept only while they hold at most STATE_CAP states in
+all.
 """
 
 from __future__ import annotations
@@ -26,7 +39,7 @@ import operator
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
-from math import gcd, prod
+from math import gcd
 from operator import or_
 
 from .errors import BadN, CapExceeded, EmptySet, GroupMismatch, LengthMismatch, ParseError
@@ -82,9 +95,21 @@ class WeightSeq:
         """Sum of raw weights, as an integer."""
         return sum(self.raw)
 
-    def residue_counts(self) -> list[tuple[int, int]]:
+    @cached_property
+    def _sigma_walks(self) -> dict:
+        """top count -> the last weight-side sigma DP walk at that count, which
+        the next one resumes from (weighted._sums_by_n).  A sweep pairs one
+        WeightSeq with each pooled S in turn, so consecutive walks share a
+        prefix of terms."""
+        return {}
+
+    @cached_property
+    def _residue_counts(self) -> tuple[tuple[int, int], ...]:
+        return tuple(sorted(Counter(self.residues).items()))
+
+    def residue_counts(self) -> tuple[tuple[int, int], ...]:
         """(residue, multiplicity) pairs, ascending by residue."""
-        return sorted(Counter(self.residues).items())
+        return self._residue_counts
 
     def __repr__(self) -> str:
         return format_weights(self)
@@ -138,15 +163,90 @@ def _state_count(caps: tuple[int, ...], top: int) -> int:
     return sum(poly)
 
 
-def _sums_by_n(group: Group, classes, supp, top: int, need: int = 0,
-               side: str | None = None) -> list[int]:
+class _Layout:
+    """The packed table's shape for one orientation's caps and top count.
+
+    The packed class is the first one with the largest cap.  A key is the
+    mixed-radix code of the counts of the other classes; meta[key] is (items
+    used, the other classes with room left), filled in as keys are reached.
+    A value holds one |G|-bit field per count d of the packed class, and
+    lim[u] keeps the fields d <= min(cap, top - u) of a key that uses u
+    items.  moves[x] lists, per class, the field-wise rotations that
+    translate by that class's shift for walk step x.
+    """
+
+    def __init__(self, group: Group, caps: list[int], top: int, shifts) -> None:
+        self.group, self.top, self.shifts = group, top, shifts
+        self.packed = packed = caps.index(max(caps))
+        self.fields = caps[packed] + 1
+        self.lim = [(1 << (min(caps[packed], top - u) + 1) * group.order) - 1
+                    for u in range(top + 1)]
+        rest = [j for j in range(len(caps)) if j != packed]
+        self.caps, self.strides, stride = caps, [0] * len(caps), 1
+        for j in rest:
+            self.strides[j], stride = stride, stride * (caps[j] + 1)
+        self.meta = {0: (0, tuple(rest))}
+        self.moves: dict = {}
+        self.translations = group.field_translations(self.fields)
+
+    def step(self, table: dict, x: int) -> dict:
+        """The table after one more item x, which joins at most one class with
+        room: the packed class by a field-wise translate and a shift to the
+        next field, any other class by a field-wise translate to the next key."""
+        moves = self.moves.get(x)
+        if moves is None:
+            moves = self.moves[x] = [self.translations[g] for g in self.shifts(x)]
+        top, order, lim, meta = self.top, self.group.order, self.lim, self.meta
+        caps, strides = self.caps, self.strides
+        new = dict(table)
+        for c, mask in table.items():
+            u, room = meta[c]
+            if u == top:
+                continue
+            t = mask
+            for low, high, k, back in moves[self.packed]:
+                t = ((t & low) << k) | ((t & high) >> back)
+            new[c] |= (t << order) & lim[u]
+            for j in room:
+                t = mask
+                for low, high, k, back in moves[j]:
+                    t = ((t & low) << k) | ((t & high) >> back)
+                key = c + strides[j]
+                if key not in meta:
+                    full = (key // strides[j]) % (caps[j] + 1) == caps[j]
+                    meta[key] = (u + 1, () if u + 1 == top else
+                                 tuple(i for i in room if i != j) if full else room)
+                new[key] = new.get(key, 0) | (t & lim[u + 1])
+        return new
+
+    def by_count(self, table: dict) -> list[int]:
+        order, full = self.group.order, self.group.full_mask
+        out = [0] * (self.top + 1)
+        for c, mask in table.items():
+            u = self.meta[c][0]
+            while mask:
+                out[u] |= mask & full
+                mask >>= order
+                u += 1
+        return out
+
+
+def _sums_by_n(group: Group, classes, supp, top: int, side: str | None = None,
+               walks: dict | None = None) -> list[int]:
     """Per-count sum masks of weight classes against sequence support.
 
     classes and supp are (residue mod exp(G), slots) and (element index,
-    copies) pairs.  Entry k of the result is the mask of k-term weighted
-    sums, k <= top; states that can no longer reach need items are dropped,
-    so only entries from need on are exact.  side forces an orientation
-    ("weights" or "sequence"); by default the one with fewer states runs.
+    copies) pairs.  Entry k of the result is the exact mask of k-term
+    weighted sums, for every k <= top, from the packed table of the module
+    docstring (_Layout).  side forces an orientation ("weights" or
+    "sequence"); by default the one with fewer states runs.
+
+    walks is a WeightSeq's memo (WeightSeq._sigma_walks): per top count,
+    (layout, steps, kept) of the last weight-side walk, kept[i] being the
+    table after steps[:i].  A call resumes from the longest prefix of steps
+    it shares with that walk, then keeps its own tables while they hold at
+    most STATE_CAP states (key-field slots) in all.  The sequence side has
+    no shared object to keep a walk on, so it starts fresh.
     """
     wcaps = [m if m < top else top for _, m in classes]
     scaps = [m if m < top else top for _, m in supp]
@@ -158,39 +258,39 @@ def _sums_by_n(group: Group, classes, supp, top: int, need: int = 0,
         raise CapExceeded(f"sigma DP needs {counts[side]} states, above {STATE_CAP}")
     multiples = group.multiples
     if side == "weights":
-        caps = wcaps
-        walk = [(c, [multiples[g][r] for r, _ in classes]) for (g, _), c in zip(supp, scaps)]
+        caps, steps = wcaps, []
+        for (g, _), c in zip(supp, scaps):
+            steps += [g] * c
+
+        def shifts(g: int) -> list[int]:
+            return [multiples[g][r] for r, _ in classes]
     else:
-        caps = scaps
-        walk = [(c, [multiples[g][r] for g, _ in supp]) for (r, _), c in zip(classes, wcaps)]
-    # a state is a mixed-radix code of per-class counts; only reached states
-    # are kept, with meta[code] = (items used, classes with room left)
-    strides = [prod(c + 1 for c in caps[:j]) for j in range(len(caps))]
-    table = {0: 1}
-    meta = {0: (0, tuple(j for j, cap in enumerate(caps) if cap))}
-    translate = group.translate_mask
-    left = sum(c for c, _ in walk)
-    for copies, shifts in walk:
-        for _ in range(copies):
-            floor = need - left  # fewer items used than this can no longer reach need
-            # 0/1 knapsack: extend a snapshot, so each item is used once
-            for c, mask in list(table.items()):
-                u, room = meta[c]
-                if u < floor:
-                    del table[c]
-                    continue
-                for j in room:
-                    t = c + strides[j]
-                    if t not in meta:
-                        full = (t // strides[j]) % (caps[j] + 1) == caps[j]
-                        meta[t] = (u + 1, () if u + 1 == top else
-                                   tuple(i for i in room if i != j) if full else room)
-                    table[t] = table.get(t, 0) | translate(mask, shifts[j])
-            left -= 1
-    out = [0] * (top + 1)
-    for c, mask in table.items():
-        out[meta[c][0]] |= mask
-    return out
+        caps, walks, steps = scaps, None, []
+        for (r, _), c in zip(classes, wcaps):
+            steps += [r] * c
+
+        def shifts(r: int) -> list[int]:
+            return [multiples[g][r] for g, _ in supp]
+    if not caps:  # no weights or no terms, so top is 0
+        return [1] + [0] * top
+    last = walks.get(top) if walks is not None else None
+    layout, done, kept = last or (_Layout(group, caps, top, shifts), (), [{0: 1}])
+    p = 0
+    for a, b in zip(done, steps):
+        if a != b:
+            break
+        p += 1
+    kept = kept[:p + 1]
+    table, held = kept[p], layout.fields * sum(map(len, kept))
+    for x in steps[p:]:
+        table = layout.step(table, x)
+        if walks is not None:
+            held += layout.fields * len(table)
+            if held <= STATE_CAP:
+                kept.append(table)
+    if walks is not None:
+        walks[top] = (layout, steps[:len(kept) - 1], kept)
+    return layout.by_count(table)
 
 
 def _support(s: GSequence) -> list[tuple[int, int]]:
@@ -200,35 +300,36 @@ def _support(s: GSequence) -> list[tuple[int, int]]:
 def sigma_table(w: WeightSeq, s: GSequence) -> tuple[int, ...]:
     """Bitmasks of sigma_n for n = 0..min(|W|, |S|) from one DP pass; entry 0 is {0}."""
     _check_pair(w, s)
-    return tuple(_sums_by_n(s.group, w.residue_counts(), _support(s), min(w.length, s.length)))
+    return tuple(_sums_by_n(s.group, w.residue_counts(), _support(s), min(w.length, s.length),
+                            walks=w._sigma_walks))
 
 
-def _sums_in_range(w: WeightSeq, s: GSequence, n: int, top: int, need: int) -> list[int]:
+def _sums_in_range(w: WeightSeq, s: GSequence, n: int, top: int) -> list[int]:
     """_sums_by_n for a pair, once the groups match and 1 <= n <= min(|W|, |S|)."""
     _check_pair(w, s)
     if not 1 <= n <= min(w.length, s.length):
         raise BadN(f"n={n} outside 1..min({w.length}, {s.length})")
-    return _sums_by_n(s.group, w.residue_counts(), _support(s), top, need)
+    return _sums_by_n(s.group, w.residue_counts(), _support(s), top, walks=w._sigma_walks)
 
 
 def sigma_n(w: WeightSeq, s: GSequence, n: int) -> GSet:
     """All n-term weighted subsequence sums, exact.
 
     One knapsack pass (module docstring) over states of at most n items,
-    pruned of those that can no longer reach n.
+    resumed from the last walk of w at n where it can be.
     """
-    return GSet(s.group, _sums_in_range(w, s, n, n, n)[n])
+    return GSet(s.group, _sums_in_range(w, s, n, n)[n])
 
 
 def sigma_upto(w: WeightSeq, s: GSequence, n: int) -> GSet:
     """Union of sigma_i for 1 <= i <= n."""
-    return GSet(s.group, reduce(or_, _sums_in_range(w, s, n, n, 0)[1:]))
+    return GSet(s.group, reduce(or_, _sums_in_range(w, s, n, n)[1:]))
 
 
 def sigma_from(w: WeightSeq, s: GSequence, n: int) -> GSet:
     """Union of sigma_i for n <= i <= min(|W|, |S|)."""
     top = min(w.length, s.length)
-    return GSet(s.group, reduce(or_, _sums_in_range(w, s, n, top, n)[n:]))
+    return GSet(s.group, reduce(or_, _sums_in_range(w, s, n, top)[n:]))
 
 
 def sigma_all(w: WeightSeq, s: GSequence) -> GSet:

@@ -30,6 +30,7 @@ from zerosum import (
     StatementId,
     Status,
     SweepDomain,
+    abelian_group_types,
     check_ap_structure,
     check_instance,
     check_max_subgroup_dichotomy,
@@ -1071,9 +1072,46 @@ def test_length_clauses_decide_before_any_weight_tuple_is_built(monkeypatch):
     # "needs |W| = |G|" reads only |W|: C(22, 11) = 705,432 tuples were built here
     assert planner.weight_tuples(parse_group("c12"), 11) == []
     assert built == []
-    # at |W| = |G| each tuple is built once, for the clauses that read its values
+    # at |W| = |G| each tuple of the units 1 and 3 is built once, for the
+    # clauses that read its values
     kept = planner.weight_tuples(parse_group("c4"), 4)
-    assert kept and len(built) == comb(4 + 4 - 1, 4)
+    assert kept and len(built) == comb(2 + 4 - 1, 4)
+
+
+def _filtered_weight_tuples(planner: _SeqPlanner, group: Group, k: int) -> list:
+    """weight_tuples as a filter of every k-tuple of the row's alphabet."""
+    n = k if planner.with_n else None
+    probe = Instance(group, weights=real_weight_seq(group, (0,) * k), n=n)
+    if verify._unmet(planner.reading("length"), probe, DEFAULT_CAPS) is not None:
+        return []
+    return [wt for wt in combinations_with_replacement(range(getattr(group, planner.alphabet)), k)
+            if verify._unmet(planner.reading("weights"),
+                             Instance(group, weights=real_weight_seq(group, wt), n=n),
+                             DEFAULT_CAPS) is None]
+
+
+# the rows whose first weight clause asks for units
+_UNIT_ROWS = (StatementId.CONJ_ORDAZ_QUIROZ, StatementId.COR_SPECIALCASE, StatementId.COR_SPUD,
+              StatementId.THM_SETPART_WITNESS)
+
+
+def test_unit_rows_enumerate_unit_tuples_only():
+    rows = {sid: st.planner for sid, st in STATEMENTS.items() if isinstance(st.planner, _SeqPlanner)}
+    groups = abelian_group_types(12)
+    assert len(groups) == 16  # every abelian group of order 2..12
+    for sid, planner in rows.items():
+        for g in groups:
+            # the units rows also at |W| = |G|, where ORDAZ_QUIROZ and
+            # SPECIALCASE plan; C(2|G| - 1, |G|) tuples above order 9 are too
+            # many to filter here
+            ks = set(range(7)) | ({g.order} if sid in _UNIT_ROWS and g.order <= 9 else set())
+            for k in sorted(ks):
+                assert planner.weight_tuples(g, k) == _filtered_weight_tuples(planner, g, k), \
+                    (sid, g, k)
+    # C(19, 10) = 92,378 tuples of residues mod 10 against C(13, 10) = 286 of units
+    planner, c10 = rows[StatementId.CONJ_ORDAZ_QUIROZ], parse_group("c10")
+    assert planner.weight_tuples(c10, 10) == _filtered_weight_tuples(planner, c10, 10)
+    assert len(planner.weight_tuples(c10, 10)) == 58
 
 
 def _enumerated(shards) -> int:

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+import sys
+import threading
 from math import gcd
 
 import pytest
@@ -33,7 +35,9 @@ from zerosum import (
     w_dot,
     weight_seq,
 )
-from zerosum.weighted import _positional_wsum_bits, _sums_by_n, _support
+from zerosum import weighted
+from zerosum.verify import DEFAULT_CAPS, STATEMENTS, StatementId, SweepDomain
+from zerosum.weighted import _Layout, _positional_wsum_bits, _sums_by_n, _support
 from oracles import naive_sigma_n, naive_sigma_range
 
 GROUPS = ["c2", "c3", "c4", "c5", "c6", "c2xc2", "c2xc4"]
@@ -266,9 +270,9 @@ def seq_total_index(g, s):
 
 def both_orientations(w, s, n=None):
     """The knapsack forced to the weight side and to the sequence side:
-    the whole per-n table, or with a target n only its entry n exact."""
+    the whole per-n table, or up to a target n."""
     top = min(w.length, s.length) if n is None else n
-    return [_sums_by_n(s.group, w.residue_counts(), _support(s), top, n or 0, side=side)
+    return [_sums_by_n(s.group, w.residue_counts(), _support(s), top, side=side)
             for side in ("weights", "sequence")]
 
 
@@ -360,9 +364,119 @@ def test_the_orientation_with_fewer_states_runs():
     w = weight_seq(g, range(1, 31))
     s = GSequence(g, (15, 15) + (0,) * 62)
     with pytest.raises(CapExceeded):
-        _sums_by_n(g, w.residue_counts(), _support(s), 15, 15, side="weights")
+        _sums_by_n(g, w.residue_counts(), _support(s), 15, side="weights")
     # sums of a distinct weights in 1..30 for every a <= 15 cover c64
     assert sigma_n(w, s, 15).bits == g.full_mask
+
+
+def test_every_entry_up_to_top_is_exact():
+    # no state is pruned, so a table built for a top count is exact below it too
+    rng = random.Random(31)
+    for g in abelian_group_types(12):
+        for _ in range(8):
+            w, s = random_pair(rng, g, wmax=4, smax=6)
+            terms = seq_coords(g, s)
+            want = [{g.element_from_index(0).coords}] + [
+                naive_sigma_n(g.invariant_factors, list(w.raw), terms, k)
+                for k in range(1, min(w.length, s.length) + 1)]
+            for top in range(1, len(want)):
+                for side in ("weights", "sequence"):
+                    got = _sums_by_n(g, w.residue_counts(), _support(s), top, side=side)
+                    for k in range(top + 1):
+                        assert {g.element_from_index(i).coords for i in range(g.order)
+                                if got[k] >> i & 1} == want[k], (g, w, s, top, side, k)
+
+
+def _pooled_pairs(sid, groups, wlens):
+    """Each (W, S) pair a sweep of sid plans, in check order, each weight
+    tuple's WeightSeq shared across its pool as in the sweep."""
+    dom = SweepDomain(groups=tuple(map(parse_group, groups)), wlens=wlens)
+    return [(inst.weights, inst.seq) for _, factory in STATEMENTS[sid].planner(dom, DEFAULT_CAPS)
+            for _, inst in factory()]
+
+
+@pytest.mark.parametrize("sid,groups,wlens,sums", [
+    (StatementId.THM_WEGZ, ("c8", "c3xc3"), (2,), lambda w, s: sigma_n(w, s, w.length).bits),
+    (StatementId.LEM_DAVID, ("c4", "c2xc2"), (2, 3), sigma_table),
+])
+def test_resumed_walks_equal_fresh_ones(monkeypatch, sid, groups, wlens, sums):
+    pairs = _pooled_pairs(sid, groups, wlens)
+    fresh = [sums(weight_seq(w.group, w.raw), s) for w, s in pairs]
+    steps = []
+    real_step = _Layout.step
+    monkeypatch.setattr(_Layout, "step", lambda self, table, x: steps.append(x) or
+                        real_step(self, table, x))
+    assert [sums(w, s) for w, s in pairs] == fresh
+    resumed = len(steps)
+    assert [sums(w, s) for w, s in reversed(pairs)] == fresh[::-1]
+    # the walks did resume: pool order walks fewer terms than fresh walks do
+    steps.clear()
+    for w, s in pairs:
+        sums(weight_seq(w.group, w.raw), s)
+    assert resumed < len(steps) / 2
+
+
+def test_kept_walk_tables_stay_under_the_state_cap(monkeypatch):
+    g = make_group((7,))
+    w = weight_seq(g, [1, 2, 3])
+    s = parse_sequence(g, "0^3,1^3,2^3,3^3,4^3,5^3,6^3")
+    t = parse_sequence(g, "0^3,1^3,2^3,3^3,4^3,5^2,6^3")
+    want = {seq: sigma_table(weight_seq(g, w.raw), seq) for seq in (s, t)}
+    monkeypatch.setattr(weighted, "STATE_CAP", 40)  # a walk of s has 21 steps of 2 fields
+    for seq in (s, t, s):
+        assert sigma_table(w, seq) == want[seq]
+        layout, done, kept = w._sigma_walks[3]
+        assert layout.fields * sum(map(len, kept)) <= 40
+        assert len(kept) == len(done) + 1 < 22
+
+
+def test_a_refused_shape_builds_no_state_and_keeps_the_memo(monkeypatch):
+    g = make_group((64,))
+    w = weight_seq(g, range(1, 21))
+    s = GSequence(g, (1,) * 20 + (0,) * 44)
+    sigma_n(w, s, 2)
+    memo = dict(w._sigma_walks)
+    assert memo
+
+    def no_state(*args):
+        raise AssertionError("a refused shape built a state")
+
+    monkeypatch.setattr(_Layout, "step", no_state)
+    monkeypatch.setattr(_Layout, "__init__", no_state)
+    with pytest.raises(CapExceeded, match="^sigma DP needs 910596 states, above 262144$"):
+        sigma_n(w, s, 12)
+    assert w._sigma_walks.keys() == memo.keys()
+    assert all(w._sigma_walks[top] is memo[top] for top in memo)
+
+
+def test_threads_sharing_a_weight_seq_get_exact_sums():
+    # each call reads one published walk and publishes a new one, so threads
+    # that share a WeightSeq may lose each other's walks but never mix them
+    rng = random.Random(8)
+    g = make_group((8,))
+    w = weight_seq(g, [1, 3, 4])
+    seqs = [random_pair(rng, g, smax=12)[1] for _ in range(60)]
+    seqs = [s for s in seqs if s.length >= 3]
+    want = [sigma_n(weight_seq(g, w.raw), s, 3).bits for s in seqs]
+    got = {}
+
+    def work(i):
+        order = seqs if i % 2 else seqs[::-1]
+        got[i] = [sigma_n(w, s, 3).bits for s in order * 5]
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    for i in range(4):
+        assert got[i] == (want if i % 2 else want[::-1]) * 5
 
 
 def test_positional_wsum_value_and_empty_block():
