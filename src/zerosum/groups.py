@@ -18,7 +18,6 @@ import re
 from dataclasses import dataclass
 from functools import cache, cached_property
 from math import gcd, isqrt, lcm, prod
-from operator import itemgetter
 
 from .errors import (
     CapExceeded,
@@ -105,12 +104,13 @@ class Group:
     abelian_group_types return one object per factor tuple.  Derived tables
     (the rotation and digit masks behind the bitmask operations, the
     per-element rotation lists translate_mask walks and their copies over
-    packed fields (field_translations, through stored()), the index_shifts
-    permutations, the multiples table and prime_order_subgroups) are built
-    on first use and cached on that object, so every set, sequence and
-    instance of the group shares them.  The tables a caller's cap bounds,
-    the subgroup lattice (all_subgroups) and D(G) with its witness
-    (invariants.davenport_report), are kept on it too, through stored().
+    packed fields (field_translations, through stored()), the multiples
+    and differences tables and prime_order_subgroups) are built on first
+    use and cached on that object, so every set, sequence and instance of
+    the group shares them.  The tables a caller's cap bounds, the subgroup
+    lattice (all_subgroups), D(G) with its witness
+    (invariants.davenport_report) and the sigma DP's weight-side layouts
+    (weighted._weight_layout), are kept on it too, through stored().
     So are its subgroups: subgroup(mask) returns one Subgroup per mask, and
     every subgroup builder goes through it.
     """
@@ -287,12 +287,10 @@ class Group:
         return table
 
     @cached_property
-    def index_shifts(self) -> tuple:
-        """index_shifts[g] maps a tuple indexed by element (order >= 2) to its
-        translate by g: entry x of the result is entry x - g."""
-        return tuple(
-            itemgetter(*(self.index_add(x, self.index_neg(g)) for x in range(self.order)))
-            for g in range(self.order))
+    def differences(self) -> tuple:
+        """differences[g][x] = index_add(x, index_neg(g)), the index of x - g."""
+        return tuple(tuple(self.index_add(x, self.index_neg(g)) for x in range(self.order))
+                     for g in range(self.order))
 
     def translate_mask(self, mask: int, gidx: int) -> int:
         """Image of the index set ``mask`` under x -> x + g."""

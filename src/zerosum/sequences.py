@@ -60,6 +60,11 @@ class GSequence:
         # balanced_setpartition's partitions of this sequence, by block count
         return {}
 
+    @cached_property
+    def _sigma_plans(self) -> dict:
+        # top count -> this sequence's side of the sigma DP (weighted._seq_plan)
+        return {}
+
     def __len__(self) -> int:
         return self.length
 

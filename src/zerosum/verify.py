@@ -314,14 +314,6 @@ def _sub_multisets(mult: tuple[int, ...], size: int, hmax: int):
         yield from rec(0, size)
 
 
-def _is_canonical_translate(group: Group, mult: tuple[int, ...]) -> bool:
-    """mult is the lexicographically least of its translates x -> mult[x - g]."""
-    for shift in group.index_shifts[1:]:
-        if shift(mult) < mult:
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # example builders
 
@@ -1120,10 +1112,48 @@ class SweepReport:
 def _seq_pool(group: Group, size: int, hcap: int, reduced: bool) -> tuple[tuple[int, ...], ...]:
     """Multiplicity vectors of length-`size` sequences with every
     multiplicity at most hcap, lex ascending; reduced keeps the least
-    translate of each orbit."""
-    pool = _sub_multisets((hcap,) * group.order, size, hcap)
-    if reduced:
-        return tuple(v for v in pool if _is_canonical_translate(group, v))
+    translate x -> v[x - g] of each orbit.
+
+    The reduced pool is generated orderly (Read 1978; McKay 1998): the
+    lex-ascending depth-first walk of _sub_multisets, entry by entry, which
+    keeps for each translate g the position p up to which g's translate
+    agrees with the prefix built so far.  Once entry p of the translate,
+    v[p - g], and v[p] are both known they are compared: on a tie p moves
+    on, a larger translate entry drops g for good, and a smaller one drops
+    the prefix, so no vector it would lead to is ever built.  A full vector
+    that no translate undercuts is the least of its orbit.
+    """
+    if not reduced:
+        return tuple(_sub_multisets((hcap,) * group.order, size, hcap))
+    order, minus = group.order, group.differences
+    acc: list[int] = [0] * order
+    pool: list[tuple[int, ...]] = []
+
+    def rec(i: int, left: int, pending: list[tuple[tuple[int, ...], int]]) -> None:
+        for c in range(max(0, left - (order - 1 - i) * hcap), min(hcap, left) + 1):
+            acc[i] = c
+            live = []
+            for back, start in pending:  # back[x] = x - g for one translate g
+                p = start
+                while p <= i:  # entry p of g's translate is acc[back[p]]
+                    y = back[p]
+                    if y > i or acc[y] != acc[p]:
+                        break
+                    p += 1
+                if p > i or y > i:  # a tie so far, and the next entry is not known yet
+                    live.append((back, p))
+                elif acc[y] < acc[p]:
+                    if start == i:  # c itself is too large, and so is every larger c
+                        return
+                    break
+            else:
+                if i + 1 < order:
+                    rec(i + 1, left - c, live)
+                else:
+                    pool.append(tuple(acc))
+
+    if 0 <= size <= order * hcap:
+        rec(0, size, [(back, 0) for back in minus[1:]])
     return tuple(pool)
 
 
@@ -1169,7 +1199,10 @@ class _SeqPlanner:
     needs D(G) takes it under caps.davenport.  With cap_h, multiplicities
     are at most k.  Translation reduction applies when translate is set and
     the weight total is 0 mod exp(G), so that translating S leaves every
-    |W|-term weighted sum in place.  Each shard's count is exact: the pools
+    |W|-term weighted sum in place.  A reduced pool holds the least
+    translate of each orbit and is generated orderly (_seq_pool): a prefix
+    that some translate undercuts is dropped before any vector below it is
+    built.  Each shard's count is exact: the pools
     are built at planning time, and each run of weight tuples of one (G, k)
     that reduce alike shares one tuple of them.  The shard walks its pools
     sequence by sequence (_seq_walk), each pooled S built once and paired

@@ -25,12 +25,25 @@ other class with room.  No state is pruned, so every count's entry is
 exact.  sigma_n reads count n; sigma_table keeps every count, and
 sums_by_count is its unit-weight case.
 
-A WeightSeq keeps, per top count, its last weight-side walk: the terms it
-walked and the table after each.  The next call on the same WeightSeq
-resumes from the longest prefix of terms it shares with that walk, which
-in a sweep (one WeightSeq against lex-ascending pooled sequences) is most
-of it.  Tables are kept only while they hold at most STATE_CAP states in
-all.
+A call's set-up is derived once, on the object it depends on:
+
+- a WeightSeq keeps, per top count, its capped residue classes and their
+  state count (_sigma_plans), and its last weight-side walk: the terms it
+  walked, the table after each and their running slot count
+  (_sigma_walks).  The next call resumes from the longest prefix of terms
+  it shares with that walk, which in a sweep (one WeightSeq against
+  lex-ascending pooled sequences) is most of it.  Tables are kept only
+  while they hold at most STATE_CAP slots in all.
+- a GSequence keeps, per top count, its support, capped multiplicities,
+  their state count and the weight-side walk of its terms (_sigma_plans).
+- a Group keeps the weight-side layouts (_Layout: the key codes, field
+  limits and per-term rotations), one per capped classes and top count,
+  at most LAYOUT_CAP of them, so every WeightSeq of one shape and every
+  sums_by_count call of one length share one.  A layout is never keyed by
+  a sequence's support: a sequence-side layout is built for its call.
+
+Per-object memos die with their object; the group's layouts are bounded
+in number, and each holds at most one meta entry per state.
 """
 
 from __future__ import annotations
@@ -96,6 +109,12 @@ class WeightSeq:
         return sum(self.raw)
 
     @cached_property
+    def _sigma_plans(self) -> dict:
+        """top count -> the weight side of the sigma DP at that count: the
+        capped residue classes and their number of states (weighted._weight_plan)."""
+        return {}
+
+    @cached_property
     def _sigma_walks(self) -> dict:
         """top count -> the last weight-side sigma DP walk at that count, which
         the next one resumes from (weighted._sums_by_n).  A sweep pairs one
@@ -144,11 +163,17 @@ def format_weights(w: WeightSeq) -> str:
 
 
 STATE_CAP = 1 << 18  # the most states the sigma DP builds before CapExceeded
+LAYOUT_CAP = 64  # the most weight-side layouts a group keeps
 
 
 def _check_pair(w: WeightSeq, s: GSequence) -> None:
     if w.group != s.group:
         raise GroupMismatch("weights and sequence over different groups")
+
+
+def _check_states(count: int) -> None:
+    if count > STATE_CAP:
+        raise CapExceeded(f"sigma DP needs {count} states, above {STATE_CAP}")
 
 
 @lru_cache(maxsize=4096)
@@ -168,14 +193,16 @@ class _Layout:
 
     The packed class is the first one with the largest cap.  A key is the
     mixed-radix code of the counts of the other classes; meta[key] is (items
-    used, the other classes with room left), filled in as keys are reached.
-    A value holds one |G|-bit field per count d of the packed class, and
-    lim[u] keeps the fields d <= min(cap, top - u) of a key that uses u
-    items.  moves[x] lists, per class, the field-wise rotations that
-    translate by that class's shift for walk step x.
+    used, the other classes with room left), filled in as keys are reached,
+    so it holds at most one entry per state.  A value holds one |G|-bit
+    field per count d of the packed class, and lim[u] keeps the fields
+    d <= min(cap, top - u) of a key that uses u items.  moves[x] lists, per
+    class, the field-wise rotations that translate by that class's shift
+    for walk step x: at most |G| entries on the weight side, where x is a
+    term, and exp(G) on the sequence side, where x is a weight residue.
     """
 
-    def __init__(self, group: Group, caps: list[int], top: int, shifts) -> None:
+    def __init__(self, group: Group, caps: tuple[int, ...], top: int, shifts) -> None:
         self.group, self.top, self.shifts = group, top, shifts
         self.packed = packed = caps.index(max(caps))
         self.fields = caps[packed] + 1
@@ -231,77 +258,117 @@ class _Layout:
         return out
 
 
-def _sums_by_n(group: Group, classes, supp, top: int, side: str | None = None,
-               walks: dict | None = None) -> list[int]:
-    """Per-count sum masks of weight classes against sequence support.
+def _weight_plan(w: WeightSeq, top: int) -> tuple[tuple[tuple[int, int], ...], int]:
+    """w's side of the sigma DP at top, kept on w (WeightSeq._sigma_plans):
+    its (residue, min(slots, top)) classes and their number of states."""
+    plan = w._sigma_plans.get(top)
+    if plan is None:
+        classes = tuple((r, m if m < top else top) for r, m in w.residue_counts())
+        count = _state_count(tuple(sorted(c for _, c in classes)), top)
+        plan = w._sigma_plans[top] = (classes, count)
+    return plan
 
-    classes and supp are (residue mod exp(G), slots) and (element index,
-    copies) pairs.  Entry k of the result is the exact mask of k-term
-    weighted sums, for every k <= top, from the packed table of the module
-    docstring (_Layout).  side forces an orientation ("weights" or
-    "sequence"); by default the one with fewer states runs.
 
-    walks is a WeightSeq's memo (WeightSeq._sigma_walks): per top count,
-    (layout, steps, kept) of the last weight-side walk, kept[i] being the
-    table after steps[:i].  A call resumes from the longest prefix of steps
-    it shares with that walk, then keeps its own tables while they hold at
-    most STATE_CAP states (key-field slots) in all.  The sequence side has
-    no shared object to keep a walk on, so it starts fresh.
+def _seq_plan(s: GSequence, top: int) -> tuple[tuple[int, ...], tuple[int, ...], int,
+                                               tuple[int, ...]]:
+    """s's side of the sigma DP at top, kept on s (GSequence._sigma_plans):
+    its support, each support element's min(copies, top), their number of
+    states, and the weight-side walk (each support element, ascending, as
+    many times as its capped copies)."""
+    plan = s._sigma_plans.get(top)
+    if plan is None:
+        supp, caps, steps = [], [], []
+        for g, m in enumerate(s.mult):
+            if m:
+                c = m if m < top else top
+                supp.append(g)
+                caps.append(c)
+                steps += [g] * c
+        count = _state_count(tuple(sorted(caps)), top)
+        plan = s._sigma_plans[top] = (tuple(supp), tuple(caps), count, tuple(steps))
+    return plan
+
+
+def _weight_layout(group: Group, classes: tuple[tuple[int, int], ...], top: int) -> _Layout:
+    """The group's one weight-side _Layout for these capped classes at top.
+    The group keeps at most LAYOUT_CAP of them and starts over when full."""
+    layouts = group.stored("sigma_layouts", dict)
+    layout = layouts.get((classes, top))
+    if layout is None:
+        multiples, residues = group.multiples, [r for r, _ in classes]
+        layout = _Layout(group, tuple(c for _, c in classes), top,
+                         lambda g: [multiples[g][r] for r in residues])
+        if len(layouts) >= LAYOUT_CAP:
+            layouts.clear()
+        layouts[classes, top] = layout
+    return layout
+
+
+def _sums_by_n(w: WeightSeq, s: GSequence, top: int, side: str | None = None) -> list[int]:
+    """Per-count sum masks of w against s: entry k is the exact mask of
+    k-term weighted sums, for every k <= top, from the packed table of the
+    module docstring (_Layout).
+
+    The set-up is read from the plans kept on w and s (_weight_plan,
+    _seq_plan).  side forces an orientation ("weights" or "sequence"); by
+    default the one with fewer states runs, the weight side on a tie.  Above
+    STATE_CAP states CapExceeded is raised before any state is built.
+
+    The weight side resumes from w's last walk at top (WeightSeq._sigma_walks):
+    (layout, steps, kept, held), kept[i] being the table after steps[:i]
+    and held[i] the key-field slots of kept[:i + 1].  A call resumes from the
+    longest prefix of steps it shares with that walk, keeps its own tables
+    while they hold at most STATE_CAP slots in all, and publishes its walk
+    as one new tuple, so threads sharing w may lose each other's walks but
+    never mix them.  The sequence side has no shared object to keep a walk
+    on, so it starts fresh.
     """
-    wcaps = [m if m < top else top for _, m in classes]
-    scaps = [m if m < top else top for _, m in supp]
-    counts = {"weights": _state_count(tuple(sorted(wcaps)), top),
-              "sequence": _state_count(tuple(sorted(scaps)), top)}
+    classes, wcount = _weight_plan(w, top)
+    supp, scaps, scount, steps = _seq_plan(s, top)
     if side is None:
-        side = "weights" if counts["weights"] <= counts["sequence"] else "sequence"
-    if counts[side] > STATE_CAP:
-        raise CapExceeded(f"sigma DP needs {counts[side]} states, above {STATE_CAP}")
-    multiples = group.multiples
-    if side == "weights":
-        caps, steps = wcaps, []
-        for (g, _), c in zip(supp, scaps):
-            steps += [g] * c
-
-        def shifts(g: int) -> list[int]:
-            return [multiples[g][r] for r, _ in classes]
-    else:
-        caps, walks, steps = scaps, None, []
-        for (r, _), c in zip(classes, wcaps):
-            steps += [r] * c
-
-        def shifts(r: int) -> list[int]:
-            return [multiples[g][r] for g, _ in supp]
-    if not caps:  # no weights or no terms, so top is 0
+        side = "weights" if wcount <= scount else "sequence"
+    _check_states(wcount if side == "weights" else scount)
+    group = s.group
+    if side == "sequence":
+        if not supp:  # no terms, so top is 0
+            return [1] + [0] * top
+        multiples = group.multiples
+        layout = _Layout(group, scaps, top, lambda r: [multiples[g][r] for g in supp])
+        table = {0: 1}
+        for r, c in classes:
+            for _ in range(c):
+                table = layout.step(table, r)
+        return layout.by_count(table)
+    if not classes:  # no weights, so top is 0
         return [1] + [0] * top
-    last = walks.get(top) if walks is not None else None
-    layout, done, kept = last or (_Layout(group, caps, top, shifts), (), [{0: 1}])
+    walks = w._sigma_walks
+    last = walks.get(top)
+    if last is None:
+        layout = _weight_layout(group, classes, top)
+        done, kept, held = (), [{0: 1}], [layout.fields]
+    else:
+        layout, done, kept, held = last
     p = 0
     for a, b in zip(done, steps):
         if a != b:
             break
         p += 1
-    kept = kept[:p + 1]
-    table, held = kept[p], layout.fields * sum(map(len, kept))
+    kept, held = kept[:p + 1], held[:p + 1]
+    table, total = kept[p], held[p]
     for x in steps[p:]:
         table = layout.step(table, x)
-        if walks is not None:
-            held += layout.fields * len(table)
-            if held <= STATE_CAP:
-                kept.append(table)
-    if walks is not None:
-        walks[top] = (layout, steps[:len(kept) - 1], kept)
+        total += layout.fields * len(table)
+        if total <= STATE_CAP:
+            kept.append(table)
+            held.append(total)
+    walks[top] = (layout, steps[:len(kept) - 1], kept, held)
     return layout.by_count(table)
-
-
-def _support(s: GSequence) -> list[tuple[int, int]]:
-    return [(g, m) for g, m in enumerate(s.mult) if m]
 
 
 def sigma_table(w: WeightSeq, s: GSequence) -> tuple[int, ...]:
     """Bitmasks of sigma_n for n = 0..min(|W|, |S|) from one DP pass; entry 0 is {0}."""
     _check_pair(w, s)
-    return tuple(_sums_by_n(s.group, w.residue_counts(), _support(s), min(w.length, s.length),
-                            walks=w._sigma_walks))
+    return tuple(_sums_by_n(w, s, min(w.length, s.length)))
 
 
 def _sums_in_range(w: WeightSeq, s: GSequence, n: int, top: int) -> list[int]:
@@ -309,7 +376,7 @@ def _sums_in_range(w: WeightSeq, s: GSequence, n: int, top: int) -> list[int]:
     _check_pair(w, s)
     if not 1 <= n <= min(w.length, s.length):
         raise BadN(f"n={n} outside 1..min({w.length}, {s.length})")
-    return _sums_by_n(s.group, w.residue_counts(), _support(s), top, walks=w._sigma_walks)
+    return _sums_by_n(w, s, top)
 
 
 def sigma_n(w: WeightSeq, s: GSequence, n: int) -> GSet:
@@ -353,9 +420,16 @@ def sums_by_count(s: GSequence) -> tuple[int, ...]:
 
     Entry n of the returned bitmasks, n in [0, |S|], is the set of sums of
     n distinct slots of S (entry 0 is {0}): sigma_table with |S| unit weights.
+    Those form one class with |S| + 1 states, and any sequence side has at
+    least that many, so the weight side runs, on the group's layout for |S|.
     """
-    unit = 1 % s.group.exponent  # a residue, as for any weight class
-    return tuple(_sums_by_n(s.group, [(unit, s.length)], _support(s), s.length))
+    top = s.length
+    _check_states(top + 1)
+    layout = _weight_layout(s.group, ((1 % s.group.exponent, top),), top)
+    table = {0: 1}
+    for x in s.terms():
+        table = layout.step(table, x)
+    return tuple(layout.by_count(table))
 
 
 def _positional_wsum_bits(group: Group, pairs, dilate=None) -> int:

@@ -7,6 +7,7 @@ arithmetic, sharing no code path with the library internals it checks.
 from __future__ import annotations
 
 from collections import Counter
+from functools import cache
 from itertools import combinations, permutations
 
 
@@ -174,17 +175,23 @@ def brute_contained_subgroup(factors, subgroups, members):
     return min(fits, key=lambda h: (len(h), min(index[e] for e in h if index[e])))
 
 
+@cache
+def _translate_positions(factors):
+    """positions[g][i] = the position of element i + g, as all_elements lists them."""
+    elements = all_elements(factors)
+    index = {e: i for i, e in enumerate(elements)}
+    return [[index[coord_add(factors, e, g)] for e in elements] for g in elements]
+
+
 def least_translate(factors, mult):
     """Lexicographically least translate of a multiplicity vector, indexed as
     all_elements lists the elements: the vector x -> mult[x - g] taken over
     every g, by coordinate addition."""
-    elements = all_elements(factors)
-    index = {e: i for i, e in enumerate(elements)}
     best = None
-    for g in elements:
-        out = [0] * len(elements)
-        for e, m in zip(elements, mult):
-            out[index[coord_add(factors, e, g)]] = m
+    for positions in _translate_positions(tuple(factors)):
+        out = [0] * len(positions)
+        for i, m in zip(positions, mult):
+            out[i] = m
         if best is None or tuple(out) < best:
             best = tuple(out)
     return best

@@ -395,11 +395,9 @@ def test_group_tables_match_coordinate_arithmetic():
         for a, ca in enumerate(coords):
             assert [coords[m] for m in g.multiples[a]] == [
                 coord_scalar(factors, r, ca) for r in range(g.exponent)]
-        ramp = tuple(range(g.order))
         for gidx, cg in enumerate(coords):
-            # entry x of the translate is entry x - g, so x - g + g = x
-            moved = g.index_shifts[gidx](ramp)
-            assert [coord_add(factors, coords[y], cg) for y in moved] == coords
+            # entry x of differences[g] is x - g, so x - g + g = x
+            assert [coord_add(factors, coords[y], cg) for y in g.differences[gidx]] == coords
 
 
 def test_translate_and_dilate_masks():

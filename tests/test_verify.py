@@ -39,6 +39,7 @@ from zerosum import (
     coset_condition,
     example1_instance,
     example2_instance,
+    format_group,
     gset,
     instance_to_dict,
     make_group,
@@ -61,7 +62,7 @@ from zerosum.groups import Group
 from zerosum import sequences, verify
 from zerosum.errors import NoSetpartition
 from zerosum.sequences import balanced_setpartition
-from zerosum.verify import STATEMENTS, _SeqPlanner, _is_canonical_translate, _seq_walk
+from zerosum.verify import STATEMENTS, _SeqPlanner, _seq_pool, _seq_walk, _sub_multisets
 from zerosum.weighted import _positional_wsum_bits, sigma_n
 from zerosum.weighted import weight_seq as real_weight_seq
 from zerosum.setsum import _ap_differences, detect_ap
@@ -282,16 +283,21 @@ def test_failures_across_shards_keep_enumeration_order():
         "6600da5fc872b51949c5c0cec63edbf2ea015ce3cc218532f7b0c4ca060cc83e")
 
 
-@pytest.mark.parametrize("text", ["c4", "c2xc2", "c6", "c2xc4", "c3xc3"])
-def test_canonical_translate_matches_least_translate_oracle(text):
-    g = parse_group(text)
+@pytest.mark.parametrize("g", abelian_group_types(9), ids=format_group)
+def test_canonical_translate_matches_least_translate_oracle(g):
     assert [g.element_from_index(i).coords for i in range(g.order)] == all_elements(
         g.invariant_factors)
-    for size in range(6):
-        for combo in combinations_with_replacement(range(g.order), size):
-            mult = tuple(combo.count(i) for i in range(g.order))
-            want = least_translate(g.invariant_factors, mult) == mult
-            assert _is_canonical_translate(g, mult) is want, mult
+    for size in range(g.order + 2):
+        every = sorted({tuple(combo.count(i) for i in range(g.order))
+                        for combo in combinations_with_replacement(range(g.order), size)})
+        least = {v for v in every if least_translate(g.invariant_factors, v) == v}
+        for hcap in sorted({1, 2, size}):
+            capped = tuple(v for v in every if max(v) <= hcap)
+            assert _seq_pool(g, size, hcap, False) == capped
+            assert tuple(_sub_multisets((hcap,) * g.order, size, hcap)) == capped
+            # capped is lex ascending, so the filter keeps the reduced pool's order
+            assert _seq_pool(g, size, hcap, True) == tuple(v for v in capped if v in least), (
+                size, hcap)
 
 
 def test_sweep_translation_symmetry_spot_check():

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 import sys
 import threading
+from itertools import combinations, product
 from math import gcd
 
 import pytest
@@ -37,7 +38,7 @@ from zerosum import (
 )
 from zerosum import weighted
 from zerosum.verify import DEFAULT_CAPS, STATEMENTS, StatementId, SweepDomain
-from zerosum.weighted import _Layout, _positional_wsum_bits, _sums_by_n, _support
+from zerosum.weighted import _Layout, _positional_wsum_bits, _sums_by_n
 from oracles import naive_sigma_n, naive_sigma_range
 
 GROUPS = ["c2", "c3", "c4", "c5", "c6", "c2xc2", "c2xc4"]
@@ -272,7 +273,7 @@ def both_orientations(w, s, n=None):
     """The knapsack forced to the weight side and to the sequence side:
     the whole per-n table, or up to a target n."""
     top = min(w.length, s.length) if n is None else n
-    return [_sums_by_n(s.group, w.residue_counts(), _support(s), top, side=side)
+    return [_sums_by_n(w, s, top, side=side)
             for side in ("weights", "sequence")]
 
 
@@ -364,7 +365,7 @@ def test_the_orientation_with_fewer_states_runs():
     w = weight_seq(g, range(1, 31))
     s = GSequence(g, (15, 15) + (0,) * 62)
     with pytest.raises(CapExceeded):
-        _sums_by_n(g, w.residue_counts(), _support(s), 15, side="weights")
+        _sums_by_n(w, s, 15, side="weights")
     # sums of a distinct weights in 1..30 for every a <= 15 cover c64
     assert sigma_n(w, s, 15).bits == g.full_mask
 
@@ -381,7 +382,7 @@ def test_every_entry_up_to_top_is_exact():
                 for k in range(1, min(w.length, s.length) + 1)]
             for top in range(1, len(want)):
                 for side in ("weights", "sequence"):
-                    got = _sums_by_n(g, w.residue_counts(), _support(s), top, side=side)
+                    got = _sums_by_n(w, s, top, side=side)
                     for k in range(top + 1):
                         assert {g.element_from_index(i).coords for i in range(g.order)
                                 if got[k] >> i & 1} == want[k], (g, w, s, top, side, k)
@@ -425,7 +426,7 @@ def test_kept_walk_tables_stay_under_the_state_cap(monkeypatch):
     monkeypatch.setattr(weighted, "STATE_CAP", 40)  # a walk of s has 21 steps of 2 fields
     for seq in (s, t, s):
         assert sigma_table(w, seq) == want[seq]
-        layout, done, kept = w._sigma_walks[3]
+        layout, done, kept, _ = w._sigma_walks[3]
         assert layout.fields * sum(map(len, kept)) <= 40
         assert len(kept) == len(done) + 1 < 22
 
@@ -477,6 +478,55 @@ def test_threads_sharing_a_weight_seq_get_exact_sums():
     assert not any(t.is_alive() for t in threads)
     for i in range(4):
         assert got[i] == (want if i % 2 else want[::-1]) * 5
+
+
+def _states(caps, top):
+    """#{0 <= c <= caps : sum(c) <= top}, one vector at a time."""
+    return sum(sum(c) <= top for c in product(*(range(k + 1) for k in caps)))
+
+
+def test_the_orientation_taken_is_the_two_count_rule():
+    rng = random.Random(20)
+    taken = set()
+    for g in abelian_group_types(16):
+        for _ in range(6):
+            w, s = random_pair(rng, g)
+            for top in range(1, min(w.length, s.length) + 1):
+                wcount = _states([min(m, top) for _, m in w.residue_counts()], top)
+                scount = _states([min(m, top) for m in s.mult if m], top)
+                fresh = weight_seq(g, w.raw)
+                sums = _sums_by_n(fresh, s, top)
+                # only the weight side leaves a walk on the WeightSeq
+                side = "weights" if top in fresh._sigma_walks else "sequence"
+                assert side == ("weights" if wcount <= scount else "sequence"), (g, w, s, top)
+                assert sums == _sums_by_n(w, s, top, side="sequence")
+                taken.add(side)
+    assert taken == {"weights", "sequence"}
+
+
+def test_sums_by_count_reuses_one_stored_layout():
+    rng = random.Random(5)
+    for g in abelian_group_types(12):
+        for _ in range(4):
+            s = random_pair(rng, g, smax=9)[1]
+            unit = weight_seq(g, [1] * s.length)
+            want = tuple(_sums_by_n(unit, s, s.length, side="sequence"))
+            assert sums_by_count(s) == want
+            layouts = dict(g.stored("sigma_layouts", dict))
+            assert sums_by_count(GSequence(g, s.mult)) == want
+            assert g.stored("sigma_layouts", dict) == layouts  # the same layout objects
+
+
+def test_stored_layouts_stay_under_their_bound():
+    g = make_group((64,))
+    s = GSequence(g, (2,) * 8 + (0,) * 56)
+    layouts = g.stored("sigma_layouts", dict)
+    wtuples = list(combinations(range(1, 20), 2))
+    assert len(wtuples) > 2 * weighted.LAYOUT_CAP  # distinct weight classes, one layout each
+    for wraw in wtuples:
+        w = weight_seq(g, wraw)
+        assert sigma_n(w, s, 2).bits == _sums_by_n(w, s, 2, side="sequence")[2]
+        assert 0 < len(layouts) <= weighted.LAYOUT_CAP
 
 
 def test_positional_wsum_value_and_empty_block():
