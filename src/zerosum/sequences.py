@@ -8,7 +8,7 @@ and then block sizes can always be balanced to differ by at most one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 from .errors import BadN, GroupMismatch, NoSetpartition, ParseError
@@ -44,6 +44,10 @@ class GSequence:
 
     group: Group
     mult: tuple[int, ...]
+    # balanced_setpartition's partitions of this sequence, by block count
+    _dealt: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # top count -> this sequence's side of the sigma DP (weighted._seq_plan)
+    _sigma_plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.mult) != self.group.order:
@@ -54,16 +58,6 @@ class GSequence:
     @cached_property
     def length(self) -> int:
         return sum(self.mult)
-
-    @cached_property
-    def _dealt(self) -> dict[int, "Setpartition"]:
-        # balanced_setpartition's partitions of this sequence, by block count
-        return {}
-
-    @cached_property
-    def _sigma_plans(self) -> dict:
-        # top count -> this sequence's side of the sigma DP (weighted._seq_plan)
-        return {}
 
     def __len__(self) -> int:
         return self.length

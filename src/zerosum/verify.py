@@ -14,8 +14,8 @@ factory yielding its keyed instances in check order, and tallies the
 verdicts shard by shard, keeping only failures and flagged pairs, with
 deterministic output.  Every planned instance goes through check_instance.
 A sequence row's shard is one run of weight tuples that share their
-sequence pools, walked sequence by sequence, so that what the checkers
-memoize per sequence serves every weight tuple checked against it.
+sequence pools, generated as they are walked, sequence by sequence, so that
+what the checkers memoize per S serves every weight tuple checked on it.
 
 The setpartition searches share one walk over subsequences, setpartitions
 and weight assignments, bounded by a Budget built from SearchCaps.  A cap
@@ -32,8 +32,8 @@ import json
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import lru_cache, partial, reduce
-from itertools import chain, combinations, combinations_with_replacement, groupby
+from functools import partial, reduce
+from itertools import accumulate, chain, combinations, combinations_with_replacement, groupby
 from math import comb, gcd
 from operator import itemgetter, or_
 from typing import Any, Callable, Iterable, Iterator, Mapping
@@ -71,6 +71,7 @@ from .setsum import GSet, _ap_differences, _period, gset, iterated_sumset, stabi
 from .verdict import Status, Verdict
 from .weighted import (
     WeightSeq,
+    _bounded_poly,
     _positional_wsum_bits,
     format_weights,
     sigma_n,
@@ -286,32 +287,50 @@ def _distinct_perms(items: tuple[int, ...], length: int):
     yield from rec()
 
 
-def _sub_multisets(mult: tuple[int, ...], size: int, hmax: int):
+def _sub_multisets(mult: tuple[int, ...], size: int, hmax: int, translates: tuple = ()):
     """Multiplicity vectors m' <= mult with sum(m') == size and every entry
-    at most hmax, lex ascending."""
+    at most hmax, lex ascending and lazy.  With translates (each a table
+    back[x] = x - g), only the least of each orbit under x -> m'[x - g] is
+    kept, generated orderly (Read 1978; McKay 1998): the walk keeps for each
+    g the position p up to which g's translate agrees with the prefix.  Once
+    m'[p - g] and m'[p] are both known, a tie moves p on, a larger translate
+    entry drops g for good, and a smaller one drops the prefix, so no vector
+    it would lead to is ever built.
+    """
     caps = [min(m, hmax) for m in mult]
     if not caps:
         if size == 0:
             yield ()
         return
-    room = [0] * (len(caps) + 1)  # room[i]: the most entries i.. can hold
-    for i in range(len(caps) - 1, -1, -1):
-        room[i] = room[i + 1] + caps[i]
-    acc = [0] * len(caps)
-    last = len(caps) - 1
+    room = [*accumulate(reversed(caps), initial=0)][::-1]  # room[i]: what entries i.. hold
+    acc, last = [0] * len(caps), len(caps) - 1
 
-    def rec(i: int, left: int):
-        # left <= room[i] holds throughout, so the last entry takes the rest
-        if i == last:
-            acc[i] = left
-            yield tuple(acc)
-            return
+    def rec(i: int, left: int, pending: list[tuple[tuple[int, ...], int]]):
         for c in range(max(0, left - room[i + 1]), min(caps[i], left) + 1):
             acc[i] = c
-            yield from rec(i + 1, left - c)
+            live = []
+            for back, start in pending:  # back[x] = x - g for one translate g
+                p = start
+                while p <= i:  # entry p of g's translate is acc[back[p]]
+                    y = back[p]
+                    if y > i or acc[y] != acc[p]:
+                        break
+                    p += 1
+                if p > i or y > i:  # a tie so far, and the next entry is not known yet
+                    live.append((back, p))
+                elif acc[y] < acc[p]:
+                    if start == i:  # c itself is too large, and so is every larger c
+                        return
+                    break
+            else:
+                if i < last and (live or i + 1 < last):
+                    yield from rec(i + 1, left - c, live)
+                else:  # the last entry is set, or takes the rest with no translate left
+                    acc[last] = left - c if i < last else c
+                    yield tuple(acc)
 
     if 0 <= size <= room[0]:
-        yield from rec(0, size)
+        yield from rec(0, size, [(back, 0) for back in translates])
 
 
 # ---------------------------------------------------------------------------
@@ -1109,52 +1128,42 @@ class SweepReport:
     examined: int
 
 
-def _seq_pool(group: Group, size: int, hcap: int, reduced: bool) -> tuple[tuple[int, ...], ...]:
-    """Multiplicity vectors of length-`size` sequences with every
-    multiplicity at most hcap, lex ascending; reduced keeps the least
-    translate x -> v[x - g] of each orbit.
+def _seq_pool(group: Group, size: int, hcap: int, reduced: bool) -> Iterator[tuple[int, ...]]:
+    """The multiplicity vectors of length-`size` sequences with every
+    multiplicity at most hcap, lex ascending and lazy; reduced keeps the
+    least translate x -> v[x - g] of each orbit (_sub_multisets)."""
+    return _sub_multisets((hcap,) * group.order, size, hcap,
+                          group.differences[1:] if reduced else ())
 
-    The reduced pool is generated orderly (Read 1978; McKay 1998): the
-    lex-ascending depth-first walk of _sub_multisets, entry by entry, which
-    keeps for each translate g the position p up to which g's translate
-    agrees with the prefix built so far.  Once entry p of the translate,
-    v[p - g], and v[p] are both known they are compared: on a tie p moves
-    on, a larger translate entry drops g for good, and a smaller one drops
-    the prefix, so no vector it would lead to is ever built.  A full vector
-    that no translate undercuts is the least of its orbit.
-    """
+
+def _compositions(parts: int, total: int, cap: int) -> int:
+    """#{vectors of `parts` entries in 0..cap with sum total}."""
+    return _bounded_poly((cap,) * parts, total)[total]
+
+
+def _pool_count(group: Group, size: int, hcap: int, reduced: bool) -> int:
+    """The length of _seq_pool's pool, in closed form.  Reduced, it is the
+    number of translation orbits, by Burnside's lemma (1/|G|) sum_g fix(g):
+    a vector fixed by x -> x + g is constant on the cosets of <g>, so for
+    o = ord g it is |G|/o entries at most hcap summing to size/o, and there
+    is none unless o divides size."""
     if not reduced:
-        return tuple(_sub_multisets((hcap,) * group.order, size, hcap))
-    order, minus = group.order, group.differences
-    acc: list[int] = [0] * order
-    pool: list[tuple[int, ...]] = []
+        return _compositions(group.order, size, hcap)
+    orders = Counter(map(group.index_order, range(group.order)))
+    return sum(n * _compositions(group.order // o, size // o, hcap)
+               for o, n in orders.items() if size % o == 0) // group.order
 
-    def rec(i: int, left: int, pending: list[tuple[tuple[int, ...], int]]) -> None:
-        for c in range(max(0, left - (order - 1 - i) * hcap), min(hcap, left) + 1):
-            acc[i] = c
-            live = []
-            for back, start in pending:  # back[x] = x - g for one translate g
-                p = start
-                while p <= i:  # entry p of g's translate is acc[back[p]]
-                    y = back[p]
-                    if y > i or acc[y] != acc[p]:
-                        break
-                    p += 1
-                if p > i or y > i:  # a tie so far, and the next entry is not known yet
-                    live.append((back, p))
-                elif acc[y] < acc[p]:
-                    if start == i:  # c itself is too large, and so is every larger c
-                        return
-                    break
-            else:
-                if i + 1 < order:
-                    rec(i + 1, left - c, live)
-                else:
-                    pool.append(tuple(acc))
 
-    if 0 <= size <= order * hcap:
-        rec(0, size, [(back, 0) for back in minus[1:]])
-    return tuple(pool)
+def _david_pool(group: Group, size: int, d: int) -> Iterator[tuple[int, ...]]:
+    """LEM_DAVID's pool, lazily: the length-`size` sequences whose height
+    h >= D(G) - 1 is the multiplicity of 0."""
+    return ((h,) + rest for h in range(d - 1, size + 1)
+            for rest in _sub_multisets((h,) * (group.order - 1), size - h, h))
+
+
+def _david_count(group: Group, size: int, d: int) -> int:
+    """The length of _david_pool's pool, in closed form."""
+    return sum(_compositions(group.order - 1, size - h, h) for h in range(d - 1, size + 1))
 
 
 def _domain_dict(dom: SweepDomain, sampled: bool, caps: SearchCaps) -> dict[str, Any]:
@@ -1200,11 +1209,11 @@ class _SeqPlanner:
     are at most k.  Translation reduction applies when translate is set and
     the weight total is 0 mod exp(G), so that translating S leaves every
     |W|-term weighted sum in place.  A reduced pool holds the least
-    translate of each orbit and is generated orderly (_seq_pool): a prefix
-    that some translate undercuts is dropped before any vector below it is
-    built.  Each shard's count is exact: the pools
-    are built at planning time, and each run of weight tuples of one (G, k)
-    that reduce alike shares one tuple of them.  The shard walks its pools
+    translate of each orbit and is generated orderly (_sub_multisets).  A
+    shard carries pool specs, one per sequence length, for its run of weight
+    tuples of one (G, k) that reduce alike; its count is exact and in closed
+    form (_pool_count, by Burnside's lemma when reduced), so planning builds
+    no pool.  Each factory call generates the pools afresh and walks them
     sequence by sequence (_seq_walk), each pooled S built once and paired
     with every weight tuple of the run in turn, and each weight sequence
     built once for all of them; each pair still goes through
@@ -1239,22 +1248,20 @@ class _SeqPlanner:
         return tuple(c for c in self.clauses if c.reads == reads)
 
     def __call__(self, dom: SweepDomain, caps: SearchCaps = DEFAULT_CAPS) -> Iterator[Shard]:
-        pool = lru_cache(maxsize=None)(_seq_pool)  # one pool per spec in this plan
         for group in dom.groups:
             for wlen in dom.wlens:
                 base = self.slen(group, wlen, caps)
-                sizes = range(base, base + dom.slen_extra + 1)
                 runs = groupby(self.weight_tuples(group, wlen, caps),
                                key=lambda wt: (dom.reduce_translation and self.translate
                                                and sum(wt) % group.exponent == 0))
                 for reduced, run in runs:
-                    pools = tuple(pool(group, size, wlen if self.cap_h else size, reduced)
-                                  for size in sizes)
-                    yield _seq_shard(group, tuple(run), pools, self.with_n)
+                    specs = tuple((size, wlen if self.cap_h else size, reduced)
+                                  for size in range(base, base + dom.slen_extra + 1))
+                    yield _seq_shard(group, tuple(run), _seq_pool, _pool_count, specs, self.with_n)
 
 
 def _seq_walk(group: Group, wtuples: tuple[tuple[int, ...], ...],
-              pools: tuple[tuple[tuple[int, ...], ...], ...], with_n: bool = False
+              pools: Iterable[Iterable[tuple[int, ...]]], with_n: bool = False
               ) -> Iterator[tuple[tuple[int, int, int], Instance]]:
     """The factory of a sequence row's shard: each (weight tuple, pooled
     sequence) pair, keyed (tuple position, pool position, sequence
@@ -1268,24 +1275,22 @@ def _seq_walk(group: Group, wtuples: tuple[tuple[int, ...], ...],
                 yield (wi, pi, si), Instance(group, seq, w, w.length if with_n else None)
 
 
-def _seq_shard(group: Group, wtuples: tuple[tuple[int, ...], ...],
-               pools: tuple[tuple[tuple[int, ...], ...], ...], with_n: bool = False) -> Shard:
-    return len(wtuples) * sum(map(len, pools)), partial(_seq_walk, group, wtuples, pools, with_n)
+def _seq_shard(group: Group, wtuples: tuple[tuple[int, ...], ...], pool: Callable[..., Iterable],
+               count: Callable[..., int], specs: tuple[tuple, ...], with_n: bool = False) -> Shard:
+    """wtuples against one pool per spec: pool(group, *spec) generates it
+    and count(group, *spec) gives its length in closed form, so planning
+    builds no pool and each factory call walks fresh ones."""
+    return (len(wtuples) * sum(count(group, *spec) for spec in specs),
+            lambda: _seq_walk(group, wtuples, (pool(group, *spec) for spec in specs), with_n))
 
 
 def _plan_david(dom: SweepDomain, caps: SearchCaps = DEFAULT_CAPS) -> Iterator[Shard]:
     for group in dom.groups:
         d = davenport(group, cap=caps.davenport)
-        pools: dict[int, tuple[tuple[int, ...], ...]] = {}
-        for size in sorted({s for k in dom.wlens
-                            for s in range(k + d - 1, k + d + dom.slen_extra)}):
-            # every sequence whose height h >= D(G) - 1 is the multiplicity of 0
-            pools[size] = tuple((h,) + rest for h in range(d - 1, size + 1)
-                                for rest in _sub_multisets((h,) * (group.order - 1), size - h, h))
         for wlen in dom.wlens:
-            sized = tuple(pools[size] for size in range(wlen + d - 1, wlen + d + dom.slen_extra))
+            specs = tuple((size, d) for size in range(wlen + d - 1, wlen + d + dom.slen_extra))
             wtuples = tuple(combinations_with_replacement(range(group.exponent), wlen))
-            yield _seq_shard(group, wtuples, sized)
+            yield _seq_shard(group, wtuples, _david_pool, _david_count, specs)
 
 
 def _plan_subgroup_instances(dom: SweepDomain, caps: SearchCaps = DEFAULT_CAPS) -> Iterator[Shard]:
@@ -1376,7 +1381,7 @@ class Statement:
     planner filters weight tuples by those that do not read S.  sweep runs
     the checker, through check_instance, on every planned instance.  A
     _SeqPlanner row's shard is one run of weight tuples that share their
-    pools, walked sequence by sequence (see sweep).
+    pool specs, walked sequence by sequence (see sweep).
     """
 
     checker: Callable[[Instance, SearchCaps], Verdict]
@@ -1584,14 +1589,15 @@ def sweep(sid: StatementId, dom: SweepDomain, threads: int = 1,
     error raised while planning lets any instance be checked.  Then each
     shard's factory yields its keyed instances in check order, and every one
     goes through check_instance, as an explicit instance does.  A sequence
-    row's shard is one run of weight tuples that share their pools, walked
-    sequence by sequence, each pooled S and each weight sequence built once,
-    so what the checker memoizes per S serves every weight tuple.  The
-    verdicts are tallied as they go: status counts, failures and flagged
-    pairs are kept, each shard's kept pairs sorted by key back into
-    enumeration order, and everything else dropped.  So besides the
-    sequence pools a planner builds, memory holds the failures, the flagged
-    pairs and the instance being checked, and the report is deterministic.
+    row's shard is one run of weight tuples that share their pool specs: the
+    planner counts each pool in closed form, and the factory generates the
+    pools as it walks them, sequence by sequence, each pooled S and each
+    weight sequence built once, so what the checker memoizes per S serves
+    every weight tuple.  The verdicts are tallied as they go: status counts,
+    failures and flagged pairs are kept, each shard's kept pairs sorted by
+    key back into enumeration order, and everything else dropped.  So
+    memory holds the failures, the flagged pairs and the instance being
+    checked, and the report is deterministic.
     threads is accepted and ignored.
     """
     statement = STATEMENTS[sid]

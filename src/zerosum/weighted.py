@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import operator
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, reduce
 from math import gcd
 from operator import or_
@@ -86,6 +86,11 @@ class WeightSeq:
 
     group: Group
     raw: tuple[int, ...]
+    # top count -> the weight side of the sigma DP there (_weight_plan)
+    _sigma_plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # top count -> the last weight-side walk there, which the next resumes
+    # from (_sums_by_n): a sweep pairs one WeightSeq with each pooled S in turn
+    _sigma_walks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
     def residues(self) -> tuple[int, ...]:
@@ -107,20 +112,6 @@ class WeightSeq:
     def total(self) -> int:
         """Sum of raw weights, as an integer."""
         return sum(self.raw)
-
-    @cached_property
-    def _sigma_plans(self) -> dict:
-        """top count -> the weight side of the sigma DP at that count: the
-        capped residue classes and their number of states (weighted._weight_plan)."""
-        return {}
-
-    @cached_property
-    def _sigma_walks(self) -> dict:
-        """top count -> the last weight-side sigma DP walk at that count, which
-        the next one resumes from (weighted._sums_by_n).  A sweep pairs one
-        WeightSeq with each pooled S in turn, so consecutive walks share a
-        prefix of terms."""
-        return {}
 
     @cached_property
     def _residue_counts(self) -> tuple[tuple[int, int], ...]:
@@ -176,16 +167,22 @@ def _check_states(count: int) -> None:
         raise CapExceeded(f"sigma DP needs {count} states, above {STATE_CAP}")
 
 
-@lru_cache(maxsize=4096)
-def _state_count(caps: tuple[int, ...], top: int) -> int:
-    """#{0 <= c <= caps : sum(c) <= top}, summed from prod_j (1 + ... + x^caps[j])."""
+def _bounded_poly(caps: tuple[int, ...], top: int) -> list[int]:
+    """The coefficients of x^0 .. x^top in prod_j (1 + x + ... + x^caps[j]):
+    entry t counts the vectors 0 <= c <= caps with sum(c) == t."""
     poly = [1] + [0] * top
     for cap in caps:
         acc, prev, poly = 0, poly, []
         for i in range(top + 1):
             acc += prev[i] - (prev[i - cap - 1] if i > cap else 0)
             poly.append(acc)
-    return sum(poly)
+    return poly
+
+
+@lru_cache(maxsize=4096)
+def _state_count(caps: tuple[int, ...], top: int) -> int:
+    """#{0 <= c <= caps : sum(c) <= top}."""
+    return sum(_bounded_poly(caps, top))
 
 
 class _Layout:

@@ -37,6 +37,7 @@ from zerosum import (
     check_self_duality,
     contained_subgroup,
     coset_condition,
+    davenport,
     example1_instance,
     example2_instance,
     format_group,
@@ -62,7 +63,8 @@ from zerosum.groups import Group
 from zerosum import sequences, verify
 from zerosum.errors import NoSetpartition
 from zerosum.sequences import balanced_setpartition
-from zerosum.verify import STATEMENTS, _SeqPlanner, _seq_pool, _seq_walk, _sub_multisets
+from zerosum.verify import (STATEMENTS, _david_count, _david_pool, _pool_count, _SeqPlanner,
+                            _seq_pool, _seq_walk, _sub_multisets)
 from zerosum.weighted import _positional_wsum_bits, sigma_n
 from zerosum.weighted import weight_seq as real_weight_seq
 from zerosum.setsum import _ap_differences, detect_ap
@@ -293,11 +295,25 @@ def test_canonical_translate_matches_least_translate_oracle(g):
         least = {v for v in every if least_translate(g.invariant_factors, v) == v}
         for hcap in sorted({1, 2, size}):
             capped = tuple(v for v in every if max(v) <= hcap)
-            assert _seq_pool(g, size, hcap, False) == capped
+            assert tuple(_seq_pool(g, size, hcap, False)) == capped
             assert tuple(_sub_multisets((hcap,) * g.order, size, hcap)) == capped
             # capped is lex ascending, so the filter keeps the reduced pool's order
-            assert _seq_pool(g, size, hcap, True) == tuple(v for v in capped if v in least), (
-                size, hcap)
+            assert tuple(_seq_pool(g, size, hcap, True)) == tuple(
+                v for v in capped if v in least), (size, hcap)
+
+
+@pytest.mark.parametrize("g", abelian_group_types(10), ids=format_group)
+def test_pool_counts_match_the_generated_pools(g):
+    # the planner counts pools in closed form (Burnside for reduced ones)
+    for size in range(g.order + 2):
+        for hcap in sorted({1, 2, size}):
+            for reduced in (False, True):
+                assert _pool_count(g, size, hcap, reduced) == len(
+                    tuple(_seq_pool(g, size, hcap, reduced))), (size, hcap, reduced)
+    if g.order <= 8:
+        d = davenport(g)
+        for size in range(d - 1, d + g.order):
+            assert _david_count(g, size, d) == len(tuple(_david_pool(g, size, d))), size
 
 
 def test_sweep_translation_symmetry_spot_check():
@@ -1179,6 +1195,29 @@ def test_sweep_thread_counts_agree():
     r4 = sweep(StatementId.CONJ_HAMIDOUNE, dom, threads=4)
     assert report_to_json(r1) == report_to_json(r4)
     assert r1.counts == r4.counts
+
+
+def test_sequence_planning_builds_no_pool(monkeypatch):
+    def no_pools(*args):
+        raise AssertionError("a pool was built at planning time")
+
+    monkeypatch.setattr(verify, "_sub_multisets", no_pools)
+    monkeypatch.setattr(verify, "_seq_walk", no_pools)
+    dom = SweepDomain(groups=(parse_group("c9"),), wlens=(5, 6, 7, 8, 9))
+    tracemalloc.start()
+    try:
+        shards = list(STATEMENTS[StatementId.THM_HAM_CHAR].planner(dom, DEFAULT_CAPS))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(count for count, _ in shards) == 122_409_160
+    # holding every built pool from planning on peaked at 34.4 MiB here
+    assert peak < 2 * 2**20
+    # a refused domain is refused before any factory runs
+    dom = SweepDomain(groups=(parse_group("c10"),), wlens=(10,), max_instances=1000)
+    with pytest.raises(DomainTooLarge,
+                       match=r"^estimated 67970760 instances exceed the cap 1000$"):
+        sweep(StatementId.THM_HAM_CHAR, dom)
 
 
 def test_sweep_memory_grows_with_failures_not_instances():
