@@ -17,7 +17,7 @@ import operator
 import re
 from dataclasses import dataclass
 from functools import cache, cached_property
-from math import gcd, isqrt, lcm, prod
+from math import isqrt, prod
 
 from .errors import (
     CapExceeded,
@@ -102,13 +102,12 @@ class Group:
 
     Groups are interned: make_group, parse_group, trivial_group, quotient and
     abelian_group_types return one object per factor tuple.  Derived tables
-    (the rotation and digit masks behind the bitmask operations, the
-    per-element rotation lists translate_mask walks and their copies over
-    packed fields (field_translations, through stored()), the multiples
-    and differences tables and prime_order_subgroups) are built on first
-    use and cached on that object, so every set, sequence and instance of
-    the group shares them.  The tables a caller's cap bounds, the subgroup
-    lattice (all_subgroups), D(G) with its witness
+    (the per-element rotation lists translate_mask walks and their copies
+    over packed fields (field_translations, through stored()), multiples,
+    the one table of x -> r*x, differences and prime_order_subgroups) are
+    built on first use and cached on that object, so every set, sequence
+    and instance of the group shares them.  The tables a caller's cap
+    bounds, the subgroup lattice (all_subgroups), D(G) with its witness
     (invariants.davenport_report) and the sigma DP's weight-side layouts
     (weighted._weight_layout), are kept on it too, through stored().
     So are its subgroups: subgroup(mask) returns one Subgroup per mask, and
@@ -190,30 +189,28 @@ class Group:
             out += ((a // s + b // s) % n) * s
         return out
 
-    def index_neg(self, a: int) -> int:
-        out = 0
-        for n, s in zip(self.invariant_factors, self.strides):
-            out += (-(a // s) % n) * s
-        return out
-
-    def index_scalar(self, w: int, a: int) -> int:
-        out = 0
-        for n, s in zip(self.invariant_factors, self.strides):
-            out += ((w * (a // s)) % n) * s
-        return out
-
     @cached_property
     def multiples(self) -> tuple:
-        """multiples[a][r] = index_scalar(r, a), the index of r*a, for r < exp(G)."""
-        return tuple(tuple(self.index_scalar(r, a) for r in range(self.exponent))
-                     for a in range(self.order))
+        """multiples[a][r] is the index of r*a, for r < exp(G): the group's
+        one table of x -> r*x, which index_scalar, index_neg, index_order
+        and dilate_mask read.  Row a adds up the digit rows
+        ((r * c) % n_i) * s_i of a's coordinates c."""
+        exp = self.exponent
+        rows = [(0,) * exp]
+        for n, s in zip(self.invariant_factors, self.strides):
+            digits = [tuple((r * c % n) * s for r in range(exp)) for c in range(n)]
+            rows = [tuple(map(operator.add, row, d)) for d in digits for row in rows]
+        return tuple(rows)
+
+    def index_neg(self, a: int) -> int:
+        return self.multiples[a][-1 % self.exponent]
+
+    def index_scalar(self, w: int, a: int) -> int:
+        return self.multiples[a][w % self.exponent]
 
     def index_order(self, a: int) -> int:
-        o = 1
-        for n, s in zip(self.invariant_factors, self.strides):
-            c = (a // s) % n
-            o = lcm(o, n // gcd(n, c))
-        return o
+        """Least r >= 1 with r*a = 0."""
+        return (self.multiples[a] + (0,)).index(0, 1)
 
     def element(self, coords) -> "Element":
         coords = tuple(coords)
@@ -234,43 +231,21 @@ class Group:
     # stride(i) * n_i, which costs O(1) bigint operations per coordinate.
 
     @cached_property
-    def _rot_masks(self) -> tuple:
-        # _rot_masks[i][c] = (low_rep, high_rep, shift, back) for rotating coord i by c
-        per_coord = []
-        order = self.order
-        for n, s in zip(self.invariant_factors, self.strides):
-            block = n * s
-            comb = 0
-            for off in range(0, order, block):
-                comb |= 1 << off
-            entries = [None] * n
-            for c in range(1, n):
-                k = c * s
-                low_unit = (1 << (block - k)) - 1
-                high_unit = ((1 << k) - 1) << (block - k)
-                entries[c] = (low_unit * comb, high_unit * comb, k, block - k)
-            per_coord.append(tuple(entries))
-        return tuple(per_coord)
-
-    @cached_property
-    def _digit_masks(self) -> tuple:
-        # _digit_masks[i][d] = mask of all indices whose i-th digit equals d
-        per_coord = []
-        order = self.order
-        for n, s in zip(self.invariant_factors, self.strides):
-            block = n * s
-            comb = 0
-            for off in range(0, order, block):
-                comb |= 1 << off
-            unit = (1 << s) - 1
-            per_coord.append(tuple((unit << (d * s)) * comb for d in range(n)))
-        return tuple(per_coord)
-
-    @cached_property
     def _translations(self) -> tuple:
-        # _translations[g] = the _rot_masks entries of g's nonzero coordinates
+        # _translations[g] = one (low_rep, high_rep, k, back) per nonzero
+        # coordinate c of g: the bits under low_rep move up k = c * s_i, and
+        # those under high_rep wrap down back = block - k
+        per_coord = []
+        for n, s in zip(self.invariant_factors, self.strides):
+            block = n * s
+            comb = self.full_mask // ((1 << block) - 1)  # bit 0 of every block
+            rots = [None]
+            for k in range(s, block, s):
+                rots.append((((1 << (block - k)) - 1) * comb,
+                             (((1 << k) - 1) << (block - k)) * comb, k, block - k))
+            per_coord.append(rots)
         return tuple(
-            tuple(rots[c] for c, rots in zip(self.index_to_coords(g), self._rot_masks) if c)
+            tuple(rots[c] for c, rots in zip(self.index_to_coords(g), per_coord) if c)
             for g in range(self.order))
 
     def field_translations(self, fields: int) -> tuple:
@@ -299,22 +274,18 @@ class Group:
         return mask
 
     def dilate_mask(self, mask: int, w: int) -> int:
-        """Image of the index set ``mask`` under x -> w*x (not injective for non-units)."""
-        if mask == 0:
-            return 0
-        for n, s, digits in zip(self.invariant_factors, self.strides, self._digit_masks):
-            wi = w % n
-            if wi == 1:
-                continue
-            out = 0
-            for d in range(n):
-                chunk = mask & digits[d]
-                if not chunk:
-                    continue
-                delta = ((wi * d) % n - d) * s
-                out |= chunk << delta if delta >= 0 else chunk >> -delta
-            mask = out
-        return mask
+        """Image of the index set ``mask`` under x -> w*x (not injective for
+        non-units): one multiples entry per element."""
+        r = w % self.exponent
+        if r == 1:
+            return mask
+        multiples = self.multiples
+        out = 0
+        while mask:
+            low = mask & -mask
+            out |= 1 << multiples[low.bit_length() - 1][r]
+            mask ^= low
+        return out
 
     def sum_masks(self, a: int, b: int) -> int:
         """Index set {x + y : x in a, y in b}: the larger set translated by
@@ -475,8 +446,8 @@ class Subgroup:
     subgroup_from_elements, all_subgroups, prime_order_subgroups,
     setsum.stabilizer) returns that object.  The structure is derived from
     the mask on first use and cached on the object: generators (an
-    irredundant generating list), coset_reps (the least index of each
-    coset), and one Smith normal form that gives iso_type (H's own
+    irredundant generating list), cosets (each coset's least index and
+    mask), and one Smith normal form that gives iso_type (H's own
     invariant-factor chain, () when trivial), quotient_type (G/H's chain)
     and the projection quotient() tabulates.  Reading any of those three
     first checks that the mask is a subgroup.
@@ -514,15 +485,16 @@ class Subgroup:
         return tuple(self.group.element_from_index(i) for i in gens)
 
     @cached_property
-    def coset_reps(self) -> tuple[int, ...]:
-        """The least index of each coset g + H, ascending."""
-        reps = []
+    def cosets(self) -> tuple[tuple[int, int], ...]:
+        """(least index, mask) of each coset g + H, ascending by index."""
+        out = []
         seen = 0
         for r in range(self.group.order):
             if not (seen >> r) & 1:
-                seen |= self.group.translate_mask(self.mask, r)
-                reps.append(r)
-        return tuple(reps)
+                coset = self.group.translate_mask(self.mask, r)
+                seen |= coset
+                out.append((r, coset))
+        return tuple(out)
 
     @cached_property
     def quotient_type(self) -> tuple[int, ...]:

@@ -138,25 +138,18 @@ class StabilizerReport:
     a1: GSet | None
 
 
-def _quasi_split(group: Group, bits: int, submask: int) -> tuple[int, int] | None:
+def _quasi_split(bits: int, sub: Subgroup) -> tuple[int, int] | None:
     """Split bits into (full H-cosets, remainder in one H-coset), or None."""
     full = 0
     partial_cosets = 0
-    rest = bits
-    seen = 0
-    while rest:
-        low = rest & -rest
-        g = low.bit_length() - 1
-        coset = group.translate_mask(submask, g)
+    for _, coset in sub.cosets:
         part = bits & coset
         if part == coset:
             full |= coset
-        else:
+        elif part:
             partial_cosets += 1
             if partial_cosets > 1:
                 return None
-        seen |= coset
-        rest = bits & ~seen
     if full == 0:
         return None
     return full, bits & ~full
@@ -189,7 +182,7 @@ def stabilizer(a: GSet, cap: int = SUBGROUP_CAP) -> StabilizerReport:
     for sub in all_subgroups(group, cap=cap):
         if sub.order == 1:
             continue
-        split = _quasi_split(group, a.bits, sub.mask)
+        split = _quasi_split(a.bits, sub)
         if split is not None:
             quasi = sub
             a0 = GSet(group, split[0])

@@ -257,8 +257,7 @@ def coset_condition(seq: GSequence, cap: int = SUBGROUP_CAP) -> tuple[int, Subgr
         allowed = group.order // sub.order - 2
         if allowed < 0:
             continue
-        for rep in sub.coset_reps:
-            coset = group.translate_mask(sub.mask, rep)
+        for rep, coset in sub.cosets:
             outside = sum(m for i, m in enumerate(seq.mult) if not (coset >> i) & 1)
             if outside <= allowed:
                 return rep, sub
@@ -587,15 +586,15 @@ def _check_split(inst: Instance, caps: SearchCaps) -> Verdict:
         return _hyp_fail("set must have at least 2 elements")
     if not a.contains_index(a0):
         return _hyp_fail("base point must lie in the set")
-    shifted = [group.index_add(i, group.index_neg(a0)) for i in a.indices()]
-    sub = subgroup_generated(group, shifted)
+    shifted = group.translate_mask(a.bits, group.index_neg(a0))
+    sub = subgroup_generated(group, mask_to_indices(shifted))
     d = dstar(sub)
     if w.length != d:
         return _hyp_fail("needs exactly d*(H) weights for H generated by the shifted set")
     if any(gcd(x, sub.exponent) != 1 for x in w.raw):
         return _hyp_fail("weights must all be coprime to exp(H)")
     total = _positional_wsum_bits(group, [(x, a.bits) for x in w.raw])
-    shift = group.index_scalar(sum(w.raw) % group.exponent, a0)
+    shift = group.index_scalar(sum(w.raw), a0)
     target = group.translate_mask(sub.mask, shift)
     if total == target:
         return Verdict(Status.HOLDS, {"subgroup": sub, "coset_rep": shift})
@@ -842,7 +841,7 @@ def _large_sums(inst: Instance, budget: Budget, floor: int):
 def _is_coset_sum(group: Group, weights, masks, sub: Subgroup, rep: int) -> bool:
     """w_1A_1 + ... + w_kA_k is exactly (w_1 + ... + w_k)g + H, pairing the
     weights with the block masks in order, for H = sub and g of index rep."""
-    shift = group.index_scalar(sum(weights) % group.exponent, rep)
+    shift = group.index_scalar(sum(weights), rep)
     return (_positional_wsum_bits(group, zip(weights, masks))
             == group.translate_mask(sub.mask, shift))
 
@@ -861,8 +860,7 @@ def _check_aligned_conclusion(inst: Instance, sub: Subgroup,
         """(rep, terms outside, blocks inside) for each coset g+H that
         holds every dropped term, meets every block, leaves at most
         |G/H| - 2 terms of S outside and wholly holds enough blocks."""
-        for rep in sub.coset_reps:
-            coset = group.translate_mask(sub.mask, rep)
+        for rep, coset in sub.cosets:
             if any(a > b and not (coset >> i) & 1
                    for i, (a, b) in enumerate(zip(s.mult, mult2))):
                 continue
@@ -990,8 +988,7 @@ def _larger_certificate_exists(inst: Instance, sub: Subgroup, budget: Budget) ->
             continue
         d = dstar(cand)  # at most d*(G) <= n, by the hypothesis
         need_left = inst.n - d + s.length - _sprime(inst).length
-        for rep in cand.coset_reps:
-            coset = group.translate_mask(cand.mask, rep)
+        for rep, coset in cand.cosets:
             in_coset = tuple(m if (coset >> i) & 1 else 0 for i, m in enumerate(s.mult))
             subseqs = chain.from_iterable(_sub_multisets(in_coset, tsize, d)
                                           for tsize in range(d, sum(in_coset) - need_left + 1))

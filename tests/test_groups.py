@@ -387,17 +387,58 @@ def test_translate_mask_matches_coordinate_addition():
                 assert g.translate_mask(mask, gidx) == want
 
 
+def _check_scalar_rows(g, rows, masks):
+    """multiples, index_scalar, index_neg, index_order and dilate_mask on
+    the given rows and masks against coordinate arithmetic."""
+    factors, e = g.invariant_factors, g.exponent
+    coords = [g.index_to_coords(x) for x in range(g.order)]
+    index = {c: x for x, c in enumerate(coords)}
+    zero = (0,) * g.rank
+    assert len(g.multiples) == g.order
+    for a in rows:
+        ca = coords[a]
+        assert [coords[m] for m in g.multiples[a]] == [
+            coord_scalar(factors, r, ca) for r in range(e)]
+        for w in range(-2 * e, 2 * e + 1):
+            assert coords[g.index_scalar(w, a)] == coord_scalar(factors, w, ca)
+        assert coords[g.index_neg(a)] == coord_scalar(factors, -1, ca)
+        assert g.index_order(a) == next(r for r in range(1, e + 1)
+                                        if coord_scalar(factors, r, ca) == zero)
+    for mask in masks:
+        for w in range(-2 * e, 2 * e + 1):
+            want = 0
+            for x in range(g.order):
+                if mask >> x & 1:
+                    want |= 1 << index[coord_scalar(factors, w, coords[x])]
+            assert g.dilate_mask(mask, w) == want
+
+
 def test_group_tables_match_coordinate_arithmetic():
-    for g in abelian_group_types(16):
+    rng = random.Random(22)
+    for g in abelian_group_types(32):
         factors = g.invariant_factors
         coords = [g.index_to_coords(x) for x in range(g.order)]
-        assert len(g.multiples) == g.order
-        for a, ca in enumerate(coords):
-            assert [coords[m] for m in g.multiples[a]] == [
-                coord_scalar(factors, r, ca) for r in range(g.exponent)]
+        _check_scalar_rows(g, range(g.order),
+                           [0, g.full_mask] + [rng.getrandbits(g.order) for _ in range(3)])
         for gidx, cg in enumerate(coords):
             # entry x of differences[g] is x - g, so x - g + g = x
             assert [coord_add(factors, coords[y], cg) for y in g.differences[gidx]] == coords
+        for sub in all_subgroups(g):
+            # the cosets partition G, each is rep + H, and rep is its least index
+            cosets = sub.cosets
+            reps = [rep for rep, _ in cosets]
+            assert reps == sorted(reps) and reps[0] == 0
+            covered = 0
+            for rep, mask in cosets:
+                want = {coord_add(factors, coords[rep], coords[h]) for h in sub.indices()}
+                assert {coords[x] for x in range(g.order) if mask >> x & 1} == want
+                assert mask & -mask == 1 << rep and not covered & mask
+                covered |= mask
+            assert covered == g.full_mask
+    for name in ("c256", "c2xc128"):
+        g = parse_group(name)
+        rows = [0, 1, 2, 64, 128, g.order - 1] + rng.sample(range(g.order), 6)
+        _check_scalar_rows(g, rows, [g.full_mask, rng.getrandbits(g.order)])
 
 
 def test_translate_and_dilate_masks():
