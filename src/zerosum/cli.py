@@ -533,7 +533,7 @@ def main(argv: list[str] | None = None) -> int:
     except (GroupTooLarge, DomainTooLarge, CapExceeded) as exc:
         print(f"capped: {exc}", file=sys.stderr)
         return EXIT_CAPPED
-    except (ZerosumError, ValueError) as exc:
+    except (ZerosumError, ValueError, OSError) as exc:  # OSError: an unwritable PATH
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -108,8 +108,8 @@ class Group:
     built on first use and cached on that object, so every set, sequence
     and instance of the group shares them.  The tables a caller's cap
     bounds, the subgroup lattice (all_subgroups), D(G) with its witness
-    (invariants.davenport_report) and the sigma DP's weight-side layouts
-    (weighted._weight_layout), are kept on it too, through stored().
+    (invariants.davenport_report) and the sigma DP's layouts
+    (weighted._layout), are kept on it too, through stored().
     So are its subgroups: subgroup(mask) returns one Subgroup per mask, and
     every subgroup builder goes through it.
     """

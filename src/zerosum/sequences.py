@@ -46,8 +46,8 @@ class GSequence:
     mult: tuple[int, ...]
     # balanced_setpartition's partitions of this sequence, by block count
     _dealt: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # top count -> this sequence's side of the sigma DP (weighted._seq_plan)
-    _sigma_plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # top count -> this sequence's side of the sigma DP (weighted._plan)
+    _sigma: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.mult) != self.group.order:

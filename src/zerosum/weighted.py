@@ -6,13 +6,14 @@ residues mod the group exponent, so they are canonicalized up front (raw
 values retained).
 
 The exact evaluator is one 0/1 knapsack over bitmasks, capped at a top
-count n.  In the weight-side orientation a state counts the slots used in
-each weight-residue class (at most min(m_j, n) each, at most n in all); the
-DP walks the terms of S, each support element capped at n copies, and each
-term x may join one class j with room, translating the state's sums by
-r_j * x.  The sequence-side orientation swaps the roles: it walks the
-weight slots and a state counts the copies used of each support element of
-S.  The orientation with fewer states of at most n items runs (a choice
+count n.  Its two orientations are one DP with the roles swapped: one side
+gives the classes, the other gives the steps.  On the weight side the
+classes are W's residues r (at most min(slots, n) items each) and the steps
+are the terms of S; on the sequence side the classes are the support
+elements g of S (at most min(copies, n) each) and the steps are W's
+residues.  A state counts the items used per class, at most n in all, and a
+step may join one class with room, translating the state's sums by r*g.
+The side with fewer states of at most n items gives the classes (a choice
 made from the input's shape alone); above STATE_CAP states CapExceeded is
 raised before any is built.
 
@@ -27,20 +28,19 @@ sums_by_count is its unit-weight case.
 
 A call's set-up is derived once, on the object it depends on:
 
-- a WeightSeq keeps, per top count, its capped residue classes and their
-  state count (_sigma_plans), and its last weight-side walk: the terms it
-  walked, the table after each and their running slot count
-  (_sigma_walks).  The next call resumes from the longest prefix of terms
-  it shares with that walk, which in a sweep (one WeightSeq against
-  lex-ascending pooled sequences) is most of it.  Tables are kept only
-  while they hold at most STATE_CAP slots in all.
-- a GSequence keeps, per top count, its support, capped multiplicities,
-  their state count and the weight-side walk of its terms (_sigma_plans).
-- a Group keeps the weight-side layouts (_Layout: the key codes, field
-  limits and per-term rotations), one per capped classes and top count,
-  at most LAYOUT_CAP of them, so every WeightSeq of one shape and every
-  sums_by_count call of one length share one.  A layout is never keyed by
-  a sequence's support: a sequence-side layout is built for its call.
+- a WeightSeq and a GSequence each keep, per top count, their side of the
+  DP (_plan, in their _sigma field): their capped classes, the classes'
+  state count, the steps they give the other side, and the last walk in
+  which they gave the classes: the steps walked, the table after each and
+  their running slot count.  The next call resumes from the longest prefix
+  of steps it shares with that walk, which in a sweep (one WeightSeq
+  against lex-ascending pooled sequences, or one S against each weight
+  tuple) is most of it.  Tables are kept only while they hold at most
+  STATE_CAP slots in all.
+- a Group keeps the layouts (_Layout: the key codes, field limits and
+  per-step rotations), one per side, capped classes and top count, at most
+  LAYOUT_CAP of them, so every object of one shape and every sums_by_count
+  call of one length share one.
 
 Per-object memos die with their object; the group's layouts are bounded
 in number, and each holds at most one meta entry per state.
@@ -86,11 +86,8 @@ class WeightSeq:
 
     group: Group
     raw: tuple[int, ...]
-    # top count -> the weight side of the sigma DP there (_weight_plan)
-    _sigma_plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # top count -> the last weight-side walk there, which the next resumes
-    # from (_sums_by_n): a sweep pairs one WeightSeq with each pooled S in turn
-    _sigma_walks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # top count -> this weight sequence's side of the sigma DP (_plan)
+    _sigma: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
     def residues(self) -> tuple[int, ...]:
@@ -154,7 +151,7 @@ def format_weights(w: WeightSeq) -> str:
 
 
 STATE_CAP = 1 << 18  # the most states the sigma DP builds before CapExceeded
-LAYOUT_CAP = 64  # the most weight-side layouts a group keeps
+LAYOUT_CAP = 64  # the most sigma DP layouts a group keeps
 
 
 def _check_pair(w: WeightSeq, s: GSequence) -> None:
@@ -186,7 +183,7 @@ def _state_count(caps: tuple[int, ...], top: int) -> int:
 
 
 class _Layout:
-    """The packed table's shape for one orientation's caps and top count.
+    """The packed table's shape for one side's capped classes and top count.
 
     The packed class is the first one with the largest cap.  A key is the
     mixed-radix code of the counts of the other classes; meta[key] is (items
@@ -194,13 +191,20 @@ class _Layout:
     so it holds at most one entry per state.  A value holds one |G|-bit
     field per count d of the packed class, and lim[u] keeps the fields
     d <= min(cap, top - u) of a key that uses u items.  moves[x] lists, per
-    class, the field-wise rotations that translate by that class's shift
-    for walk step x: at most |G| entries on the weight side, where x is a
-    term, and exp(G) on the sequence side, where x is a weight residue.
+    class, the field-wise rotations that translate by step x joining it:
+    by multiples[x][r] when x is a term joining residue r (the weight side),
+    by multiples[g][x] when x is a residue joining support element g.
     """
 
-    def __init__(self, group: Group, caps: tuple[int, ...], top: int, shifts) -> None:
-        self.group, self.top, self.shifts = group, top, shifts
+    def __init__(self, group: Group, classes: tuple[tuple[int, int], ...], top: int,
+                 side: str) -> None:
+        multiples, keys = group.multiples, [k for k, _ in classes]
+        if side == "weights":
+            self.shifts = lambda x: [multiples[x][r] for r in keys]
+        else:
+            self.shifts = lambda x: [multiples[g][x] for g in keys]
+        caps = [c for _, c in classes]
+        self.group, self.top = group, top
         self.packed = packed = caps.index(max(caps))
         self.fields = caps[packed] + 1
         self.lim = [(1 << (min(caps[packed], top - u) + 1) * group.order) - 1
@@ -255,49 +259,43 @@ class _Layout:
         return out
 
 
-def _weight_plan(w: WeightSeq, top: int) -> tuple[tuple[tuple[int, int], ...], int]:
-    """w's side of the sigma DP at top, kept on w (WeightSeq._sigma_plans):
-    its (residue, min(slots, top)) classes and their number of states."""
-    plan = w._sigma_plans.get(top)
+def _plan(obj, pairs, top: int) -> list:
+    """obj's side of the sigma DP at top, kept on obj (its _sigma field) from
+    its (key, count) pairs, ascending by key: [classes, state count, steps,
+    last walk].  The classes are (key, min(count, top)) for each key with a
+    count, the state count is theirs, the steps list each key, ascending,
+    min(count, top) times, and the last walk is the one in which obj gave
+    the classes (_sums_by_n), None until there is one.  The tuples are built
+    from lists: tuple() of a generator left more memory held in a sweep."""
+    plan = obj._sigma.get(top)
     if plan is None:
-        classes = tuple((r, m if m < top else top) for r, m in w.residue_counts())
-        count = _state_count(tuple(sorted(c for _, c in classes)), top)
-        plan = w._sigma_plans[top] = (classes, count)
-    return plan
-
-
-def _seq_plan(s: GSequence, top: int) -> tuple[tuple[int, ...], tuple[int, ...], int,
-                                               tuple[int, ...]]:
-    """s's side of the sigma DP at top, kept on s (GSequence._sigma_plans):
-    its support, each support element's min(copies, top), their number of
-    states, and the weight-side walk (each support element, ascending, as
-    many times as its capped copies)."""
-    plan = s._sigma_plans.get(top)
-    if plan is None:
-        supp, caps, steps = [], [], []
-        for g, m in enumerate(s.mult):
+        classes, caps, steps = [], [], []
+        for k, m in pairs:
             if m:
                 c = m if m < top else top
-                supp.append(g)
+                classes.append((k, c))
                 caps.append(c)
-                steps += [g] * c
-        count = _state_count(tuple(sorted(caps)), top)
-        plan = s._sigma_plans[top] = (tuple(supp), tuple(caps), count, tuple(steps))
+                steps += [k] * c
+        caps.sort()
+        plan = obj._sigma[top] = [tuple(classes), _state_count(tuple(caps), top),
+                                  tuple(steps), None]
     return plan
 
 
-def _weight_layout(group: Group, classes: tuple[tuple[int, int], ...], top: int) -> _Layout:
-    """The group's one weight-side _Layout for these capped classes at top.
-    The group keeps at most LAYOUT_CAP of them and starts over when full."""
+def _layout(group: Group, classes: tuple[tuple[int, int], ...], top: int, side: str) -> _Layout:
+    """The group's one _Layout for these capped classes on this side at top.
+    The side is part of the key: step x joins class k by multiples[x][k] on
+    the weight side and by multiples[k][x] on the sequence side, which on a
+    group of rank >= 2 differ.  The group keeps at most LAYOUT_CAP layouts
+    and starts over when full."""
     layouts = group.stored("sigma_layouts", dict)
-    layout = layouts.get((classes, top))
+    key = (side, classes, top)
+    layout = layouts.get(key)
     if layout is None:
-        multiples, residues = group.multiples, [r for r, _ in classes]
-        layout = _Layout(group, tuple(c for _, c in classes), top,
-                         lambda g: [multiples[g][r] for r in residues])
+        layout = _Layout(group, classes, top, side)
         if len(layouts) >= LAYOUT_CAP:
             layouts.clear()
-        layouts[classes, top] = layout
+        layouts[key] = layout
     return layout
 
 
@@ -306,42 +304,31 @@ def _sums_by_n(w: WeightSeq, s: GSequence, top: int, side: str | None = None) ->
     k-term weighted sums, for every k <= top, from the packed table of the
     module docstring (_Layout).
 
-    The set-up is read from the plans kept on w and s (_weight_plan,
-    _seq_plan).  side forces an orientation ("weights" or "sequence"); by
-    default the one with fewer states runs, the weight side on a tie.  Above
-    STATE_CAP states CapExceeded is raised before any state is built.
+    The set-up is read from the plans kept on w and s (_plan).  side forces
+    an orientation ("weights" or "sequence"); by default the one with fewer
+    states runs, the weight side on a tie.  That side's plan gives the
+    classes, their state count and the last walk, and the other side's plan
+    gives the steps.  Above STATE_CAP states CapExceeded is raised before
+    any state is built.
 
-    The weight side resumes from w's last walk at top (WeightSeq._sigma_walks):
-    (layout, steps, kept, held), kept[i] being the table after steps[:i]
-    and held[i] the key-field slots of kept[:i + 1].  A call resumes from the
-    longest prefix of steps it shares with that walk, keeps its own tables
-    while they hold at most STATE_CAP slots in all, and publishes its walk
-    as one new tuple, so threads sharing w may lose each other's walks but
-    never mix them.  The sequence side has no shared object to keep a walk
-    on, so it starts fresh.
+    A walk is (layout, steps, kept, held), kept[i] being the table after
+    steps[:i] and held[i] the key-field slots of kept[:i + 1].  A call
+    resumes from the longest prefix of steps it shares with the last walk,
+    keeps its own tables while they hold at most STATE_CAP slots in all, and
+    publishes its walk as one new tuple, so threads sharing w or s may lose
+    each other's walks but never mix them.
     """
-    classes, wcount = _weight_plan(w, top)
-    supp, scaps, scount, steps = _seq_plan(s, top)
+    wplan, splan = _plan(w, w.residue_counts(), top), _plan(s, enumerate(s.mult), top)
     if side is None:
-        side = "weights" if wcount <= scount else "sequence"
-    _check_states(wcount if side == "weights" else scount)
-    group = s.group
-    if side == "sequence":
-        if not supp:  # no terms, so top is 0
-            return [1] + [0] * top
-        multiples = group.multiples
-        layout = _Layout(group, scaps, top, lambda r: [multiples[g][r] for g in supp])
-        table = {0: 1}
-        for r, c in classes:
-            for _ in range(c):
-                table = layout.step(table, r)
-        return layout.by_count(table)
-    if not classes:  # no weights, so top is 0
+        side = "weights" if wplan[1] <= splan[1] else "sequence"
+    plan, other = (wplan, splan) if side == "weights" else (splan, wplan)
+    classes, count, _, last = plan
+    _check_states(count)
+    if not classes:  # no weights or no terms, so top is 0
         return [1] + [0] * top
-    walks = w._sigma_walks
-    last = walks.get(top)
+    steps = other[2]
     if last is None:
-        layout = _weight_layout(group, classes, top)
+        layout = _layout(s.group, classes, top, side)
         done, kept, held = (), [{0: 1}], [layout.fields]
     else:
         layout, done, kept, held = last
@@ -358,7 +345,7 @@ def _sums_by_n(w: WeightSeq, s: GSequence, top: int, side: str | None = None) ->
         if total <= STATE_CAP:
             kept.append(table)
             held.append(total)
-    walks[top] = (layout, steps[:len(kept) - 1], kept, held)
+    plan[3] = (layout, steps[:len(kept) - 1], kept, held)
     return layout.by_count(table)
 
 
@@ -422,7 +409,7 @@ def sums_by_count(s: GSequence) -> tuple[int, ...]:
     """
     top = s.length
     _check_states(top + 1)
-    layout = _weight_layout(s.group, ((1 % s.group.exponent, top),), top)
+    layout = _layout(s.group, ((1 % s.group.exponent, top),), top, "weights")
     table = {0: 1}
     for x in s.terms():
         table = layout.step(table, x)

@@ -138,6 +138,20 @@ def test_usage_errors_exit_two(capsys):
     assert "--base" in err
 
 
+def test_an_unwritable_path_is_a_usage_error(tmp_path, capsys):
+    # exit 1 would read as "fails": a sweep would report a counterexample
+    # it never found
+    missing = tmp_path / "missing"
+    code, _, err = run(capsys, "group-info", "--group", "c4", "--json", str(missing / "x.json"))
+    assert code == 2
+    assert err.startswith("error: ") and "x.json" in err
+    code, _, err = run(capsys, "sweep", "--statement", "THM_WEGZ", "--group", "c3",
+                       "--wlen", "2", "--csv", str(missing / "x.csv"))
+    assert code == 2
+    assert err.startswith("error: ") and "x.csv" in err
+    assert not missing.exists()
+
+
 def test_argparse_usage_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 import sys
 import threading
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 from math import gcd
 
 import pytest
@@ -417,6 +417,37 @@ def test_resumed_walks_equal_fresh_ones(monkeypatch, sid, groups, wlens, sums):
     assert resumed < len(steps) / 2
 
 
+def test_sequence_side_walks_resume_and_equal_fresh_ones(monkeypatch):
+    # one S against every weight 4-tuple over c5 in lex order, as a sweep
+    # pairs one pooled S with each weight tuple: S gives the classes, and
+    # each walk resumes from the residues it shares with the last one
+    g = make_group((5,))
+    s = parse_sequence(g, "0^4,1,2")
+    wseqs = [weight_seq(g, wraw) for wraw in combinations_with_replacement(range(5), 4)]
+    assert len(wseqs) == 70
+    fresh = [_sums_by_n(w, GSequence(g, s.mult), 4, side="sequence") for w in wseqs]
+    assert fresh == [_sums_by_n(w, s, 4, side="weights") for w in wseqs]
+    steps = []
+    real_step = _Layout.step
+    monkeypatch.setattr(_Layout, "step", lambda self, table, x: steps.append(x) or
+                        real_step(self, table, x))
+    assert [_sums_by_n(w, s, 4, side="sequence") for w in wseqs] == fresh
+    assert len(steps) == 125  # against 70 walks of 4 residues fresh
+    assert [_sums_by_n(w, s, 4, side="sequence") for w in reversed(wseqs)] == fresh[::-1]
+
+
+def test_the_layout_store_is_keyed_by_side():
+    # on c2xc4, weight residues 1, 2 and support elements 1, 2 give the same
+    # capped classes, but as shifts multiples[x][k] and multiples[k][x] differ
+    g = parse_group("c2xc4")
+    s1 = GSequence(g, (0, 0, 1, 0, 1, 0, 0, 0))  # indices 2 and 4
+    s2 = GSequence(g, (0, 1, 1, 0, 0, 0, 0, 0))  # indices 1 and 2
+    _sums_by_n(weight_seq(g, [1, 2]), s1, 2, side="weights")
+    got = _sums_by_n(weight_seq(g, [0, 2]), s2, 2, side="sequence")
+    assert {g.element_from_index(i).coords for i in range(g.order) if got[2] >> i & 1} == \
+        naive_sigma_n(g.invariant_factors, [0, 2], seq_coords(g, s2), 2)
+
+
 def test_kept_walk_tables_stay_under_the_state_cap(monkeypatch):
     g = make_group((7,))
     w = weight_seq(g, [1, 2, 3])
@@ -426,7 +457,7 @@ def test_kept_walk_tables_stay_under_the_state_cap(monkeypatch):
     monkeypatch.setattr(weighted, "STATE_CAP", 40)  # a walk of s has 21 steps of 2 fields
     for seq in (s, t, s):
         assert sigma_table(w, seq) == want[seq]
-        layout, done, kept, _ = w._sigma_walks[3]
+        layout, done, kept, _ = w._sigma[3][3]
         assert layout.fields * sum(map(len, kept)) <= 40
         assert len(kept) == len(done) + 1 < 22
 
@@ -436,7 +467,7 @@ def test_a_refused_shape_builds_no_state_and_keeps_the_memo(monkeypatch):
     w = weight_seq(g, range(1, 21))
     s = GSequence(g, (1,) * 20 + (0,) * 44)
     sigma_n(w, s, 2)
-    memo = dict(w._sigma_walks)
+    memo = {top: plan[3] for top, plan in w._sigma.items() if plan[3]}
     assert memo
 
     def no_state(*args):
@@ -446,8 +477,23 @@ def test_a_refused_shape_builds_no_state_and_keeps_the_memo(monkeypatch):
     monkeypatch.setattr(_Layout, "__init__", no_state)
     with pytest.raises(CapExceeded, match="^sigma DP needs 910596 states, above 262144$"):
         sigma_n(w, s, 12)
-    assert w._sigma_walks.keys() == memo.keys()
-    assert all(w._sigma_walks[top] is memo[top] for top in memo)
+    assert {top for top, plan in w._sigma.items() if plan[3]} == memo.keys()
+    assert all(w._sigma[top][3] is memo[top] for top in memo)
+
+
+def _run_threads(work, count=4):
+    """work(i) on count threads at once, switching every microsecond."""
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(count)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
 
 
 def test_threads_sharing_a_weight_seq_get_exact_sums():
@@ -465,19 +511,30 @@ def test_threads_sharing_a_weight_seq_get_exact_sums():
         order = seqs if i % 2 else seqs[::-1]
         got[i] = [sigma_n(w, s, 3).bits for s in order * 5]
 
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(old)
-    assert not any(t.is_alive() for t in threads)
+    _run_threads(work)
     for i in range(4):
         assert got[i] == (want if i % 2 else want[::-1]) * 5
+
+
+def test_threads_sharing_a_gsequence_get_exact_sums():
+    # the sequence side publishes its walks on S, so threads that share S,
+    # each with its own weight order, may lose each other's walks but never
+    # mix them
+    g = parse_group("c2xc4")
+    s = parse_sequence(g, "(0,0)^2,(0,1)^2,(1,1),(1,2),(0,3)")
+    wseqs = [weight_seq(g, wraw) for wraw in combinations_with_replacement(range(4), 3)]
+    want = {w: _sums_by_n(w, GSequence(g, s.mult), 3, side="sequence") for w in wseqs}
+    got = {}
+
+    def work(i):
+        order = wseqs[:]
+        random.Random(i).shuffle(order)
+        got[i] = [(w, _sums_by_n(w, s, 3, side="sequence")) for w in order * 5]
+
+    _run_threads(work)
+    for i in range(4):
+        assert len(got[i]) == 5 * len(wseqs)
+        assert all(sums == want[w] for w, sums in got[i])
 
 
 def _states(caps, top):
@@ -497,7 +554,7 @@ def test_the_orientation_taken_is_the_two_count_rule():
                 fresh = weight_seq(g, w.raw)
                 sums = _sums_by_n(fresh, s, top)
                 # only the weight side leaves a walk on the WeightSeq
-                side = "weights" if top in fresh._sigma_walks else "sequence"
+                side = "weights" if fresh._sigma[top][3] else "sequence"
                 assert side == ("weights" if wcount <= scount else "sequence"), (g, w, s, top)
                 assert sums == _sums_by_n(w, s, top, side="sequence")
                 taken.add(side)
