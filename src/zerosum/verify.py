@@ -12,10 +12,13 @@ meet those not reading S.  check_instance evaluates one instance
 exactly; sweep plans a finite instance domain as counted shards, each
 factory yielding its keyed instances in check order, and tallies the
 verdicts shard by shard, keeping only failures and flagged pairs, with
-deterministic output.  Every planned instance goes through check_instance.
-A sequence row's shard is one run of weight tuples that share their
-sequence pools, generated as they are walked, sequence by sequence, so that
-what the checkers memoize per S serves every weight tuple checked on it.
+deterministic output.  Every instance a sweep decides goes through
+check_instance.  A sequence row's shard is one run of weight tuples that
+share their sequence pools, generated as they are walked, sequence by
+sequence, so that what the checkers memoize per S serves every weight tuple
+checked on it.  On the rows whose statements are invariant under scaling
+the weights by a unit, one weight tuple per unit orbit is checked, and its
+verdict counts for the orbit where it is every member's.
 
 The setpartition searches share one walk over subsequences, setpartitions
 and weight assignments, bounded by a Budget built from SearchCaps.  A cap
@@ -33,7 +36,9 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial, reduce
-from itertools import accumulate, chain, combinations, combinations_with_replacement, groupby
+import itertools
+from itertools import (accumulate, chain, combinations, combinations_with_replacement, groupby,
+                       repeat)
 from math import comb, gcd
 from operator import itemgetter, or_
 from typing import Any, Callable, Iterable, Iterator, Mapping
@@ -68,6 +73,7 @@ from .sequences import (
     format_sequence,
 )
 from .setsum import GSet, _ap_differences, _period, gset, iterated_sumset, stabilizer, sumset
+from . import weighted
 from .verdict import Status, Verdict
 from .weighted import (
     WeightSeq,
@@ -1079,6 +1085,11 @@ class SweepDomain:
     draw `samples` sequences per shard from a seeded generator.  When
     reduce_translation is set, sequence domains whose conclusion is
     translation-covariant keep one representative per translation orbit.
+    Unit orbits of the weights are no field: the rows that admit them
+    (_SeqPlanner.unit_orbits) always check one weight tuple per orbit, and
+    their reports equal the unreduced ones byte for byte.  max_instances
+    bounds the instances the domain stands for, every orbit member
+    included, not the ones checked; the report's examined counts the same.
     The subgroup lattice is capped by the sweep's SearchCaps.subgroups, not
     here; the report's domain still carries that cap as subgroup_cap.
     A negative size (a wlen, slen_extra, samples, set_size_max or
@@ -1103,10 +1114,12 @@ class SweepDomain:
 
 
 # A planned shard: its exact instance count and a factory yielding its
-# (key, instance) pairs in check order; sorted by key, they are in
-# enumeration order.  sweep sums the counts before it checks anything, then
-# checks the shards one at a time in the order the planner yields them.
-Shard = tuple[int, Callable[[], Iterable[tuple[Any, Instance]]]]
+# (key, instance, members) items in check order; sorted by key, the
+# instances and their members (_orbit_members) are in enumeration order, and
+# the count is theirs.  members is () but on a unit-orbit row (_SeqPlanner).
+# sweep sums the counts before it checks anything, then checks the shards
+# one at a time in the order the planner yields them.
+Shard = tuple[int, Callable[[], Iterable[tuple[Any, Instance, tuple]]]]
 
 
 @dataclass
@@ -1185,7 +1198,7 @@ def _per_group(dom: SweepDomain, size: Callable[[Group], int | None],
     for group in dom.groups:
         count = size(group)
         if count is not None:
-            yield count, lambda group=group: enumerate(build(group))
+            yield count, lambda group=group: zip(itertools.count(), build(group), repeat(()))
 
 
 @dataclass(frozen=True)
@@ -1213,8 +1226,18 @@ class _SeqPlanner:
     no pool.  Each factory call generates the pools afresh and walks them
     sequence by sequence (_seq_walk), each pooled S built once and paired
     with every weight tuple of the run in turn, and each weight sequence
-    built once for all of them; each pair still goes through
-    check_instance, as an explicit instance does.
+    built once for all of them.
+
+    With unit_orbits, the run's weight tuples are grouped into orbits under
+    w -> sorted(u*w) for the units u of the alphabet (orbits), and only each
+    orbit's first tuple in run order is paired with S, its members riding
+    along unbuilt.  A row opts in when its hypotheses read the weights only
+    through |W|, the weight total and which weights are units, and its
+    conclusion holds for (W, S) exactly when it holds for (uW, S): x -> ux
+    is an automorphism of G fixing every subgroup, and sigma(uW, S) is
+    u*sigma(W, S).  sweep counts the representative's verdict for the
+    members or checks each of them (_stands_for_orbit).  Orbits never cross
+    runs, and a shard's count is every pair it stands for.
     """
 
     clauses: tuple[Clause, ...]
@@ -1223,6 +1246,7 @@ class _SeqPlanner:
     cap_h: bool = True
     translate: bool = True
     with_n: bool = False
+    unit_orbits: bool = False
 
     def weight_tuples(self, group: Group, k: int,
                       caps: SearchCaps = DEFAULT_CAPS) -> list[tuple[int, ...]]:
@@ -1244,6 +1268,21 @@ class _SeqPlanner:
         """The clauses, in order, whose reads is `reads`."""
         return tuple(c for c in self.clauses if c.reads == reads)
 
+    def orbits(self, group: Group, wtuples) -> list[list[int]] | None:
+        """The positions in wtuples grouped by unit orbit, each ascending and
+        the orbits in order of their first position; None unless the row
+        opts in.  A tuple's orbit is named by its least image sorted(u*w)
+        over the units u of the alphabet."""
+        if not self.unit_orbits:
+            return None
+        modulus = getattr(group, self.alphabet)
+        units = [u for u in range(modulus) if gcd(u, modulus) == 1]
+        orbits: dict[tuple[int, ...], list[int]] = {}
+        for i, wt in enumerate(wtuples):
+            least = min(tuple(sorted(u * x % modulus for x in wt)) for u in units)
+            orbits.setdefault(least, []).append(i)
+        return list(orbits.values())
+
     def __call__(self, dom: SweepDomain, caps: SearchCaps = DEFAULT_CAPS) -> Iterator[Shard]:
         for group in dom.groups:
             for wlen in dom.wlens:
@@ -1252,33 +1291,50 @@ class _SeqPlanner:
                                key=lambda wt: (dom.reduce_translation and self.translate
                                                and sum(wt) % group.exponent == 0))
                 for reduced, run in runs:
+                    run = tuple(run)
                     specs = tuple((size, wlen if self.cap_h else size, reduced)
                                   for size in range(base, base + dom.slen_extra + 1))
-                    yield _seq_shard(group, tuple(run), _seq_pool, _pool_count, specs, self.with_n)
+                    yield _seq_shard(group, run, _seq_pool, _pool_count, specs, self.with_n,
+                                     self.orbits(group, run))
 
 
 def _seq_walk(group: Group, wtuples: tuple[tuple[int, ...], ...],
-              pools: Iterable[Iterable[tuple[int, ...]]], with_n: bool = False
-              ) -> Iterator[tuple[tuple[int, int, int], Instance]]:
+              pools: Iterable[Iterable[tuple[int, ...]]], with_n: bool = False,
+              orbits: list[list[int]] | None = None
+              ) -> Iterator[tuple[tuple[int, int, int], Instance, tuple]]:
     """The factory of a sequence row's shard: each (weight tuple, pooled
     sequence) pair, keyed (tuple position, pool position, sequence
     position), visited sequence by sequence, with each pooled S and each
-    weight sequence built once."""
+    weight sequence built once.  With orbits (_SeqPlanner.orbits), only
+    each orbit's representative is paired with S, carrying the other
+    members as (tuple position, weight sequence) pairs."""
     wseqs = [weight_seq(group, wtuple) for wtuple in wtuples]
+    reps = [(orbit[0], wseqs[orbit[0]], tuple((wi, wseqs[wi]) for wi in orbit[1:]))
+            for orbit in (orbits or ([wi] for wi in range(len(wseqs))))]
     for pi, pool in enumerate(pools):
         for si, mult in enumerate(pool):
             seq = GSequence(group, mult)
-            for wi, w in enumerate(wseqs):
-                yield (wi, pi, si), Instance(group, seq, w, w.length if with_n else None)
+            for wi, w, members in reps:
+                yield (wi, pi, si), Instance(group, seq, w, w.length if with_n else None), members
+
+
+def _orbit_members(key: tuple[int, int, int], inst: Instance,
+                   members: tuple) -> list[tuple[tuple[int, int, int], Instance]]:
+    """The keyed instances of a representative's orbit members: each has
+    the representative's S and n, its own weights, and the key that
+    places it in enumeration order."""
+    return [((wi,) + key[1:], Instance(inst.group, inst.seq, w, inst.n)) for wi, w in members]
 
 
 def _seq_shard(group: Group, wtuples: tuple[tuple[int, ...], ...], pool: Callable[..., Iterable],
-               count: Callable[..., int], specs: tuple[tuple, ...], with_n: bool = False) -> Shard:
+               count: Callable[..., int], specs: tuple[tuple, ...], with_n: bool = False,
+               orbits: list[list[int]] | None = None) -> Shard:
     """wtuples against one pool per spec: pool(group, *spec) generates it
     and count(group, *spec) gives its length in closed form, so planning
     builds no pool and each factory call walks fresh ones."""
     return (len(wtuples) * sum(count(group, *spec) for spec in specs),
-            lambda: _seq_walk(group, wtuples, (pool(group, *spec) for spec in specs), with_n))
+            lambda: _seq_walk(group, wtuples, (pool(group, *spec) for spec in specs), with_n,
+                              orbits))
 
 
 def _plan_david(dom: SweepDomain, caps: SearchCaps = DEFAULT_CAPS) -> Iterator[Shard]:
@@ -1299,7 +1355,7 @@ def _plan_subgroup_instances(dom: SweepDomain, caps: SearchCaps = DEFAULT_CAPS) 
 
 def _plan_split(dom: SweepDomain, caps: SearchCaps = DEFAULT_CAPS) -> Iterator[Shard]:
     def build(group: Group, indices: tuple[int, ...], units: list[int], d: int,
-              exhaustive: bool) -> Iterator[tuple[int, Instance]]:
+              exhaustive: bool) -> Iterator[tuple[int, Instance, tuple]]:
         a = gset(group, [group.element_from_index(i) for i in indices])
         extra = {"set": a, "base_index": 0}
         if exhaustive:
@@ -1308,8 +1364,8 @@ def _plan_split(dom: SweepDomain, caps: SearchCaps = DEFAULT_CAPS) -> Iterator[S
             tag = ",".join(map(str, indices))
             rng = random.Random(f"{dom.seed}:{format_group(group)}:{tag}:split")
             wtuples = (tuple(sorted(rng.choices(units, k=d))) for _ in range(dom.samples))
-        return enumerate(Instance(group, weights=weight_seq(group, wt), extra=extra)
-                         for wt in wtuples)
+        return zip(itertools.count(), (Instance(group, weights=weight_seq(group, wt), extra=extra)
+                                       for wt in wtuples), repeat(()))
 
     for group in dom.groups:
         for k in range(2, dom.set_size_max + 1):
@@ -1376,9 +1432,11 @@ class Statement:
     A row made by _seq_statement has a _SeqPlanner whose clauses are the one
     statement of its hypotheses: its checker runs them in order, and its
     planner filters weight tuples by those that do not read S.  sweep runs
-    the checker, through check_instance, on every planned instance.  A
-    _SeqPlanner row's shard is one run of weight tuples that share their
-    pool specs, walked sequence by sequence (see sweep).
+    the checker, through check_instance, on every planned instance, or on a
+    unit-orbit row on each orbit's representative and on each member its
+    verdict does not stand for.  A _SeqPlanner row's shard is one run of
+    weight tuples that share their pool specs, walked sequence by sequence
+    (see sweep).
     """
 
     checker: Callable[[Instance, SearchCaps], Verdict]
@@ -1492,19 +1550,19 @@ STATEMENTS: dict[StatementId, Statement] = {
         "weight total divisible by exp(G) and |S| >= |W| + |G| - 1 force 0 into the "
         "|W|-term weighted sums"),
     StatementId.CONJ_HAMIDOUNE: _seq_statement(
-        _SeqPlanner(_HAMIDOUNE_CLAUSES, "order"), _SubgroupInSums(),
+        _SeqPlanner(_HAMIDOUNE_CLAUSES, "order", unit_orbits=True), _SubgroupInSums(),
         "|S| >= |W| + |G| - 1 >= |G| + 1, weight total divisible by |G|, h(S) <= |W|, "
         "all weights but at most one coprime to |G|: claimed to force a nontrivial "
         "subgroup inside the |W|-term weighted sums (false in general)"),
     StatementId.CONJ_ORDAZ_QUIROZ: _seq_statement(
         _SeqPlanner(_ORDAZ_QUIROZ_CLAUSES, "order",
-                    slen=lambda g, k, caps: ell(g, caps.davenport), cap_h=False),
+                    slen=lambda g, k, caps: ell(g, caps.davenport), cap_h=False, unit_orbits=True),
         _full_sum_cover_or_coset,
         "all weights coprime to |G|, |W| = |G|, weight total divisible by |G|, "
         "|S| = |G| + D(G) - 1: claimed to force full coverage or the coset condition",
         davenport_first=True),
     StatementId.THM_HAM_CHAR: _seq_statement(
-        _SeqPlanner(_HAM_CHAR_CLAUSES, "order"), _SubgroupInSums(twin=True),
+        _SeqPlanner(_HAM_CHAR_CLAUSES, "order", unit_orbits=True), _SubgroupInSums(twin=True),
         "under the subgroup-conjecture hypotheses with 2|W| >= |G|: a nontrivial "
         "subgroup lies in the |W|-term weighted sums, or |supp(S)| = 2, |W| = |G| - 1, "
         "G = Z/2^r, and the weights are x and -x in equal numbers plus one 0 mod |G|",
@@ -1554,13 +1612,14 @@ STATEMENTS: dict[StatementId, Statement] = {
         "|S| >= |W| + D(G) - 1: weighted sums of every length equal the |W|-term "
         "weighted sums"),
     StatementId.COR_SPECIALCASE: _seq_statement(
-        _SeqPlanner(_SPECIALCASE_CLAUSES, "order", slen=lambda g, k, caps: ell(g, caps.davenport)),
+        _SeqPlanner(_SPECIALCASE_CLAUSES, "order", slen=lambda g, k, caps: ell(g, caps.davenport),
+                    unit_orbits=True),
         _full_sum_cover_or_coset,
         "all weights coprime to |G|, |W| = |G|, |S| >= |G| + D(G) - 1, "
         "D(G) - 1 <= h(S) <= |G|: full coverage or the coset condition",
         davenport_first=True),
     StatementId.COR_HAM_VAR: _seq_statement(
-        _SeqPlanner(_HAM_VAR_CLAUSES), _SubgroupInSums(),
+        _SeqPlanner(_HAM_VAR_CLAUSES, unit_orbits=True), _SubgroupInSums(),
         "weight total divisible by exp(G), h(S) <= |W|, |S| >= |W| + |G| - 1, and at "
         "least d*(G) weights coprime to exp(G): a nontrivial subgroup lies in the "
         "|W|-term weighted sums"),
@@ -1577,24 +1636,49 @@ def sweepable_statements() -> list[StatementId]:
                   key=lambda sid: sid.value)
 
 
+def _stands_for_orbit(verdict: Verdict, inst: Instance) -> bool:
+    """An unflagged verdict of a unit orbit's representative is every
+    member's when it is hypothesis_not_met, or when it holds and the pair's
+    exact sigma_n cannot run out of states: a member's sum set is the image
+    of the representative's under an automorphism, but the quick path is
+    not orbit-invariant, so a member may reach sigma_n where the
+    representative did not.  The state counts read only class
+    multiplicities, the same across the orbit; S's is read only when the
+    weight side's is above STATE_CAP."""
+    if verdict.status is Status.HYPOTHESIS_NOT_MET:
+        return True
+    if verdict.status is not Status.HOLDS:
+        return False
+    w, s = inst.weights, inst.seq
+    return (weighted._plan(w, w.residue_counts(), w.length)[1] <= weighted.STATE_CAP
+            or weighted._plan(s, enumerate(s.mult), w.length)[1] <= weighted.STATE_CAP)
+
+
 def sweep(sid: StatementId, dom: SweepDomain, threads: int = 1,
           caps: SearchCaps = DEFAULT_CAPS) -> SweepReport:
     """Run one statement over a whole domain, on the calling thread.
 
     The planner's shards are all listed first, and DomainTooLarge is raised
     when their counts sum past dom.max_instances, so neither that nor a cap
-    error raised while planning lets any instance be checked.  Then each
-    shard's factory yields its keyed instances in check order, and every one
-    goes through check_instance, as an explicit instance does.  A sequence
-    row's shard is one run of weight tuples that share their pool specs: the
-    planner counts each pool in closed form, and the factory generates the
-    pools as it walks them, sequence by sequence, each pooled S and each
-    weight sequence built once, so what the checker memoizes per S serves
-    every weight tuple.  The verdicts are tallied as they go: status counts,
-    failures and flagged pairs are kept, each shard's kept pairs sorted by
-    key back into enumeration order, and everything else dropped.  So
-    memory holds the failures, the flagged pairs and the instance being
-    checked, and the report is deterministic.
+    error raised while planning lets any instance be checked.  The counts,
+    like the report's examined, are of the instances the shards stand for,
+    orbit members included.  Then each shard's factory yields its keyed
+    instances in check order, and each goes through check_instance, as an
+    explicit instance does.  A sequence row's shard is one run of weight
+    tuples that share their pool specs: the planner counts each pool in
+    closed form, and the factory generates the pools as it walks them,
+    sequence by sequence, each pooled S and each weight sequence built
+    once, so what the checker memoizes per S serves every weight tuple.  On
+    a unit-orbit row (_SeqPlanner.unit_orbits) an instance is its orbit's
+    representative: where its verdict stands for the members
+    (_stands_for_orbit), it is counted once per member, and otherwise each
+    member is built and checked under its own key, so failures, flagged
+    pairs and their witnesses are those of the unreduced sweep.  The
+    verdicts are tallied as they go: status counts, failures and flagged
+    pairs are kept, each shard's kept pairs sorted by key back into
+    enumeration order, and everything else dropped.  So memory holds the
+    failures, the flagged pairs and the instance being checked, and the
+    report is deterministic.
     threads is accepted and ignored.
     """
     statement = STATEMENTS[sid]
@@ -1611,12 +1695,23 @@ def sweep(sid: StatementId, dom: SweepDomain, threads: int = 1,
     flagged: list[tuple[Instance, Verdict]] = []
     for _, factory in shards:
         kept = []
-        for key, inst in factory():
+        for key, inst, members in factory():
             verdict = check_instance(sid, inst, caps)
             tally[verdict.status] += 1
             marked = flag is not None and flag(inst, verdict)
             if marked or verdict.status is Status.FAILS:
                 kept.append((key, inst, verdict, marked))
+            if not members:
+                continue
+            if not marked and _stands_for_orbit(verdict, inst):
+                tally[verdict.status] += len(members)
+                continue
+            for key, inst in _orbit_members(key, inst, members):
+                verdict = check_instance(sid, inst, caps)
+                tally[verdict.status] += 1
+                marked = flag is not None and flag(inst, verdict)
+                if marked or verdict.status is Status.FAILS:
+                    kept.append((key, inst, verdict, marked))
         kept.sort(key=itemgetter(0))
         failures += [(inst, v) for _, inst, v, _ in kept if v.status is Status.FAILS]
         flagged += [(inst, v) for _, inst, v, marked in kept if marked]

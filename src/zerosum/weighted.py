@@ -38,12 +38,13 @@ A call's set-up is derived once, on the object it depends on:
   tuple) is most of it.  Tables are kept only while they hold at most
   STATE_CAP slots in all.
 - a Group keeps the layouts (_Layout: the key codes, field limits and
-  per-step rotations), one per side, capped classes and top count, at most
-  LAYOUT_CAP of them, so every object of one shape and every sums_by_count
-  call of one length share one.
+  per-step rotations), one per side, capped classes and top count, so
+  every object of one shape and every sums_by_count call of one length
+  share one.
 
-Per-object memos die with their object; the group's layouts are bounded
-in number, and each holds at most one meta entry per state.
+Per-object memos die with their object.  Each layout holds at most one meta
+entry per state, and the group starts its layouts over before adding one
+when it keeps LAYOUT_CAP of them or they hold more than STATE_CAP states.
 """
 
 from __future__ import annotations
@@ -286,14 +287,16 @@ def _layout(group: Group, classes: tuple[tuple[int, int], ...], top: int, side: 
     """The group's one _Layout for these capped classes on this side at top.
     The side is part of the key: step x joins class k by multiples[x][k] on
     the weight side and by multiples[k][x] on the sequence side, which on a
-    group of rank >= 2 differ.  The group keeps at most LAYOUT_CAP layouts
-    and starts over when full."""
+    group of rank >= 2 differ.  The group starts over before it adds a
+    layout once it keeps LAYOUT_CAP of them or their states (meta entries)
+    pass STATE_CAP in all."""
     layouts = group.stored("sigma_layouts", dict)
     key = (side, classes, top)
     layout = layouts.get(key)
     if layout is None:
         layout = _Layout(group, classes, top, side)
-        if len(layouts) >= LAYOUT_CAP:
+        if (len(layouts) >= LAYOUT_CAP
+                or sum(len(kept.meta) for kept in layouts.values()) > STATE_CAP):
             layouts.clear()
         layouts[key] = layout
     return layout

@@ -197,6 +197,33 @@ def least_translate(factors, mult):
     return best
 
 
+def unit_orbits(wtuples, modulus):
+    """wtuples' positions joined by w ~ w' when some unit u mod `modulus`
+    maps the multiset w onto the multiset w' by x -> u*x mod modulus: the
+    connected components of that relation over every pair of positions,
+    each listed ascending and the components in order of their least
+    position."""
+    units = [u for u in range(1, modulus + 1) if _gcd(u, modulus) == 1]
+    multisets = [tuple(sorted(w)) for w in wtuples]
+    label = list(range(len(wtuples)))
+    for i, w in enumerate(wtuples):
+        images = {tuple(sorted((u * x) % modulus for x in w)) for u in units}
+        for j in range(i + 1, len(wtuples)):
+            if multisets[j] in images and label[j] != label[i]:
+                old, new = max(label[i], label[j]), min(label[i], label[j])
+                label = [new if x == old else x for x in label]
+    groups = {}
+    for i, x in enumerate(label):
+        groups.setdefault(x, []).append(i)
+    return sorted(groups.values())
+
+
+def _gcd(a, b):
+    while b:
+        a, b = b, a % b
+    return a
+
+
 def brute_ap(factors, members):
     """Canonical progression witness (start, difference, length) of a set of
     coordinate tuples, or None, from the definition A = {s + k*d : 0 <= k < |A|}

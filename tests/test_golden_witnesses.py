@@ -45,6 +45,7 @@ from zerosum import (
     weight_seq,
     witness_search_setpartition,
 )
+from zerosum import verify
 from zerosum.verify import STATEMENTS
 
 WITNESSES = Path(__file__).with_name("golden") / "witnesses.json"
@@ -113,7 +114,16 @@ def domain_summary(sid: StatementId, groups: tuple[str, ...],
     dom = SweepDomain(groups=tuple(parse_group(g) for g in groups), wlens=wlens)
     return summarize((inst, check_instance(sid, inst))
                      for _, factory in STATEMENTS[sid].planner(dom)
-                     for _, inst in sorted(factory(), key=itemgetter(0)))
+                     for _, inst in sorted(planned_pairs(factory), key=itemgetter(0)))
+
+
+def planned_pairs(factory):
+    """Every (key, instance) pair of a shard: each item's instance and its
+    unit-orbit members, which a sweep checks only where their
+    representative's verdict does not stand for them."""
+    for key, inst, members in factory():
+        yield key, inst
+        yield from verify._orbit_members(key, inst, members)
 
 
 def grid_instances():

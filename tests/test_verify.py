@@ -8,7 +8,7 @@ import json
 import threading
 import tracemalloc
 from collections import Counter
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement, groupby, product
 from math import comb
 from operator import itemgetter
 
@@ -60,7 +60,7 @@ from zerosum import (
     witness_search_setpartition,
 )
 from zerosum.groups import Group
-from zerosum import sequences, verify
+from zerosum import sequences, verify, weighted
 from zerosum.errors import NoSetpartition
 from zerosum.sequences import balanced_setpartition
 from zerosum.verify import (STATEMENTS, _david_count, _david_pool, _pool_count, _SeqPlanner,
@@ -69,7 +69,8 @@ from zerosum.weighted import _positional_wsum_bits, sigma_n
 from zerosum.weighted import weight_seq as real_weight_seq
 from zerosum.setsum import _ap_differences, detect_ap
 
-from oracles import all_elements, brute_contained_subgroup, brute_subgroups, least_translate
+from oracles import (all_elements, brute_contained_subgroup, brute_subgroups, least_translate,
+                     unit_orbits)
 
 
 # ---------------------------------------------------------------------------
@@ -1045,7 +1046,7 @@ def test_subgroup_cap_reaches_the_stabilizer_and_the_planners():
     assert report.domain["subgroup_cap"] == 2
     planner = STATEMENTS[StatementId.AP_STRUCT].planner
     _, factory = next(iter(planner(SweepDomain(groups=(g,)), small)))
-    _, inst = next(iter(factory()))
+    _, inst, _ = next(iter(factory()))
     assert check_instance(StatementId.AP_STRUCT, inst, small).witness == {
         "reason": "more than 2 subgroups"}
     assert check_instance(StatementId.AP_STRUCT, inst).status is not Status.UNDECIDED_CAPPED
@@ -1136,12 +1137,20 @@ def test_unit_rows_enumerate_unit_tuples_only():
     assert len(planner.weight_tuples(c10, 10)) == 58
 
 
+def _every_pair(factory):
+    """Each (key, instance) pair a shard's factory stands for: each item's
+    instance, then its unit-orbit members (verify._orbit_members)."""
+    for key, inst, members in factory():
+        yield key, inst
+        yield from verify._orbit_members(key, inst, members)
+
+
 def _enumerated(shards) -> int:
     """The planned instance count, each shard's count checked against the
-    pairs its factory yields."""
+    pairs its factory stands for."""
     total = 0
     for count, factory in shards:
-        assert count == sum(1 for _ in factory())
+        assert count == sum(1 for _ in _every_pair(factory))
         total += count
     return total
 
@@ -1257,18 +1266,18 @@ def test_planners_take_the_sweeps_davenport_cap():
     report = sweep(StatementId.THM_GAO_COSET, sampled)
     assert report.counts[Status.HOLDS.value] == 2
     for _, factory in STATEMENTS[StatementId.THM_GAO_COSET].planner(sampled, DEFAULT_CAPS):
-        for _, inst in factory():
+        for _, inst, _ in factory():
             assert check_instance(StatementId.THM_GAO_COSET, inst).status is Status.HOLDS
-    weighted = SweepDomain(groups=(c36,), wlens=(1,))
+    weighted_dom = SweepDomain(groups=(c36,), wlens=(1,))
     for sid in (StatementId.CONJ_ORDAZ_QUIROZ, StatementId.COR_SPECIALCASE):
-        assert sweep(sid, weighted).examined == 0  # |W| = |G| only; planning needs D(G)
+        assert sweep(sid, weighted_dom).examined == 0  # |W| = |G| only; planning needs D(G)
     assert sum(count for count, _ in STATEMENTS[StatementId.LEM_DAVID].planner(
-        weighted, DEFAULT_CAPS)) > 0
+        weighted_dom, DEFAULT_CAPS)) > 0
     small = SearchCaps(davenport=16)
     for sid, dom in ((StatementId.THM_GAO_COSET, sampled),
-                     (StatementId.CONJ_ORDAZ_QUIROZ, weighted),
-                     (StatementId.COR_SPECIALCASE, weighted),
-                     (StatementId.LEM_DAVID, weighted)):
+                     (StatementId.CONJ_ORDAZ_QUIROZ, weighted_dom),
+                     (StatementId.COR_SPECIALCASE, weighted_dom),
+                     (StatementId.LEM_DAVID, weighted_dom)):
         with pytest.raises(GroupTooLarge, match="order 36 above Davenport cap 16"):
             sweep(sid, dom, caps=small)
 
@@ -1371,19 +1380,59 @@ _WALK_CASES = [
     # one (G, |W|): c4 at |W| = 4 plans five runs
     (StatementId.COR_SPECIALCASE, "c3", (3, 4), _ALL_DOMAINS),
     (StatementId.COR_SPECIALCASE, "c4", (3, 4), _ALL_DOMAINS),
+    # the unit-orbit rows on the rest of the groups of order <= 8, each at its
+    # least admissible |W| and, where the unreduced domain is large, with
+    # translation reduction alone.  Left out: COR_HAM_VAR on c7 and c8
+    # (144,540 and 842,886 pairs at their least |W|), and the cover rows on
+    # c7, c8, c2xc4 and c2xc2xc2 (at least 171,054 pairs at |W| = |G|).
+    (StatementId.THM_HAM_CHAR, "c2", (2, 3), _ALL_DOMAINS),
+    (StatementId.THM_HAM_CHAR, "c3", (2, 3), _ALL_DOMAINS),
+    (StatementId.THM_HAM_CHAR, "c7", (4,), ((True, 0),)),
+    (StatementId.THM_HAM_CHAR, "c8", (4,), ((True, 0),)),
+    (StatementId.THM_HAM_CHAR, "c2xc4", (4,), ((True, 0),)),
+    (StatementId.THM_HAM_CHAR, "c2xc2xc2", (4,), ((True, 0),)),
+    (StatementId.CONJ_HAMIDOUNE, "c2", (2, 3), _ALL_DOMAINS),
+    (StatementId.CONJ_HAMIDOUNE, "c3", (2, 3), _ALL_DOMAINS),
+    # 40 failures: weights {0, 1, 7} or {0, 3, 5}, one unit orbit
+    (StatementId.CONJ_HAMIDOUNE, "c8", (3,), ((True, 0),)),
+    (StatementId.CONJ_HAMIDOUNE, "c2xc2xc2", (2,), _ALL_DOMAINS),
+    (StatementId.COR_HAM_VAR, "c2", (2, 3, 4), _ALL_DOMAINS),
+    (StatementId.COR_HAM_VAR, "c3", (2, 3), _ALL_DOMAINS),
+    (StatementId.COR_HAM_VAR, "c6", (6,), ((True, 0),)),
+    (StatementId.COR_HAM_VAR, "c2xc2xc2", (4,), ((True, 0),)),
+    (StatementId.CONJ_ORDAZ_QUIROZ, "c2", (2,), _ALL_DOMAINS),
+    (StatementId.CONJ_ORDAZ_QUIROZ, "c3", (3,), _ALL_DOMAINS),
+    (StatementId.CONJ_ORDAZ_QUIROZ, "c4", (4,), _ALL_DOMAINS),
+    (StatementId.CONJ_ORDAZ_QUIROZ, "c2xc2", (4,), _ALL_DOMAINS),
+    (StatementId.CONJ_ORDAZ_QUIROZ, "c5", (5,), ((True, 0), (False, 0))),
+    (StatementId.CONJ_ORDAZ_QUIROZ, "c6", (6,), ((True, 0), (False, 0))),
+    (StatementId.COR_SPECIALCASE, "c2", (2,), _ALL_DOMAINS),
+    (StatementId.COR_SPECIALCASE, "c2xc2", (4,), _ALL_DOMAINS),
+    (StatementId.COR_SPECIALCASE, "c5", (5,), ((True, 0),)),
+    # seven weight tuples in five runs that alternate between reduced and
+    # unreduced pools, so orbits such as {1^6, 5^6} span runs and are taken
+    # run by run
+    (StatementId.COR_SPECIALCASE, "c6", (6,), ((True, 0), (False, 0))),
 ]
+
+
+def _unreduced(planner):
+    """The planner with unit-orbit reduction off, where it has any."""
+    return dataclasses.replace(planner, unit_orbits=False) if isinstance(
+        planner, _SeqPlanner) else planner
 
 
 def _shard_order(sid, dom):
     """The counts, failures and flagged pairs of a sweep that checks every
     planned instance with check_instance in enumeration order (each shard's
-    pairs sorted by key), each instance with its own sequence object: the
-    reference a sequence-major sweep must equal."""
+    pairs sorted by key), unit orbits unreduced and each instance with its
+    own sequence object: the reference a sequence-major sweep must equal."""
     statement = STATEMENTS[sid]
     counts = {status.value: 0 for status in Status}
     failures, flagged = [], []
-    for _, factory in statement.planner(dom, DEFAULT_CAPS):
-        for _, inst in sorted(factory(), key=itemgetter(0)):
+    for _, factory in _unreduced(statement.planner)(dom, DEFAULT_CAPS):
+        for _, inst, members in sorted(factory(), key=itemgetter(0)):
+            assert not members
             inst = dataclasses.replace(inst, seq=GSequence(inst.group, inst.seq.mult))
             verdict = check_instance(sid, inst)
             counts[verdict.status.value] += 1
@@ -1409,12 +1458,81 @@ def test_sequence_major_sweeps_equal_shard_order_checks(sid, text, wlens, domain
                                                                      slen_extra)
         if (sid, text) == (StatementId.CONJ_HAMIDOUNE, "c7") and not reduce_translation:
             assert len(report.failures) == 63
+        if (sid, text) == (StatementId.CONJ_HAMIDOUNE, "c8"):
+            assert len(report.failures) == 40
         if (sid, text) == (StatementId.THM_HAM_CHAR, "c4"):
             assert report.flagged
+        if (sid, text) == (StatementId.COR_SPECIALCASE, "c6") and reduce_translation:
+            planner = STATEMENTS[sid].planner
+            assert len(planner.weight_tuples(dom.groups[0], 6)) == 7
+            assert len(list(planner(dom, DEFAULT_CAPS))) == 5
+
+
+_ORBIT_ROWS = (StatementId.THM_HAM_CHAR, StatementId.CONJ_HAMIDOUNE, StatementId.COR_HAM_VAR,
+               StatementId.CONJ_ORDAZ_QUIROZ, StatementId.COR_SPECIALCASE)
+
+
+@pytest.mark.parametrize("cap,undecided", [(6, 17), (10, 17), (15, 8)])
+def test_unit_orbits_expand_where_exact_sigma_may_cap(cap, undecided, monkeypatch):
+    # the quick path is not orbit-invariant, so a member may reach sigma_n and
+    # run out of states where its representative held on the quick path;
+    # without the cap clause the reduced sweep gave 7 undecided at cap 6
+    monkeypatch.setattr(weighted, "STATE_CAP", cap)
+    sid, dom = StatementId.THM_HAM_CHAR, SweepDomain(groups=(parse_group("c7"),), wlens=(4,))
+    report = sweep(sid, dom)
+    counts, failures, flagged = _shard_order(sid, dom)
+    assert counts == report.counts
+    assert report.counts[Status.UNDECIDED_CAPPED.value] == undecided
+    assert not failures and not flagged
+
+
+def test_flagged_representatives_expand_their_orbits(monkeypatch):
+    # on c8 at |W| = 7 the twin weights {0, 1^3, 7^3} and {0, 3^3, 5^3} are
+    # one unit orbit, flagged together against 0^7 1^7; the full domain is
+    # 842,886 pairs, so the pool is cut to three sequences of length 14
+    pool = ((7, 7, 0, 0, 0, 0, 0, 0), (7, 0, 7, 0, 0, 0, 0, 0), (4, 3, 3, 2, 1, 1, 0, 0))
+    monkeypatch.setattr(verify, "_seq_pool", lambda group, size, hcap, reduced: iter(pool))
+    monkeypatch.setattr(verify, "_pool_count", lambda group, size, hcap, reduced: len(pool))
+    sid, dom = StatementId.THM_HAM_CHAR, SweepDomain(groups=(parse_group("c8"),), wlens=(7,))
+    report = sweep(sid, dom)
+    counts, failures, flagged = _shard_order(sid, dom)
+    reference = dataclasses.replace(report, counts=counts, failures=failures,
+                                    flagged=flagged, examined=sum(counts.values()))
+    assert report_to_json(report) == report_to_json(reference)
+    assert [str(inst.weights) for inst, _ in report.flagged] == ["0^1,1^3,7^3", "0^1,3^3,5^3"]
+
+
+def test_planner_unit_orbits_match_the_oracle():
+    assert {sid for sid, st in STATEMENTS.items()
+            if isinstance(st.planner, _SeqPlanner) and st.planner.unit_orbits} == set(_ORBIT_ROWS)
+    # on every run the planner makes: one run of every tuple unreduced, the
+    # runs of equal translation reduction otherwise
+    for g in abelian_group_types(12):
+        for sid in _ORBIT_ROWS:
+            planner = STATEMENTS[sid].planner
+            modulus = getattr(g, planner.alphabet)
+            for k in range(7):
+                wtuples = planner.weight_tuples(g, k)
+                runs = [wtuples] + [list(run) for _, run in groupby(
+                    wtuples, key=lambda wt: sum(wt) % g.exponent == 0)]
+                for run in runs:
+                    assert planner.orbits(g, run) == unit_orbits(run, modulus), (sid, g, k)
+                assert _unreduced(planner).orbits(g, wtuples) is None
+
+
+# a one-shard domain per row whose orbits are expanded somewhere:
+# CONJ_HAMIDOUNE fails on c7, and on c5 the other two rows have pairs whose
+# exact sigma_n could run out of a small STATE_CAP
+_ONE_SHARD = {StatementId.THM_HAM_CHAR: ("c5", 4, 10),
+              StatementId.CONJ_HAMIDOUNE: ("c7", 3, weighted.STATE_CAP),
+              StatementId.COR_HAM_VAR: ("c5", 4, 8)}
 
 
 @pytest.mark.parametrize("sid", _SUBGROUP_ROWS)
 def test_a_sweep_checks_every_pair_and_deals_each_sequence_once(sid, monkeypatch):
+    # every represented pair gets a verdict: each orbit's representative is
+    # checked once per pooled S, and each member once where the
+    # representative's verdict does not stand for it
     checked, dealt = [], []
     real_check, real_canonical = verify.check_instance, sequences._canonical_masks
 
@@ -1426,21 +1544,36 @@ def test_a_sweep_checks_every_pair_and_deals_each_sequence_once(sid, monkeypatch
         dealt.append(masks)
         return real_canonical(masks)
 
+    text, k, cap = _ONE_SHARD[sid]
     monkeypatch.setattr(verify, "check_instance", counting_check)
     monkeypatch.setattr(sequences, "_canonical_masks", counting_deal)
-    g = parse_group("c5")
-    dom = SweepDomain(groups=(g,), wlens=(4,), reduce_translation=False)
+    monkeypatch.setattr(weighted, "STATE_CAP", cap)
+    g = parse_group(text)
+    dom = SweepDomain(groups=(g,), wlens=(k,), reduce_translation=False)
     report = sweep(sid, dom)
     # one shard: every weight tuple of the row shares one pool here
     (count, _), = STATEMENTS[sid].planner(dom, DEFAULT_CAPS)
-    wtuples = STATEMENTS[sid].planner.weight_tuples(g, 4)
-    assert len(wtuples) > 1
-    assert len(checked) == report.examined == count
-    # each pooled sequence is built once, and its partition dealt once, for
-    # every weight tuple checked on it
-    pooled = {id(inst.seq) for inst in checked}
-    assert len(pooled) * len(wtuples) == count
-    assert report.counts["hypothesis_not_met"] == 0 and len(dealt) == len(pooled)
+    wtuples = STATEMENTS[sid].planner.weight_tuples(g, k)
+    orbits = STATEMENTS[sid].planner.orbits(g, wtuples)
+    assert len(orbits) > 1 and len(orbits) < len(wtuples)
+    assert report.examined == count
+    by_seq: dict = {}
+    for inst in checked:
+        by_seq.setdefault(id(inst.seq), []).append(inst.weights.raw)
+    expanded = 0
+    for raws in by_seq.values():
+        assert len(raws) == len(set(raws))  # no pair is checked twice
+        for orbit in orbits:
+            members = {wtuples[i] for i in orbit}
+            assert wtuples[orbit[0]] in raws
+            seen = members.intersection(raws)
+            assert seen in ({wtuples[orbit[0]]}, members)
+            expanded += len(seen) - 1
+    # each pooled sequence is built once, and its partition dealt once
+    assert len(by_seq) * len(wtuples) == count
+    assert len(checked) == len(by_seq) * len(orbits) + expanded < count
+    assert expanded > 0
+    assert report.counts["hypothesis_not_met"] == 0 and len(dealt) == len(by_seq)
 
 
 @pytest.mark.parametrize("sid", _SUBGROUP_ROWS)
@@ -1454,7 +1587,8 @@ def test_sequence_major_walk_gives_each_pair_its_own_verdict(sid):
              ((3, 2, 2, 1, 1), (0, 0, 0, 4, 6)))
     seen = set()
     reasons = Counter()
-    for (wi, pi, si), inst in _seq_walk(g, tuple(wtuples), pools):
+    for (wi, pi, si), inst, members in _seq_walk(g, tuple(wtuples), pools):
+        assert members == ()
         fresh = Instance(g, seq=GSequence(g, pools[pi][si]), weights=weight_seq(g, wtuples[wi]))
         assert inst == fresh
         verdict = check_instance(sid, inst)
@@ -1528,7 +1662,7 @@ def test_subgroup_in_full_sum_equals_the_exact_sum_sets_subgroup():
         for sid in _SUBGROUP_ROWS:
             dom = SweepDomain(groups=(g,), wlens=wlens)
             for _, factory in STATEMENTS[sid].planner(dom, DEFAULT_CAPS):
-                for _, inst in factory():
+                for _, inst in _every_pair(factory):
                     if check_instance(sid, inst).status is Status.HYPOTHESIS_NOT_MET:
                         continue
                     s, w = inst.seq, inst.weights

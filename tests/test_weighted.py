@@ -393,7 +393,7 @@ def _pooled_pairs(sid, groups, wlens):
     tuple's WeightSeq shared across its pool as in the sweep."""
     dom = SweepDomain(groups=tuple(map(parse_group, groups)), wlens=wlens)
     return [(inst.weights, inst.seq) for _, factory in STATEMENTS[sid].planner(dom, DEFAULT_CAPS)
-            for _, inst in factory()]
+            for _, inst, _ in factory()]
 
 
 @pytest.mark.parametrize("sid,groups,wlens,sums", [
@@ -574,16 +574,29 @@ def test_sums_by_count_reuses_one_stored_layout():
             assert g.stored("sigma_layouts", dict) == layouts  # the same layout objects
 
 
-def test_stored_layouts_stay_under_their_bound():
+def test_stored_layouts_stay_under_their_bound(monkeypatch):
     g = make_group((64,))
     s = GSequence(g, (2,) * 8 + (0,) * 56)
     layouts = g.stored("sigma_layouts", dict)
     wtuples = list(combinations(range(1, 20), 2))
     assert len(wtuples) > 2 * weighted.LAYOUT_CAP  # distinct weight classes, one layout each
-    for wraw in wtuples:
-        w = weight_seq(g, wraw)
-        assert sigma_n(w, s, 2).bits == _sums_by_n(w, s, 2, side="sequence")[2]
-        assert 0 < len(layouts) <= weighted.LAYOUT_CAP
+    # under the default STATE_CAP the layout count ends each store; under 100
+    # the states held end it first
+    for state_cap in (weighted.STATE_CAP, 100):
+        monkeypatch.setattr(weighted, "STATE_CAP", state_cap)
+        layouts.clear()
+        most = 0
+        for wraw in wtuples:
+            w = weight_seq(g, wraw)
+            assert sigma_n(w, s, 2).bits == _sums_by_n(w, s, 2, side="sequence")[2]
+            assert 0 < len(layouts) <= weighted.LAYOUT_CAP
+            # the store starts over before it adds a layout to more than
+            # STATE_CAP states, and a layout holds at most its own state count
+            *older, newest = layouts.values()
+            assert sum(len(layout.meta) for layout in older) <= state_cap
+            assert len(newest.meta) <= state_cap
+            most = max(most, len(layouts))
+        assert (most == weighted.LAYOUT_CAP) == (state_cap > 100), state_cap
 
 
 def test_positional_wsum_value_and_empty_block():
