@@ -36,9 +36,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial, reduce
-import itertools
-from itertools import (accumulate, chain, combinations, combinations_with_replacement, groupby,
-                       repeat)
+from itertools import accumulate, chain, combinations, combinations_with_replacement, groupby
 from math import comb, gcd
 from operator import itemgetter, or_
 from typing import Any, Callable, Iterable, Iterator, Mapping
@@ -73,12 +71,12 @@ from .sequences import (
     format_sequence,
 )
 from .setsum import GSet, _ap_differences, _period, gset, iterated_sumset, stabilizer, sumset
-from . import weighted
 from .verdict import Status, Verdict
 from .weighted import (
     WeightSeq,
     _bounded_poly,
     _positional_wsum_bits,
+    _within_cap,
     format_weights,
     sigma_n,
     sigma_table,
@@ -1114,12 +1112,13 @@ class SweepDomain:
 
 
 # A planned shard: its exact instance count and a factory yielding its
-# (key, instance, members) items in check order; sorted by key, the
-# instances and their members (_orbit_members) are in enumeration order, and
-# the count is theirs.  members is () but on a unit-orbit row (_SeqPlanner).
+# (key, instance) pairs in check order; sorted by key, they are in
+# enumeration order.  On a unit-orbit row (_SeqPlanner.unit_orbits) the
+# factory yields (key, instance, members) triples instead, and the pairs
+# and their members (_orbit_members) are in enumeration order and counted.
 # sweep sums the counts before it checks anything, then checks the shards
 # one at a time in the order the planner yields them.
-Shard = tuple[int, Callable[[], Iterable[tuple[Any, Instance, tuple]]]]
+Shard = tuple[int, Callable[[], Iterable[tuple]]]
 
 
 @dataclass
@@ -1198,7 +1197,7 @@ def _per_group(dom: SweepDomain, size: Callable[[Group], int | None],
     for group in dom.groups:
         count = size(group)
         if count is not None:
-            yield count, lambda group=group: zip(itertools.count(), build(group), repeat(()))
+            yield count, lambda group=group: enumerate(build(group))
 
 
 @dataclass(frozen=True)
@@ -1300,22 +1299,26 @@ class _SeqPlanner:
 
 def _seq_walk(group: Group, wtuples: tuple[tuple[int, ...], ...],
               pools: Iterable[Iterable[tuple[int, ...]]], with_n: bool = False,
-              orbits: list[list[int]] | None = None
-              ) -> Iterator[tuple[tuple[int, int, int], Instance, tuple]]:
+              orbits: list[list[int]] | None = None) -> Iterator[tuple]:
     """The factory of a sequence row's shard: each (weight tuple, pooled
     sequence) pair, keyed (tuple position, pool position, sequence
     position), visited sequence by sequence, with each pooled S and each
     weight sequence built once.  With orbits (_SeqPlanner.orbits), only
-    each orbit's representative is paired with S, carrying the other
-    members as (tuple position, weight sequence) pairs."""
+    each orbit's representative is paired with S, in a triple that carries
+    the other members as (tuple position, weight sequence) pairs."""
     wseqs = [weight_seq(group, wtuple) for wtuple in wtuples]
     reps = [(orbit[0], wseqs[orbit[0]], tuple((wi, wseqs[wi]) for wi in orbit[1:]))
-            for orbit in (orbits or ([wi] for wi in range(len(wseqs))))]
+            for orbit in orbits or ()]
     for pi, pool in enumerate(pools):
         for si, mult in enumerate(pool):
             seq = GSequence(group, mult)
-            for wi, w, members in reps:
-                yield (wi, pi, si), Instance(group, seq, w, w.length if with_n else None), members
+            if orbits is None:
+                for wi, w in enumerate(wseqs):
+                    yield (wi, pi, si), Instance(group, seq, w, w.length if with_n else None)
+            else:
+                for wi, w, members in reps:
+                    yield ((wi, pi, si), Instance(group, seq, w, w.length if with_n else None),
+                           members)
 
 
 def _orbit_members(key: tuple[int, int, int], inst: Instance,
@@ -1355,7 +1358,7 @@ def _plan_subgroup_instances(dom: SweepDomain, caps: SearchCaps = DEFAULT_CAPS) 
 
 def _plan_split(dom: SweepDomain, caps: SearchCaps = DEFAULT_CAPS) -> Iterator[Shard]:
     def build(group: Group, indices: tuple[int, ...], units: list[int], d: int,
-              exhaustive: bool) -> Iterator[tuple[int, Instance, tuple]]:
+              exhaustive: bool) -> Iterator[tuple[int, Instance]]:
         a = gset(group, [group.element_from_index(i) for i in indices])
         extra = {"set": a, "base_index": 0}
         if exhaustive:
@@ -1364,8 +1367,8 @@ def _plan_split(dom: SweepDomain, caps: SearchCaps = DEFAULT_CAPS) -> Iterator[S
             tag = ",".join(map(str, indices))
             rng = random.Random(f"{dom.seed}:{format_group(group)}:{tag}:split")
             wtuples = (tuple(sorted(rng.choices(units, k=d))) for _ in range(dom.samples))
-        return zip(itertools.count(), (Instance(group, weights=weight_seq(group, wt), extra=extra)
-                                       for wt in wtuples), repeat(()))
+        return enumerate(Instance(group, weights=weight_seq(group, wt), extra=extra)
+                         for wt in wtuples)
 
     for group in dom.groups:
         for k in range(2, dom.set_size_max + 1):
@@ -1642,16 +1645,11 @@ def _stands_for_orbit(verdict: Verdict, inst: Instance) -> bool:
     exact sigma_n cannot run out of states: a member's sum set is the image
     of the representative's under an automorphism, but the quick path is
     not orbit-invariant, so a member may reach sigma_n where the
-    representative did not.  The state counts read only class
-    multiplicities, the same across the orbit; S's is read only when the
-    weight side's is above STATE_CAP."""
-    if verdict.status is Status.HYPOTHESIS_NOT_MET:
-        return True
-    if verdict.status is not Status.HOLDS:
-        return False
-    w, s = inst.weights, inst.seq
-    return (weighted._plan(w, w.residue_counts(), w.length)[1] <= weighted.STATE_CAP
-            or weighted._plan(s, enumerate(s.mult), w.length)[1] <= weighted.STATE_CAP)
+    representative did not.  Whether it can (_within_cap) reads only class
+    multiplicities, the same across the orbit."""
+    return verdict.status is Status.HYPOTHESIS_NOT_MET or (
+        verdict.status is Status.HOLDS
+        and _within_cap(inst.weights, inst.seq, inst.weights.length))
 
 
 def sweep(sid: StatementId, dom: SweepDomain, threads: int = 1,
@@ -1693,28 +1691,36 @@ def sweep(sid: StatementId, dom: SweepDomain, threads: int = 1,
     tally = dict.fromkeys(Status, 0)
     failures: list[tuple[Instance, Verdict]] = []
     flagged: list[tuple[Instance, Verdict]] = []
+    kept: list[tuple[Any, Instance, Verdict, bool]] = []
+    # the factories of a unit-orbit row yield (key, instance, members) triples
+    orbit_row = getattr(statement.planner, "unit_orbits", False)
+
+    def check(key: Any, inst: Instance) -> tuple[Verdict, bool]:
+        verdict = check_instance(sid, inst, caps)
+        tally[verdict.status] += 1
+        marked = flag is not None and flag(inst, verdict)
+        if marked or verdict.status is Status.FAILS:
+            kept.append((key, inst, verdict, marked))
+        return verdict, marked
+
     for _, factory in shards:
-        kept = []
-        for key, inst, members in factory():
-            verdict = check_instance(sid, inst, caps)
-            tally[verdict.status] += 1
-            marked = flag is not None and flag(inst, verdict)
-            if marked or verdict.status is Status.FAILS:
-                kept.append((key, inst, verdict, marked))
-            if not members:
-                continue
-            if not marked and _stands_for_orbit(verdict, inst):
-                tally[verdict.status] += len(members)
-                continue
-            for key, inst in _orbit_members(key, inst, members):
-                verdict = check_instance(sid, inst, caps)
-                tally[verdict.status] += 1
-                marked = flag is not None and flag(inst, verdict)
-                if marked or verdict.status is Status.FAILS:
-                    kept.append((key, inst, verdict, marked))
+        if not orbit_row:
+            for key, inst in factory():
+                check(key, inst)
+        else:
+            for key, inst, members in factory():
+                verdict, marked = check(key, inst)
+                if not members:
+                    continue
+                if marked or not _stands_for_orbit(verdict, inst):
+                    for key, inst in _orbit_members(key, inst, members):
+                        check(key, inst)
+                else:
+                    tally[verdict.status] += len(members)
         kept.sort(key=itemgetter(0))
         failures += [(inst, v) for _, inst, v, _ in kept if v.status is Status.FAILS]
         flagged += [(inst, v) for _, inst, v, marked in kept if marked]
+        kept.clear()
     counts = {status.value: count for status, count in tally.items()}
     return SweepReport(
         statement=sid,

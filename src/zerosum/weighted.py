@@ -302,17 +302,36 @@ def _layout(group: Group, classes: tuple[tuple[int, int], ...], top: int, side: 
     return layout
 
 
+def _orient(w: WeightSeq, s: GSequence, top: int, side: str | None = None) -> tuple[str, list, list]:
+    """The orientation of the sigma DP of w against s at top: (side, the
+    plan giving the classes, the plan giving the steps) (_plan).  side
+    forces it ("weights" or "sequence"); by default the side with fewer
+    states gives the classes, the weight side on a tie."""
+    wplan, splan = _plan(w, w.residue_counts(), top), _plan(s, enumerate(s.mult), top)
+    if side is None:
+        side = "weights" if wplan[1] <= splan[1] else "sequence"
+    return (side, wplan, splan) if side == "weights" else (side, splan, wplan)
+
+
+def _within_cap(w: WeightSeq, s: GSequence, top: int) -> bool:
+    """Whether _sums_by_n(w, s, top) in its default orientation builds its
+    states rather than raise CapExceeded.  That orientation (_orient) takes
+    the side with fewer states, so either side within STATE_CAP will do, and
+    S's plan is read only when the weight side's is above it."""
+    return (_plan(w, w.residue_counts(), top)[1] <= STATE_CAP
+            or _plan(s, enumerate(s.mult), top)[1] <= STATE_CAP)
+
+
 def _sums_by_n(w: WeightSeq, s: GSequence, top: int, side: str | None = None) -> list[int]:
     """Per-count sum masks of w against s: entry k is the exact mask of
     k-term weighted sums, for every k <= top, from the packed table of the
     module docstring (_Layout).
 
-    The set-up is read from the plans kept on w and s (_plan).  side forces
-    an orientation ("weights" or "sequence"); by default the one with fewer
-    states runs, the weight side on a tie.  That side's plan gives the
-    classes, their state count and the last walk, and the other side's plan
-    gives the steps.  Above STATE_CAP states CapExceeded is raised before
-    any state is built.
+    The set-up is read from the plans kept on w and s (_plan), in the
+    orientation _orient gives, side forcing it.  The classes side's plan
+    gives the classes, their state count and the last walk, and the other
+    side's plan gives the steps.  Above STATE_CAP states CapExceeded is
+    raised before any state is built.
 
     A walk is (layout, steps, kept, held), kept[i] being the table after
     steps[:i] and held[i] the key-field slots of kept[:i + 1].  A call
@@ -321,10 +340,7 @@ def _sums_by_n(w: WeightSeq, s: GSequence, top: int, side: str | None = None) ->
     publishes its walk as one new tuple, so threads sharing w or s may lose
     each other's walks but never mix them.
     """
-    wplan, splan = _plan(w, w.residue_counts(), top), _plan(s, enumerate(s.mult), top)
-    if side is None:
-        side = "weights" if wplan[1] <= splan[1] else "sequence"
-    plan, other = (wplan, splan) if side == "weights" else (splan, wplan)
+    side, plan, other = _orient(w, s, top, side)
     classes, count, _, last = plan
     _check_states(count)
     if not classes:  # no weights or no terms, so top is 0

@@ -45,8 +45,8 @@ from zerosum import (
     weight_seq,
     witness_search_setpartition,
 )
-from zerosum import verify
 from zerosum.verify import STATEMENTS
+from planned import planned_pairs
 
 WITNESSES = Path(__file__).with_name("golden") / "witnesses.json"
 REPORTS = Path(__file__).with_name("golden") / "reports.json"
@@ -115,15 +115,6 @@ def domain_summary(sid: StatementId, groups: tuple[str, ...],
     return summarize((inst, check_instance(sid, inst))
                      for _, factory in STATEMENTS[sid].planner(dom)
                      for _, inst in sorted(planned_pairs(factory), key=itemgetter(0)))
-
-
-def planned_pairs(factory):
-    """Every (key, instance) pair of a shard: each item's instance and its
-    unit-orbit members, which a sweep checks only where their
-    representative's verdict does not stand for them."""
-    for key, inst, members in factory():
-        yield key, inst
-        yield from verify._orbit_members(key, inst, members)
 
 
 def grid_instances():

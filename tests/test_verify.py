@@ -71,6 +71,7 @@ from zerosum.setsum import _ap_differences, detect_ap
 
 from oracles import (all_elements, brute_contained_subgroup, brute_subgroups, least_translate,
                      unit_orbits)
+from planned import planned_pairs
 
 
 # ---------------------------------------------------------------------------
@@ -1046,7 +1047,7 @@ def test_subgroup_cap_reaches_the_stabilizer_and_the_planners():
     assert report.domain["subgroup_cap"] == 2
     planner = STATEMENTS[StatementId.AP_STRUCT].planner
     _, factory = next(iter(planner(SweepDomain(groups=(g,)), small)))
-    _, inst, _ = next(iter(factory()))
+    _, inst = next(iter(factory()))
     assert check_instance(StatementId.AP_STRUCT, inst, small).witness == {
         "reason": "more than 2 subgroups"}
     assert check_instance(StatementId.AP_STRUCT, inst).status is not Status.UNDECIDED_CAPPED
@@ -1137,20 +1138,12 @@ def test_unit_rows_enumerate_unit_tuples_only():
     assert len(planner.weight_tuples(c10, 10)) == 58
 
 
-def _every_pair(factory):
-    """Each (key, instance) pair a shard's factory stands for: each item's
-    instance, then its unit-orbit members (verify._orbit_members)."""
-    for key, inst, members in factory():
-        yield key, inst
-        yield from verify._orbit_members(key, inst, members)
-
-
 def _enumerated(shards) -> int:
     """The planned instance count, each shard's count checked against the
     pairs its factory stands for."""
     total = 0
     for count, factory in shards:
-        assert count == sum(1 for _ in _every_pair(factory))
+        assert count == sum(1 for _ in planned_pairs(factory))
         total += count
     return total
 
@@ -1266,7 +1259,7 @@ def test_planners_take_the_sweeps_davenport_cap():
     report = sweep(StatementId.THM_GAO_COSET, sampled)
     assert report.counts[Status.HOLDS.value] == 2
     for _, factory in STATEMENTS[StatementId.THM_GAO_COSET].planner(sampled, DEFAULT_CAPS):
-        for _, inst, _ in factory():
+        for _, inst in factory():
             assert check_instance(StatementId.THM_GAO_COSET, inst).status is Status.HOLDS
     weighted_dom = SweepDomain(groups=(c36,), wlens=(1,))
     for sid in (StatementId.CONJ_ORDAZ_QUIROZ, StatementId.COR_SPECIALCASE):
@@ -1431,8 +1424,7 @@ def _shard_order(sid, dom):
     counts = {status.value: 0 for status in Status}
     failures, flagged = [], []
     for _, factory in _unreduced(statement.planner)(dom, DEFAULT_CAPS):
-        for _, inst, members in sorted(factory(), key=itemgetter(0)):
-            assert not members
+        for _, inst in sorted(factory(), key=itemgetter(0)):
             inst = dataclasses.replace(inst, seq=GSequence(inst.group, inst.seq.mult))
             verdict = check_instance(sid, inst)
             counts[verdict.status.value] += 1
@@ -1587,8 +1579,7 @@ def test_sequence_major_walk_gives_each_pair_its_own_verdict(sid):
              ((3, 2, 2, 1, 1), (0, 0, 0, 4, 6)))
     seen = set()
     reasons = Counter()
-    for (wi, pi, si), inst, members in _seq_walk(g, tuple(wtuples), pools):
-        assert members == ()
+    for (wi, pi, si), inst in _seq_walk(g, tuple(wtuples), pools):
         fresh = Instance(g, seq=GSequence(g, pools[pi][si]), weights=weight_seq(g, wtuples[wi]))
         assert inst == fresh
         verdict = check_instance(sid, inst)
@@ -1662,7 +1653,7 @@ def test_subgroup_in_full_sum_equals_the_exact_sum_sets_subgroup():
         for sid in _SUBGROUP_ROWS:
             dom = SweepDomain(groups=(g,), wlens=wlens)
             for _, factory in STATEMENTS[sid].planner(dom, DEFAULT_CAPS):
-                for _, inst in _every_pair(factory):
+                for _, inst in planned_pairs(factory):
                     if check_instance(sid, inst).status is Status.HYPOTHESIS_NOT_MET:
                         continue
                     s, w = inst.seq, inst.weights

@@ -393,7 +393,7 @@ def _pooled_pairs(sid, groups, wlens):
     tuple's WeightSeq shared across its pool as in the sweep."""
     dom = SweepDomain(groups=tuple(map(parse_group, groups)), wlens=wlens)
     return [(inst.weights, inst.seq) for _, factory in STATEMENTS[sid].planner(dom, DEFAULT_CAPS)
-            for _, inst, _ in factory()]
+            for _, inst in factory()]
 
 
 @pytest.mark.parametrize("sid,groups,wlens,sums", [
