@@ -18,7 +18,9 @@ share their sequence pools, generated as they are walked, sequence by
 sequence, so that what the checkers memoize per S serves every weight tuple
 checked on it.  On the rows whose statements are invariant under scaling
 the weights by a unit, one weight tuple per unit orbit is checked, and its
-verdict counts for the orbit where it is every member's.
+verdict counts for the orbit where it is every member's; on THM_WEGZ, whose
+verdict is constant on each orbit of S under x -> u*x + t, one pooled
+sequence per such orbit is checked in the same way.
 
 The setpartition searches share one walk over subsequences, setpartitions
 and weight assignments, bounded by a Budget built from SearchCaps.  A cap
@@ -290,20 +292,24 @@ def _distinct_perms(items: tuple[int, ...], length: int):
     yield from rec()
 
 
-def _sub_multisets(mult: tuple[int, ...], size: int, hmax: int, translates: tuple = ()):
+def _sub_multisets(mult: tuple[int, ...], size: int, hmax: int, tables: tuple = (),
+                   fixers: bool = False):
     """Multiplicity vectors m' <= mult with sum(m') == size and every entry
-    at most hmax, lex ascending and lazy.  With translates (each a table
-    back[x] = x - g), only the least of each orbit under x -> m'[x - g] is
-    kept, generated orderly (Read 1978; McKay 1998): the walk keeps for each
-    g the position p up to which g's translate agrees with the prefix.  Once
-    m'[p - g] and m'[p] are both known, a tie moves p on, a larger translate
-    entry drops g for good, and a smaller one drops the prefix, so no vector
-    it would lead to is ever built.
+    at most hmax, lex ascending and lazy.  With tables (permutations back
+    of the element indices, such as back[x] = x - g for a translate g, which
+    with the identity form a group), only the least of each orbit under
+    m' -> (x -> m'[back[x]]) is kept, generated orderly (Read 1978; McKay
+    1998): the walk keeps for each table the position p up to which its
+    image agrees with the prefix.  Once m'[back[p]] and m'[p] are both
+    known, a tie moves p on, a larger image entry drops the table for good,
+    and a smaller one drops the prefix, so no vector it would lead to is
+    ever built.  With fixers, each vector comes as a pair with the tables
+    still live at its leaf, which are those that fix it.
     """
     caps = [min(m, hmax) for m in mult]
     if not caps:
         if size == 0:
-            yield ()
+            yield ((), ()) if fixers else ()
         return
     room = [*accumulate(reversed(caps), initial=0)][::-1]  # room[i]: what entries i.. hold
     acc, last = [0] * len(caps), len(caps) - 1
@@ -312,9 +318,9 @@ def _sub_multisets(mult: tuple[int, ...], size: int, hmax: int, translates: tupl
         for c in range(max(0, left - room[i + 1]), min(caps[i], left) + 1):
             acc[i] = c
             live = []
-            for back, start in pending:  # back[x] = x - g for one translate g
+            for back, start in pending:
                 p = start
-                while p <= i:  # entry p of g's translate is acc[back[p]]
+                while p <= i:  # entry p of the table's image is acc[back[p]]
                     y = back[p]
                     if y > i or acc[y] != acc[p]:
                         break
@@ -328,12 +334,15 @@ def _sub_multisets(mult: tuple[int, ...], size: int, hmax: int, translates: tupl
             else:
                 if i < last and (live or i + 1 < last):
                     yield from rec(i + 1, left - c, live)
-                else:  # the last entry is set, or takes the rest with no translate left
+                else:  # the last entry is set, or takes the rest with no table left
                     acc[last] = left - c if i < last else c
-                    yield tuple(acc)
+                    yield (tuple(acc), tuple(back for back, _ in live)) if fixers else tuple(acc)
 
-    if 0 <= size <= room[0]:
-        yield from rec(0, size, [(back, 0) for back in translates])
+    try:
+        if 0 <= size <= room[0]:
+            yield from rec(0, size, [(back, 0) for back in tables])
+    finally:
+        del rec  # it reaches itself through its closure; emptying the cell frees it at once
 
 
 # ---------------------------------------------------------------------------
@@ -1083,9 +1092,12 @@ class SweepDomain:
     draw `samples` sequences per shard from a seeded generator.  When
     reduce_translation is set, sequence domains whose conclusion is
     translation-covariant keep one representative per translation orbit.
-    Unit orbits of the weights are no field: the rows that admit them
-    (_SeqPlanner.unit_orbits) always check one weight tuple per orbit, and
-    their reports equal the unreduced ones byte for byte.  max_instances
+    Unit orbits of the weights and affine orbits of S are no field: the
+    rows that admit them (_SeqPlanner.unit_orbits, .affine_orbits) always
+    check one weight tuple or one pooled sequence per orbit, and their
+    reports equal the unreduced ones byte for byte.  The affine maps are
+    x -> u*x + t where the pools are translation reduced and x -> u*x alone
+    where they are not.  max_instances
     bounds the instances the domain stands for, every orbit member
     included, not the ones checked; the report's examined counts the same.
     The subgroup lattice is capped by the sweep's SearchCaps.subgroups, not
@@ -1113,9 +1125,11 @@ class SweepDomain:
 
 # A planned shard: its exact instance count and a factory yielding its
 # (key, instance) pairs in check order; sorted by key, they are in
-# enumeration order.  On a unit-orbit row (_SeqPlanner.unit_orbits) the
-# factory yields (key, instance, members) triples instead, and the pairs
-# and their members (_orbit_members) are in enumeration order and counted.
+# enumeration order.  On a unit- or affine-orbit row
+# (_SeqPlanner.with_members) the factory yields (key, instance, members)
+# triples instead, and the pairs and their members (_orbit_members) are in
+# enumeration order and counted; an affine-orbit row keys each pair by its
+# sequence's multiplicity vector, not its pool position.
 # sweep sums the counts before it checks anything, then checks the shards
 # one at a time in the order the planner yields them.
 Shard = tuple[int, Callable[[], Iterable[tuple]]]
@@ -1143,6 +1157,70 @@ def _seq_pool(group: Group, size: int, hcap: int, reduced: bool) -> Iterator[tup
     least translate x -> v[x - g] of each orbit (_sub_multisets)."""
     return _sub_multisets((hcap,) * group.order, size, hcap,
                           group.differences[1:] if reduced else ())
+
+
+def _units(modulus: int) -> list[int]:
+    """The units mod modulus, ascending."""
+    return [u for u in range(modulus) if gcd(u, modulus) == 1]
+
+
+def _affine_maps(group: Group, reduced: bool) -> dict[tuple[int, ...], int]:
+    """The maps x -> u*x + t other than the identity, each as its index
+    table with its u: u over the units mod exp(G), which act on G as
+    distinct automorphisms, and t over G when reduced, t = 0 otherwise."""
+    maps = {}
+    for u in _units(group.exponent):
+        scaled = [row[u] for row in group.multiples]  # the index of u*x
+        for t in range(group.order) if reduced else (0,):
+            plus_t = group.differences[group.index_neg(t)]
+            maps[tuple(plus_t[y] for y in scaled)] = u
+    del maps[tuple(range(group.order))]
+    return maps
+
+
+class _Classes:
+    """What a pooled S stands for besides itself on an affine-orbit row
+    (_SeqPlanner.affine_orbits): the `others` other vectors of _seq_pool's
+    pool in its orbit, built only when sweep expands the orbit
+    (_orbit_members, _affine_images)."""
+
+    __slots__ = ("others", "reduced")
+
+    def __init__(self, others: int, reduced: bool) -> None:
+        self.others, self.reduced = others, reduced
+
+    def __len__(self) -> int:
+        return self.others
+
+
+def _affine_pool(group: Group, size: int, hcap: int,
+                 reduced: bool) -> Iterator[tuple[tuple[int, ...], _Classes]]:
+    """_seq_pool's pool up to the affine maps x -> u*x + t (_affine_maps):
+    the least vector of each orbit, lex ascending and lazy, from the one
+    orderly walk (_sub_multisets), each paired with its _Classes.  An orbit
+    holds |U| |Stab_T(S)| / |Stab_aff(S)| of _seq_pool's vectors, which is
+    |U| over the number of u with u*S a translate of S (or S itself,
+    unreduced); those u are read from the tables that fix S at its leaf."""
+    maps = _affine_maps(group, reduced)
+    units = len(_units(group.exponent))
+    for mult, fixers in _sub_multisets((hcap,) * group.order, size, hcap, tuple(maps),
+                                       fixers=True):
+        yield mult, _Classes(units // len({1, *(maps[table] for table in fixers)}) - 1, reduced)
+
+
+def _affine_images(group: Group, mult: tuple[int, ...], reduced: bool) -> list[tuple[int, ...]]:
+    """The other vectors of _seq_pool's pool in mult's affine orbit,
+    ascending: the dilate x -> mult[x / u] for each unit u, taken as its
+    least translate when reduced."""
+    images = set()
+    for u in _units(group.exponent):
+        image = [0] * group.order
+        for row, m in zip(group.multiples, mult):
+            image[row[u]] = m
+        images.add(min(tuple(image[y] for y in back) for back in group.differences)
+                   if reduced else tuple(image))
+    images.discard(mult)
+    return sorted(images)
 
 
 def _compositions(parts: int, total: int, cap: int) -> int:
@@ -1237,6 +1315,18 @@ class _SeqPlanner:
     u*sigma(W, S).  sweep counts the representative's verdict for the
     members or checks each of them (_stands_for_orbit).  Orbits never cross
     runs, and a shard's count is every pair it stands for.
+
+    With affine_orbits, a pool holds the least vector of each orbit under
+    the maps x -> u*x + t, u a unit mod exp(G) and t in G on reduced runs
+    (t = 0 on unreduced ones), from the same orderly walk (_affine_pool),
+    and each pooled S is paired with every weight tuple of the run, standing
+    for the other pool vectors of its orbit (_Classes).  A row opts in when
+    its hypotheses read S only through |S| and the multiset of its
+    multiplicities, and its verdict is constant on each orbit: x -> u*x is an automorphism of G,
+    sigma(W, u*S + t) is u*sigma(W, S) + (sum W)*t, and on a reduced run the
+    weight total is 0 mod exp(G).  A row takes one of unit_orbits and
+    affine_orbits; counts, shard counts and reports are those of
+    _seq_pool's pools either way.
     """
 
     clauses: tuple[Clause, ...]
@@ -1246,6 +1336,12 @@ class _SeqPlanner:
     translate: bool = True
     with_n: bool = False
     unit_orbits: bool = False
+    affine_orbits: bool = False
+
+    @property
+    def with_members(self) -> bool:
+        """Whether the row's factories yield (key, instance, members) triples."""
+        return self.unit_orbits or self.affine_orbits
 
     def weight_tuples(self, group: Group, k: int,
                       caps: SearchCaps = DEFAULT_CAPS) -> list[tuple[int, ...]]:
@@ -1275,7 +1371,7 @@ class _SeqPlanner:
         if not self.unit_orbits:
             return None
         modulus = getattr(group, self.alphabet)
-        units = [u for u in range(modulus) if gcd(u, modulus) == 1]
+        units = _units(modulus)
         orbits: dict[tuple[int, ...], list[int]] = {}
         for i, wt in enumerate(wtuples):
             least = min(tuple(sorted(u * x % modulus for x in wt)) for u in units)
@@ -1293,20 +1389,33 @@ class _SeqPlanner:
                     run = tuple(run)
                     specs = tuple((size, wlen if self.cap_h else size, reduced)
                                   for size in range(base, base + dom.slen_extra + 1))
-                    yield _seq_shard(group, run, _seq_pool, _pool_count, specs, self.with_n,
-                                     self.orbits(group, run))
+                    yield _seq_shard(group, run, _affine_pool if self.affine_orbits else _seq_pool,
+                                     _pool_count, specs, self.with_n, self.orbits(group, run),
+                                     self.affine_orbits)
 
 
 def _seq_walk(group: Group, wtuples: tuple[tuple[int, ...], ...],
               pools: Iterable[Iterable[tuple[int, ...]]], with_n: bool = False,
-              orbits: list[list[int]] | None = None) -> Iterator[tuple]:
+              orbits: list[list[int]] | None = None, affine: bool = False) -> Iterator[tuple]:
     """The factory of a sequence row's shard: each (weight tuple, pooled
     sequence) pair, keyed (tuple position, pool position, sequence
     position), visited sequence by sequence, with each pooled S and each
     weight sequence built once.  With orbits (_SeqPlanner.orbits), only
     each orbit's representative is paired with S, in a triple that carries
-    the other members as (tuple position, weight sequence) pairs."""
+    the other members as (tuple position, weight sequence) pairs.  With
+    affine (_SeqPlanner.affine_orbits), the pools yield (vector, _Classes)
+    pairs, and each pair is a triple carrying S's _Classes, keyed by the
+    vector in place of its position: the members have no position in the
+    pool, and its vectors ascend as their positions do."""
     wseqs = [weight_seq(group, wtuple) for wtuple in wtuples]
+    if affine:
+        for pi, pool in enumerate(pools):
+            for mult, members in pool:
+                seq = GSequence(group, mult)
+                for wi, w in enumerate(wseqs):
+                    yield ((wi, pi, mult), Instance(group, seq, w, w.length if with_n else None),
+                           members)
+        return
     reps = [(orbit[0], wseqs[orbit[0]], tuple((wi, wseqs[wi]) for wi in orbit[1:]))
             for orbit in orbits or ()]
     for pi, pool in enumerate(pools):
@@ -1321,23 +1430,30 @@ def _seq_walk(group: Group, wtuples: tuple[tuple[int, ...], ...],
                            members)
 
 
-def _orbit_members(key: tuple[int, int, int], inst: Instance,
-                   members: tuple) -> list[tuple[tuple[int, int, int], Instance]]:
-    """The keyed instances of a representative's orbit members: each has
-    the representative's S and n, its own weights, and the key that
-    places it in enumeration order."""
-    return [((wi,) + key[1:], Instance(inst.group, inst.seq, w, inst.n)) for wi, w in members]
+def _orbit_members(key: tuple, inst: Instance, members: tuple | _Classes) -> list[tuple]:
+    """The keyed instances of a representative's orbit members, each with
+    the key that places it in enumeration order.  On a unit-orbit row each
+    has the representative's S and n and its own weights; on an
+    affine-orbit row (members a _Classes) each has the representative's
+    weights and n and one of the other vectors of S's orbit
+    (_affine_images), which keys it."""
+    group = inst.group
+    if isinstance(members, _Classes):
+        return [(key[:2] + (mult,), Instance(group, GSequence(group, mult), inst.weights, inst.n))
+                for mult in _affine_images(group, inst.seq.mult, members.reduced)]
+    return [((wi,) + key[1:], Instance(group, inst.seq, w, inst.n)) for wi, w in members]
 
 
 def _seq_shard(group: Group, wtuples: tuple[tuple[int, ...], ...], pool: Callable[..., Iterable],
                count: Callable[..., int], specs: tuple[tuple, ...], with_n: bool = False,
-               orbits: list[list[int]] | None = None) -> Shard:
+               orbits: list[list[int]] | None = None, affine: bool = False) -> Shard:
     """wtuples against one pool per spec: pool(group, *spec) generates it
-    and count(group, *spec) gives its length in closed form, so planning
-    builds no pool and each factory call walks fresh ones."""
+    and count(group, *spec) gives, in closed form, the number of pairs of
+    vectors it stands for, so planning builds no pool and each factory call
+    walks fresh ones."""
     return (len(wtuples) * sum(count(group, *spec) for spec in specs),
             lambda: _seq_walk(group, wtuples, (pool(group, *spec) for spec in specs), with_n,
-                              orbits))
+                              orbits, affine))
 
 
 def _plan_david(dom: SweepDomain, caps: SearchCaps = DEFAULT_CAPS) -> Iterator[Shard]:
@@ -1436,10 +1552,10 @@ class Statement:
     statement of its hypotheses: its checker runs them in order, and its
     planner filters weight tuples by those that do not read S.  sweep runs
     the checker, through check_instance, on every planned instance, or on a
-    unit-orbit row on each orbit's representative and on each member its
-    verdict does not stand for.  A _SeqPlanner row's shard is one run of
-    weight tuples that share their pool specs, walked sequence by sequence
-    (see sweep).
+    unit- or affine-orbit row on each orbit's representative and on each
+    member its verdict does not stand for.  A _SeqPlanner row's shard is
+    one run of weight tuples that share their pool specs, walked sequence
+    by sequence (see sweep).
     """
 
     checker: Callable[[Instance, SearchCaps], Verdict]
@@ -1549,7 +1665,7 @@ STATEMENTS: dict[StatementId, Statement] = {
         "|S| >= |G| + D(G) - 1 forces: the |G|-term subsums cover G, or some coset g+H "
         "holds all but at most |G/H| - 2 terms of S"),
     StatementId.THM_WEGZ: _seq_statement(
-        _SeqPlanner(_WEGZ_CLAUSES, cap_h=False), _zero_in_full_sum,
+        _SeqPlanner(_WEGZ_CLAUSES, cap_h=False, affine_orbits=True), _zero_in_full_sum,
         "weight total divisible by exp(G) and |S| >= |W| + |G| - 1 force 0 into the "
         "|W|-term weighted sums"),
     StatementId.CONJ_HAMIDOUNE: _seq_statement(
@@ -1640,13 +1756,14 @@ def sweepable_statements() -> list[StatementId]:
 
 
 def _stands_for_orbit(verdict: Verdict, inst: Instance) -> bool:
-    """An unflagged verdict of a unit orbit's representative is every
-    member's when it is hypothesis_not_met, or when it holds and the pair's
-    exact sigma_n cannot run out of states: a member's sum set is the image
-    of the representative's under an automorphism, but the quick path is
-    not orbit-invariant, so a member may reach sigma_n where the
-    representative did not.  Whether it can (_within_cap) reads only class
-    multiplicities, the same across the orbit."""
+    """An unflagged verdict of an orbit's representative is every member's
+    when it is hypothesis_not_met, or when it holds and the pair's exact
+    sigma_n cannot run out of states: a member's sum set is the image of
+    the representative's under an automorphism (and a translate by 0 on an
+    affine orbit), but the quick path is not orbit-invariant, so a member
+    may reach sigma_n where the representative did not.  Whether it can
+    (_within_cap) reads only class multiplicities, the same across a unit
+    orbit of W and across an affine orbit of S."""
     return verdict.status is Status.HYPOTHESIS_NOT_MET or (
         verdict.status is Status.HOLDS
         and _within_cap(inst.weights, inst.seq, inst.weights.length))
@@ -1667,11 +1784,14 @@ def sweep(sid: StatementId, dom: SweepDomain, threads: int = 1,
     closed form, and the factory generates the pools as it walks them,
     sequence by sequence, each pooled S and each weight sequence built
     once, so what the checker memoizes per S serves every weight tuple.  On
-    a unit-orbit row (_SeqPlanner.unit_orbits) an instance is its orbit's
-    representative: where its verdict stands for the members
-    (_stands_for_orbit), it is counted once per member, and otherwise each
-    member is built and checked under its own key, so failures, flagged
-    pairs and their witnesses are those of the unreduced sweep.  The
+    a unit-orbit row (_SeqPlanner.unit_orbits) an instance is its weight
+    orbit's representative, and on an affine-orbit row
+    (_SeqPlanner.affine_orbits) its S is the least of an orbit under
+    x -> u*x + t and stands for that orbit's other translation classes.
+    Where its verdict stands for the members (_stands_for_orbit), it is
+    counted once per member, and otherwise each member is built and
+    checked under its own key, so failures, flagged pairs and their
+    witnesses are those of the unreduced sweep.  The
     verdicts are tallied as they go: status counts, failures and flagged
     pairs are kept, each shard's kept pairs sorted by key back into
     enumeration order, and everything else dropped.  So memory holds the
@@ -1692,8 +1812,8 @@ def sweep(sid: StatementId, dom: SweepDomain, threads: int = 1,
     failures: list[tuple[Instance, Verdict]] = []
     flagged: list[tuple[Instance, Verdict]] = []
     kept: list[tuple[Any, Instance, Verdict, bool]] = []
-    # the factories of a unit-orbit row yield (key, instance, members) triples
-    orbit_row = getattr(statement.planner, "unit_orbits", False)
+    # the factories of an orbit row yield (key, instance, members) triples
+    orbit_row = getattr(statement.planner, "with_members", False)
 
     def check(key: Any, inst: Instance) -> tuple[Verdict, bool]:
         verdict = check_instance(sid, inst, caps)

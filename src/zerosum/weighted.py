@@ -249,6 +249,7 @@ class _Layout:
         return new
 
     def by_count(self, table: dict) -> list[int]:
+        """The table's sums per count: entry k holds every key's field k - u."""
         order, full = self.group.order, self.group.full_mask
         out = [0] * (self.top + 1)
         for c, mask in table.items():
@@ -257,6 +258,16 @@ class _Layout:
                 out[u] |= mask & full
                 mask >>= order
                 u += 1
+        return out
+
+    def at_count(self, table: dict, n: int) -> int:
+        """by_count(table)[n] alone: field n - u of each key using u <= n items."""
+        order, full, fields, meta = self.group.order, self.group.full_mask, self.fields, self.meta
+        out = 0
+        for c, mask in table.items():
+            d = n - meta[c][0]
+            if 0 <= d < fields:
+                out |= (mask >> d * order) & full
         return out
 
 
@@ -322,10 +333,10 @@ def _within_cap(w: WeightSeq, s: GSequence, top: int) -> bool:
             or _plan(s, enumerate(s.mult), top)[1] <= STATE_CAP)
 
 
-def _sums_by_n(w: WeightSeq, s: GSequence, top: int, side: str | None = None) -> list[int]:
-    """Per-count sum masks of w against s: entry k is the exact mask of
-    k-term weighted sums, for every k <= top, from the packed table of the
-    module docstring (_Layout).
+def _walk(w: WeightSeq, s: GSequence, top: int, side: str | None = None) -> tuple[_Layout, dict]:
+    """The packed table of the module docstring (_Layout) for w against s at
+    top, with its layout: its fields hold the exact k-term weighted sums for
+    every k <= top.  w and s are not empty.
 
     The set-up is read from the plans kept on w and s (_plan), in the
     orientation _orient gives, side forcing it.  The classes side's plan
@@ -343,8 +354,6 @@ def _sums_by_n(w: WeightSeq, s: GSequence, top: int, side: str | None = None) ->
     side, plan, other = _orient(w, s, top, side)
     classes, count, _, last = plan
     _check_states(count)
-    if not classes:  # no weights or no terms, so top is 0
-        return [1] + [0] * top
     steps = other[2]
     if last is None:
         layout = _layout(s.group, classes, top, side)
@@ -365,6 +374,15 @@ def _sums_by_n(w: WeightSeq, s: GSequence, top: int, side: str | None = None) ->
             kept.append(table)
             held.append(total)
     plan[3] = (layout, steps[:len(kept) - 1], kept, held)
+    return layout, table
+
+
+def _sums_by_n(w: WeightSeq, s: GSequence, top: int, side: str | None = None) -> list[int]:
+    """Per-count sum masks of w against s: entry k is the exact mask of
+    k-term weighted sums, for every k <= top (_walk)."""
+    if not (w.length and s.length):  # the empty sum alone
+        return [1] + [0] * top
+    layout, table = _walk(w, s, top, side)
     return layout.by_count(table)
 
 
@@ -374,32 +392,35 @@ def sigma_table(w: WeightSeq, s: GSequence) -> tuple[int, ...]:
     return tuple(_sums_by_n(w, s, min(w.length, s.length)))
 
 
-def _sums_in_range(w: WeightSeq, s: GSequence, n: int, top: int) -> list[int]:
-    """_sums_by_n for a pair, once the groups match and 1 <= n <= min(|W|, |S|)."""
+def _check_range(w: WeightSeq, s: GSequence, n: int) -> None:
+    """The groups match and 1 <= n <= min(|W|, |S|)."""
     _check_pair(w, s)
     if not 1 <= n <= min(w.length, s.length):
         raise BadN(f"n={n} outside 1..min({w.length}, {s.length})")
-    return _sums_by_n(w, s, top)
 
 
 def sigma_n(w: WeightSeq, s: GSequence, n: int) -> GSet:
     """All n-term weighted subsequence sums, exact.
 
     One knapsack pass (module docstring) over states of at most n items,
-    resumed from the last walk of w at n where it can be.
+    resumed from the last walk of w at n where it can be; only count n is
+    read from the final table.
     """
-    return GSet(s.group, _sums_in_range(w, s, n, n)[n])
+    _check_range(w, s, n)
+    layout, table = _walk(w, s, n)
+    return GSet(s.group, layout.at_count(table, n))
 
 
 def sigma_upto(w: WeightSeq, s: GSequence, n: int) -> GSet:
     """Union of sigma_i for 1 <= i <= n."""
-    return GSet(s.group, reduce(or_, _sums_in_range(w, s, n, n)[1:]))
+    _check_range(w, s, n)
+    return GSet(s.group, reduce(or_, _sums_by_n(w, s, n)[1:]))
 
 
 def sigma_from(w: WeightSeq, s: GSequence, n: int) -> GSet:
     """Union of sigma_i for n <= i <= min(|W|, |S|)."""
-    top = min(w.length, s.length)
-    return GSet(s.group, reduce(or_, _sums_in_range(w, s, n, top)[n:]))
+    _check_range(w, s, n)
+    return GSet(s.group, reduce(or_, _sums_by_n(w, s, min(w.length, s.length))[n:]))
 
 
 def sigma_all(w: WeightSeq, s: GSequence) -> GSet:

@@ -183,18 +183,58 @@ def _translate_positions(factors):
     return [[index[coord_add(factors, e, g)] for e in elements] for g in elements]
 
 
-def least_translate(factors, mult):
-    """Lexicographically least translate of a multiplicity vector, indexed as
-    all_elements lists the elements: the vector x -> mult[x - g] taken over
-    every g, by coordinate addition."""
-    best = None
+def translates(factors, mult):
+    """Every translate of a multiplicity vector, indexed as all_elements
+    lists the elements: the vector x -> mult[x - g] for each g, by
+    coordinate addition."""
+    out = set()
     for positions in _translate_positions(tuple(factors)):
+        image = [0] * len(positions)
+        for i, m in zip(positions, mult):
+            image[i] = m
+        out.add(tuple(image))
+    return out
+
+
+def least_translate(factors, mult):
+    """Lexicographically least translate of a multiplicity vector."""
+    return min(translates(factors, mult))
+
+
+@cache
+def _affine_positions(factors, translate):
+    """positions[k][i] = the position of u*e + g for element i = e and the
+    k-th map (u, g): u over the units mod the exponent, g over every element
+    when translate and g = 0 otherwise."""
+    elements = all_elements(factors)
+    index = {e: i for i, e in enumerate(elements)}
+    exponent = 1
+    for n in factors:
+        exponent = exponent * n // _gcd(exponent, n)
+    units = [u for u in range(1, exponent + 1) if _gcd(u, exponent) == 1]
+    shifts = elements if translate else [(0,) * len(factors)]
+    return [[index[coord_add(factors, coord_scalar(factors, u, e), g)] for e in elements]
+            for u in units for g in shifts]
+
+
+def affine_orbit(factors, mult, translate):
+    """Every image of a multiplicity vector under the maps x -> u*x + g
+    (_affine_positions), by coordinate arithmetic: the vector whose entry
+    at u*x + g is mult[x]."""
+    orbit = set()
+    for positions in _affine_positions(tuple(factors), translate):
         out = [0] * len(positions)
         for i, m in zip(positions, mult):
             out[i] = m
-        if best is None or tuple(out) < best:
-            best = tuple(out)
-    return best
+        orbit.add(tuple(out))
+    return orbit
+
+
+def least_affine_image(factors, mult, translate):
+    """Lexicographically least image of a multiplicity vector under the maps
+    x -> u*x + g, u a unit mod the exponent and g any element when
+    translate, g = 0 otherwise."""
+    return min(affine_orbit(factors, mult, translate))
 
 
 def unit_orbits(wtuples, modulus):

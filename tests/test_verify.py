@@ -63,14 +63,15 @@ from zerosum.groups import Group
 from zerosum import sequences, verify, weighted
 from zerosum.errors import NoSetpartition
 from zerosum.sequences import balanced_setpartition
-from zerosum.verify import (STATEMENTS, _david_count, _david_pool, _pool_count, _SeqPlanner,
-                            _seq_pool, _seq_walk, _sub_multisets)
+from zerosum.verify import (STATEMENTS, _affine_images, _affine_pool, _david_count, _david_pool,
+                            _pool_count, _SeqPlanner, _seq_pool, _seq_walk, _sub_multisets)
+from zerosum.verdict import Verdict
 from zerosum.weighted import _positional_wsum_bits, sigma_n
 from zerosum.weighted import weight_seq as real_weight_seq
 from zerosum.setsum import _ap_differences, detect_ap
 
-from oracles import (all_elements, brute_contained_subgroup, brute_subgroups, least_translate,
-                     unit_orbits)
+from oracles import (affine_orbit, all_elements, brute_contained_subgroup, brute_subgroups,
+                     least_affine_image, least_translate, translates, unit_orbits)
 from planned import planned_pairs
 
 
@@ -268,7 +269,11 @@ def test_sweep_checks_every_instance_on_the_calling_thread(monkeypatch):
     monkeypatch.setattr("zerosum.verify.check_instance", recording)
     dom = SweepDomain(groups=(parse_group("c5"), parse_group("c2xc2")), wlens=(2, 3))
     report = sweep(StatementId.THM_WEGZ, dom, threads=4)
-    assert len(seen) == report.examined > 0
+    # one check per pooled representative: every pair here holds, so none
+    # of its affine orbits is expanded
+    planned = sum(1 for _, factory in STATEMENTS[StatementId.THM_WEGZ].planner(dom)
+                  for _ in factory())
+    assert report.counts["holds"] == report.examined > planned == len(seen) > 0
     assert set(seen) == {threading.get_ident()}
 
 
@@ -302,6 +307,41 @@ def test_canonical_translate_matches_least_translate_oracle(g):
             # capped is lex ascending, so the filter keeps the reduced pool's order
             assert tuple(_seq_pool(g, size, hcap, True)) == tuple(
                 v for v in capped if v in least), (size, hcap)
+
+
+@pytest.mark.parametrize("g", abelian_group_types(9), ids=format_group)
+def test_affine_pool_matches_least_affine_image_oracle(g):
+    # THM_WEGZ's pools: the least vector of each orbit under x -> u*x + t,
+    # each standing for the translation classes (reduced) or the vectors
+    # (unreduced) in its orbit
+    factors = g.invariant_factors
+    for size in range(g.order + 2):
+        every = sorted({tuple(combo.count(i) for i in range(g.order))
+                        for combo in combinations_with_replacement(range(g.order), size)})
+        for reduced in (False, True):
+            least, classes = {}, {}
+            for v in every:
+                if v not in least:
+                    orbit = affine_orbit(factors, v, reduced)
+                    rep = min(orbit)
+                    least.update(dict.fromkeys(orbit, rep))
+                    # the translation classes in one affine orbit are equally large
+                    classes[rep] = len(orbit) // len(translates(factors, v) if reduced else {v})
+            for hcap in sorted({1, 2, size}):
+                pool = list(_affine_pool(g, size, hcap, reduced))
+                assert [mult for mult, _ in pool] == [
+                    v for v in every if max(v) <= hcap and least[v] == v], (size, hcap, reduced)
+                assert [1 + len(members) for _, members in pool] == [
+                    classes[mult] for mult, _ in pool]
+                assert sum(1 + len(members) for _, members in pool) == _pool_count(
+                    g, size, hcap, reduced)
+            for mult, members in pool:  # at hcap = size, every orbit
+                assert least_affine_image(factors, mult, reduced) == mult
+                # the other classes, each named by its least translate (reduced)
+                images = _affine_images(g, mult, reduced)
+                assert len(images) == len(members) and images == sorted(set(images))
+                assert all(least[x] == mult != x for x in images)
+                assert not reduced or all(least_translate(factors, x) == x for x in images)
 
 
 @pytest.mark.parametrize("g", abelian_group_types(10), ids=format_group)
@@ -1410,16 +1450,17 @@ _WALK_CASES = [
 
 
 def _unreduced(planner):
-    """The planner with unit-orbit reduction off, where it has any."""
-    return dataclasses.replace(planner, unit_orbits=False) if isinstance(
+    """The planner with unit- and affine-orbit reduction off, where it has any."""
+    return dataclasses.replace(planner, unit_orbits=False, affine_orbits=False) if isinstance(
         planner, _SeqPlanner) else planner
 
 
 def _shard_order(sid, dom):
     """The counts, failures and flagged pairs of a sweep that checks every
     planned instance with check_instance in enumeration order (each shard's
-    pairs sorted by key), unit orbits unreduced and each instance with its
-    own sequence object: the reference a sequence-major sweep must equal."""
+    pairs sorted by key), unit and affine orbits unreduced and each instance
+    with its own sequence object: the reference a sequence-major sweep must
+    equal."""
     statement = STATEMENTS[sid]
     counts = {status.value: 0 for status in Status}
     failures, flagged = [], []
@@ -1510,6 +1551,107 @@ def test_planner_unit_orbits_match_the_oracle():
                 for run in runs:
                     assert planner.orbits(g, run) == unit_orbits(run, modulus), (sid, g, k)
                 assert _unreduced(planner).orbits(g, wtuples) is None
+
+
+_WEGZ = StatementId.THM_WEGZ
+_BOTH_SLENS = ((True, 0), (True, 1), (False, 0), (False, 1))
+# (group, wlens, (reduce_translation, slen_extra) pairs): every group of
+# order <= 8 plus c9 and c3xc3, unreduced (dilations only) where the
+# translation-reduced domains stay small
+_AFFINE_CASES = [
+    *((text, (2, 3), _BOTH_SLENS) for text in ("c2", "c3", "c2xc2", "c4", "c5")),
+    ("c6", (2, 3), ((True, 0), (True, 1), (False, 0))),
+    ("c7", (2, 3), ((True, 0),)),
+    ("c7", (2,), ((True, 1), (False, 0))),
+    *((text, (2, 3), ((True, 0),)) for text in ("c2xc2xc2", "c2xc4", "c8")),
+    *((text, (2,), ((True, 1),)) for text in ("c2xc2xc2", "c2xc4", "c8")),
+    ("c9", (2,), ((True, 0),)),
+    ("c3xc3", (2,), ((True, 0),)),
+]
+
+
+def _without_affine_orbits(statement):
+    """The registry row with its planner's affine-orbit reduction off."""
+    return dataclasses.replace(statement, planner=dataclasses.replace(
+        statement.planner, affine_orbits=False))
+
+
+def _affine_pair(sid, dom, monkeypatch):
+    """The report of sid's sweep over dom, and of the same sweep with the
+    row's affine_orbits off: the reference it must equal byte for byte."""
+    report = sweep(sid, dom)
+    with monkeypatch.context() as patch:
+        patch.setitem(STATEMENTS, sid, _without_affine_orbits(STATEMENTS[sid]))
+        return report, sweep(sid, dom)
+
+
+@pytest.mark.parametrize("text,wlens,domains", _AFFINE_CASES,
+                         ids=[f"{text}:{w}:{len(d)}" for text, w, d in _AFFINE_CASES])
+def test_affine_orbit_sweeps_equal_unreduced_ones(text, wlens, domains, monkeypatch):
+    assert {sid for sid, st in STATEMENTS.items()
+            if isinstance(st.planner, _SeqPlanner) and st.planner.affine_orbits} == {_WEGZ}
+    for reduce_translation, slen_extra in domains:
+        dom = SweepDomain(groups=(parse_group(text),), wlens=wlens, slen_extra=slen_extra,
+                          reduce_translation=reduce_translation)
+        report, reference = _affine_pair(_WEGZ, dom, monkeypatch)
+        assert report.examined == reference.examined > 0
+        assert report_to_json(report) == report_to_json(reference), (reduce_translation,
+                                                                     slen_extra)
+
+
+def test_weighted_egz_checks_one_sequence_per_affine_orbit(monkeypatch):
+    # exact_sums' THM_WEGZ sweep: 438 + 2,494 + 806 pooled sequences
+    # against the weight tuples of c8, c3xc3 and c2xc4 at |W| = 2
+    checked = []
+
+    def counting_check(*args):
+        checked.append(args[1])
+        return check_instance(*args)
+
+    monkeypatch.setattr(verify, "check_instance", counting_check)
+    dom = SweepDomain(groups=tuple(map(parse_group, ("c8", "c3xc3", "c2xc4"))), wlens=(2,))
+    report = sweep(_WEGZ, dom)
+    assert report.counts["holds"] == report.examined == 21_164
+    assert len(checked) == 9_596
+    assert {text: len({inst.seq.mult for inst in checked if format_group(inst.group) == text})
+            for text in ("c8", "c3xc3", "c2xc4")} == {"c8": 438, "c3xc3": 2_494, "c2xc4": 806}
+
+
+def test_failing_affine_orbits_expand_into_their_members(monkeypatch):
+    # a row whose conclusion fails exactly when |supp(S)| = 3, which every
+    # affine map keeps, with a witness (the support) that differs from
+    # member to member: every member of a failing orbit is checked under its
+    # own key, in enumeration order
+    def support_of_three(inst, caps):
+        support = sum(1 << i for i, m in enumerate(inst.seq.mult) if m)
+        if support.bit_count() == 3:
+            return Verdict(Status.FAILS, {"support": GSet(inst.group, support)})
+        return verify._zero_in_full_sum(inst, caps)
+
+    row = verify._seq_statement(STATEMENTS[_WEGZ].planner, support_of_three, "test row")
+    monkeypatch.setitem(STATEMENTS, _WEGZ, row)
+    for text, reduce_translation in (("c7", True), ("c7", False), ("c2xc4", True)):
+        g = parse_group(text)
+        dom = SweepDomain(groups=(g,), wlens=(2,), reduce_translation=reduce_translation)
+        report, reference = _affine_pair(_WEGZ, dom, monkeypatch)
+        assert report_to_json(report) == report_to_json(reference), (text, reduce_translation)
+        assert report.failures and report.counts["holds"]
+        # members that are not their orbit's least vector fail under their own S
+        assert any(least_affine_image(g.invariant_factors, inst.seq.mult, reduce_translation)
+                   != inst.seq.mult for inst, _ in report.failures)
+
+
+def test_capped_affine_representatives_expand_into_their_members(monkeypatch):
+    # at STATE_CAP 3 the weights (1, 4) and (2, 3) need 4 states on their
+    # side and S needs more on its, so those pairs are undecided_capped and
+    # their orbits are expanded, while (0, 0) needs 3 and holds
+    monkeypatch.setattr(weighted, "STATE_CAP", 3)
+    for reduce_translation in (True, False):
+        dom = SweepDomain(groups=(parse_group("c5"),), wlens=(2,),
+                          reduce_translation=reduce_translation)
+        report, reference = _affine_pair(_WEGZ, dom, monkeypatch)
+        assert report_to_json(report) == report_to_json(reference)
+        assert report.counts["undecided_capped"] and report.counts["holds"]
 
 
 # a one-shard domain per row whose orbits are expanded somewhere:

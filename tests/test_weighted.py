@@ -390,10 +390,11 @@ def test_every_entry_up_to_top_is_exact():
 
 def _pooled_pairs(sid, groups, wlens):
     """Each (W, S) pair a sweep of sid plans, in check order, each weight
-    tuple's WeightSeq shared across its pool as in the sweep."""
+    tuple's WeightSeq shared across its pool as in the sweep; on an orbit
+    row, the representatives the factories yield."""
     dom = SweepDomain(groups=tuple(map(parse_group, groups)), wlens=wlens)
     return [(inst.weights, inst.seq) for _, factory in STATEMENTS[sid].planner(dom, DEFAULT_CAPS)
-            for _, inst in factory()]
+            for _, inst, *_ in factory()]
 
 
 @pytest.mark.parametrize("sid,groups,wlens,sums", [
