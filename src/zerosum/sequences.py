@@ -309,10 +309,13 @@ def enum_setpartitions(seq: GSequence, n: int, cap: int = 10_000):
             masks[b] ^= bit
 
     seen: set[tuple[int, ...]] = set()
-    for key in rec(0, 0, 0):
-        if key in seen:
-            continue
-        if len(seen) >= cap:
-            return
-        seen.add(key)
-        yield Setpartition(seq.group, key)
+    try:
+        for key in rec(0, 0, 0):
+            if key in seen:
+                continue
+            if len(seen) >= cap:
+                return
+            seen.add(key)
+            yield Setpartition(seq.group, key)
+    finally:
+        del rec  # it reaches itself through its closure; emptying the cell frees it at once

@@ -16,11 +16,9 @@ deterministic output.  Every instance a sweep decides goes through
 check_instance.  A sequence row's shard is one run of weight tuples that
 share their sequence pools, generated as they are walked, sequence by
 sequence, so that what the checkers memoize per S serves every weight tuple
-checked on it.  On the rows whose statements are invariant under scaling
-the weights by a unit, one weight tuple per unit orbit is checked, and its
-verdict counts for the orbit where it is every member's; on THM_WEGZ, whose
-verdict is constant on each orbit of S under x -> u*x + t, one pooled
-sequence per such orbit is checked in the same way.
+checked on it.  On the rows whose verdict is constant on each orbit of
+(W, S) -> (uW, v*S + t), u and v units, one pair per orbit is checked, and
+its verdict counts for the orbit where it is every member's.
 
 The setpartition searches share one walk over subsequences, setpartitions
 and weight assignments, bounded by a Budget built from SearchCaps.  A cap
@@ -38,7 +36,8 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial, reduce
-from itertools import accumulate, chain, combinations, combinations_with_replacement, groupby
+from itertools import (accumulate, chain, combinations, combinations_with_replacement, groupby,
+                       repeat)
 from math import comb, gcd
 from operator import itemgetter, or_
 from typing import Any, Callable, Iterable, Iterator, Mapping
@@ -289,7 +288,10 @@ def _distinct_perms(items: tuple[int, ...], length: int):
                 acc.pop()
                 counter[k] += 1
 
-    yield from rec()
+    try:
+        yield from rec()
+    finally:
+        del rec  # it reaches itself through its closure; emptying the cell frees it at once
 
 
 def _sub_multisets(mult: tuple[int, ...], size: int, hmax: int, tables: tuple = (),
@@ -509,8 +511,9 @@ def _subgroup_in_full_sum(inst: Instance) -> tuple[Subgroup | None, GSet | None]
 
     S keeps the partition dealt from it, and the partition keeps its dilates
     (Setpartition.dilate), which both block sums read.  So a sweep, which
-    checks one S against every weight tuple of its shard, deals S's
-    partition once and dilates each block once per residue.
+    builds each S once per shard and checks it against every weight tuple
+    paired with it there, deals S's partition once and dilates each block
+    once per residue.
     """
     group, s, w = inst.group, inst.seq, inst.weights
     part = balanced_setpartition(s, w.length)
@@ -1092,14 +1095,12 @@ class SweepDomain:
     draw `samples` sequences per shard from a seeded generator.  When
     reduce_translation is set, sequence domains whose conclusion is
     translation-covariant keep one representative per translation orbit.
-    Unit orbits of the weights and affine orbits of S are no field: the
-    rows that admit them (_SeqPlanner.unit_orbits, .affine_orbits) always
-    check one weight tuple or one pooled sequence per orbit, and their
-    reports equal the unreduced ones byte for byte.  The affine maps are
-    x -> u*x + t where the pools are translation reduced and x -> u*x alone
-    where they are not.  max_instances
-    bounds the instances the domain stands for, every orbit member
-    included, not the ones checked; the report's examined counts the same.
+    The orbits of (W, S) -> (uW, v*S + t) are no field: the rows that admit
+    them (_SeqPlanner.orbits) always check one pair per orbit, t = 0 where
+    the pools are not translation reduced, and their reports equal the
+    unreduced ones byte for byte.  max_instances bounds the instances the
+    domain stands for, every orbit member included, not the ones checked;
+    the report's examined counts the same.
     The subgroup lattice is capped by the sweep's SearchCaps.subgroups, not
     here; the report's domain still carries that cap as subgroup_cap.
     A negative size (a wlen, slen_extra, samples, set_size_max or
@@ -1123,13 +1124,10 @@ class SweepDomain:
                 raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
 
 
-# A planned shard: its exact instance count and a factory yielding its
-# (key, instance) pairs in check order; sorted by key, they are in
-# enumeration order.  On a unit- or affine-orbit row
-# (_SeqPlanner.with_members) the factory yields (key, instance, members)
-# triples instead, and the pairs and their members (_orbit_members) are in
-# enumeration order and counted; an affine-orbit row keys each pair by its
-# sequence's multiplicity vector, not its pool position.
+# A planned shard: its exact instance count, which includes every pair an
+# orbit record stands for, and a factory yielding (key, instance, _Orbit)
+# triples in check order; sorted by key, the instances and the members
+# their records expand into (_orbit_members) are in enumeration order.
 # sweep sums the counts before it checks anything, then checks the shards
 # one at a time in the order the planner yields them.
 Shard = tuple[int, Callable[[], Iterable[tuple]]]
@@ -1178,34 +1176,54 @@ def _affine_maps(group: Group, reduced: bool) -> dict[tuple[int, ...], int]:
     return maps
 
 
-class _Classes:
-    """What a pooled S stands for besides itself on an affine-orbit row
-    (_SeqPlanner.affine_orbits): the `others` other vectors of _seq_pool's
-    pool in its orbit, built only when sweep expands the orbit
-    (_orbit_members, _affine_images)."""
+class _Orbit:
+    """What a checked pair (W, S) of a row with symmetry (_SeqPlanner.orbits)
+    stands for besides itself: the pairs (uW, vS + t) of its orbit, which
+    are the product of W and `weights`, the other tuples of W's unit orbit
+    as (tuple position, weight sequence) pairs, with S and the `classes`
+    other vectors of _seq_pool's pool in S's affine orbit, least translates
+    when `reduced`.  Its size is the number of those pairs; sweep builds
+    them only to check them (_orbit_members), and `seqs`, which the records
+    of one walk share, keeps the sequences of the last S expanded, so each
+    is built, and its partition dealt, once per shard.  A pair of a row
+    without symmetry stands for none (_ALONE)."""
 
-    __slots__ = ("others", "reduced")
+    __slots__ = ("weights", "classes", "reduced", "seqs", "size")
 
-    def __init__(self, others: int, reduced: bool) -> None:
-        self.others, self.reduced = others, reduced
+    def __init__(self, weights: tuple, classes: int, reduced: bool, seqs: dict) -> None:
+        self.weights, self.classes, self.reduced, self.seqs = weights, classes, reduced, seqs
+        self.size = (len(weights) + 1) * (classes + 1) - 1
 
-    def __len__(self) -> int:
-        return self.others
+
+_ALONE = _Orbit((), 0, False, {})
+
+
+def _each_alone(instances: Iterable[Instance]) -> Iterator[tuple]:
+    """A factory's (key, instance, _Orbit) triples for instances that stand
+    for no other, each keyed by its position."""
+    return ((i, inst, _ALONE) for i, inst in enumerate(instances))
+
+
+def _vectors_alone(pool: Callable[..., Iterable]) -> Callable[..., Iterator]:
+    """A pool of vectors that stand for no other vector, yielding each as
+    _affine_pool does, paired with its count of other vectors, 0."""
+    return lambda group, *spec: zip(pool(group, *spec), repeat(0))
 
 
 def _affine_pool(group: Group, size: int, hcap: int,
-                 reduced: bool) -> Iterator[tuple[tuple[int, ...], _Classes]]:
+                 reduced: bool) -> Iterator[tuple[tuple[int, ...], int]]:
     """_seq_pool's pool up to the affine maps x -> u*x + t (_affine_maps):
     the least vector of each orbit, lex ascending and lazy, from the one
-    orderly walk (_sub_multisets), each paired with its _Classes.  An orbit
-    holds |U| |Stab_T(S)| / |Stab_aff(S)| of _seq_pool's vectors, which is
-    |U| over the number of u with u*S a translate of S (or S itself,
-    unreduced); those u are read from the tables that fix S at its leaf."""
+    orderly walk (_sub_multisets), each paired with the number of the other
+    vectors of _seq_pool's pool in its orbit.  An orbit holds
+    |U| |Stab_T(S)| / |Stab_aff(S)| of them, which is |U| over the number of
+    u with u*S a translate of S (or S itself, unreduced); those u are read
+    from the tables that fix S at its leaf."""
     maps = _affine_maps(group, reduced)
     units = len(_units(group.exponent))
     for mult, fixers in _sub_multisets((hcap,) * group.order, size, hcap, tuple(maps),
                                        fixers=True):
-        yield mult, _Classes(units // len({1, *(maps[table] for table in fixers)}) - 1, reduced)
+        yield mult, units // len({1, *(maps[table] for table in fixers)}) - 1
 
 
 def _affine_images(group: Group, mult: tuple[int, ...], reduced: bool) -> list[tuple[int, ...]]:
@@ -1275,7 +1293,7 @@ def _per_group(dom: SweepDomain, size: Callable[[Group], int | None],
     for group in dom.groups:
         count = size(group)
         if count is not None:
-            yield count, lambda group=group: enumerate(build(group))
+            yield count, lambda group=group: _each_alone(build(group))
 
 
 @dataclass(frozen=True)
@@ -1305,28 +1323,22 @@ class _SeqPlanner:
     with every weight tuple of the run in turn, and each weight sequence
     built once for all of them.
 
-    With unit_orbits, the run's weight tuples are grouped into orbits under
-    w -> sorted(u*w) for the units u of the alphabet (orbits), and only each
-    orbit's first tuple in run order is paired with S, its members riding
-    along unbuilt.  A row opts in when its hypotheses read the weights only
-    through |W|, the weight total and which weights are units, and its
-    conclusion holds for (W, S) exactly when it holds for (uW, S): x -> ux
-    is an automorphism of G fixing every subgroup, and sigma(uW, S) is
-    u*sigma(W, S).  sweep counts the representative's verdict for the
-    members or checks each of them (_stands_for_orbit).  Orbits never cross
-    runs, and a shard's count is every pair it stands for.
-
-    With affine_orbits, a pool holds the least vector of each orbit under
-    the maps x -> u*x + t, u a unit mod exp(G) and t in G on reduced runs
-    (t = 0 on unreduced ones), from the same orderly walk (_affine_pool),
-    and each pooled S is paired with every weight tuple of the run, standing
-    for the other pool vectors of its orbit (_Classes).  A row opts in when
-    its hypotheses read S only through |S| and the multiset of its
-    multiplicities, and its verdict is constant on each orbit: x -> u*x is an automorphism of G,
-    sigma(W, u*S + t) is u*sigma(W, S) + (sum W)*t, and on a reduced run the
-    weight total is 0 mod exp(G).  A row takes one of unit_orbits and
-    affine_orbits; counts, shard counts and reports are those of
-    _seq_pool's pools either way.
+    With orbits, the row checks one pair per orbit of the maps
+    (W, S) -> (uW, v*S + t): u a unit of the alphabet, v a unit mod exp(G),
+    and t in G on reduced runs (t = 0 on unreduced ones).  A row opts in
+    when its hypotheses read W only through |W|, the weight total and which
+    weights are units, and S only through |S|, h(S), the multiset of its
+    multiplicities and the coset condition, and its verdict is constant on
+    each orbit: x -> u*v*x is an automorphism of G fixing every subgroup,
+    sigma(uW, v*S + t) is u*v*sigma(W, S) + (sum uW)*t, and on a reduced run
+    the weight total is 0 mod exp(G).  The run's weight tuples are grouped
+    into unit orbits (weight_orbits), and only each orbit's first tuple in
+    run order is paired with S; the pools hold the least vector of each
+    affine orbit of S, from the same orderly walk (_affine_pool).  Each
+    checked pair carries an _Orbit record of the pairs it stands for, and
+    sweep counts its verdict for them or checks each of them
+    (_stands_for_orbit).  Orbits never cross runs, and counts, shard counts
+    and reports are those of every weight tuple against _seq_pool's pools.
     """
 
     clauses: tuple[Clause, ...]
@@ -1335,13 +1347,7 @@ class _SeqPlanner:
     cap_h: bool = True
     translate: bool = True
     with_n: bool = False
-    unit_orbits: bool = False
-    affine_orbits: bool = False
-
-    @property
-    def with_members(self) -> bool:
-        """Whether the row's factories yield (key, instance, members) triples."""
-        return self.unit_orbits or self.affine_orbits
+    orbits: bool = False
 
     def weight_tuples(self, group: Group, k: int,
                       caps: SearchCaps = DEFAULT_CAPS) -> list[tuple[int, ...]]:
@@ -1363,15 +1369,13 @@ class _SeqPlanner:
         """The clauses, in order, whose reads is `reads`."""
         return tuple(c for c in self.clauses if c.reads == reads)
 
-    def orbits(self, group: Group, wtuples) -> list[list[int]] | None:
+    def weight_orbits(self, group: Group, wtuples) -> list[list[int]]:
         """The positions in wtuples grouped by unit orbit, each ascending and
-        the orbits in order of their first position; None unless the row
-        opts in.  A tuple's orbit is named by its least image sorted(u*w)
-        over the units u of the alphabet."""
-        if not self.unit_orbits:
-            return None
+        the orbits in order of their first position; each position alone
+        unless the row opts in.  A tuple's orbit is named by its least image
+        sorted(u*w) over the units u of the alphabet."""
         modulus = getattr(group, self.alphabet)
-        units = _units(modulus)
+        units = _units(modulus) if self.orbits else [1]
         orbits: dict[tuple[int, ...], list[int]] = {}
         for i, wt in enumerate(wtuples):
             least = min(tuple(sorted(u * x % modulus for x in wt)) for u in units)
@@ -1380,6 +1384,9 @@ class _SeqPlanner:
 
     def __call__(self, dom: SweepDomain, caps: SearchCaps = DEFAULT_CAPS) -> Iterator[Shard]:
         for group in dom.groups:
+            # with the one unit 1, S's orbits are the translation classes _seq_pool keeps
+            pool = (_affine_pool if self.orbits and len(_units(group.exponent)) > 1
+                    else _vectors_alone(_seq_pool))
             for wlen in dom.wlens:
                 base = self.slen(group, wlen, caps)
                 runs = groupby(self.weight_tuples(group, wlen, caps),
@@ -1389,71 +1396,68 @@ class _SeqPlanner:
                     run = tuple(run)
                     specs = tuple((size, wlen if self.cap_h else size, reduced)
                                   for size in range(base, base + dom.slen_extra + 1))
-                    yield _seq_shard(group, run, _affine_pool if self.affine_orbits else _seq_pool,
-                                     _pool_count, specs, self.with_n, self.orbits(group, run),
-                                     self.affine_orbits)
+                    yield _seq_shard(group, run, self.weight_orbits(group, run), pool,
+                                     _pool_count, specs, self.with_n, reduced)
 
 
-def _seq_walk(group: Group, wtuples: tuple[tuple[int, ...], ...],
-              pools: Iterable[Iterable[tuple[int, ...]]], with_n: bool = False,
-              orbits: list[list[int]] | None = None, affine: bool = False) -> Iterator[tuple]:
-    """The factory of a sequence row's shard: each (weight tuple, pooled
-    sequence) pair, keyed (tuple position, pool position, sequence
-    position), visited sequence by sequence, with each pooled S and each
-    weight sequence built once.  With orbits (_SeqPlanner.orbits), only
-    each orbit's representative is paired with S, in a triple that carries
-    the other members as (tuple position, weight sequence) pairs.  With
-    affine (_SeqPlanner.affine_orbits), the pools yield (vector, _Classes)
-    pairs, and each pair is a triple carrying S's _Classes, keyed by the
-    vector in place of its position: the members have no position in the
-    pool, and its vectors ascend as their positions do."""
+def _seq_walk(group: Group, wtuples: tuple[tuple[int, ...], ...], orbits: list[list[int]],
+              pools: Iterable[Iterable[tuple[tuple[int, ...], int]]], with_n: bool = False,
+              reduced: bool = False) -> Iterator[tuple]:
+    """The factory of a sequence row's shard: a (key, instance, _Orbit)
+    triple for each pair of a unit orbit's first weight tuple (orbits, from
+    _SeqPlanner.weight_orbits) and a pooled sequence, keyed (tuple
+    position, pool position, multiplicity vector), visited sequence by
+    sequence, with each pooled S and each weight sequence built once.  The
+    pools yield (vector, other classes) pairs, lex ascending, so the keys
+    ascend as the pool positions do; the record carries the orbit's other
+    weight tuples and S's count of other classes, and the records for a
+    class count are built when a pooled S first has it."""
     wseqs = [weight_seq(group, wtuple) for wtuple in wtuples]
-    if affine:
-        for pi, pool in enumerate(pools):
-            for mult, members in pool:
-                seq = GSequence(group, mult)
-                for wi, w in enumerate(wseqs):
-                    yield ((wi, pi, mult), Instance(group, seq, w, w.length if with_n else None),
-                           members)
-        return
-    reps = [(orbit[0], wseqs[orbit[0]], tuple((wi, wseqs[wi]) for wi in orbit[1:]))
-            for orbit in orbits or ()]
+    seqs: dict = {}  # the records' shared cache of S's orbit (_orbit_members)
+    by_classes: dict[int, list[tuple]] = {}
     for pi, pool in enumerate(pools):
-        for si, mult in enumerate(pool):
+        for mult, classes in pool:
             seq = GSequence(group, mult)
-            if orbits is None:
-                for wi, w in enumerate(wseqs):
-                    yield (wi, pi, si), Instance(group, seq, w, w.length if with_n else None)
-            else:
-                for wi, w, members in reps:
-                    yield ((wi, pi, si), Instance(group, seq, w, w.length if with_n else None),
-                           members)
+            reps = by_classes.get(classes)
+            if reps is None:
+                reps = by_classes[classes] = [
+                    (orbit[0], wseqs[orbit[0]], _Orbit(tuple((wi, wseqs[wi]) for wi in orbit[1:]),
+                                                       classes, reduced, seqs))
+                    for orbit in orbits]
+            for wi, w, record in reps:
+                yield ((wi, pi, mult), Instance(group, seq, w, w.length if with_n else None),
+                       record)
 
 
-def _orbit_members(key: tuple, inst: Instance, members: tuple | _Classes) -> list[tuple]:
-    """The keyed instances of a representative's orbit members, each with
-    the key that places it in enumeration order.  On a unit-orbit row each
-    has the representative's S and n and its own weights; on an
-    affine-orbit row (members a _Classes) each has the representative's
-    weights and n and one of the other vectors of S's orbit
-    (_affine_images), which keys it."""
-    group = inst.group
-    if isinstance(members, _Classes):
-        return [(key[:2] + (mult,), Instance(group, GSequence(group, mult), inst.weights, inst.n))
-                for mult in _affine_images(group, inst.seq.mult, members.reduced)]
-    return [((wi,) + key[1:], Instance(group, inst.seq, w, inst.n)) for wi, w in members]
+def _orbit_members(key: tuple, inst: Instance, orbit: _Orbit) -> list[tuple]:
+    """The keyed instances of the pairs a representative stands for, in key
+    order: its weights and the orbit's other weights crossed with its S and
+    the other vectors of S's affine orbit (_affine_images), the
+    representative itself left out, each keyed by its own tuple position
+    and vector and with the representative's n.  S's orbit is built at the
+    first expansion against S and kept in orbit.seqs for the others, which
+    follow it in the walk."""
+    group, (wi, pi, mult) = inst.group, key
+    seqs = orbit.seqs.get(mult)
+    if seqs is None:
+        orbit.seqs.clear()
+        seqs = orbit.seqs[mult] = [(mult, inst.seq)] + [
+            (image, GSequence(group, image)) for image in _affine_images(group, mult, orbit.reduced)]
+    return [((wj, pi, image), Instance(group, seq, w, inst.n))
+            for wj, w in ((wi, inst.weights), *orbit.weights) for image, seq in seqs][1:]
 
 
-def _seq_shard(group: Group, wtuples: tuple[tuple[int, ...], ...], pool: Callable[..., Iterable],
-               count: Callable[..., int], specs: tuple[tuple, ...], with_n: bool = False,
-               orbits: list[list[int]] | None = None, affine: bool = False) -> Shard:
-    """wtuples against one pool per spec: pool(group, *spec) generates it
-    and count(group, *spec) gives, in closed form, the number of pairs of
-    vectors it stands for, so planning builds no pool and each factory call
-    walks fresh ones."""
+def _seq_shard(group: Group, wtuples: tuple[tuple[int, ...], ...], orbits: list[list[int]],
+               pool: Callable[..., Iterable], count: Callable[..., int],
+               specs: tuple[tuple, ...], with_n: bool = False, reduced: bool = False) -> Shard:
+    """wtuples, grouped in orbits, against one pool per spec:
+    pool(group, *spec) generates its (vector, other classes) pairs and
+    count(group, *spec) gives, in closed form, the number of vectors they
+    stand for, so planning builds no pool and each factory call walks fresh
+    ones."""
     return (len(wtuples) * sum(count(group, *spec) for spec in specs),
-            lambda: _seq_walk(group, wtuples, (pool(group, *spec) for spec in specs), with_n,
-                              orbits, affine))
+            lambda: _seq_walk(group, wtuples, orbits, (pool(group, *spec) for spec in specs),
+                              with_n, reduced))
 
 
 def _plan_david(dom: SweepDomain, caps: SearchCaps = DEFAULT_CAPS) -> Iterator[Shard]:
@@ -1462,7 +1466,8 @@ def _plan_david(dom: SweepDomain, caps: SearchCaps = DEFAULT_CAPS) -> Iterator[S
         for wlen in dom.wlens:
             specs = tuple((size, d) for size in range(wlen + d - 1, wlen + d + dom.slen_extra))
             wtuples = tuple(combinations_with_replacement(range(group.exponent), wlen))
-            yield _seq_shard(group, wtuples, _david_pool, _david_count, specs)
+            yield _seq_shard(group, wtuples, [[i] for i in range(len(wtuples))],
+                             _vectors_alone(_david_pool), _david_count, specs)
 
 
 def _plan_subgroup_instances(dom: SweepDomain, caps: SearchCaps = DEFAULT_CAPS) -> Iterator[Shard]:
@@ -1474,7 +1479,7 @@ def _plan_subgroup_instances(dom: SweepDomain, caps: SearchCaps = DEFAULT_CAPS) 
 
 def _plan_split(dom: SweepDomain, caps: SearchCaps = DEFAULT_CAPS) -> Iterator[Shard]:
     def build(group: Group, indices: tuple[int, ...], units: list[int], d: int,
-              exhaustive: bool) -> Iterator[tuple[int, Instance]]:
+              exhaustive: bool) -> Iterator[tuple]:
         a = gset(group, [group.element_from_index(i) for i in indices])
         extra = {"set": a, "base_index": 0}
         if exhaustive:
@@ -1483,8 +1488,8 @@ def _plan_split(dom: SweepDomain, caps: SearchCaps = DEFAULT_CAPS) -> Iterator[S
             tag = ",".join(map(str, indices))
             rng = random.Random(f"{dom.seed}:{format_group(group)}:{tag}:split")
             wtuples = (tuple(sorted(rng.choices(units, k=d))) for _ in range(dom.samples))
-        return enumerate(Instance(group, weights=weight_seq(group, wt), extra=extra)
-                         for wt in wtuples)
+        return _each_alone(Instance(group, weights=weight_seq(group, wt), extra=extra)
+                           for wt in wtuples)
 
     for group in dom.groups:
         for k in range(2, dom.set_size_max + 1):
@@ -1552,10 +1557,10 @@ class Statement:
     statement of its hypotheses: its checker runs them in order, and its
     planner filters weight tuples by those that do not read S.  sweep runs
     the checker, through check_instance, on every planned instance, or on a
-    unit- or affine-orbit row on each orbit's representative and on each
-    member its verdict does not stand for.  A _SeqPlanner row's shard is
-    one run of weight tuples that share their pool specs, walked sequence
-    by sequence (see sweep).
+    row with orbits on each orbit's representative and on each member its
+    verdict does not stand for.  A _SeqPlanner row's shard is one run of
+    weight tuples that share their pool specs, walked sequence by sequence
+    (see sweep).
     """
 
     checker: Callable[[Instance, SearchCaps], Verdict]
@@ -1665,23 +1670,23 @@ STATEMENTS: dict[StatementId, Statement] = {
         "|S| >= |G| + D(G) - 1 forces: the |G|-term subsums cover G, or some coset g+H "
         "holds all but at most |G/H| - 2 terms of S"),
     StatementId.THM_WEGZ: _seq_statement(
-        _SeqPlanner(_WEGZ_CLAUSES, cap_h=False, affine_orbits=True), _zero_in_full_sum,
+        _SeqPlanner(_WEGZ_CLAUSES, cap_h=False, orbits=True), _zero_in_full_sum,
         "weight total divisible by exp(G) and |S| >= |W| + |G| - 1 force 0 into the "
         "|W|-term weighted sums"),
     StatementId.CONJ_HAMIDOUNE: _seq_statement(
-        _SeqPlanner(_HAMIDOUNE_CLAUSES, "order", unit_orbits=True), _SubgroupInSums(),
+        _SeqPlanner(_HAMIDOUNE_CLAUSES, "order", orbits=True), _SubgroupInSums(),
         "|S| >= |W| + |G| - 1 >= |G| + 1, weight total divisible by |G|, h(S) <= |W|, "
         "all weights but at most one coprime to |G|: claimed to force a nontrivial "
         "subgroup inside the |W|-term weighted sums (false in general)"),
     StatementId.CONJ_ORDAZ_QUIROZ: _seq_statement(
         _SeqPlanner(_ORDAZ_QUIROZ_CLAUSES, "order",
-                    slen=lambda g, k, caps: ell(g, caps.davenport), cap_h=False, unit_orbits=True),
+                    slen=lambda g, k, caps: ell(g, caps.davenport), cap_h=False, orbits=True),
         _full_sum_cover_or_coset,
         "all weights coprime to |G|, |W| = |G|, weight total divisible by |G|, "
         "|S| = |G| + D(G) - 1: claimed to force full coverage or the coset condition",
         davenport_first=True),
     StatementId.THM_HAM_CHAR: _seq_statement(
-        _SeqPlanner(_HAM_CHAR_CLAUSES, "order", unit_orbits=True), _SubgroupInSums(twin=True),
+        _SeqPlanner(_HAM_CHAR_CLAUSES, "order", orbits=True), _SubgroupInSums(twin=True),
         "under the subgroup-conjecture hypotheses with 2|W| >= |G|: a nontrivial "
         "subgroup lies in the |W|-term weighted sums, or |supp(S)| = 2, |W| = |G| - 1, "
         "G = Z/2^r, and the weights are x and -x in equal numbers plus one 0 mod |G|",
@@ -1732,13 +1737,13 @@ STATEMENTS: dict[StatementId, Statement] = {
         "weighted sums"),
     StatementId.COR_SPECIALCASE: _seq_statement(
         _SeqPlanner(_SPECIALCASE_CLAUSES, "order", slen=lambda g, k, caps: ell(g, caps.davenport),
-                    unit_orbits=True),
+                    orbits=True),
         _full_sum_cover_or_coset,
         "all weights coprime to |G|, |W| = |G|, |S| >= |G| + D(G) - 1, "
         "D(G) - 1 <= h(S) <= |G|: full coverage or the coset condition",
         davenport_first=True),
     StatementId.COR_HAM_VAR: _seq_statement(
-        _SeqPlanner(_HAM_VAR_CLAUSES, unit_orbits=True), _SubgroupInSums(),
+        _SeqPlanner(_HAM_VAR_CLAUSES, orbits=True), _SubgroupInSums(),
         "weight total divisible by exp(G), h(S) <= |W|, |S| >= |W| + |G| - 1, and at "
         "least d*(G) weights coprime to exp(G): a nontrivial subgroup lies in the "
         "|W|-term weighted sums"),
@@ -1759,11 +1764,10 @@ def _stands_for_orbit(verdict: Verdict, inst: Instance) -> bool:
     """An unflagged verdict of an orbit's representative is every member's
     when it is hypothesis_not_met, or when it holds and the pair's exact
     sigma_n cannot run out of states: a member's sum set is the image of
-    the representative's under an automorphism (and a translate by 0 on an
-    affine orbit), but the quick path is not orbit-invariant, so a member
-    may reach sigma_n where the representative did not.  Whether it can
-    (_within_cap) reads only class multiplicities, the same across a unit
-    orbit of W and across an affine orbit of S."""
+    the representative's under an automorphism, but the quick path is not
+    orbit-invariant, so a member may reach sigma_n where the representative
+    did not.  Whether it can (_within_cap) reads only class multiplicities,
+    the same across an orbit."""
     return verdict.status is Status.HYPOTHESIS_NOT_MET or (
         verdict.status is Status.HOLDS
         and _within_cap(inst.weights, inst.seq, inst.weights.length))
@@ -1784,12 +1788,10 @@ def sweep(sid: StatementId, dom: SweepDomain, threads: int = 1,
     closed form, and the factory generates the pools as it walks them,
     sequence by sequence, each pooled S and each weight sequence built
     once, so what the checker memoizes per S serves every weight tuple.  On
-    a unit-orbit row (_SeqPlanner.unit_orbits) an instance is its weight
-    orbit's representative, and on an affine-orbit row
-    (_SeqPlanner.affine_orbits) its S is the least of an orbit under
-    x -> u*x + t and stands for that orbit's other translation classes.
-    Where its verdict stands for the members (_stands_for_orbit), it is
-    counted once per member, and otherwise each member is built and
+    a row with orbits (_SeqPlanner.orbits) an instance is its orbit's
+    representative, and its _Orbit record stands for the other pairs
+    (uW, v*S + t).  Where its verdict stands for them (_stands_for_orbit),
+    it is counted once per member, and otherwise each member is built and
     checked under its own key, so failures, flagged pairs and their
     witnesses are those of the unreduced sweep.  The
     verdicts are tallied as they go: status counts, failures and flagged
@@ -1812,8 +1814,6 @@ def sweep(sid: StatementId, dom: SweepDomain, threads: int = 1,
     failures: list[tuple[Instance, Verdict]] = []
     flagged: list[tuple[Instance, Verdict]] = []
     kept: list[tuple[Any, Instance, Verdict, bool]] = []
-    # the factories of an orbit row yield (key, instance, members) triples
-    orbit_row = getattr(statement.planner, "with_members", False)
 
     def check(key: Any, inst: Instance) -> tuple[Verdict, bool]:
         verdict = check_instance(sid, inst, caps)
@@ -1824,19 +1824,15 @@ def sweep(sid: StatementId, dom: SweepDomain, threads: int = 1,
         return verdict, marked
 
     for _, factory in shards:
-        if not orbit_row:
-            for key, inst in factory():
-                check(key, inst)
-        else:
-            for key, inst, members in factory():
-                verdict, marked = check(key, inst)
-                if not members:
-                    continue
-                if marked or not _stands_for_orbit(verdict, inst):
-                    for key, inst in _orbit_members(key, inst, members):
-                        check(key, inst)
-                else:
-                    tally[verdict.status] += len(members)
+        for key, inst, orbit in factory():
+            verdict, marked = check(key, inst)
+            if not orbit.size:
+                continue
+            if marked or not _stands_for_orbit(verdict, inst):
+                for key, inst in _orbit_members(key, inst, orbit):
+                    check(key, inst)
+            else:
+                tally[verdict.status] += orbit.size
         kept.sort(key=itemgetter(0))
         failures += [(inst, v) for _, inst, v, _ in kept if v.status is Status.FAILS]
         flagged += [(inst, v) for _, inst, v, marked in kept if marked]

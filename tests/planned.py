@@ -7,10 +7,10 @@ from zerosum import verify
 
 def planned_pairs(factory):
     """Every (key, instance) pair a shard's factory stands for, in check
-    order: each item's pair and, on a unit-orbit row, the item's members
+    order: each item's pair and the members its orbit record stands for
     (verify._orbit_members), which a sweep checks only where their
     representative's verdict does not stand for them."""
-    for key, inst, *members in factory():
+    for key, inst, orbit in factory():
         yield key, inst
-        if members:
-            yield from verify._orbit_members(key, inst, *members)
+        if orbit.size:
+            yield from verify._orbit_members(key, inst, orbit)

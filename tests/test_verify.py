@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import hashlib
 import json
 import threading
 import tracemalloc
 from collections import Counter
-from itertools import combinations_with_replacement, groupby, product
+from functools import cache
+from itertools import chain, combinations_with_replacement, count, groupby, islice, product, repeat
 from math import comb
 from operator import itemgetter
 
@@ -64,7 +66,8 @@ from zerosum import sequences, verify, weighted
 from zerosum.errors import NoSetpartition
 from zerosum.sequences import balanced_setpartition
 from zerosum.verify import (STATEMENTS, _affine_images, _affine_pool, _david_count, _david_pool,
-                            _pool_count, _SeqPlanner, _seq_pool, _seq_walk, _sub_multisets)
+                            _pool_count, _SeqPlanner, _seq_pool, _seq_walk, _sub_multisets,
+                            _units)
 from zerosum.verdict import Verdict
 from zerosum.weighted import _positional_wsum_bits, sigma_n
 from zerosum.weighted import weight_seq as real_weight_seq
@@ -311,7 +314,7 @@ def test_canonical_translate_matches_least_translate_oracle(g):
 
 @pytest.mark.parametrize("g", abelian_group_types(9), ids=format_group)
 def test_affine_pool_matches_least_affine_image_oracle(g):
-    # THM_WEGZ's pools: the least vector of each orbit under x -> u*x + t,
+    # the orbit rows' pools: the least vector of each orbit under x -> u*x + t,
     # each standing for the translation classes (reduced) or the vectors
     # (unreduced) in its orbit
     factors = g.invariant_factors
@@ -331,15 +334,14 @@ def test_affine_pool_matches_least_affine_image_oracle(g):
                 pool = list(_affine_pool(g, size, hcap, reduced))
                 assert [mult for mult, _ in pool] == [
                     v for v in every if max(v) <= hcap and least[v] == v], (size, hcap, reduced)
-                assert [1 + len(members) for _, members in pool] == [
-                    classes[mult] for mult, _ in pool]
-                assert sum(1 + len(members) for _, members in pool) == _pool_count(
+                assert [1 + others for _, others in pool] == [classes[mult] for mult, _ in pool]
+                assert sum(1 + others for _, others in pool) == _pool_count(
                     g, size, hcap, reduced)
-            for mult, members in pool:  # at hcap = size, every orbit
+            for mult, others in pool:  # at hcap = size, every orbit
                 assert least_affine_image(factors, mult, reduced) == mult
                 # the other classes, each named by its least translate (reduced)
                 images = _affine_images(g, mult, reduced)
-                assert len(images) == len(members) and images == sorted(set(images))
+                assert len(images) == others and images == sorted(set(images))
                 assert all(least[x] == mult != x for x in images)
                 assert not reduced or all(least_translate(factors, x) == x for x in images)
 
@@ -1087,7 +1089,7 @@ def test_subgroup_cap_reaches_the_stabilizer_and_the_planners():
     assert report.domain["subgroup_cap"] == 2
     planner = STATEMENTS[StatementId.AP_STRUCT].planner
     _, factory = next(iter(planner(SweepDomain(groups=(g,)), small)))
-    _, inst = next(iter(factory()))
+    _, inst, _ = next(iter(factory()))
     assert check_instance(StatementId.AP_STRUCT, inst, small).witness == {
         "reason": "more than 2 subgroups"}
     assert check_instance(StatementId.AP_STRUCT, inst).status is not Status.UNDECIDED_CAPPED
@@ -1277,6 +1279,27 @@ def test_sweep_memory_grows_with_failures_not_instances():
     assert peak < 3 * 2**20
 
 
+def test_setpartition_sweep_leaves_no_recursive_closure_in_a_cycle():
+    # enum_setpartitions and _distinct_perms each kept a rec closure that
+    # reached itself through its cell, which only the cyclic collector
+    # freed: this sweep left 2,090 objects in cycles, 110 of them such closures
+    dom = SweepDomain(groups=(parse_group("c4"), parse_group("c2xc2")), wlens=(2, 3))
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        report = sweep(StatementId.THM_SETPART_WITNESS, dom)
+        gc.collect()
+        left = [obj for obj in gc.garbage
+                if getattr(obj, "__qualname__", "").endswith("<locals>.rec")]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert report.examined == 110
+    assert not left
+
+
 def test_per_group_planners_stream_their_instances():
     dom = SweepDomain(groups=(parse_group("c8"),))
     tracemalloc.start()
@@ -1299,7 +1322,7 @@ def test_planners_take_the_sweeps_davenport_cap():
     report = sweep(StatementId.THM_GAO_COSET, sampled)
     assert report.counts[Status.HOLDS.value] == 2
     for _, factory in STATEMENTS[StatementId.THM_GAO_COSET].planner(sampled, DEFAULT_CAPS):
-        for _, inst in factory():
+        for _, inst, _ in factory():
             assert check_instance(StatementId.THM_GAO_COSET, inst).status is Status.HOLDS
     weighted_dom = SweepDomain(groups=(c36,), wlens=(1,))
     for sid in (StatementId.CONJ_ORDAZ_QUIROZ, StatementId.COR_SPECIALCASE):
@@ -1450,22 +1473,21 @@ _WALK_CASES = [
 
 
 def _unreduced(planner):
-    """The planner with unit- and affine-orbit reduction off, where it has any."""
-    return dataclasses.replace(planner, unit_orbits=False, affine_orbits=False) if isinstance(
+    """The planner with its orbit reduction off, where it has any."""
+    return dataclasses.replace(planner, orbits=False) if isinstance(
         planner, _SeqPlanner) else planner
 
 
 def _shard_order(sid, dom):
     """The counts, failures and flagged pairs of a sweep that checks every
     planned instance with check_instance in enumeration order (each shard's
-    pairs sorted by key), unit and affine orbits unreduced and each instance
-    with its own sequence object: the reference a sequence-major sweep must
-    equal."""
+    pairs sorted by key), orbits unreduced and each instance with its own
+    sequence object: the reference a sequence-major sweep must equal."""
     statement = STATEMENTS[sid]
     counts = {status.value: 0 for status in Status}
     failures, flagged = [], []
     for _, factory in _unreduced(statement.planner)(dom, DEFAULT_CAPS):
-        for _, inst in sorted(factory(), key=itemgetter(0)):
+        for _, inst, _ in sorted(factory(), key=itemgetter(0)):
             inst = dataclasses.replace(inst, seq=GSequence(inst.group, inst.seq.mult))
             verdict = check_instance(sid, inst)
             counts[verdict.status.value] += 1
@@ -1501,8 +1523,36 @@ def test_sequence_major_sweeps_equal_shard_order_checks(sid, text, wlens, domain
             assert len(list(planner(dom, DEFAULT_CAPS))) == 5
 
 
-_ORBIT_ROWS = (StatementId.THM_HAM_CHAR, StatementId.CONJ_HAMIDOUNE, StatementId.COR_HAM_VAR,
-               StatementId.CONJ_ORDAZ_QUIROZ, StatementId.COR_SPECIALCASE)
+_WEGZ = StatementId.THM_WEGZ
+_ORBIT_ROWS = (_WEGZ, StatementId.THM_HAM_CHAR, StatementId.CONJ_HAMIDOUNE,
+               StatementId.COR_HAM_VAR, StatementId.CONJ_ORDAZ_QUIROZ,
+               StatementId.COR_SPECIALCASE)
+
+
+def _least_k(sid, g):
+    """The least |W| >= 1 at which sid's planner keeps a weight tuple on G."""
+    planner = STATEMENTS[sid].planner
+    return next(k for k in count(1) if planner.weight_tuples(g, k))
+
+
+def _cut_pools(monkeypatch, factors, reps):
+    """Cut every pool to the affine orbits of S whose least vectors
+    reps(size, hcap, reduced) lists: _affine_pool yields those with their
+    counts of other vectors, and _seq_pool and _pool_count read the vectors
+    of those orbits as the oracle finds them (least translates when
+    reduced), as the reference sweep with orbits off takes them."""
+    @cache
+    def orbits(size, hcap, reduced):
+        return {rep: sorted({least_translate(factors, x) if reduced else x
+                             for x in affine_orbit(factors, rep, reduced)})
+                for rep in sorted(reps(size, hcap, reduced))}
+
+    monkeypatch.setattr(verify, "_affine_pool", lambda group, *spec: iter(
+        [(rep, len(vectors) - 1) for rep, vectors in orbits(*spec).items()]))
+    monkeypatch.setattr(verify, "_seq_pool", lambda group, *spec: iter(
+        sorted(chain.from_iterable(orbits(*spec).values()))))
+    monkeypatch.setattr(verify, "_pool_count", lambda group, *spec: sum(
+        map(len, orbits(*spec).values())))
 
 
 @pytest.mark.parametrize("cap,undecided", [(6, 17), (10, 17), (15, 8)])
@@ -1521,25 +1571,30 @@ def test_unit_orbits_expand_where_exact_sigma_may_cap(cap, undecided, monkeypatc
 
 def test_flagged_representatives_expand_their_orbits(monkeypatch):
     # on c8 at |W| = 7 the twin weights {0, 1^3, 7^3} and {0, 3^3, 5^3} are
-    # one unit orbit, flagged together against 0^7 1^7; the full domain is
-    # 842,886 pairs, so the pool is cut to three sequences of length 14
-    pool = ((7, 7, 0, 0, 0, 0, 0, 0), (7, 0, 7, 0, 0, 0, 0, 0), (4, 3, 3, 2, 1, 1, 0, 0))
-    monkeypatch.setattr(verify, "_seq_pool", lambda group, size, hcap, reduced: iter(pool))
-    monkeypatch.setattr(verify, "_pool_count", lambda group, size, hcap, reduced: len(pool))
-    sid, dom = StatementId.THM_HAM_CHAR, SweepDomain(groups=(parse_group("c8"),), wlens=(7,))
+    # one unit orbit, flagged together against 0^7 1^7 and the other class
+    # of its affine orbit; the full domain is 842,886 pairs, so the pools are
+    # cut to the affine orbits of three sequences of length 14
+    g = parse_group("c8")
+    seeds = ((7, 7, 0, 0, 0, 0, 0, 0), (7, 0, 7, 0, 0, 0, 0, 0), (4, 3, 3, 2, 1, 1, 0, 0))
+    _cut_pools(monkeypatch, g.invariant_factors, lambda size, hcap, reduced: {
+        least_affine_image(g.invariant_factors, seed, reduced) for seed in seeds})
+    sid, dom = StatementId.THM_HAM_CHAR, SweepDomain(groups=(g,), wlens=(7,))
     report = sweep(sid, dom)
     counts, failures, flagged = _shard_order(sid, dom)
     reference = dataclasses.replace(report, counts=counts, failures=failures,
                                     flagged=flagged, examined=sum(counts.values()))
     assert report_to_json(report) == report_to_json(reference)
-    assert [str(inst.weights) for inst, _ in report.flagged] == ["0^1,1^3,7^3", "0^1,3^3,5^3"]
+    # each twin weight tuple against both translation classes of 0^7 u^7,
+    # u a unit: 0^7 1^7 and 0^7 3^7
+    assert Counter(str(inst.weights) for inst, _ in report.flagged) == {
+        "0^1,1^3,7^3": 2, "0^1,3^3,5^3": 2}
+    assert len({inst.seq.mult for inst, _ in report.flagged}) == 2
 
 
 def test_planner_unit_orbits_match_the_oracle():
-    assert {sid for sid, st in STATEMENTS.items()
-            if isinstance(st.planner, _SeqPlanner) and st.planner.unit_orbits} == set(_ORBIT_ROWS)
-    # on every run the planner makes: one run of every tuple unreduced, the
-    # runs of equal translation reduction otherwise
+    # the weight side of the planner's orbits, on every run it makes: one
+    # run of every tuple unreduced, the runs of equal translation reduction
+    # otherwise; with orbits off, each tuple is its own orbit
     for g in abelian_group_types(12):
         for sid in _ORBIT_ROWS:
             planner = STATEMENTS[sid].planner
@@ -1549,59 +1604,131 @@ def test_planner_unit_orbits_match_the_oracle():
                 runs = [wtuples] + [list(run) for _, run in groupby(
                     wtuples, key=lambda wt: sum(wt) % g.exponent == 0)]
                 for run in runs:
-                    assert planner.orbits(g, run) == unit_orbits(run, modulus), (sid, g, k)
-                assert _unreduced(planner).orbits(g, wtuples) is None
+                    assert planner.weight_orbits(g, run) == unit_orbits(run, modulus), (sid, g, k)
+                assert _unreduced(planner).weight_orbits(g, wtuples) == [
+                    [i] for i in range(len(wtuples))]
+    # the product: each planned pair is the first tuple of its unit orbit
+    # against the least vector of its affine orbit, and stands for that
+    # unit orbit crossed with that affine orbit (least translates when
+    # reduced), so that a shard's pairs cover its run of weight tuples
+    # against _seq_pool's pool once
+    for g in abelian_group_types(6):
+        factors = g.invariant_factors
+        for sid in _ORBIT_ROWS:
+            planner = STATEMENTS[sid].planner
+            k = _least_k(sid, g)
+            size = planner.slen(g, k, DEFAULT_CAPS)
+            for reduce_translation in (True, False):
+                dom = SweepDomain(groups=(g,), wlens=(k,), reduce_translation=reduce_translation)
+                runs = []
+                for _, factory in planner(dom, DEFAULT_CAPS):
+                    items = list(factory())
+                    expanded = [[(inst.weights.raw, inst.seq.mult)] + [
+                        (member.weights.raw, member.seq.mult)
+                        for _, member in verify._orbit_members(key, inst, orbit)]
+                        for key, inst, orbit in items]
+                    run = sorted({w for pairs in expanded for w, _ in pairs})
+                    runs += run
+                    reduced = items[0][2].reduced
+                    worbits = [[run[i] for i in orbit]
+                               for orbit in unit_orbits(run, getattr(g, planner.alphabet))]
+                    for (_, inst, orbit), pairs in zip(items, expanded):
+                        worbit = next(o for o in worbits if inst.weights.raw in o)
+                        assert inst.weights.raw == worbit[0]
+                        assert least_affine_image(factors, inst.seq.mult, reduced) == inst.seq.mult
+                        assert len(pairs) == orbit.size + 1
+                        assert set(pairs) == {
+                            (w, x) for w in worbit
+                            for x in affine_orbit(factors, inst.seq.mult, reduced)
+                            if not reduced or least_translate(factors, x) == x}, (sid, g, pairs[0])
+                    pool = _seq_pool(g, size, k if planner.cap_h else size, reduced)
+                    assert sorted(chain.from_iterable(expanded)) == sorted(product(run, pool))
+                assert runs == planner.weight_tuples(g, k), (sid, g)
 
 
-_WEGZ = StatementId.THM_WEGZ
+def _orbit_case(sid, text, reduce_translation):
+    """The least-|W| domain of sid on the group, and whether the sweep is too
+    large to check in full with orbits off (then the pools are cut)."""
+    g = parse_group(text)
+    dom = SweepDomain(groups=(g,), wlens=(_least_k(sid, g),),
+                      reduce_translation=reduce_translation, max_instances=10**9)
+    return dom, sum(n for n, _ in STATEMENTS[sid].planner(dom, DEFAULT_CAPS)) > 32_000
+
+
 _BOTH_SLENS = ((True, 0), (True, 1), (False, 0), (False, 1))
-# (group, wlens, (reduce_translation, slen_extra) pairs): every group of
-# order <= 8 plus c9 and c3xc3, unreduced (dilations only) where the
-# translation-reduced domains stay small
-_AFFINE_CASES = [
-    *((text, (2, 3), _BOTH_SLENS) for text in ("c2", "c3", "c2xc2", "c4", "c5")),
-    ("c6", (2, 3), ((True, 0), (True, 1), (False, 0))),
-    ("c7", (2, 3), ((True, 0),)),
-    ("c7", (2,), ((True, 1), (False, 0))),
-    *((text, (2, 3), ((True, 0),)) for text in ("c2xc2xc2", "c2xc4", "c8")),
-    *((text, (2,), ((True, 1),)) for text in ("c2xc2xc2", "c2xc4", "c8")),
-    ("c9", (2,), ((True, 0),)),
-    ("c3xc3", (2,), ((True, 0),)),
+# (row, group, wlens, (reduce_translation, slen_extra) pairs): every orbit
+# row on every group of order <= 8 at its least |W|, reduced and unreduced
+# (wlens None); CONJ_HAMIDOUNE at |W| = 3 on c7 unreduced (63 failures) and
+# on c8 (40 failures reduced, 320 unreduced); and THM_WEGZ beyond its least
+# |W|, on c9 and c3xc3 too
+_ORBIT_CASES = [
+    *(pytest.param(sid, format_group(g), None, ((True, 0), (False, 0)),
+                   id=f"{sid.value}:{format_group(g)}:least")
+      for sid in _ORBIT_ROWS for g in abelian_group_types(8)),
+    pytest.param(StatementId.CONJ_HAMIDOUNE, "c7", (3,), ((False, 0),),
+                 id="CONJ_HAMIDOUNE:c7:(3,):1"),
+    pytest.param(StatementId.CONJ_HAMIDOUNE, "c8", (3,), ((True, 0), (False, 0)),
+                 id="CONJ_HAMIDOUNE:c8:(3,):2"),
+    *(pytest.param(_WEGZ, text, wlens, domains, id=f"{text}:{wlens}:{len(domains)}")
+      for text, wlens, domains in [
+          *((text, (2, 3), _BOTH_SLENS) for text in ("c2", "c3", "c2xc2", "c4", "c5")),
+          ("c6", (2, 3), ((True, 0), (True, 1), (False, 0))),
+          ("c7", (2, 3), ((True, 0),)),
+          ("c7", (2,), ((True, 1), (False, 0))),
+          *((text, (2, 3), ((True, 0),)) for text in ("c2xc2xc2", "c2xc4", "c8")),
+          *((text, (2,), ((True, 1),)) for text in ("c2xc2xc2", "c2xc4", "c8")),
+          ("c9", (2,), ((True, 0),)),
+          ("c3xc3", (2,), ((True, 0),)),
+      ]),
 ]
 
 
-def _without_affine_orbits(statement):
-    """The registry row with its planner's affine-orbit reduction off."""
-    return dataclasses.replace(statement, planner=dataclasses.replace(
-        statement.planner, affine_orbits=False))
+def _without_orbits(statement):
+    """The registry row with its planner's orbit reduction off."""
+    return dataclasses.replace(statement, planner=_unreduced(statement.planner))
 
 
-def _affine_pair(sid, dom, monkeypatch):
+def _orbit_pair(sid, dom, monkeypatch):
     """The report of sid's sweep over dom, and of the same sweep with the
-    row's affine_orbits off: the reference it must equal byte for byte."""
+    row's orbits off: the reference it must equal byte for byte."""
     report = sweep(sid, dom)
     with monkeypatch.context() as patch:
-        patch.setitem(STATEMENTS, sid, _without_affine_orbits(STATEMENTS[sid]))
+        patch.setitem(STATEMENTS, sid, _without_orbits(STATEMENTS[sid]))
         return report, sweep(sid, dom)
 
 
-@pytest.mark.parametrize("text,wlens,domains", _AFFINE_CASES,
-                         ids=[f"{text}:{w}:{len(d)}" for text, w, d in _AFFINE_CASES])
-def test_affine_orbit_sweeps_equal_unreduced_ones(text, wlens, domains, monkeypatch):
+@pytest.mark.parametrize("sid,text,wlens,domains", _ORBIT_CASES)
+def test_affine_orbit_sweeps_equal_unreduced_ones(sid, text, wlens, domains, monkeypatch):
+    # one pair per orbit of (W, S) -> (uW, v*S + t) on exactly these rows
     assert {sid for sid, st in STATEMENTS.items()
-            if isinstance(st.planner, _SeqPlanner) and st.planner.affine_orbits} == {_WEGZ}
+            if isinstance(st.planner, _SeqPlanner) and st.planner.orbits} == set(_ORBIT_ROWS)
+    g = parse_group(text)
     for reduce_translation, slen_extra in domains:
-        dom = SweepDomain(groups=(parse_group(text),), wlens=wlens, slen_extra=slen_extra,
-                          reduce_translation=reduce_translation)
-        report, reference = _affine_pair(_WEGZ, dom, monkeypatch)
+        dom, cut = _orbit_case(sid, text, reduce_translation)
+        if wlens is not None:
+            dom, cut = dataclasses.replace(dom, wlens=wlens, slen_extra=slen_extra), False
+        with monkeypatch.context() as patch:
+            if cut:  # at most eleven orbits of S per pool, spread over the pool
+                real, units = verify._affine_pool, len(_units(g.exponent))
+
+                def reps(size, hcap, reduced):
+                    step = max(1, _pool_count(g, size, hcap, reduced) // (10 * units))
+                    return [mult for mult, _ in islice(real(g, size, hcap, reduced),
+                                                       0, 11 * step, step)]
+
+                _cut_pools(patch, g.invariant_factors, reps)
+            report, reference = _orbit_pair(sid, dom, patch)
         assert report.examined == reference.examined > 0
         assert report_to_json(report) == report_to_json(reference), (reduce_translation,
-                                                                     slen_extra)
+                                                                     slen_extra, cut)
+        if (sid, text) == (StatementId.CONJ_HAMIDOUNE, "c7") and wlens and not reduce_translation:
+            assert len(report.failures) == 63
+        if (sid, text) == (StatementId.CONJ_HAMIDOUNE, "c8") and wlens:
+            assert len(report.failures) == (40 if reduce_translation else 320)
 
 
-def test_weighted_egz_checks_one_sequence_per_affine_orbit(monkeypatch):
-    # exact_sums' THM_WEGZ sweep: 438 + 2,494 + 806 pooled sequences
-    # against the weight tuples of c8, c3xc3 and c2xc4 at |W| = 2
+def _counted_checks(monkeypatch, sid, dom):
+    """The sweep's report and the number of instances it checks."""
     checked = []
 
     def counting_check(*args):
@@ -1609,36 +1736,73 @@ def test_weighted_egz_checks_one_sequence_per_affine_orbit(monkeypatch):
         return check_instance(*args)
 
     monkeypatch.setattr(verify, "check_instance", counting_check)
+    return sweep(sid, dom), checked
+
+
+def test_weighted_egz_checks_one_sequence_per_affine_orbit(monkeypatch):
+    # exact_sums' THM_WEGZ sweep: 438 + 2,494 + 806 pooled sequences
+    # against the first weight tuple of each unit orbit of c8, c3xc3 and
+    # c2xc4 at |W| = 2 (9,596 checks with the sequence side alone)
     dom = SweepDomain(groups=tuple(map(parse_group, ("c8", "c3xc3", "c2xc4"))), wlens=(2,))
-    report = sweep(_WEGZ, dom)
+    report, checked = _counted_checks(monkeypatch, _WEGZ, dom)
     assert report.counts["holds"] == report.examined == 21_164
-    assert len(checked) == 9_596
+    assert len(checked) == 9_158
     assert {text: len({inst.seq.mult for inst in checked if format_group(inst.group) == text})
             for text in ("c8", "c3xc3", "c2xc4")} == {"c8": 438, "c3xc3": 2_494, "c2xc4": 806}
 
 
-def test_failing_affine_orbits_expand_into_their_members(monkeypatch):
-    # a row whose conclusion fails exactly when |supp(S)| = 3, which every
-    # affine map keeps, with a witness (the support) that differs from
-    # member to member: every member of a failing orbit is checked under its
-    # own key, in enumeration order
-    def support_of_three(inst, caps):
-        support = sum(1 << i for i, m in enumerate(inst.seq.mult) if m)
-        if support.bit_count() == 3:
-            return Verdict(Status.FAILS, {"support": GSet(inst.group, support)})
-        return verify._zero_in_full_sum(inst, caps)
+def test_ham_char_checks_one_pair_per_orbit(monkeypatch):
+    # ham_char's sweep: THM_HAM_CHAR on c7 at |W| = 4
+    dom = SweepDomain(groups=(parse_group("c7"),), wlens=(4,))
+    report, checked = _counted_checks(monkeypatch, StatementId.THM_HAM_CHAR, dom)
+    assert report.counts["holds"] == report.examined == 17_810
+    assert len(checked) == 744
 
-    row = verify._seq_statement(STATEMENTS[_WEGZ].planner, support_of_three, "test row")
-    monkeypatch.setitem(STATEMENTS, _WEGZ, row)
-    for text, reduce_translation in (("c7", True), ("c7", False), ("c2xc4", True)):
+
+def _support_of_three(inst, caps):
+    """A conclusion that fails exactly when |supp(S)| = 3, which every
+    affine map keeps, with a witness (the support) that differs from member
+    to member; otherwise THM_WEGZ's."""
+    support = sum(1 << i for i, m in enumerate(inst.seq.mult) if m)
+    if support.bit_count() == 3:
+        return Verdict(Status.FAILS, {"support": GSet(inst.group, support)})
+    return verify._zero_in_full_sum(inst, caps)
+
+
+def _check_failing_orbits_expand(sid, text, k, reduce_translation, monkeypatch):
+    """Every member of a failing orbit is checked under its own key, in
+    enumeration order, on the weight and the sequence side at once."""
+    row = verify._seq_statement(STATEMENTS[sid].planner, _support_of_three, "test row")
+    with monkeypatch.context() as patch:
+        patch.setitem(STATEMENTS, sid, row)
         g = parse_group(text)
-        dom = SweepDomain(groups=(g,), wlens=(2,), reduce_translation=reduce_translation)
-        report, reference = _affine_pair(_WEGZ, dom, monkeypatch)
-        assert report_to_json(report) == report_to_json(reference), (text, reduce_translation)
-        assert report.failures and report.counts["holds"]
-        # members that are not their orbit's least vector fail under their own S
-        assert any(least_affine_image(g.invariant_factors, inst.seq.mult, reduce_translation)
-                   != inst.seq.mult for inst, _ in report.failures)
+        dom = SweepDomain(groups=(g,), wlens=(k,), reduce_translation=reduce_translation)
+        report, reference = _orbit_pair(sid, dom, patch)
+    assert report_to_json(report) == report_to_json(reference), (sid, text, reduce_translation)
+    assert report.failures and report.counts["holds"]
+    # failing members whose S is not its affine orbit's least vector and,
+    # where the weights have unit orbits of more than one tuple, whose
+    # weights are not their orbit's first tuple (c2xc4 at |W| = 2 has none)
+    wtuples = STATEMENTS[sid].planner.weight_tuples(g, k)
+    orbits = unit_orbits(wtuples, getattr(g, STATEMENTS[sid].planner.alphabet))
+    firsts = {wtuples[orbit[0]] for orbit in orbits}
+    assert any(least_affine_image(g.invariant_factors, inst.seq.mult, reduce_translation)
+               != inst.seq.mult and (inst.weights.raw not in firsts or len(orbits) == len(wtuples))
+               for inst, _ in report.failures)
+
+
+def test_failing_affine_orbits_expand_into_their_members(monkeypatch):
+    # THM_WEGZ: the weights run over {0, ..., n-1}^k
+    for text, reduce_translation in (("c7", True), ("c7", False), ("c2xc4", True)):
+        _check_failing_orbits_expand(_WEGZ, text, 2, reduce_translation, monkeypatch)
+
+
+@pytest.mark.parametrize("reduce_translation", [True, False])
+def test_failing_unit_and_affine_orbits_expand_into_their_members(reduce_translation,
+                                                                  monkeypatch):
+    # COR_HAM_VAR: weight tuples in unit orbits of several tuples each
+    _check_failing_orbits_expand(StatementId.COR_HAM_VAR, "c5", 4, reduce_translation,
+                                 monkeypatch)
 
 
 def test_capped_affine_representatives_expand_into_their_members(monkeypatch):
@@ -1649,7 +1813,7 @@ def test_capped_affine_representatives_expand_into_their_members(monkeypatch):
     for reduce_translation in (True, False):
         dom = SweepDomain(groups=(parse_group("c5"),), wlens=(2,),
                           reduce_translation=reduce_translation)
-        report, reference = _affine_pair(_WEGZ, dom, monkeypatch)
+        report, reference = _orbit_pair(_WEGZ, dom, monkeypatch)
         assert report_to_json(report) == report_to_json(reference)
         assert report.counts["undecided_capped"] and report.counts["holds"]
 
@@ -1665,8 +1829,8 @@ _ONE_SHARD = {StatementId.THM_HAM_CHAR: ("c5", 4, 10),
 @pytest.mark.parametrize("sid", _SUBGROUP_ROWS)
 def test_a_sweep_checks_every_pair_and_deals_each_sequence_once(sid, monkeypatch):
     # every represented pair gets a verdict: each orbit's representative is
-    # checked once per pooled S, and each member once where the
-    # representative's verdict does not stand for it
+    # checked once, and each member once where the representative's verdict
+    # does not stand for it
     checked, dealt = [], []
     real_check, real_canonical = verify.check_instance, sequences._canonical_masks
 
@@ -1683,31 +1847,41 @@ def test_a_sweep_checks_every_pair_and_deals_each_sequence_once(sid, monkeypatch
     monkeypatch.setattr(sequences, "_canonical_masks", counting_deal)
     monkeypatch.setattr(weighted, "STATE_CAP", cap)
     g = parse_group(text)
+    factors = g.invariant_factors
     dom = SweepDomain(groups=(g,), wlens=(k,), reduce_translation=False)
     report = sweep(sid, dom)
     # one shard: every weight tuple of the row shares one pool here
     (count, _), = STATEMENTS[sid].planner(dom, DEFAULT_CAPS)
     wtuples = STATEMENTS[sid].planner.weight_tuples(g, k)
-    orbits = STATEMENTS[sid].planner.orbits(g, wtuples)
-    assert len(orbits) > 1 and len(orbits) < len(wtuples)
+    orbits = STATEMENTS[sid].planner.weight_orbits(g, wtuples)
+    assert 1 < len(orbits) < len(wtuples)
     assert report.examined == count
-    by_seq: dict = {}
-    for inst in checked:
-        by_seq.setdefault(id(inst.seq), []).append(inst.weights.raw)
+    pairs = Counter((inst.weights.raw, inst.seq.mult) for inst in checked)
+    assert max(pairs.values()) == 1  # no pair is checked twice
+    orbit_of = {wtuples[i]: oi for oi, orbit in enumerate(orbits) for i in orbit}
+    by_orbit: dict = {}
+    for w, mult in pairs:
+        by_orbit.setdefault((orbit_of[w], least_affine_image(factors, mult, False)),
+                            set()).add((w, mult))
     expanded = 0
-    for raws in by_seq.values():
-        assert len(raws) == len(set(raws))  # no pair is checked twice
-        for orbit in orbits:
-            members = {wtuples[i] for i in orbit}
-            assert wtuples[orbit[0]] in raws
-            seen = members.intersection(raws)
-            assert seen in ({wtuples[orbit[0]]}, members)
-            expanded += len(seen) - 1
-    # each pooled sequence is built once, and its partition dealt once
-    assert len(by_seq) * len(wtuples) == count
-    assert len(checked) == len(by_seq) * len(orbits) + expanded < count
+    for (oi, least), seen in by_orbit.items():
+        first = (wtuples[orbits[oi][0]], least)
+        members = {(wtuples[i], x) for i in orbits[oi] for x in affine_orbit(factors, least, False)}
+        assert first in seen and seen in ({first}, members)
+        expanded += len(seen) - 1
+    # each pooled S is paired with every unit orbit's first tuple; each
+    # vector checked, pooled or an orbit member, is built once, though
+    # several weight orbits expand against one S here, and its partition is
+    # dealt once
+    assert len(by_orbit) == len({least for _, least in by_orbit}) * len(orbits)
+    assert len(checked) == len(by_orbit) + expanded < count
     assert expanded > 0
-    assert report.counts["hypothesis_not_met"] == 0 and len(dealt) == len(by_seq)
+    assert report.counts["hypothesis_not_met"] == 0
+    expanders = Counter(least for (_, least), seen in by_orbit.items() if len(seen) > 1)
+    if sid is not StatementId.CONJ_HAMIDOUNE:  # whose failures on c7 fall one W orbit per S
+        assert max(expanders.values()) > 1
+    built = {id(inst.seq): inst.seq.mult for inst in checked}
+    assert len(built) == len(set(built.values())) == len(dealt)
 
 
 @pytest.mark.parametrize("sid", _SUBGROUP_ROWS)
@@ -1721,14 +1895,17 @@ def test_sequence_major_walk_gives_each_pair_its_own_verdict(sid):
              ((3, 2, 2, 1, 1), (0, 0, 0, 4, 6)))
     seen = set()
     reasons = Counter()
-    for (wi, pi, si), inst in _seq_walk(g, tuple(wtuples), pools):
-        fresh = Instance(g, seq=GSequence(g, pools[pi][si]), weights=weight_seq(g, wtuples[wi]))
+    alone = [[i] for i in range(len(wtuples))]
+    for (wi, pi, mult), inst, orbit in _seq_walk(g, tuple(wtuples), alone,
+                                                 (zip(pool, repeat(0)) for pool in pools)):
+        assert mult in pools[pi] and orbit.size == 0
+        fresh = Instance(g, seq=GSequence(g, mult), weights=weight_seq(g, wtuples[wi]))
         assert inst == fresh
         verdict = check_instance(sid, inst)
-        assert verdict == check_instance(sid, fresh), (wi, pi, si)
+        assert verdict == check_instance(sid, fresh), (wi, pi, mult)
         if verdict.status is Status.HYPOTHESIS_NOT_MET:
             reasons[verdict.witness["reason"]] += 1
-        seen.add((wi, pi, si))
+        seen.add((wi, pi, mult))
     assert len(seen) == 5 * len(wtuples)
     assert reasons == {"maximum multiplicity exceeds |W|": 2 * len(wtuples),
                        "sequence shorter than |W| + |G| - 1": len(wtuples)}

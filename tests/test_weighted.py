@@ -394,7 +394,7 @@ def _pooled_pairs(sid, groups, wlens):
     row, the representatives the factories yield."""
     dom = SweepDomain(groups=tuple(map(parse_group, groups)), wlens=wlens)
     return [(inst.weights, inst.seq) for _, factory in STATEMENTS[sid].planner(dom, DEFAULT_CAPS)
-            for _, inst, *_ in factory()]
+            for _, inst, _ in factory()]
 
 
 @pytest.mark.parametrize("sid,groups,wlens,sums", [
