@@ -753,18 +753,15 @@ def quotient_iso_type(group: Group, sub: Subgroup) -> tuple[int, ...]:
 # -- isomorphism type enumeration ------------------------------------------------
 
 
-def _partitions_desc(n: int):
-    """All descending partitions of n."""
-
-    def rec(n: int, maxpart: int):
-        if n == 0:
-            yield ()
-            return
-        for first in range(min(n, maxpart), 0, -1):
-            for rest in rec(n - first, first):
-                yield (first,) + rest
-
-    yield from rec(n, n)
+def _partitions_desc(n: int, most: int | None = None):
+    """All partitions of n into parts of at most `most` (any size when
+    None), each descending, the largest first part first."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(n if most is None else min(n, most), 0, -1):
+        for rest in _partitions_desc(n - first, first):
+            yield (first,) + rest
 
 
 def abelian_group_types(max_order: int, min_order: int = 2) -> list[Group]:

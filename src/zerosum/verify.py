@@ -13,12 +13,13 @@ exactly; sweep plans a finite instance domain as counted shards, each
 factory yielding its keyed instances in check order, and tallies the
 verdicts shard by shard, keeping only failures and flagged pairs, with
 deterministic output.  Every instance a sweep decides goes through
-check_instance.  A sequence row's shard is one run of weight tuples that
-share their sequence pools, generated as they are walked, sequence by
-sequence, so that what the checkers memoize per S serves every weight tuple
-checked on it.  On the rows whose verdict is constant on each orbit of
-(W, S) -> (uW, v*S + t), u and v units, one pair per orbit is checked, and
-its verdict counts for the orbit where it is every member's.
+check_instance.  A sequence row's shard is one (G, |W|), all of its weight
+tuples in at most two legs that share their sequence pools, generated as
+they are walked, sequence by sequence, so that what the checkers memoize
+per S serves every weight tuple checked on it.  On the rows whose verdict
+is constant on each orbit of (W, S) -> (uW, v*S + t), u and v units, one
+pair per orbit is checked, and its verdict counts for the orbit where it is
+every member's.
 
 The setpartition searches share one walk over subsequences, setpartitions
 and weight assignments, bounded by a Budget built from SearchCaps.  A cap
@@ -36,8 +37,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial, reduce
-from itertools import (accumulate, chain, combinations, combinations_with_replacement, groupby,
-                       repeat)
+from itertools import accumulate, chain, combinations, combinations_with_replacement, repeat
 from math import comb, gcd
 from operator import itemgetter, or_
 from typing import Any, Callable, Iterable, Iterator, Mapping
@@ -1182,11 +1182,11 @@ class _Orbit:
     are the product of W and `weights`, the other tuples of W's unit orbit
     as (tuple position, weight sequence) pairs, with S and the `classes`
     other vectors of _seq_pool's pool in S's affine orbit, least translates
-    when `reduced`.  Its size is the number of those pairs; sweep builds
-    them only to check them (_orbit_members), and `seqs`, which the records
-    of one walk share, keeps the sequences of the last S expanded, so each
-    is built, and its partition dealt, once per shard.  A pair of a row
-    without symmetry stands for none (_ALONE)."""
+    when `reduced`, as on its leg.  Its size is the number of those pairs;
+    sweep builds them only to check them (_orbit_members), and `seqs`,
+    which the records of one leg share, keeps the sequences of the last S
+    expanded, so each is built, and its partition dealt, once per leg.  A
+    pair of a row without symmetry stands for none (_ALONE)."""
 
     __slots__ = ("weights", "classes", "reduced", "seqs", "size")
 
@@ -1299,8 +1299,7 @@ def _per_group(dom: SweepDomain, size: Callable[[Group], int | None],
 @dataclass(frozen=True)
 class _SeqPlanner:
     """Planner row for a weights-cross-sequences statement: one shard per
-    run of consecutive weight tuples of one (group, |W|) that share their
-    sequence pools.
+    (group, |W|) with a weight tuple, holding all of its weight tuples.
 
     clauses are the row's hypotheses, the tuple its checker runs.
     weight_tuples(G, k) keeps each nondecreasing k-tuple of residues mod
@@ -1311,34 +1310,36 @@ class _SeqPlanner:
     each planned instance.  slen(G, k, caps) is the base sequence length,
     read before the weights and stretched by dom.slen_extra; a length that
     needs D(G) takes it under caps.davenport.  With cap_h, multiplicities
-    are at most k.  Translation reduction applies when translate is set and
-    the weight total is 0 mod exp(G), so that translating S leaves every
-    |W|-term weighted sum in place.  A reduced pool holds the least
-    translate of each orbit and is generated orderly (_sub_multisets).  A
-    shard carries pool specs, one per sequence length, for its run of weight
-    tuples of one (G, k) that reduce alike; its count is exact and in closed
-    form (_pool_count, by Burnside's lemma when reduced), so planning builds
-    no pool.  Each factory call generates the pools afresh and walks them
-    sequence by sequence (_seq_walk), each pooled S built once and paired
-    with every weight tuple of the run in turn, and each weight sequence
-    built once for all of them.
+    are at most k.  A weight tuple's pools are translation reduced when
+    translate is set and its weight total is 0 mod exp(G), so that
+    translating S leaves every |W|-term weighted sum in place; a reduced
+    pool holds the least translate of each orbit and is generated orderly
+    (_sub_multisets).  So a shard has at most two legs, reduced and not,
+    each with one pool spec (size, hcap, reduced) per sequence length.  Its
+    count is exact and in closed form (_pool_count, by Burnside's lemma
+    when reduced), so planning builds no pool.  Each factory call generates
+    the pools afresh and walks them leg by leg, sequence by sequence
+    (_seq_walk), each pooled S built once and paired with every weight
+    tuple of the leg in turn, and each weight sequence built once.
 
     With orbits, the row checks one pair per orbit of the maps
     (W, S) -> (uW, v*S + t): u a unit of the alphabet, v a unit mod exp(G),
-    and t in G on reduced runs (t = 0 on unreduced ones).  A row opts in
-    when its hypotheses read W only through |W|, the weight total and which
-    weights are units, and S only through |S|, h(S), the multiset of its
-    multiplicities and the coset condition, and its verdict is constant on
-    each orbit: x -> u*v*x is an automorphism of G fixing every subgroup,
-    sigma(uW, v*S + t) is u*v*sigma(W, S) + (sum uW)*t, and on a reduced run
-    the weight total is 0 mod exp(G).  The run's weight tuples are grouped
-    into unit orbits (weight_orbits), and only each orbit's first tuple in
-    run order is paired with S; the pools hold the least vector of each
-    affine orbit of S, from the same orderly walk (_affine_pool).  Each
-    checked pair carries an _Orbit record of the pairs it stands for, and
-    sweep counts its verdict for them or checks each of them
-    (_stands_for_orbit).  Orbits never cross runs, and counts, shard counts
-    and reports are those of every weight tuple against _seq_pool's pools.
+    and t in G on a reduced leg (t = 0 on the other).  A row opts in when
+    its hypotheses read W only through |W| (and n, which is |W| on
+    COR_SPUD's planned instances), the weight total and which weights are
+    units, and S only through |S|, h(S), the multiset of its multiplicities
+    and the coset condition, and its verdict is constant on each orbit:
+    x -> u*v*x is an automorphism of G fixing every subgroup,
+    sigma(uW, v*S + t) is u*v*sigma(W, S) + (sum uW)*t, and on a reduced
+    leg the weight total is 0 mod exp(G).  The weight tuples are grouped into unit orbits
+    (weight_orbits), each within one leg since sum uW = u*sum W, and only
+    each orbit's first tuple is paired with S; the pools hold the least
+    vector of each affine orbit of S, from the same orderly walk
+    (_affine_pool).  Each checked pair carries an _Orbit record of the
+    pairs it stands for, and sweep counts its verdict for them or checks
+    each of them (_stands_for_orbit).  Keys count tuple positions over all
+    of the shard's tuples, so counts, failure order and reports are those
+    of every weight tuple against _seq_pool's pools.
     """
 
     clauses: tuple[Clause, ...]
@@ -1389,44 +1390,49 @@ class _SeqPlanner:
                     else _vectors_alone(_seq_pool))
             for wlen in dom.wlens:
                 base = self.slen(group, wlen, caps)
-                runs = groupby(self.weight_tuples(group, wlen, caps),
-                               key=lambda wt: (dom.reduce_translation and self.translate
-                                               and sum(wt) % group.exponent == 0))
-                for reduced, run in runs:
-                    run = tuple(run)
-                    specs = tuple((size, wlen if self.cap_h else size, reduced)
-                                  for size in range(base, base + dom.slen_extra + 1))
-                    yield _seq_shard(group, run, self.weight_orbits(group, run), pool,
-                                     _pool_count, specs, self.with_n, reduced)
+                sizes = range(base, base + dom.slen_extra + 1)
+                wtuples = tuple(self.weight_tuples(group, wlen, caps))
+                legs: dict[bool, list[list[int]]] = {}
+                for orbit in self.weight_orbits(group, wtuples):
+                    reduced = (dom.reduce_translation and self.translate
+                               and sum(wtuples[orbit[0]]) % group.exponent == 0)
+                    legs.setdefault(reduced, []).append(orbit)
+                if wtuples:
+                    yield _seq_shard(group, wtuples, [
+                        (reduced, orbits,
+                         tuple((size, wlen if self.cap_h else size, reduced) for size in sizes))
+                        for reduced, orbits in legs.items()], pool, _pool_count, self.with_n)
 
 
-def _seq_walk(group: Group, wtuples: tuple[tuple[int, ...], ...], orbits: list[list[int]],
-              pools: Iterable[Iterable[tuple[tuple[int, ...], int]]], with_n: bool = False,
-              reduced: bool = False) -> Iterator[tuple]:
-    """The factory of a sequence row's shard: a (key, instance, _Orbit)
-    triple for each pair of a unit orbit's first weight tuple (orbits, from
-    _SeqPlanner.weight_orbits) and a pooled sequence, keyed (tuple
-    position, pool position, multiplicity vector), visited sequence by
-    sequence, with each pooled S and each weight sequence built once.  The
-    pools yield (vector, other classes) pairs, lex ascending, so the keys
-    ascend as the pool positions do; the record carries the orbit's other
-    weight tuples and S's count of other classes, and the records for a
-    class count are built when a pooled S first has it."""
-    wseqs = [weight_seq(group, wtuple) for wtuple in wtuples]
-    seqs: dict = {}  # the records' shared cache of S's orbit (_orbit_members)
-    by_classes: dict[int, list[tuple]] = {}
-    for pi, pool in enumerate(pools):
-        for mult, classes in pool:
-            seq = GSequence(group, mult)
-            reps = by_classes.get(classes)
-            if reps is None:
-                reps = by_classes[classes] = [
-                    (orbit[0], wseqs[orbit[0]], _Orbit(tuple((wi, wseqs[wi]) for wi in orbit[1:]),
-                                                       classes, reduced, seqs))
-                    for orbit in orbits]
-            for wi, w, record in reps:
-                yield ((wi, pi, mult), Instance(group, seq, w, w.length if with_n else None),
-                       record)
+def _seq_walk(group: Group, wtuples: tuple[tuple[int, ...], ...], legs: Iterable[tuple],
+              pool: Callable[..., Iterable], with_n: bool = False) -> Iterator[tuple]:
+    """The factory of a sequence row's shard (_seq_shard), walking it leg
+    by leg: a (key, instance, _Orbit) triple for each pair of a unit orbit's
+    first weight tuple and a pooled sequence, keyed (tuple position, pool
+    position, multiplicity vector), visited sequence by sequence, with each
+    pooled S and each weight sequence built once.  pool(group, *spec) yields
+    (vector, other classes) pairs, lex ascending, so a tuple's keys ascend
+    as the walk does.  The record carries the orbit's other weight tuples,
+    S's count of other classes and the leg's reduction; a leg's records,
+    built when a pooled S first has their class count, share the leg's own
+    cache of S's orbit, as a vector expands into least translates on a
+    reduced leg and into raw dilates on the other."""
+    for reduced, orbits, specs in legs:
+        # each orbit's (tuple position, weight sequence) pairs, its first tuple first
+        members = [[(wi, weight_seq(group, wtuples[wi])) for wi in orbit] for orbit in orbits]
+        seqs: dict = {}  # the leg's records' shared cache of S's orbit (_orbit_members)
+        by_classes: dict[int, list[tuple]] = {}
+        for pi, spec in enumerate(specs):
+            for mult, classes in pool(group, *spec):
+                seq = GSequence(group, mult)
+                reps = by_classes.get(classes)
+                if reps is None:
+                    reps = by_classes[classes] = [
+                        (*first, _Orbit(tuple(others), classes, reduced, seqs))
+                        for first, *others in members]
+                for wi, w, record in reps:
+                    yield ((wi, pi, mult), Instance(group, seq, w, w.length if with_n else None),
+                           record)
 
 
 def _orbit_members(key: tuple, inst: Instance, orbit: _Orbit) -> list[tuple]:
@@ -1447,17 +1453,18 @@ def _orbit_members(key: tuple, inst: Instance, orbit: _Orbit) -> list[tuple]:
             for wj, w in ((wi, inst.weights), *orbit.weights) for image, seq in seqs][1:]
 
 
-def _seq_shard(group: Group, wtuples: tuple[tuple[int, ...], ...], orbits: list[list[int]],
+def _seq_shard(group: Group, wtuples: tuple[tuple[int, ...], ...], legs: list[tuple],
                pool: Callable[..., Iterable], count: Callable[..., int],
-               specs: tuple[tuple, ...], with_n: bool = False, reduced: bool = False) -> Shard:
-    """wtuples, grouped in orbits, against one pool per spec:
-    pool(group, *spec) generates its (vector, other classes) pairs and
-    count(group, *spec) gives, in closed form, the number of vectors they
-    stand for, so planning builds no pool and each factory call walks fresh
-    ones."""
-    return (len(wtuples) * sum(count(group, *spec) for spec in specs),
-            lambda: _seq_walk(group, wtuples, orbits, (pool(group, *spec) for spec in specs),
-                              with_n, reduced))
+               with_n: bool = False) -> Shard:
+    """wtuples against their pools, leg by leg (_seq_walk): a leg (reduced,
+    orbits, specs) holds unit orbits of positions in wtuples and one pool
+    spec per sequence length.  pool(group, *spec) generates its (vector,
+    other classes) pairs and count(group, *spec) gives, in closed form, the
+    number of vectors they stand for, so planning builds no pool and each
+    factory call walks fresh ones."""
+    return (sum(sum(map(len, orbits)) * sum(count(group, *spec) for spec in specs)
+                for _, orbits, specs in legs),
+            lambda: _seq_walk(group, wtuples, legs, pool, with_n))
 
 
 def _plan_david(dom: SweepDomain, caps: SearchCaps = DEFAULT_CAPS) -> Iterator[Shard]:
@@ -1466,8 +1473,8 @@ def _plan_david(dom: SweepDomain, caps: SearchCaps = DEFAULT_CAPS) -> Iterator[S
         for wlen in dom.wlens:
             specs = tuple((size, d) for size in range(wlen + d - 1, wlen + d + dom.slen_extra))
             wtuples = tuple(combinations_with_replacement(range(group.exponent), wlen))
-            yield _seq_shard(group, wtuples, [[i] for i in range(len(wtuples))],
-                             _vectors_alone(_david_pool), _david_count, specs)
+            yield _seq_shard(group, wtuples, [(False, [[i] for i in range(len(wtuples))], specs)],
+                             _vectors_alone(_david_pool), _david_count)
 
 
 def _plan_subgroup_instances(dom: SweepDomain, caps: SearchCaps = DEFAULT_CAPS) -> Iterator[Shard]:
@@ -1558,9 +1565,9 @@ class Statement:
     planner filters weight tuples by those that do not read S.  sweep runs
     the checker, through check_instance, on every planned instance, or on a
     row with orbits on each orbit's representative and on each member its
-    verdict does not stand for.  A _SeqPlanner row's shard is one run of
-    weight tuples that share their pool specs, walked sequence by sequence
-    (see sweep).
+    verdict does not stand for.  A _SeqPlanner row's shard is one (G, |W|)
+    with all of its weight tuples, walked leg by leg and sequence by
+    sequence (see sweep).
     """
 
     checker: Callable[[Instance, SearchCaps], Verdict]
@@ -1726,7 +1733,7 @@ STATEMENTS: dict[StatementId, Statement] = {
         "|S| >= |G| + d*(G) forces: the |G|-term subsums cover G, or the coset "
         "condition"),
     StatementId.COR_SPUD: _seq_statement(
-        _SeqPlanner(_SPUD_CLAUSES, with_n=True), _n_sums_cover,
+        _SeqPlanner(_SPUD_CLAUSES, with_n=True, orbits=True), _n_sums_cover,
         "max(h(S), d*(G)) <= n <= |S| - |G| + 1, all weights coprime to exp(G), "
         "|W| >= n, and no coset holding all but at most |G/H| - 2 terms: the n-term "
         "weighted sums cover G"),
@@ -1783,11 +1790,12 @@ def sweep(sid: StatementId, dom: SweepDomain, threads: int = 1,
     like the report's examined, are of the instances the shards stand for,
     orbit members included.  Then each shard's factory yields its keyed
     instances in check order, and each goes through check_instance, as an
-    explicit instance does.  A sequence row's shard is one run of weight
-    tuples that share their pool specs: the planner counts each pool in
-    closed form, and the factory generates the pools as it walks them,
-    sequence by sequence, each pooled S and each weight sequence built
-    once, so what the checker memoizes per S serves every weight tuple.  On
+    explicit instance does.  A sequence row's shard is one (G, |W|), its
+    weight tuples in at most two legs that share their pool specs: the
+    planner counts each pool in closed form, and the factory generates the
+    pools as it walks them, leg by leg and sequence by sequence, each
+    pooled S and each weight sequence built once, so what the checker
+    memoizes per S serves every weight tuple of the leg.  On
     a row with orbits (_SeqPlanner.orbits) an instance is its orbit's
     representative, and its _Orbit record stands for the other pairs
     (uW, v*S + t).  Where its verdict stands for them (_stands_for_orbit),
@@ -1826,9 +1834,7 @@ def sweep(sid: StatementId, dom: SweepDomain, threads: int = 1,
     for _, factory in shards:
         for key, inst, orbit in factory():
             verdict, marked = check(key, inst)
-            if not orbit.size:
-                continue
-            if marked or not _stands_for_orbit(verdict, inst):
+            if orbit.size and (marked or not _stands_for_orbit(verdict, inst)):
                 for key, inst in _orbit_members(key, inst, orbit):
                     check(key, inst)
             else:

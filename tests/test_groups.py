@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import random
 from itertools import product
 
@@ -370,6 +371,24 @@ def test_abelian_group_types_census():
         assert 2 <= g.order <= 36
         facs = g.invariant_factors
         assert all(facs[i + 1] % facs[i] == 0 for i in range(len(facs) - 1))
+
+
+def test_group_census_leaves_no_object_in_a_cycle():
+    # a recursive local closure reaches itself through its cell, which only
+    # the cyclic collector frees
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        groups = abelian_group_types(24)
+        gc.collect()
+        left = list(gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert len(groups) == 36
+    assert not left
 
 
 def test_translate_mask_matches_coordinate_addition():

@@ -10,7 +10,7 @@ import threading
 import tracemalloc
 from collections import Counter
 from functools import cache
-from itertools import chain, combinations_with_replacement, count, groupby, islice, product, repeat
+from itertools import chain, combinations_with_replacement, count, islice, product, repeat
 from math import comb
 from operator import itemgetter
 
@@ -1465,9 +1465,9 @@ _WALK_CASES = [
     (StatementId.COR_SPECIALCASE, "c2", (2,), _ALL_DOMAINS),
     (StatementId.COR_SPECIALCASE, "c2xc2", (4,), _ALL_DOMAINS),
     (StatementId.COR_SPECIALCASE, "c5", (5,), ((True, 0),)),
-    # seven weight tuples in five runs that alternate between reduced and
-    # unreduced pools, so orbits such as {1^6, 5^6} span runs and are taken
-    # run by run
+    # seven weight tuples in four unit orbits, in one shard whose two legs
+    # interleave in tuple order: {1^6, 5^6} and {1^3 5^3} (total 0 mod 6)
+    # on reduced pools, {1^5 5, 1 5^5} and {1^4 5^2, 1^2 5^4} on unreduced ones
     (StatementId.COR_SPECIALCASE, "c6", (6,), ((True, 0), (False, 0))),
 ]
 
@@ -1500,7 +1500,7 @@ def _shard_order(sid, dom):
 
 @pytest.mark.parametrize("sid,text,wlens,domains", _WALK_CASES,
                          ids=[f"{sid.value}:{text}:{w}" for sid, text, w, _ in _WALK_CASES])
-def test_sequence_major_sweeps_equal_shard_order_checks(sid, text, wlens, domains):
+def test_sequence_major_sweeps_equal_shard_order_checks(sid, text, wlens, domains, monkeypatch):
     for reduce_translation, slen_extra in domains:
         dom = SweepDomain(groups=(parse_group(text),), wlens=wlens, slen_extra=slen_extra,
                           reduce_translation=reduce_translation)
@@ -1520,13 +1520,20 @@ def test_sequence_major_sweeps_equal_shard_order_checks(sid, text, wlens, domain
         if (sid, text) == (StatementId.COR_SPECIALCASE, "c6") and reduce_translation:
             planner = STATEMENTS[sid].planner
             assert len(planner.weight_tuples(dom.groups[0], 6)) == 7
-            assert len(list(planner(dom, DEFAULT_CAPS))) == 5
+            assert len(list(planner(dom, DEFAULT_CAPS))) == 1
+            # one pool walk per leg
+            walks, real_pool = [], verify._affine_pool
+            monkeypatch.setattr(verify, "_affine_pool",
+                                lambda *args: walks.append(args) or real_pool(*args))
+            again, checked = _counted_checks(monkeypatch, sid, dom)
+            assert report_to_json(again) == report_to_json(report)
+            assert (len(checked), len(walks)) == (4_340, 2)
 
 
 _WEGZ = StatementId.THM_WEGZ
 _ORBIT_ROWS = (_WEGZ, StatementId.THM_HAM_CHAR, StatementId.CONJ_HAMIDOUNE,
                StatementId.COR_HAM_VAR, StatementId.CONJ_ORDAZ_QUIROZ,
-               StatementId.COR_SPECIALCASE)
+               StatementId.COR_SPECIALCASE, StatementId.COR_SPUD)
 
 
 def _least_k(sid, g):
@@ -1592,58 +1599,62 @@ def test_flagged_representatives_expand_their_orbits(monkeypatch):
 
 
 def test_planner_unit_orbits_match_the_oracle():
-    # the weight side of the planner's orbits, on every run it makes: one
-    # run of every tuple unreduced, the runs of equal translation reduction
-    # otherwise; with orbits off, each tuple is its own orbit
+    # the weight side of the planner's orbits, over every weight tuple of a
+    # (G, |W|); with orbits off, each tuple is its own orbit.  A unit orbit
+    # never mixes weight totals 0 and nonzero mod exp(G), so it lies in one
+    # leg of its shard
     for g in abelian_group_types(12):
         for sid in _ORBIT_ROWS:
             planner = STATEMENTS[sid].planner
             modulus = getattr(g, planner.alphabet)
             for k in range(7):
                 wtuples = planner.weight_tuples(g, k)
-                runs = [wtuples] + [list(run) for _, run in groupby(
-                    wtuples, key=lambda wt: sum(wt) % g.exponent == 0)]
-                for run in runs:
-                    assert planner.weight_orbits(g, run) == unit_orbits(run, modulus), (sid, g, k)
+                orbits = planner.weight_orbits(g, wtuples)
+                assert orbits == unit_orbits(wtuples, modulus), (sid, g, k)
+                for orbit in orbits:
+                    assert len({sum(wtuples[i]) % g.exponent == 0 for i in orbit}) == 1
                 assert _unreduced(planner).weight_orbits(g, wtuples) == [
                     [i] for i in range(len(wtuples))]
     # the product: each planned pair is the first tuple of its unit orbit
     # against the least vector of its affine orbit, and stands for that
-    # unit orbit crossed with that affine orbit (least translates when
-    # reduced), so that a shard's pairs cover its run of weight tuples
-    # against _seq_pool's pool once
+    # unit orbit crossed with that affine orbit (least translates when its
+    # leg is reduced), so that the one shard of a (G, |W|) covers each of
+    # its weight tuples against _seq_pool's pool, reduced where that tuple's
+    # weight total is 0 mod exp(G), once
     for g in abelian_group_types(6):
         factors = g.invariant_factors
         for sid in _ORBIT_ROWS:
             planner = STATEMENTS[sid].planner
             k = _least_k(sid, g)
             size = planner.slen(g, k, DEFAULT_CAPS)
+            wtuples = planner.weight_tuples(g, k)
+            worbits = [[wtuples[i] for i in orbit]
+                       for orbit in unit_orbits(wtuples, getattr(g, planner.alphabet))]
             for reduce_translation in (True, False):
                 dom = SweepDomain(groups=(g,), wlens=(k,), reduce_translation=reduce_translation)
-                runs = []
-                for _, factory in planner(dom, DEFAULT_CAPS):
-                    items = list(factory())
-                    expanded = [[(inst.weights.raw, inst.seq.mult)] + [
-                        (member.weights.raw, member.seq.mult)
-                        for _, member in verify._orbit_members(key, inst, orbit)]
-                        for key, inst, orbit in items]
-                    run = sorted({w for pairs in expanded for w, _ in pairs})
-                    runs += run
-                    reduced = items[0][2].reduced
-                    worbits = [[run[i] for i in orbit]
-                               for orbit in unit_orbits(run, getattr(g, planner.alphabet))]
-                    for (_, inst, orbit), pairs in zip(items, expanded):
-                        worbit = next(o for o in worbits if inst.weights.raw in o)
-                        assert inst.weights.raw == worbit[0]
-                        assert least_affine_image(factors, inst.seq.mult, reduced) == inst.seq.mult
-                        assert len(pairs) == orbit.size + 1
-                        assert set(pairs) == {
-                            (w, x) for w in worbit
-                            for x in affine_orbit(factors, inst.seq.mult, reduced)
-                            if not reduced or least_translate(factors, x) == x}, (sid, g, pairs[0])
-                    pool = _seq_pool(g, size, k if planner.cap_h else size, reduced)
-                    assert sorted(chain.from_iterable(expanded)) == sorted(product(run, pool))
-                assert runs == planner.weight_tuples(g, k), (sid, g)
+                (_, factory), = planner(dom, DEFAULT_CAPS)
+                items = list(factory())
+                expanded = [[(inst.weights.raw, inst.seq.mult)] + [
+                    (member.weights.raw, member.seq.mult)
+                    for _, member in verify._orbit_members(key, inst, orbit)]
+                    for key, inst, orbit in items]
+                for (_, inst, orbit), pairs in zip(items, expanded):
+                    reduced = orbit.reduced
+                    assert reduced == (reduce_translation
+                                       and sum(inst.weights.raw) % g.exponent == 0)
+                    worbit = next(o for o in worbits if inst.weights.raw in o)
+                    assert inst.weights.raw == worbit[0]
+                    assert least_affine_image(factors, inst.seq.mult, reduced) == inst.seq.mult
+                    assert len(pairs) == orbit.size + 1
+                    assert set(pairs) == {
+                        (w, x) for w in worbit
+                        for x in affine_orbit(factors, inst.seq.mult, reduced)
+                        if not reduced or least_translate(factors, x) == x}, (sid, g, pairs[0])
+                pools = {reduced: list(_seq_pool(g, size, k if planner.cap_h else size, reduced))
+                         for reduced in (True, False)}
+                assert sorted(chain.from_iterable(expanded)) == sorted(
+                    (w, x) for w in wtuples
+                    for x in pools[reduce_translation and sum(w) % g.exponent == 0]), (sid, g)
 
 
 def _orbit_case(sid, text, reduce_translation):
@@ -1800,9 +1811,46 @@ def test_failing_affine_orbits_expand_into_their_members(monkeypatch):
 @pytest.mark.parametrize("reduce_translation", [True, False])
 def test_failing_unit_and_affine_orbits_expand_into_their_members(reduce_translation,
                                                                   monkeypatch):
-    # COR_HAM_VAR: weight tuples in unit orbits of several tuples each
-    _check_failing_orbits_expand(StatementId.COR_HAM_VAR, "c5", 4, reduce_translation,
-                                 monkeypatch)
+    # weight tuples in unit orbits of several tuples each; COR_SPUD sets
+    # n = |W| on each planned instance, and each member must carry it
+    for sid in (StatementId.COR_HAM_VAR, StatementId.COR_SPUD):
+        _check_failing_orbits_expand(sid, "c5", 4, reduce_translation, monkeypatch)
+
+
+def test_failures_of_both_legs_come_in_enumeration_order(monkeypatch):
+    # COR_SPECIALCASE on c5 at |W| = 5: the 12 of 56 unit weight tuples with
+    # total 0 mod 5 walk reduced pools, the others unreduced ones, in one
+    # shard.  The conclusion fails exactly on the orbit of one sequence
+    # under x -> u*x + t, whose least vector is pooled on both legs, with a
+    # witness (the support) that differs from member to member.  So every
+    # weight tuple fails, the failures, sorted by (tuple position, pool
+    # position, vector), interleave the legs as the tuples do, and the
+    # vector expanded last on the reduced leg, into least translates, is
+    # expanded first on the unreduced one, into raw dilates
+    g = parse_group("c5")
+    failing = affine_orbit(g.invariant_factors, (5, 2, 2, 0, 0), True)
+
+    def fails_on_one_orbit(inst, caps):
+        if inst.seq.mult in failing:
+            support = sum(1 << i for i, m in enumerate(inst.seq.mult) if m)
+            return Verdict(Status.FAILS, {"support": GSet(g, support)})
+        return Verdict(Status.HOLDS, {})
+
+    sid = StatementId.COR_SPECIALCASE
+    row = verify._seq_statement(STATEMENTS[sid].planner, fails_on_one_orbit, "test row")
+    monkeypatch.setitem(STATEMENTS, sid, row)
+    dom = SweepDomain(groups=(g,), wlens=(5,))
+    assert len(list(STATEMENTS[sid].planner(dom, DEFAULT_CAPS))) == 1
+    report = sweep(sid, dom)
+    counts, failures, flagged = _shard_order(sid, dom)
+    reference = dataclasses.replace(report, counts=counts, failures=failures,
+                                    flagged=flagged, examined=sum(counts.values()))
+    assert report_to_json(report) == report_to_json(reference)
+    legs = [sum(inst.weights.raw) % 5 == 0 for inst, _ in report.failures]
+    # 20 vectors in 4 translation classes
+    assert len(failing) == 20
+    assert (legs.count(True), legs.count(False)) == (12 * 4, 44 * 20)
+    assert sum(a != b for a, b in zip(legs, legs[1:])) > 2
 
 
 def test_capped_affine_representatives_expand_into_their_members(monkeypatch):
@@ -1895,9 +1943,10 @@ def test_sequence_major_walk_gives_each_pair_its_own_verdict(sid):
              ((3, 2, 2, 1, 1), (0, 0, 0, 4, 6)))
     seen = set()
     reasons = Counter()
-    alone = [[i] for i in range(len(wtuples))]
-    for (wi, pi, mult), inst, orbit in _seq_walk(g, tuple(wtuples), alone,
-                                                 (zip(pool, repeat(0)) for pool in pools)):
+    # one unreduced leg whose specs name the pools above
+    leg = (False, [[i] for i in range(len(wtuples))], [(0,), (1,)])
+    for (wi, pi, mult), inst, orbit in _seq_walk(g, tuple(wtuples), [leg],
+                                                 lambda g, i: zip(pools[i], repeat(0))):
         assert mult in pools[pi] and orbit.size == 0
         fresh = Instance(g, seq=GSequence(g, mult), weights=weight_seq(g, wtuples[wi]))
         assert inst == fresh
