@@ -202,6 +202,22 @@ class Group:
             rows = [tuple(map(operator.add, row, d)) for d in digits for row in rows]
         return tuple(rows)
 
+    def automorphisms(self) -> tuple:
+        """Aut(G) as index tables, table[x] the index of phi(x), built once
+        through stored(): images g_i of the basis vectors e_i with
+        ord(g_i) | n_i give the endomorphism x -> sum x_i g_i, read from
+        multiples, and Aut(G) is the bijections among these
+        |End(G)| = prod gcd(n_i, n_j) maps."""
+        def build():
+            tables = [(0,)]  # the maps on the span of the basis vectors so far
+            for n in self.invariant_factors:
+                images = [self.multiples[g][:n] for g in range(self.order)
+                          if n % self.index_order(g) == 0]
+                tables = [tuple(self.index_add(y, r) for r in image for y in table)
+                          for image in images for table in tables]
+            return tuple(t for t in tables if len(set(t)) == self.order)
+        return self.stored("automorphisms", build)
+
     def index_neg(self, a: int) -> int:
         return self.multiples[a][-1 % self.exponent]
 

@@ -17,9 +17,9 @@ check_instance.  A sequence row's shard is one (G, |W|), all of its weight
 tuples in at most two legs that share their sequence pools, generated as
 they are walked, sequence by sequence, so that what the checkers memoize
 per S serves every weight tuple checked on it.  On the rows whose verdict
-is constant on each orbit of (W, S) -> (uW, v*S + t), u and v units, one
-pair per orbit is checked, and its verdict counts for the orbit where it is
-every member's.
+is constant on each orbit of (W, S) -> (uW, phi(S) + t), u a unit and phi
+in Aut(G), one pair per orbit is checked, and its verdict counts for the
+orbit where it is every member's.
 
 The setpartition searches share one walk over subsequences, setpartitions
 and weight assignments, bounded by a Budget built from SearchCaps.  A cap
@@ -38,7 +38,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial, reduce
 from itertools import accumulate, chain, combinations, combinations_with_replacement, repeat
-from math import comb, gcd
+from math import comb, gcd, prod
 from operator import itemgetter, or_
 from typing import Any, Callable, Iterable, Iterator, Mapping
 
@@ -176,6 +176,10 @@ class SearchCaps:
 
 
 DEFAULT_CAPS = SearchCaps()
+# The most entries, |End(G)| |G|, that building Aut(G) may write for the orbit
+# rows to reduce S by all of it; it bounds the |Aut(G)| |G| maps
+# x -> phi(x) + t the walk carries too.  Above it phi runs over the units.
+AFFINE_TABLE_CAP = 1 << 14
 
 
 # ---------------------------------------------------------------------------
@@ -301,12 +305,15 @@ def _sub_multisets(mult: tuple[int, ...], size: int, hmax: int, tables: tuple = 
     of the element indices, such as back[x] = x - g for a translate g, which
     with the identity form a group), only the least of each orbit under
     m' -> (x -> m'[back[x]]) is kept, generated orderly (Read 1978; McKay
-    1998): the walk keeps for each table the position p up to which its
-    image agrees with the prefix.  Once m'[back[p]] and m'[p] are both
-    known, a tie moves p on, a larger image entry drops the table for good,
-    and a smaller one drops the prefix, so no vector it would lead to is
-    ever built.  With fixers, each vector comes as a pair with the tables
-    still live at its leaf, which are those that fix it.
+    1998): a table's image agrees with the prefix up to some position p,
+    and once m'[back[p]] and m'[p] are both known, a tie moves p on, a
+    larger image entry drops the table for good, and a smaller one drops
+    the prefix, so no vector it would lead to is ever built.  The tables
+    share those steps along a trie of their entries: a pending edge
+    (p, back[p], subtrie) stands for every table below it, all tied before
+    p, and waits in wake[max(p, back[p])] until the walk sets that entry.
+    With fixers, each vector comes as a pair with the tables still live at
+    its leaf, which are those that fix it.
     """
     caps = [min(m, hmax) for m in mult]
     if not caps:
@@ -314,35 +321,56 @@ def _sub_multisets(mult: tuple[int, ...], size: int, hmax: int, tables: tuple = 
             yield ((), ()) if fixers else ()
         return
     room = [*accumulate(reversed(caps), initial=0)][::-1]  # room[i]: what entries i.. hold
-    acc, last = [0] * len(caps), len(caps) - 1
+    n, trie = len(caps), {}
+    acc, last, wake = [0] * n, n - 1, [[] for _ in range(n + 1)]
+    for back in tables:
+        node = reduce(lambda node, y: node.setdefault(y, {}), back[:-1], trie)
+        node[back[-1]] = back
 
-    def rec(i: int, left: int, pending: list[tuple[tuple[int, ...], int]]):
+    def advance(i: int, woken: list, pushed: list) -> bool | None:
+        """Move the edges woken at entry i on, pushing those left waiting:
+        False when an image falls below the prefix, None when it does for
+        every larger value of entry i too."""
+        ties = []
+        for p, y, node in woken:
+            if acc[y] < acc[p]:
+                return None if p == i else False
+            if acc[y] == acc[p]:
+                ties.append((p + 1, node))
+        for p, node in ties:  # grows as ties on known entries move p on
+            # at p = n, node is a table that fixes the vector: it waits at wake[n]
+            for y, child in node.items() if p < n else [(n, node)]:
+                if max(p, y) > i:
+                    wake[max(p, y)].append((p, y, child))
+                    pushed.append(max(p, y))
+                elif acc[y] < acc[p]:
+                    return False
+                elif acc[y] == acc[p]:
+                    ties.append((p + 1, child))
+        return True
+
+    def rec(i: int, left: int):
+        woken = wake[i]
         for c in range(max(0, left - room[i + 1]), min(caps[i], left) + 1):
             acc[i] = c
-            live = []
-            for back, start in pending:
-                p = start
-                while p <= i:  # entry p of the table's image is acc[back[p]]
-                    y = back[p]
-                    if y > i or acc[y] != acc[p]:
-                        break
-                    p += 1
-                if p > i or y > i:  # a tie so far, and the next entry is not known yet
-                    live.append((back, p))
-                elif acc[y] < acc[p]:
-                    if start == i:  # c itself is too large, and so is every larger c
-                        return
-                    break
-            else:
-                if i < last and (live or i + 1 < last):
-                    yield from rec(i + 1, left - c, live)
+            pushed: list[int] = []
+            least = advance(i, woken, pushed) if woken else True
+            if least is None:  # c is too large, and so is every larger c
+                return
+            if least:
+                if i < last and (i + 1 < last or wake[last]):
+                    yield from rec(i + 1, left - c)
                 else:  # the last entry is set, or takes the rest with no table left
                     acc[last] = left - c if i < last else c
-                    yield (tuple(acc), tuple(back for back, _ in live)) if fixers else tuple(acc)
+                    yield (tuple(acc), tuple(t for *_, t in wake[n])) if fixers else tuple(acc)
+            for j in pushed:
+                wake[j].pop()
 
     try:
         if 0 <= size <= room[0]:
-            yield from rec(0, size, [(back, 0) for back in tables])
+            for y, child in trie.items():
+                wake[y].append((0, y, child))
+            yield from rec(0, size)
     finally:
         del rec  # it reaches itself through its closure; emptying the cell frees it at once
 
@@ -1095,7 +1123,7 @@ class SweepDomain:
     draw `samples` sequences per shard from a seeded generator.  When
     reduce_translation is set, sequence domains whose conclusion is
     translation-covariant keep one representative per translation orbit.
-    The orbits of (W, S) -> (uW, v*S + t) are no field: the rows that admit
+    The orbits of (W, S) -> (uW, phi(S) + t) are no field: the rows that admit
     them (_SeqPlanner.orbits) always check one pair per orbit, t = 0 where
     the pools are not translation reduced, and their reports equal the
     unreduced ones byte for byte.  max_instances bounds the instances the
@@ -1162,27 +1190,42 @@ def _units(modulus: int) -> list[int]:
     return [u for u in range(modulus) if gcd(u, modulus) == 1]
 
 
-def _affine_maps(group: Group, reduced: bool) -> dict[tuple[int, ...], int]:
-    """The maps x -> u*x + t other than the identity, each as its index
-    table with its u: u over the units mod exp(G), which act on G as
-    distinct automorphisms, and t over G when reduced, t = 0 otherwise."""
+def _automorphisms(group: Group) -> tuple[tuple[int, ...], ...]:
+    """The automorphisms phi the orbit rows reduce S by, as index tables:
+    Aut(G) (Group.automorphisms) while |End(G)| |G| is at most
+    AFFINE_TABLE_CAP, checked before any table is built, and else the
+    dilates x -> u*x, u a unit mod exp(G), all of Aut(G) on a cyclic group."""
+    f = group.invariant_factors
+    if prod(gcd(a, b) for a in f for b in f) * group.order <= AFFINE_TABLE_CAP:
+        return group.automorphisms()
+    return tuple(tuple(row[u] for row in group.multiples) for u in _units(group.exponent))
+
+
+def _affine_maps(group: Group, reduced: bool) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """The maps x -> phi(x) + t other than the identity, each as its index
+    table with its phi: phi over _automorphisms(G), and t over G when
+    reduced, t = 0 otherwise.  Each is a symmetry of an orbit row's S side
+    (_SeqPlanner): phi commutes with integer weights, so the weighted sums
+    of phi(S) are phi of those of S, and t moves the |W|-term sums by
+    (sum W)*t, which a reduced leg's weight total cancels."""
     maps = {}
-    for u in _units(group.exponent):
-        scaled = [row[u] for row in group.multiples]  # the index of u*x
+    for phi in _automorphisms(group):
         for t in range(group.order) if reduced else (0,):
             plus_t = group.differences[group.index_neg(t)]
-            maps[tuple(plus_t[y] for y in scaled)] = u
+            maps[tuple(plus_t[y] for y in phi)] = phi
     del maps[tuple(range(group.order))]
     return maps
 
 
 class _Orbit:
     """What a checked pair (W, S) of a row with symmetry (_SeqPlanner.orbits)
-    stands for besides itself: the pairs (uW, vS + t) of its orbit, which
-    are the product of W and `weights`, the other tuples of W's unit orbit
-    as (tuple position, weight sequence) pairs, with S and the `classes`
-    other vectors of _seq_pool's pool in S's affine orbit, least translates
-    when `reduced`, as on its leg.  Its size is the number of those pairs;
+    stands for besides itself: the pairs (uW, phi(S) + t) of its orbit,
+    whose sum sets are its own moved by the automorphism x -> u*phi(x).
+    They are the product of W and `weights`, the other tuples of W's unit
+    orbit as (tuple position, weight sequence) pairs, with S and the
+    `classes` other vectors of _seq_pool's pool in S's orbit under
+    x -> phi(x) + t, least translates when `reduced`, as on its leg.  Its
+    size is the number of those pairs;
     sweep builds them only to check them (_orbit_members), and `seqs`,
     which the records of one leg share, keeps the sequences of the last S
     expanded, so each is built, and its partition dealt, once per leg.  A
@@ -1212,31 +1255,30 @@ def _vectors_alone(pool: Callable[..., Iterable]) -> Callable[..., Iterator]:
 
 def _affine_pool(group: Group, size: int, hcap: int,
                  reduced: bool) -> Iterator[tuple[tuple[int, ...], int]]:
-    """_seq_pool's pool up to the affine maps x -> u*x + t (_affine_maps):
-    the least vector of each orbit, lex ascending and lazy, from the one
+    """_seq_pool's pool up to the maps x -> phi(x) + t (_affine_maps): the
+    least vector of each orbit, lex ascending and lazy, from the one
     orderly walk (_sub_multisets), each paired with the number of the other
     vectors of _seq_pool's pool in its orbit.  An orbit holds
-    |U| |Stab_T(S)| / |Stab_aff(S)| of them, which is |U| over the number of
-    u with u*S a translate of S (or S itself, unreduced); those u are read
+    |Aut| |Stab_T(S)| / |Stab(S)| of them, |Aut| the number of phi: the map
+    phi + t -> phi takes Stab(S) onto the phi with phi(S) a translate of S
+    (or S itself, unreduced), with kernel Stab_T(S).  Those phi are read
     from the tables that fix S at its leaf."""
-    maps = _affine_maps(group, reduced)
-    units = len(_units(group.exponent))
+    maps, identity = _affine_maps(group, reduced), tuple(range(group.order))
+    phis = len(_automorphisms(group))
     for mult, fixers in _sub_multisets((hcap,) * group.order, size, hcap, tuple(maps),
                                        fixers=True):
-        yield mult, units // len({1, *(maps[table] for table in fixers)}) - 1
+        yield mult, phis // len({identity, *(maps[table] for table in fixers)}) - 1
 
 
 def _affine_images(group: Group, mult: tuple[int, ...], reduced: bool) -> list[tuple[int, ...]]:
-    """The other vectors of _seq_pool's pool in mult's affine orbit,
-    ascending: the dilate x -> mult[x / u] for each unit u, taken as its
-    least translate when reduced."""
-    images = set()
-    for u in _units(group.exponent):
-        image = [0] * group.order
-        for row, m in zip(group.multiples, mult):
-            image[row[u]] = m
-        images.add(min(tuple(image[y] for y in back) for back in group.differences)
-                   if reduced else tuple(image))
+    """The other vectors of _seq_pool's pool in mult's orbit under
+    x -> phi(x) + t (_affine_maps), ascending: x -> mult[phi(x)], the vector
+    of phi^-1(S), for each phi of _automorphisms(G), taken as its least
+    translate when reduced."""
+    images = {tuple(mult[y] for y in phi) for phi in _automorphisms(group)}
+    if reduced:
+        images = {min(tuple(image[y] for y in back) for back in group.differences)
+                  for image in images}
     images.discard(mult)
     return sorted(images)
 
@@ -1323,23 +1365,28 @@ class _SeqPlanner:
     tuple of the leg in turn, and each weight sequence built once.
 
     With orbits, the row checks one pair per orbit of the maps
-    (W, S) -> (uW, v*S + t): u a unit of the alphabet, v a unit mod exp(G),
-    and t in G on a reduced leg (t = 0 on the other).  A row opts in when
-    its hypotheses read W only through |W| (and n, which is |W| on
-    COR_SPUD's planned instances), the weight total and which weights are
-    units, and S only through |S|, h(S), the multiset of its multiplicities
-    and the coset condition, and its verdict is constant on each orbit:
-    x -> u*v*x is an automorphism of G fixing every subgroup,
-    sigma(uW, v*S + t) is u*v*sigma(W, S) + (sum uW)*t, and on a reduced
-    leg the weight total is 0 mod exp(G).  The weight tuples are grouped into unit orbits
-    (weight_orbits), each within one leg since sum uW = u*sum W, and only
-    each orbit's first tuple is paired with S; the pools hold the least
-    vector of each affine orbit of S, from the same orderly walk
-    (_affine_pool).  Each checked pair carries an _Orbit record of the
-    pairs it stands for, and sweep counts its verdict for them or checks
-    each of them (_stands_for_orbit).  Keys count tuple positions over all
-    of the shard's tuples, so counts, failure order and reports are those
-    of every weight tuple against _seq_pool's pools.
+    (W, S) -> (uW, phi(S) + t): u a unit of the alphabet, phi in Aut(G)
+    (_automorphisms), and t in G on a reduced leg (t = 0 on the other).  A
+    row opts in when its hypotheses read W only through |W| (and n, which
+    is |W| on COR_SPUD's planned instances), the weight total and which
+    weights are units, and S only through |S|, h(S), the multiset of its
+    multiplicities and the coset condition, and its verdict is constant on
+    each orbit.  phi commutes with integer weights, so sigma(uW, phi(S) + t)
+    is psi(sigma(W, S)) + (sum uW)*t for the automorphism psi = u*phi, and
+    on a reduced leg the weight total is 0 mod exp(G).  psi maps the
+    nontrivial subgroups onto themselves and each coset g + H onto
+    psi(g) + psi(H), of the same index, so whether sigma holds 0, all of G
+    or a nontrivial subgroup, and the coset condition, are the same across
+    an orbit.  THM_HAM_CHAR's disjunct ii reads the weights' values, but it
+    exists on cyclic groups only, where Aut(G) is the units.  The weight
+    tuples are grouped into unit orbits (weight_orbits), each within one leg
+    since sum uW = u*sum W, and only each orbit's first tuple is paired with
+    S; the pools hold the least vector of each orbit of S, from the same
+    orderly walk (_affine_pool).  Each checked pair carries an _Orbit record
+    of the pairs it stands for, and sweep counts its verdict for them or
+    checks each of them (_stands_for_orbit).  Keys count tuple positions
+    over all of the shard's tuples, so counts, failure order and reports are
+    those of every weight tuple against _seq_pool's pools.
     """
 
     clauses: tuple[Clause, ...]
@@ -1385,9 +1432,7 @@ class _SeqPlanner:
 
     def __call__(self, dom: SweepDomain, caps: SearchCaps = DEFAULT_CAPS) -> Iterator[Shard]:
         for group in dom.groups:
-            # with the one unit 1, S's orbits are the translation classes _seq_pool keeps
-            pool = (_affine_pool if self.orbits and len(_units(group.exponent)) > 1
-                    else _vectors_alone(_seq_pool))
+            pool = _affine_pool if self.orbits else _vectors_alone(_seq_pool)
             for wlen in dom.wlens:
                 base = self.slen(group, wlen, caps)
                 sizes = range(base, base + dom.slen_extra + 1)
@@ -1438,7 +1483,7 @@ def _seq_walk(group: Group, wtuples: tuple[tuple[int, ...], ...], legs: Iterable
 def _orbit_members(key: tuple, inst: Instance, orbit: _Orbit) -> list[tuple]:
     """The keyed instances of the pairs a representative stands for, in key
     order: its weights and the orbit's other weights crossed with its S and
-    the other vectors of S's affine orbit (_affine_images), the
+    the other vectors of S's orbit (_affine_images), the
     representative itself left out, each keyed by its own tuple position
     and vector and with the representative's n.  S's orbit is built at the
     first expansion against S and kept in orbit.seqs for the others, which
@@ -1561,13 +1606,7 @@ class Statement:
     draws dom.samples random instances, so the report's domain shows that
     count.
     A row made by _seq_statement has a _SeqPlanner whose clauses are the one
-    statement of its hypotheses: its checker runs them in order, and its
-    planner filters weight tuples by those that do not read S.  sweep runs
-    the checker, through check_instance, on every planned instance, or on a
-    row with orbits on each orbit's representative and on each member its
-    verdict does not stand for.  A _SeqPlanner row's shard is one (G, |W|)
-    with all of its weight tuples, walked leg by leg and sequence by
-    sequence (see sweep).
+    statement of its hypotheses (_seq_statement); sweep runs its checker.
     """
 
     checker: Callable[[Instance, SearchCaps], Verdict]
@@ -1790,23 +1829,21 @@ def sweep(sid: StatementId, dom: SweepDomain, threads: int = 1,
     like the report's examined, are of the instances the shards stand for,
     orbit members included.  Then each shard's factory yields its keyed
     instances in check order, and each goes through check_instance, as an
-    explicit instance does.  A sequence row's shard is one (G, |W|), its
-    weight tuples in at most two legs that share their pool specs: the
-    planner counts each pool in closed form, and the factory generates the
-    pools as it walks them, leg by leg and sequence by sequence, each
-    pooled S and each weight sequence built once, so what the checker
-    memoizes per S serves every weight tuple of the leg.  On
-    a row with orbits (_SeqPlanner.orbits) an instance is its orbit's
-    representative, and its _Orbit record stands for the other pairs
-    (uW, v*S + t).  Where its verdict stands for them (_stands_for_orbit),
+    explicit instance does.  A sequence row's shard is walked leg by leg
+    and sequence by sequence (_SeqPlanner), so what the checker memoizes
+    per S serves every weight tuple of the leg.  On a row with orbits
+    (_SeqPlanner.orbits) an instance is its orbit's representative, and its
+    _Orbit record stands for the other pairs (uW, phi(S) + t), phi in
+    Aut(G), whose sum sets are its own moved by the automorphism
+    x -> u*phi(x), which maps subgroups to subgroups and cosets to cosets of
+    the same index.  Where its verdict stands for them (_stands_for_orbit),
     it is counted once per member, and otherwise each member is built and
     checked under its own key, so failures, flagged pairs and their
-    witnesses are those of the unreduced sweep.  The
-    verdicts are tallied as they go: status counts, failures and flagged
-    pairs are kept, each shard's kept pairs sorted by key back into
-    enumeration order, and everything else dropped.  So memory holds the
-    failures, the flagged pairs and the instance being checked, and the
-    report is deterministic.
+    witnesses are those of the unreduced sweep.  The verdicts are tallied
+    as they go: status counts, failures and flagged pairs are kept, each
+    shard's kept pairs sorted by key back into enumeration order, and
+    everything else dropped.  So memory holds the failures, the flagged
+    pairs and the instance being checked, and the report is deterministic.
     threads is accepted and ignored.
     """
     statement = STATEMENTS[sid]

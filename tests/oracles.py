@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import cache
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 
 def coord_add(factors, a, b):
@@ -63,8 +63,6 @@ def is_zero_sum_free(factors, terms):
 def brute_davenport(factors, cap=200_000):
     """Least L such that every length-L sequence has a nonempty zero-sum
     subsequence, by exhaustive multiset search over nonzero elements."""
-    from itertools import product
-
     elements = list(product(*[range(n) for n in factors]))
     zero = (0,) * len(factors)
     nonzero = [e for e in elements if e != zero]
@@ -94,8 +92,6 @@ def brute_sumset(factors, a, b):
 def all_elements(factors):
     """Every element as a coordinate tuple, listed in index order: mixed radix,
     first coordinate fastest."""
-    from itertools import product
-
     return [tuple(reversed(t)) for t in product(*[range(n) for n in reversed(factors)])]
 
 
@@ -201,26 +197,58 @@ def least_translate(factors, mult):
     return min(translates(factors, mult))
 
 
+def is_automorphism(factors, image):
+    """Whether x -> image[x], a dict over every element, is an additive
+    bijection: image[x + y] = image[x] + image[y] for every x and y, by
+    coordinate addition, and no two elements share an image."""
+    return all(image[coord_add(factors, x, y)] == coord_add(factors, image[x], image[y])
+               for x in image for y in image) and len(set(image.values())) == len(image)
+
+
+def basis_image_maps(factors):
+    """For every choice of images g_i of the unit vectors e_i, the map
+    x -> sum x_i g_i as a dict, by coordinate arithmetic; it is an
+    endomorphism exactly when each ord(g_i) divides n_i, which
+    is_automorphism finds out for itself."""
+    elements = all_elements(factors)
+    zero = elements[0]
+    for images in product(elements, repeat=len(factors)):
+        out = {}
+        for x in elements:
+            acc = zero
+            for c, g in zip(x, images):
+                acc = coord_add(factors, acc, coord_scalar(factors, c, g))
+            out[x] = acc
+        yield out
+
+
+@cache
+def automorphisms(factors):
+    """Aut(G) as dicts x -> phi(x): the maps is_automorphism accepts, by
+    brute force over every bijection of the elements for |G| <= 8, and
+    over basis_image_maps above that."""
+    elements = all_elements(factors)
+    maps = ((dict(zip(elements, perm)) for perm in permutations(elements))
+            if len(elements) <= 8 else basis_image_maps(factors))
+    return [image for image in maps if is_automorphism(factors, image)]
+
+
 @cache
 def _affine_positions(factors, translate):
-    """positions[k][i] = the position of u*e + g for element i = e and the
-    k-th map (u, g): u over the units mod the exponent, g over every element
-    when translate and g = 0 otherwise."""
+    """positions[k][i] = the position of phi(e) + g for element i = e and
+    the k-th map (phi, g): phi over automorphisms(factors), g over every
+    element when translate and g = 0 otherwise."""
     elements = all_elements(factors)
     index = {e: i for i, e in enumerate(elements)}
-    exponent = 1
-    for n in factors:
-        exponent = exponent * n // _gcd(exponent, n)
-    units = [u for u in range(1, exponent + 1) if _gcd(u, exponent) == 1]
-    shifts = elements if translate else [(0,) * len(factors)]
-    return [[index[coord_add(factors, coord_scalar(factors, u, e), g)] for e in elements]
-            for u in units for g in shifts]
+    shifts = elements if translate else elements[:1]
+    return [[index[coord_add(factors, phi[e], g)] for e in elements]
+            for phi in automorphisms(factors) for g in shifts]
 
 
 def affine_orbit(factors, mult, translate):
-    """Every image of a multiplicity vector under the maps x -> u*x + g
+    """Every image of a multiplicity vector under the maps x -> phi(x) + g
     (_affine_positions), by coordinate arithmetic: the vector whose entry
-    at u*x + g is mult[x]."""
+    at phi(x) + g is mult[x]."""
     orbit = set()
     for positions in _affine_positions(tuple(factors), translate):
         out = [0] * len(positions)
@@ -232,8 +260,8 @@ def affine_orbit(factors, mult, translate):
 
 def least_affine_image(factors, mult, translate):
     """Lexicographically least image of a multiplicity vector under the maps
-    x -> u*x + g, u a unit mod the exponent and g any element when
-    translate, g = 0 otherwise."""
+    x -> phi(x) + g, phi an automorphism and g any element when translate,
+    g = 0 otherwise."""
     return min(affine_orbit(factors, mult, translate))
 
 

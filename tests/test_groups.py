@@ -39,9 +39,12 @@ from zerosum import (
 )
 from oracles import (
     all_elements,
+    automorphisms,
+    basis_image_maps,
     chain_order_histogram,
     coord_add,
     coord_scalar,
+    is_automorphism,
     order_histogram,
     quotient_order_histogram,
     span,
@@ -458,6 +461,34 @@ def test_group_tables_match_coordinate_arithmetic():
         g = parse_group(name)
         rows = [0, 1, 2, 64, 128, g.order - 1] + rng.sample(range(g.order), 6)
         _check_scalar_rows(g, rows, [g.full_mask, rng.getrandbits(g.order)])
+
+
+def test_automorphisms_match_the_brute_force_oracle():
+    # Aut(G) from the images of the basis vectors against every additive
+    # bijection, on every group of order <= 8, as sets of index tables
+    for g in abelian_group_types(8):
+        elements = all_elements(g.invariant_factors)
+        index = {e: i for i, e in enumerate(elements)}
+        tables = g.automorphisms()
+        assert len(tables) == len(set(tables)) == len(automorphisms(g.invariant_factors))
+        assert set(tables) == {tuple(index[phi[e]] for e in elements)
+                               for phi in automorphisms(g.invariant_factors)}, g
+
+
+def test_automorphism_counts_beyond_the_brute_force_range():
+    # the oracle's homomorphism test on the basis images finds the 48
+    # automorphisms of c3xc3, |GL(2, 3)|, and the library the same tables
+    factors = (3, 3)
+    elements = all_elements(factors)
+    maps = [phi for phi in basis_image_maps(factors) if is_automorphism(factors, phi)]
+    assert len(maps) == 48
+    assert set(parse_group("c3xc3").automorphisms()) == {
+        tuple(elements.index(phi[e]) for e in elements) for phi in maps}
+    # the known orders |Aut(Z4 + Z4)| = 96, |Aut(Z2 + Z2 + Z4)| = 192,
+    # |Aut(Z2 + Z8)| = 16 and |Aut(Z3 + Z9)| = 108
+    assert {text: len(parse_group(text).automorphisms())
+            for text in ("c4xc4", "c2xc2xc4", "c2xc8", "c3xc9")} == {
+        "c4xc4": 96, "c2xc2xc4": 192, "c2xc8": 16, "c3xc9": 108}
 
 
 def test_translate_and_dilate_masks():

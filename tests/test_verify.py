@@ -11,7 +11,7 @@ import tracemalloc
 from collections import Counter
 from functools import cache
 from itertools import chain, combinations_with_replacement, count, islice, product, repeat
-from math import comb
+from math import comb, gcd, prod
 from operator import itemgetter
 
 import pytest
@@ -66,15 +66,15 @@ from zerosum import sequences, verify, weighted
 from zerosum.errors import NoSetpartition
 from zerosum.sequences import balanced_setpartition
 from zerosum.verify import (STATEMENTS, _affine_images, _affine_pool, _david_count, _david_pool,
-                            _pool_count, _SeqPlanner, _seq_pool, _seq_walk, _sub_multisets,
-                            _units)
+                            _pool_count, _SeqPlanner, _seq_pool, _seq_walk, _sub_multisets)
 from zerosum.verdict import Verdict
 from zerosum.weighted import _positional_wsum_bits, sigma_n
 from zerosum.weighted import weight_seq as real_weight_seq
 from zerosum.setsum import _ap_differences, detect_ap
 
-from oracles import (affine_orbit, all_elements, brute_contained_subgroup, brute_subgroups,
-                     least_affine_image, least_translate, translates, unit_orbits)
+from oracles import (affine_orbit, all_elements, automorphisms, brute_contained_subgroup,
+                     brute_subgroups, least_affine_image, least_translate, translates,
+                     unit_orbits)
 from planned import planned_pairs
 
 
@@ -314,7 +314,7 @@ def test_canonical_translate_matches_least_translate_oracle(g):
 
 @pytest.mark.parametrize("g", abelian_group_types(9), ids=format_group)
 def test_affine_pool_matches_least_affine_image_oracle(g):
-    # the orbit rows' pools: the least vector of each orbit under x -> u*x + t,
+    # the orbit rows' pools: the least vector of each orbit under x -> phi(x) + t,
     # each standing for the translation classes (reduced) or the vectors
     # (unreduced) in its orbit
     factors = g.invariant_factors
@@ -344,6 +344,22 @@ def test_affine_pool_matches_least_affine_image_oracle(g):
                 assert len(images) == others and images == sorted(set(images))
                 assert all(least[x] == mult != x for x in images)
                 assert not reduced or all(least_translate(factors, x) == x for x in images)
+
+
+def test_orbit_rows_keep_the_units_above_the_table_cap():
+    # building Aut(c2xc2xc2xc2) would try 2^16 endomorphisms of 16 entries,
+    # for 20,160 * 16 = 322,560 maps x -> phi(x) + t, and c2xc2xc6's 1,536
+    # endomorphisms of 24 entries fall above the cap too: their rows reduce
+    # S by the units alone, the identity and x -> 5x, and build no Aut(G)
+    for factors, units in (((2, 2, 2, 2), [1]), ((2, 2, 6), [1, 5])):
+        g = Group(factors)  # not the interned group, which other tests may fill
+        assert prod(gcd(a, b) for a in factors for b in factors) * g.order > verify.AFFINE_TABLE_CAP
+        assert verify._automorphisms(g) == tuple(tuple(row[u] for row in g.multiples)
+                                                 for u in units)
+        assert "automorphisms" not in g.__dict__.get("_stored", {})
+    # below the cap phi runs over all of Aut(G)
+    assert [len(verify._automorphisms(parse_group(text)))
+            for text in ("c2xc2xc2", "c3xc3", "c2xc6", "c8", "c2xc2xc4")] == [168, 48, 12, 4, 192]
 
 
 @pytest.mark.parametrize("g", abelian_group_types(10), ids=format_group)
@@ -1676,6 +1692,8 @@ _ORBIT_CASES = [
     *(pytest.param(sid, format_group(g), None, ((True, 0), (False, 0)),
                    id=f"{sid.value}:{format_group(g)}:least")
       for sid in _ORBIT_ROWS for g in abelian_group_types(8)),
+    pytest.param(StatementId.CONJ_ORDAZ_QUIROZ, "c3xc3", None, ((True, 0), (False, 0)),
+                 id="CONJ_ORDAZ_QUIROZ:c3xc3:least"),
     pytest.param(StatementId.CONJ_HAMIDOUNE, "c7", (3,), ((False, 0),),
                  id="CONJ_HAMIDOUNE:c7:(3,):1"),
     pytest.param(StatementId.CONJ_HAMIDOUNE, "c8", (3,), ((True, 0), (False, 0)),
@@ -1710,7 +1728,7 @@ def _orbit_pair(sid, dom, monkeypatch):
 
 @pytest.mark.parametrize("sid,text,wlens,domains", _ORBIT_CASES)
 def test_affine_orbit_sweeps_equal_unreduced_ones(sid, text, wlens, domains, monkeypatch):
-    # one pair per orbit of (W, S) -> (uW, v*S + t) on exactly these rows
+    # one pair per orbit of (W, S) -> (uW, phi(S) + t) on exactly these rows
     assert {sid for sid, st in STATEMENTS.items()
             if isinstance(st.planner, _SeqPlanner) and st.planner.orbits} == set(_ORBIT_ROWS)
     g = parse_group(text)
@@ -1720,10 +1738,10 @@ def test_affine_orbit_sweeps_equal_unreduced_ones(sid, text, wlens, domains, mon
             dom, cut = dataclasses.replace(dom, wlens=wlens, slen_extra=slen_extra), False
         with monkeypatch.context() as patch:
             if cut:  # at most eleven orbits of S per pool, spread over the pool
-                real, units = verify._affine_pool, len(_units(g.exponent))
+                real, maps = verify._affine_pool, len(automorphisms(g.invariant_factors))
 
                 def reps(size, hcap, reduced):
-                    step = max(1, _pool_count(g, size, hcap, reduced) // (10 * units))
+                    step = max(1, _pool_count(g, size, hcap, reduced) // (10 * maps))
                     return [mult for mult, _ in islice(real(g, size, hcap, reduced),
                                                        0, 11 * step, step)]
 
@@ -1751,15 +1769,17 @@ def _counted_checks(monkeypatch, sid, dom):
 
 
 def test_weighted_egz_checks_one_sequence_per_affine_orbit(monkeypatch):
-    # exact_sums' THM_WEGZ sweep: 438 + 2,494 + 806 pooled sequences
-    # against the first weight tuple of each unit orbit of c8, c3xc3 and
-    # c2xc4 at |W| = 2 (9,596 checks with the sequence side alone)
+    # exact_sums' THM_WEGZ sweep: 438 + 170 + 298 pooled sequences, one
+    # per orbit under x -> phi(x) + t, phi in Aut(G), against the first
+    # weight tuple of each unit orbit of c8, c3xc3 and c2xc4 at |W| = 2
+    # (3,424 checks with the sequence side alone).  Under x -> u*x + t the
+    # pools were 438, 2,494 and 806, for 9,158 checks
     dom = SweepDomain(groups=tuple(map(parse_group, ("c8", "c3xc3", "c2xc4"))), wlens=(2,))
     report, checked = _counted_checks(monkeypatch, _WEGZ, dom)
     assert report.counts["holds"] == report.examined == 21_164
-    assert len(checked) == 9_158
+    assert len(checked) == 2_986
     assert {text: len({inst.seq.mult for inst in checked if format_group(inst.group) == text})
-            for text in ("c8", "c3xc3", "c2xc4")} == {"c8": 438, "c3xc3": 2_494, "c2xc4": 806}
+            for text in ("c8", "c3xc3", "c2xc4")} == {"c8": 438, "c3xc3": 170, "c2xc4": 298}
 
 
 def test_ham_char_checks_one_pair_per_orbit(monkeypatch):
@@ -1803,8 +1823,11 @@ def _check_failing_orbits_expand(sid, text, k, reduce_translation, monkeypatch):
 
 
 def test_failing_affine_orbits_expand_into_their_members(monkeypatch):
-    # THM_WEGZ: the weights run over {0, ..., n-1}^k
-    for text, reduce_translation in (("c7", True), ("c7", False), ("c2xc4", True)):
+    # THM_WEGZ: the weights run over {0, ..., n-1}^k.  Aut(G) is 48 maps
+    # on c3xc3 and 168 on c2xc2xc2, where the units give 2 and 1, so most
+    # members of a failing orbit are images under no x -> u*x + t
+    for text, reduce_translation in (("c7", True), ("c7", False), ("c2xc4", True),
+                                     ("c3xc3", True), ("c2xc2xc2", False)):
         _check_failing_orbits_expand(_WEGZ, text, 2, reduce_translation, monkeypatch)
 
 
