@@ -1124,11 +1124,10 @@ class SweepDomain:
     reduce_translation is set, sequence domains whose conclusion is
     translation-covariant keep one representative per translation orbit.
     The orbits of (W, S) -> (uW, phi(S) + t) are no field: the rows that admit
-    them (_SeqPlanner.orbits) always check one pair per orbit, t = 0 where
-    the pools are not translation reduced, and their reports equal the
-    unreduced ones byte for byte.  max_instances bounds the instances the
-    domain stands for, every orbit member included, not the ones checked;
-    the report's examined counts the same.
+    them (_SeqPlanner.orbits) always check one pair per orbit, and their
+    reports equal the unreduced ones byte for byte.  max_instances bounds
+    the instances the domain stands for, every orbit member included, not
+    the ones checked; the report's examined counts the same.
     The subgroup lattice is capped by the sweep's SearchCaps.subgroups, not
     here; the report's domain still carries that cap as subgroup_cap.
     A negative size (a wlen, slen_extra, samples, set_size_max or
@@ -1201,16 +1200,13 @@ def _automorphisms(group: Group) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row[u] for row in group.multiples) for u in _units(group.exponent))
 
 
-def _affine_maps(group: Group, reduced: bool) -> dict[tuple[int, ...], tuple[int, ...]]:
+def _affine_maps(group: Group) -> dict[tuple[int, ...], tuple[int, ...]]:
     """The maps x -> phi(x) + t other than the identity, each as its index
-    table with its phi: phi over _automorphisms(G), and t over G when
-    reduced, t = 0 otherwise.  Each is a symmetry of an orbit row's S side
-    (_SeqPlanner): phi commutes with integer weights, so the weighted sums
-    of phi(S) are phi of those of S, and t moves the |W|-term sums by
-    (sum W)*t, which a reduced leg's weight total cancels."""
+    table with its phi: phi over _automorphisms(G) and t over G, each a
+    symmetry of an orbit row's S side (_SeqPlanner)."""
     maps = {}
     for phi in _automorphisms(group):
-        for t in range(group.order) if reduced else (0,):
+        for t in range(group.order):
             plus_t = group.differences[group.index_neg(t)]
             maps[tuple(plus_t[y] for y in phi)] = phi
     del maps[tuple(range(group.order))]
@@ -1219,17 +1215,16 @@ def _affine_maps(group: Group, reduced: bool) -> dict[tuple[int, ...], tuple[int
 
 class _Orbit:
     """What a checked pair (W, S) of a row with symmetry (_SeqPlanner.orbits)
-    stands for besides itself: the pairs (uW, phi(S) + t) of its orbit,
-    whose sum sets are its own moved by the automorphism x -> u*phi(x).
-    They are the product of W and `weights`, the other tuples of W's unit
-    orbit as (tuple position, weight sequence) pairs, with S and the
-    `classes` other vectors of _seq_pool's pool in S's orbit under
-    x -> phi(x) + t, least translates when `reduced`, as on its leg.  Its
-    size is the number of those pairs;
-    sweep builds them only to check them (_orbit_members), and `seqs`,
-    which the records of one leg share, keeps the sequences of the last S
-    expanded, so each is built, and its partition dealt, once per leg.  A
-    pair of a row without symmetry stands for none (_ALONE)."""
+    stands for besides itself: the pairs (uW, phi(S) + t) of its orbit, on
+    which the row's verdict is constant.  They are the product of W and
+    `weights`, the other tuples of W's unit orbit as (tuple position, weight
+    sequence) pairs, with S and the `classes` other vectors of _seq_pool's
+    pool in S's orbit under x -> phi(x) + t, raw, or least translates when
+    `reduced`.  Its size is the number of those pairs; sweep builds them
+    only to check them (_orbit_members), and `seqs`, which the records of
+    one leg share, keeps the sequences of the last S expanded, so each is
+    built, and its partition dealt, once per leg.  A pair of a row without
+    symmetry stands for none (_ALONE)."""
 
     __slots__ = ("weights", "classes", "reduced", "seqs", "size")
 
@@ -1257,28 +1252,27 @@ def _affine_pool(group: Group, size: int, hcap: int,
                  reduced: bool) -> Iterator[tuple[tuple[int, ...], int]]:
     """_seq_pool's pool up to the maps x -> phi(x) + t (_affine_maps): the
     least vector of each orbit, lex ascending and lazy, from the one
-    orderly walk (_sub_multisets), each paired with the number of the other
-    vectors of _seq_pool's pool in its orbit.  An orbit holds
-    |Aut| |Stab_T(S)| / |Stab(S)| of them, |Aut| the number of phi: the map
-    phi + t -> phi takes Stab(S) onto the phi with phi(S) a translate of S
-    (or S itself, unreduced), with kernel Stab_T(S).  Those phi are read
-    from the tables that fix S at its leaf."""
-    maps, identity = _affine_maps(group, reduced), tuple(range(group.order))
+    orderly walk (_sub_multisets) on either leg, each paired with the
+    number of the other vectors of _seq_pool's pool in its orbit.  With
+    Stab(S) the tables that fix S at its leaf and the identity, an orbit
+    holds |Aut| |G| / |Stab(S)| raw vectors, |Aut| the number of phi, and
+    |Aut| / |P| translation classes, P the phi of the maps in Stab(S)."""
+    maps, identity = _affine_maps(group), tuple(range(group.order))
     phis = len(_automorphisms(group))
     for mult, fixers in _sub_multisets((hcap,) * group.order, size, hcap, tuple(maps),
                                        fixers=True):
-        yield mult, phis // len({identity, *(maps[table] for table in fixers)}) - 1
+        yield mult, (phis // len({identity, *map(maps.get, fixers)}) if reduced
+                     else phis * group.order // (len(fixers) + 1)) - 1
 
 
 def _affine_images(group: Group, mult: tuple[int, ...], reduced: bool) -> list[tuple[int, ...]]:
     """The other vectors of _seq_pool's pool in mult's orbit under
-    x -> phi(x) + t (_affine_maps), ascending: x -> mult[phi(x)], the vector
-    of phi^-1(S), for each phi of _automorphisms(G), taken as its least
-    translate when reduced."""
-    images = {tuple(mult[y] for y in phi) for phi in _automorphisms(group)}
-    if reduced:
-        images = {min(tuple(image[y] for y in back) for back in group.differences)
-                  for image in images}
+    x -> phi(x) + t (_affine_maps), ascending: every translate of
+    x -> mult[phi(x)], the vector of phi^-1(S), for each phi of
+    _automorphisms(G), or the least translate of each when reduced."""
+    translates = [[tuple(mult[phi[y]] for y in back) for back in group.differences]
+                  for phi in _automorphisms(group)]
+    images = {min(each) for each in translates} if reduced else {*chain(*translates)}
     images.discard(mult)
     return sorted(images)
 
@@ -1365,28 +1359,33 @@ class _SeqPlanner:
     tuple of the leg in turn, and each weight sequence built once.
 
     With orbits, the row checks one pair per orbit of the maps
-    (W, S) -> (uW, phi(S) + t): u a unit of the alphabet, phi in Aut(G)
-    (_automorphisms), and t in G on a reduced leg (t = 0 on the other).  A
+    (W, S) -> (uW, phi(S) + t), u a unit of the alphabet, phi in Aut(G)
+    (_automorphisms) and t in G, on both legs: a leg's reduction decides
+    only whether a pair stands for translation classes or raw vectors.  A
     row opts in when its hypotheses read W only through |W| (and n, which
     is |W| on COR_SPUD's planned instances), the weight total and which
     weights are units, and S only through |S|, h(S), the multiset of its
-    multiplicities and the coset condition, and its verdict is constant on
-    each orbit.  phi commutes with integer weights, so sigma(uW, phi(S) + t)
-    is psi(sigma(W, S)) + (sum uW)*t for the automorphism psi = u*phi, and
-    on a reduced leg the weight total is 0 mod exp(G).  psi maps the
-    nontrivial subgroups onto themselves and each coset g + H onto
-    psi(g) + psi(H), of the same index, so whether sigma holds 0, all of G
-    or a nontrivial subgroup, and the coset condition, are the same across
-    an orbit.  THM_HAM_CHAR's disjunct ii reads the weights' values, but it
-    exists on cyclic groups only, where Aut(G) is the units.  The weight
-    tuples are grouped into unit orbits (weight_orbits), each within one leg
-    since sum uW = u*sum W, and only each orbit's first tuple is paired with
-    S; the pools hold the least vector of each orbit of S, from the same
-    orderly walk (_affine_pool).  Each checked pair carries an _Orbit record
-    of the pairs it stands for, and sweep counts its verdict for them or
-    checks each of them (_stands_for_orbit).  Keys count tuple positions
-    over all of the shard's tuples, so counts, failure order and reports are
-    those of every weight tuple against _seq_pool's pools.
+    multiplicities and the coset condition, and its verdict is invariant
+    under S -> S + t for every planned W.  phi commutes with integer
+    weights, so sigma(uW, phi(S)) is psi(sigma(W, S)) for the automorphism
+    psi = u*phi, which maps the nontrivial subgroups onto themselves and
+    each coset g + H onto psi(g) + psi(H), of the same index: whether sigma
+    holds 0, all of G or a nontrivial subgroup, and the coset condition,
+    are the same for both.  THM_HAM_CHAR's disjunct ii reads the weights'
+    values, but it exists on cyclic groups only, where Aut(G) is the units.
+    sigma(W, S + t) is sigma(W, S) + (sum W)*t.  THM_WEGZ, CONJ_HAMIDOUNE,
+    THM_HAM_CHAR, COR_HAM_VAR and CONJ_ORDAZ_QUIROZ have a weight-total
+    clause, so t leaves sigma in place; COR_SPECIALCASE and COR_SPUD read
+    sigma only through "sigma = G" and S through the coset condition, which
+    a translate keeps.  The weight tuples are grouped into unit orbits
+    (weight_orbits), each within one leg since sum uW = u*sum W, and only
+    each orbit's first tuple is paired with S; the pools hold the least
+    vector of each orbit of S, from the same orderly walk (_affine_pool).
+    Each checked pair carries an _Orbit record of the pairs it stands for,
+    and sweep counts its verdict for them or checks each of them
+    (_stands_for_orbit).  Keys count tuple positions over all of the
+    shard's tuples, so counts, failure order and reports are those of every
+    weight tuple against _seq_pool's pools.
     """
 
     clauses: tuple[Clause, ...]
@@ -1461,7 +1460,7 @@ def _seq_walk(group: Group, wtuples: tuple[tuple[int, ...], ...], legs: Iterable
     S's count of other classes and the leg's reduction; a leg's records,
     built when a pooled S first has their class count, share the leg's own
     cache of S's orbit, as a vector expands into least translates on a
-    reduced leg and into raw dilates on the other."""
+    reduced leg and into every translate of its images on the other."""
     for reduced, orbits, specs in legs:
         # each orbit's (tuple position, weight sequence) pairs, its first tuple first
         members = [[(wi, weight_seq(group, wtuples[wi])) for wi in orbit] for orbit in orbits]
@@ -1833,10 +1832,8 @@ def sweep(sid: StatementId, dom: SweepDomain, threads: int = 1,
     and sequence by sequence (_SeqPlanner), so what the checker memoizes
     per S serves every weight tuple of the leg.  On a row with orbits
     (_SeqPlanner.orbits) an instance is its orbit's representative, and its
-    _Orbit record stands for the other pairs (uW, phi(S) + t), phi in
-    Aut(G), whose sum sets are its own moved by the automorphism
-    x -> u*phi(x), which maps subgroups to subgroups and cosets to cosets of
-    the same index.  Where its verdict stands for them (_stands_for_orbit),
+    _Orbit record stands for the other pairs (uW, phi(S) + t) of the orbit,
+    phi in Aut(G) and t in G.  Where its verdict stands for them (_stands_for_orbit),
     it is counted once per member, and otherwise each member is built and
     checked under its own key, so failures, flagged pairs and their
     witnesses are those of the unreduced sweep.  The verdicts are tallied

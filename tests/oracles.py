@@ -234,23 +234,22 @@ def automorphisms(factors):
 
 
 @cache
-def _affine_positions(factors, translate):
+def _affine_positions(factors):
     """positions[k][i] = the position of phi(e) + g for element i = e and
     the k-th map (phi, g): phi over automorphisms(factors), g over every
-    element when translate and g = 0 otherwise."""
+    element."""
     elements = all_elements(factors)
     index = {e: i for i, e in enumerate(elements)}
-    shifts = elements if translate else elements[:1]
     return [[index[coord_add(factors, phi[e], g)] for e in elements]
-            for phi in automorphisms(factors) for g in shifts]
+            for phi in automorphisms(factors) for g in elements]
 
 
-def affine_orbit(factors, mult, translate):
+def affine_orbit(factors, mult):
     """Every image of a multiplicity vector under the maps x -> phi(x) + g
     (_affine_positions), by coordinate arithmetic: the vector whose entry
     at phi(x) + g is mult[x]."""
     orbit = set()
-    for positions in _affine_positions(tuple(factors), translate):
+    for positions in _affine_positions(tuple(factors)):
         out = [0] * len(positions)
         for i, m in zip(positions, mult):
             out[i] = m
@@ -258,11 +257,10 @@ def affine_orbit(factors, mult, translate):
     return orbit
 
 
-def least_affine_image(factors, mult, translate):
+def least_affine_image(factors, mult):
     """Lexicographically least image of a multiplicity vector under the maps
-    x -> phi(x) + g, phi an automorphism and g any element when translate,
-    g = 0 otherwise."""
-    return min(affine_orbit(factors, mult, translate))
+    x -> phi(x) + g, phi an automorphism and g any element."""
+    return min(affine_orbit(factors, mult))
 
 
 def unit_orbits(wtuples, modulus):

@@ -314,22 +314,23 @@ def test_canonical_translate_matches_least_translate_oracle(g):
 
 @pytest.mark.parametrize("g", abelian_group_types(9), ids=format_group)
 def test_affine_pool_matches_least_affine_image_oracle(g):
-    # the orbit rows' pools: the least vector of each orbit under x -> phi(x) + t,
-    # each standing for the translation classes (reduced) or the vectors
-    # (unreduced) in its orbit
+    # the orbit rows' pools, one walk on both legs: the least vector of each
+    # orbit under x -> phi(x) + t, each standing for the translation classes
+    # (reduced) or the vectors (unreduced) in its orbit
     factors = g.invariant_factors
     for size in range(g.order + 2):
         every = sorted({tuple(combo.count(i) for i in range(g.order))
                         for combo in combinations_with_replacement(range(g.order), size)})
+        least, orbits = {}, {}
+        for v in every:
+            if v not in least:
+                orbit = affine_orbit(factors, v)
+                orbits[min(orbit)] = orbit
+                least.update(dict.fromkeys(orbit, min(orbit)))
         for reduced in (False, True):
-            least, classes = {}, {}
-            for v in every:
-                if v not in least:
-                    orbit = affine_orbit(factors, v, reduced)
-                    rep = min(orbit)
-                    least.update(dict.fromkeys(orbit, rep))
-                    # the translation classes in one affine orbit are equally large
-                    classes[rep] = len(orbit) // len(translates(factors, v) if reduced else {v})
+            # the translation classes in one affine orbit are equally large
+            classes = {rep: len(orbit) // len(translates(factors, rep)) if reduced else len(orbit)
+                       for rep, orbit in orbits.items()}
             for hcap in sorted({1, 2, size}):
                 pool = list(_affine_pool(g, size, hcap, reduced))
                 assert [mult for mult, _ in pool] == [
@@ -338,12 +339,12 @@ def test_affine_pool_matches_least_affine_image_oracle(g):
                 assert sum(1 + others for _, others in pool) == _pool_count(
                     g, size, hcap, reduced)
             for mult, others in pool:  # at hcap = size, every orbit
-                assert least_affine_image(factors, mult, reduced) == mult
-                # the other classes, each named by its least translate (reduced)
+                assert least_affine_image(factors, mult) == mult
+                # the other vectors, or classes each named by its least translate
                 images = _affine_images(g, mult, reduced)
-                assert len(images) == others and images == sorted(set(images))
-                assert all(least[x] == mult != x for x in images)
-                assert not reduced or all(least_translate(factors, x) == x for x in images)
+                assert len(images) == others
+                assert images == sorted(x for x in orbits[mult] if x != mult and (
+                    not reduced or least_translate(factors, x) == x))
 
 
 def test_orbit_rows_keep_the_units_above_the_table_cap():
@@ -1543,7 +1544,7 @@ def test_sequence_major_sweeps_equal_shard_order_checks(sid, text, wlens, domain
                                 lambda *args: walks.append(args) or real_pool(*args))
             again, checked = _counted_checks(monkeypatch, sid, dom)
             assert report_to_json(again) == report_to_json(report)
-            assert (len(checked), len(walks)) == (4_340, 2)
+            assert (len(checked), len(walks)) == (1_288, 2)
 
 
 _WEGZ = StatementId.THM_WEGZ
@@ -1567,7 +1568,7 @@ def _cut_pools(monkeypatch, factors, reps):
     @cache
     def orbits(size, hcap, reduced):
         return {rep: sorted({least_translate(factors, x) if reduced else x
-                             for x in affine_orbit(factors, rep, reduced)})
+                             for x in affine_orbit(factors, rep)})
                 for rep in sorted(reps(size, hcap, reduced))}
 
     monkeypatch.setattr(verify, "_affine_pool", lambda group, *spec: iter(
@@ -1600,7 +1601,7 @@ def test_flagged_representatives_expand_their_orbits(monkeypatch):
     g = parse_group("c8")
     seeds = ((7, 7, 0, 0, 0, 0, 0, 0), (7, 0, 7, 0, 0, 0, 0, 0), (4, 3, 3, 2, 1, 1, 0, 0))
     _cut_pools(monkeypatch, g.invariant_factors, lambda size, hcap, reduced: {
-        least_affine_image(g.invariant_factors, seed, reduced) for seed in seeds})
+        least_affine_image(g.invariant_factors, seed) for seed in seeds})
     sid, dom = StatementId.THM_HAM_CHAR, SweepDomain(groups=(g,), wlens=(7,))
     report = sweep(sid, dom)
     counts, failures, flagged = _shard_order(sid, dom)
@@ -1660,11 +1661,11 @@ def test_planner_unit_orbits_match_the_oracle():
                                        and sum(inst.weights.raw) % g.exponent == 0)
                     worbit = next(o for o in worbits if inst.weights.raw in o)
                     assert inst.weights.raw == worbit[0]
-                    assert least_affine_image(factors, inst.seq.mult, reduced) == inst.seq.mult
+                    assert least_affine_image(factors, inst.seq.mult) == inst.seq.mult
                     assert len(pairs) == orbit.size + 1
                     assert set(pairs) == {
                         (w, x) for w in worbit
-                        for x in affine_orbit(factors, inst.seq.mult, reduced)
+                        for x in affine_orbit(factors, inst.seq.mult)
                         if not reduced or least_translate(factors, x) == x}, (sid, g, pairs[0])
                 pools = {reduced: list(_seq_pool(g, size, k if planner.cap_h else size, reduced))
                          for reduced in (True, False)}
@@ -1773,13 +1774,25 @@ def test_weighted_egz_checks_one_sequence_per_affine_orbit(monkeypatch):
     # per orbit under x -> phi(x) + t, phi in Aut(G), against the first
     # weight tuple of each unit orbit of c8, c3xc3 and c2xc4 at |W| = 2
     # (3,424 checks with the sequence side alone).  Under x -> u*x + t the
-    # pools were 438, 2,494 and 806, for 9,158 checks
-    dom = SweepDomain(groups=tuple(map(parse_group, ("c8", "c3xc3", "c2xc4"))), wlens=(2,))
-    report, checked = _counted_checks(monkeypatch, _WEGZ, dom)
-    assert report.counts["holds"] == report.examined == 21_164
-    assert len(checked) == 2_986
-    assert {text: len({inst.seq.mult for inst in checked if format_group(inst.group) == text})
-            for text in ("c8", "c3xc3", "c2xc4")} == {"c8": 438, "c3xc3": 170, "c2xc4": 298}
+    # pools were 438, 2,494 and 806, for 9,158 checks.  Unreduced, the same
+    # pairs stand for raw vectors, and the sweep checks as many
+    groups = tuple(map(parse_group, ("c8", "c3xc3", "c2xc4")))
+    for reduce_translation, examined in ((True, 21_164), (False, 179_036)):
+        dom = SweepDomain(groups=groups, wlens=(2,), reduce_translation=reduce_translation)
+        report, checked = _counted_checks(monkeypatch, _WEGZ, dom)
+        assert report.counts["holds"] == report.examined == examined
+        assert len(checked) == 2_986
+        assert {text: len({inst.seq.mult for inst in checked if format_group(inst.group) == text})
+                for text in ("c8", "c3xc3", "c2xc4")} == {"c8": 438, "c3xc3": 170, "c2xc4": 298}
+
+
+def test_hamidoune_raw_leg_expands_only_its_failing_orbits(monkeypatch):
+    # CONJ_HAMIDOUNE on c8 at |W| = 3 unreduced: the raw pools are reduced by
+    # x -> phi(x) + t, and the 320 failures are checked member by member
+    # (7,536 checks when the raw leg was reduced by x -> phi(x) alone)
+    dom = SweepDomain(groups=(parse_group("c8"),), wlens=(3,), reduce_translation=False)
+    report, checked = _counted_checks(monkeypatch, StatementId.CONJ_HAMIDOUNE, dom)
+    assert (len(checked), len(report.failures), report.examined) == (1_354, 320, 67_280)
 
 
 def test_ham_char_checks_one_pair_per_orbit(monkeypatch):
@@ -1790,20 +1803,27 @@ def test_ham_char_checks_one_pair_per_orbit(monkeypatch):
     assert len(checked) == 744
 
 
-def _support_of_three(inst, caps):
-    """A conclusion that fails exactly when |supp(S)| = 3, which every
-    affine map keeps, with a witness (the support) that differs from member
-    to member; otherwise THM_WEGZ's."""
-    support = sum(1 << i for i, m in enumerate(inst.seq.mult) if m)
-    if support.bit_count() == 3:
-        return Verdict(Status.FAILS, {"support": GSet(inst.group, support)})
-    return verify._zero_in_full_sum(inst, caps)
+def _support_of_three(checker):
+    """A checker that fails exactly when |supp(S)| = 3, which every affine
+    map keeps, with a witness (the support) that differs from member to
+    member; otherwise `checker`'s verdict, the row's own."""
+    def check(inst, caps):
+        support = sum(1 << i for i, m in enumerate(inst.seq.mult) if m)
+        if support.bit_count() == 3:
+            return Verdict(Status.FAILS, {"support": GSet(inst.group, support)})
+        return checker(inst, caps)
+    return check
 
 
 def _check_failing_orbits_expand(sid, text, k, reduce_translation, monkeypatch):
     """Every member of a failing orbit is checked under its own key, in
-    enumeration order, on the weight and the sequence side at once."""
-    row = verify._seq_statement(STATEMENTS[sid].planner, _support_of_three, "test row")
+    enumeration order, on the weight and the sequence side at once.  A
+    member on a reduced leg is a least translate, and on a raw leg (weight
+    total not 0 mod exp(G), or the sweep unreduced) translates that are not
+    least are members too.  Returns, per leg, whether each failure's S is
+    its least translate."""
+    row = verify._seq_statement(STATEMENTS[sid].planner,
+                                _support_of_three(STATEMENTS[sid].checker), "test row")
     with monkeypatch.context() as patch:
         patch.setitem(STATEMENTS, sid, row)
         g = parse_group(text)
@@ -1814,12 +1834,19 @@ def _check_failing_orbits_expand(sid, text, k, reduce_translation, monkeypatch):
     # failing members whose S is not its affine orbit's least vector and,
     # where the weights have unit orbits of more than one tuple, whose
     # weights are not their orbit's first tuple (c2xc4 at |W| = 2 has none)
+    factors = g.invariant_factors
     wtuples = STATEMENTS[sid].planner.weight_tuples(g, k)
     orbits = unit_orbits(wtuples, getattr(g, STATEMENTS[sid].planner.alphabet))
     firsts = {wtuples[orbit[0]] for orbit in orbits}
-    assert any(least_affine_image(g.invariant_factors, inst.seq.mult, reduce_translation)
+    assert any(least_affine_image(factors, inst.seq.mult)
                != inst.seq.mult and (inst.weights.raw not in firsts or len(orbits) == len(wtuples))
                for inst, _ in report.failures)
+    legs = {True: [], False: []}
+    for inst, _ in report.failures:
+        legs[reduce_translation and sum(inst.weights.raw) % g.exponent == 0].append(
+            inst.seq.mult == least_translate(factors, inst.seq.mult))
+    assert all(legs[True]) and not (legs[False] and all(legs[False]))
+    return legs
 
 
 def test_failing_affine_orbits_expand_into_their_members(monkeypatch):
@@ -1835,9 +1862,15 @@ def test_failing_affine_orbits_expand_into_their_members(monkeypatch):
 def test_failing_unit_and_affine_orbits_expand_into_their_members(reduce_translation,
                                                                   monkeypatch):
     # weight tuples in unit orbits of several tuples each; COR_SPUD sets
-    # n = |W| on each planned instance, and each member must carry it
+    # n = |W| on each planned instance, and each member must carry it.
+    # COR_SPECIALCASE's tuples whose weight total is not 0 mod 5 walk raw
+    # pools in the reduced sweep too, reduced by x -> phi(x) + t like the
+    # others, so its failing orbits expand on both legs
     for sid in (StatementId.COR_HAM_VAR, StatementId.COR_SPUD):
         _check_failing_orbits_expand(sid, "c5", 4, reduce_translation, monkeypatch)
+    legs = _check_failing_orbits_expand(StatementId.COR_SPECIALCASE, "c5", 5,
+                                        reduce_translation, monkeypatch)
+    assert legs[False] and bool(legs[True]) == reduce_translation
 
 
 def test_failures_of_both_legs_come_in_enumeration_order(monkeypatch):
@@ -1846,12 +1879,12 @@ def test_failures_of_both_legs_come_in_enumeration_order(monkeypatch):
     # shard.  The conclusion fails exactly on the orbit of one sequence
     # under x -> u*x + t, whose least vector is pooled on both legs, with a
     # witness (the support) that differs from member to member.  So every
-    # weight tuple fails, the failures, sorted by (tuple position, pool
-    # position, vector), interleave the legs as the tuples do, and the
-    # vector expanded last on the reduced leg, into least translates, is
-    # expanded first on the unreduced one, into raw dilates
+    # weight tuple fails, and the failures, sorted by (tuple position, pool
+    # position, vector), interleave the legs as the tuples do: the orbit
+    # expands into its least translates on the reduced leg and into all of
+    # its raw vectors on the unreduced one
     g = parse_group("c5")
-    failing = affine_orbit(g.invariant_factors, (5, 2, 2, 0, 0), True)
+    failing = affine_orbit(g.invariant_factors, (5, 2, 2, 0, 0))
 
     def fails_on_one_orbit(inst, caps):
         if inst.seq.mult in failing:
@@ -1932,12 +1965,12 @@ def test_a_sweep_checks_every_pair_and_deals_each_sequence_once(sid, monkeypatch
     orbit_of = {wtuples[i]: oi for oi, orbit in enumerate(orbits) for i in orbit}
     by_orbit: dict = {}
     for w, mult in pairs:
-        by_orbit.setdefault((orbit_of[w], least_affine_image(factors, mult, False)),
+        by_orbit.setdefault((orbit_of[w], least_affine_image(factors, mult)),
                             set()).add((w, mult))
     expanded = 0
     for (oi, least), seen in by_orbit.items():
         first = (wtuples[orbits[oi][0]], least)
-        members = {(wtuples[i], x) for i in orbits[oi] for x in affine_orbit(factors, least, False)}
+        members = {(wtuples[i], x) for i in orbits[oi] for x in affine_orbit(factors, least)}
         assert first in seen and seen in ({first}, members)
         expanded += len(seen) - 1
     # each pooled S is paired with every unit orbit's first tuple; each
